@@ -362,9 +362,7 @@ pub fn run_case<S: Substrate>(case: &TraceCase) -> EventSignature {
         .event_signature()
 }
 
-/// Like [`run_case`], but pinning the engine's fast-lane burst budget
-/// (instead of inheriting `AMEM_HORIZON`), so budget sweeps are free of
-/// process-global env races.
+/// Like [`run_case`], but pinning the engine's fast-lane burst budget.
 pub fn run_case_at<S: Substrate>(case: &TraceCase, run_ahead: u32) -> EventSignature {
     EngineWith::<S>::new(&case.machine, case_jobs(case))
         .with_run_ahead(run_ahead)

@@ -958,8 +958,8 @@ impl Executor {
 
     /// The canonical cache key `run` would use for this request, or
     /// `None` when the request is uncacheable. Public so tests can assert
-    /// that key construction ignores execution-only knobs (lane-thread
-    /// count and [`TrialPolicy`] above all): two configurations that must
+    /// that key construction ignores execution-only knobs
+    /// ([`TrialPolicy`] above all): two configurations that must
     /// share cache entries must produce equal strings here.
     pub fn request_key(
         &self,

@@ -22,7 +22,7 @@
 //!
 //! Controller and throttle are execution-time knobs, excluded from every
 //! content-addressed cache key by construction (they ride on the engine
-//! builder, never on `RunLimit`) — the same rule as `AMEM_HORIZON`.
+//! builder, never on `RunLimit`) — the same rule as the burst budget.
 
 pub mod controller;
 pub mod estimate;

@@ -8,7 +8,7 @@
 //! structs is the same text a local run would have produced
 //! (DESIGN.md §15).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 use amem_core::curve::CurveRequest;
 use amem_core::platform::{LuleshWorkload, McbWorkload, Measurement, ProbeWorkload, Workload};
@@ -291,14 +291,38 @@ pub fn write_line<W: Write, T: Serialize>(w: &mut W, msg: &T) -> std::io::Result
     w.flush()
 }
 
+/// Longest request line (newline included) the server reads. Real
+/// requests are a few KB — a machine config plus a workload spec — so
+/// anything past this is hostile or broken, and is refused before it is
+/// buffered.
+pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Read one JSON-line message; `Ok(None)` on clean EOF. Blank lines are
 /// skipped so interactive use (telnet, netcat) stays forgiving.
 pub fn read_line<R: BufRead, T: Deserialize>(r: &mut R) -> std::io::Result<Option<T>> {
+    read_line_within(r, usize::MAX)
+}
+
+/// [`read_line`], refusing a line longer than `max` bytes with
+/// `ErrorKind::InvalidInput` (malformed JSON is `InvalidData`). At most
+/// `max + 1` bytes of a refused line are read; the rest stays in the
+/// stream, so the caller must drop the connection.
+pub(crate) fn read_line_within<R: BufRead, T: Deserialize>(
+    r: &mut R,
+    max: usize,
+) -> std::io::Result<Option<T>> {
+    let budget = (max as u64).saturating_add(1);
     let mut line = String::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if r.by_ref().take(budget).read_line(&mut line)? == 0 {
             return Ok(None);
+        }
+        if line.len() > max {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("request line exceeds {max} bytes"),
+            ));
         }
         if !line.trim().is_empty() {
             break;

@@ -27,7 +27,8 @@ use amem_core::AmemError;
 
 use crate::job::{JobRecord, JobStatus, JobStore, JOB_SCHEMA_VERSION};
 use crate::protocol::{
-    write_line, Command, JobResult, JobSpec, Request, Response, ServeStats, PROTOCOL_VERSION,
+    read_line_within, write_line, Command, JobResult, JobSpec, Request, Response, ServeStats,
+    MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 use crate::quota::QuotaConfig;
 use crate::scheduler::{JobQueue, QueuedJob, ResolveOnDrop, ResultCell};
@@ -253,11 +254,16 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
     let mut writer = peer_write;
     let mut reader = BufReader::new(stream);
     loop {
-        let req: Request = match crate::protocol::read_line(&mut reader) {
+        let req: Request = match read_line_within(&mut reader, MAX_REQUEST_LINE) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean EOF
             Err(e) => {
                 let _ = write_line(&mut writer, &Response::err(0, format!("bad request: {e}")));
+                // The tail of an over-long line is still unread: close
+                // rather than parse it as further requests.
+                if e.kind() == std::io::ErrorKind::InvalidInput {
+                    return;
+                }
                 continue;
             }
         };
@@ -483,5 +489,44 @@ impl Server {
             let _ = w.join();
         }
         self.inner.stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::read_line;
+    use std::io::Write;
+
+    #[test]
+    fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+        let server = Server::start(ServeConfig::default()).expect("start");
+
+        let hostile = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(hostile.try_clone().expect("clone"));
+        let sender = std::thread::spawn(move || {
+            let mut hostile = hostile;
+            // The server stops reading at the limit and closes, so the
+            // tail of this write may fail with a reset: that is the point.
+            let _ = hostile.write_all(&vec![b'x'; 2 * MAX_REQUEST_LINE]);
+            let _ = hostile.write_all(b"\n");
+        });
+        let reply: Response = read_line(&mut reader)
+            .expect("an error reply, not a dropped connection")
+            .expect("a reply before EOF");
+        let error = reply.error.expect("a refusal");
+        assert!(error.contains("exceeds"), "{error}");
+        let after: std::io::Result<Option<Response>> = read_line(&mut reader);
+        assert!(
+            matches!(after, Ok(None) | Err(_)),
+            "the connection closes after the refusal"
+        );
+        sender.join().expect("sender does not panic");
+
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.ping().expect("another client is served");
+        c.shutdown().expect("drain");
+        server.wait();
     }
 }

@@ -10,7 +10,9 @@
 //! commits runs of simple ops (loads, compute, marks) through an inlined
 //! dispatch loop; it never crosses the scheduling horizon, so results
 //! are event-for-event identical to the one-op-at-a-time path (see
-//! DESIGN.md §14 and the `AMEM_HORIZON` knob).
+//! DESIGN.md §14). The engine spawns no threads and reads no environment:
+//! each core's ops are generated inline, on the thread that calls `run`
+//! (DESIGN.md §9).
 //!
 //! ## Timing model
 //!
@@ -37,8 +39,6 @@
 //! written back. L1 ⊆ L2 is maintained the same way. Dirty evictions charge
 //! write-back occupancy on the channel.
 
-use std::sync::mpsc;
-
 use crate::config::{CoreId, MachineConfig};
 use crate::control::{Actuation, CoreView, EpochController, Knob};
 use crate::counters::CoreCounters;
@@ -47,63 +47,18 @@ use crate::model::{CacheModel, PrefetchModel, SoaSubstrate, Substrate, TlbModel}
 use crate::stream::{AccessStream, Op, OP_BATCH};
 use crate::telemetry::{CycleHistogram, EventRing, Sampler, SpanEvent, Telemetry};
 
-/// Batches a lane's producer may have in flight ahead of the engine.
-/// Small: the lookahead is pure op generation (streams never observe
-/// engine state), so depth only trades memory for producer idle time.
-const PIPE_DEPTH: usize = 4;
-
-/// Number of generator lanes allowed to run on their own threads.
-///
-/// `AMEM_LANES` (or, failing that, `RAYON_NUM_THREADS`) caps it; `1`
-/// disables lane threads entirely. The default is the machine's
-/// parallelism. This is intentionally *not* part of [`RunLimit`]: it can
-/// never change simulated results (op sequences are generated identically
-/// either way), so it must not enter the executor's cache key.
-fn lane_threads() -> usize {
-    for key in ["AMEM_LANES", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(key) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Default fast-lane burst budget (ops per uninterrupted inline span).
-pub const DEFAULT_RUN_AHEAD: u32 = 256;
-
 /// Fast-lane burst budget: how many consecutive ops one core may commit
 /// through the inlined dispatch loop before the engine re-checks
-/// scheduling state. `AMEM_HORIZON=1` forces the legacy lockstep
-/// dispatcher. Like `AMEM_LANES`, this is intentionally *not* part of
-/// [`RunLimit`]: the fast lane never crosses the scheduling horizon, so
-/// the value cannot change simulated results (the horizon-determinism
-/// test asserts this) and must not enter the executor's cache key.
-fn run_ahead_ops() -> u32 {
-    match std::env::var("AMEM_HORIZON") {
-        Ok(v) => v
-            .trim()
-            .parse::<u32>()
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_RUN_AHEAD),
-        Err(_) => DEFAULT_RUN_AHEAD,
-    }
-}
+/// scheduling state. It is intentionally *not* part of [`RunLimit`]: the
+/// fast lane never crosses the scheduling horizon, so the value cannot
+/// change simulated results (the horizon-determinism test asserts this)
+/// and must not enter the executor's cache key.
+pub const DEFAULT_RUN_AHEAD: u32 = 256;
 
 /// One core's buffered window of upcoming ops.
 struct OpBuf {
     ops: Vec<Op>,
     pos: usize,
-}
-
-/// Where a core's op batches come from: generated inline on the engine
-/// thread, or received from a per-lane producer thread.
-enum LaneFeed {
-    Local,
-    Piped(mpsc::Receiver<Vec<Op>>),
 }
 
 /// A stream placed on a core.
@@ -475,12 +430,12 @@ pub struct EngineWith<'a, S: Substrate = SoaSubstrate> {
     sockets: Vec<SocketState<S>>,
     streams: Vec<Option<Box<dyn AccessStream>>>,
     bufs: Vec<OpBuf>,
-    feeds: Vec<LaneFeed>,
     /// Hoisted `cfg.tlb.is_enabled()`: skips the per-access translation
     /// call entirely on the (default) disabled configuration.
     tlb_on: bool,
-    /// Fast-lane burst budget (`AMEM_HORIZON`, or a test override);
-    /// `1` disables the inlined dispatch loop entirely.
+    /// Fast-lane burst budget ([`DEFAULT_RUN_AHEAD`], or a
+    /// [`with_run_ahead`](Self::with_run_ahead) override); `1` disables
+    /// the inlined dispatch loop entirely.
     run_ahead: u32,
     /// Cycles the fast lane is (wrongly) allowed past the quantum
     /// horizon. Always `0` in production; the conformance self-test
@@ -583,9 +538,8 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                     pos: 0,
                 })
                 .collect(),
-            feeds: (0..n).map(|_| LaneFeed::Local).collect(),
             tlb_on: cfg.tlb.is_enabled(),
-            run_ahead: run_ahead_ops(),
+            run_ahead: DEFAULT_RUN_AHEAD,
             horizon_leak: 0,
             controller: None,
             epoch_off_by_one: false,
@@ -603,8 +557,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// Override the fast-lane burst budget (ops per uninterrupted inline
     /// span; `1` forces the legacy one-op dispatch path). Results are
     /// identical for every value — this exists so tests and the
-    /// conformance fuzzer can sweep budgets without racing on the
-    /// process-global `AMEM_HORIZON` variable.
+    /// conformance fuzzer can sweep budgets.
     pub fn with_run_ahead(mut self, ops: u32) -> Self {
         self.run_ahead = ops.max(1);
         self
@@ -626,7 +579,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// the next dispatch; the caller keeps the (mutably borrowed)
     /// controller, so estimator state and decision logs survive the run.
     ///
-    /// Like `AMEM_HORIZON`, the controller is execution-time state only:
+    /// Like the burst budget, the controller is execution-time state only:
     /// it is not part of [`RunLimit`] and never enters a cache key.
     pub fn with_controller(mut self, controller: &'a mut dyn EpochController) -> Self {
         self.controller = Some(controller);
@@ -644,8 +597,8 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         self
     }
 
-    /// Pull the next op from the core's buffered lane, refilling (from
-    /// the local generator or the lane's producer thread) as needed.
+    /// Pull the next op from the core's buffered lane, refilling from
+    /// the core's own stream as needed.
     #[inline]
     fn next_lane_op(&mut self, ci: usize) -> Op {
         loop {
@@ -656,67 +609,18 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             }
             buf.pos = 0;
             buf.ops.clear();
-            match &mut self.feeds[ci] {
-                LaneFeed::Local => {
-                    let stream = self.streams[ci]
-                        .as_mut()
-                        .expect("active core must have a stream");
-                    stream.next_batch(&mut buf.ops, OP_BATCH);
-                }
-                // A closed channel means the producer already delivered
-                // its final (`Done`-terminated) batch.
-                LaneFeed::Piped(rx) => match rx.recv() {
-                    Ok(batch) => buf.ops = batch,
-                    Err(_) => return Op::Done,
-                },
-            }
-            if self.bufs[ci].ops.is_empty() {
+            self.streams[ci]
+                .as_mut()
+                .expect("active core must have a stream")
+                .next_batch(&mut buf.ops, OP_BATCH);
+            if buf.ops.is_empty() {
                 return Op::Done;
             }
         }
     }
 
     /// Execute until every primary stream is done (or limits trip).
-    ///
-    /// When more than one generator lane is active and `lane_threads`
-    /// allows it, each lane's op generation moves to its own producer
-    /// thread feeding the engine batches over a bounded channel. Streams
-    /// never observe engine state, so the op sequences — and therefore
-    /// every simulated result — are identical with and without piping.
     pub fn run(mut self, limit: &RunLimit) -> RunReport {
-        let active: Vec<usize> = (0..self.cores.len())
-            .filter(|&i| !self.cores[i].done && self.streams[i].is_some())
-            .collect();
-        if lane_threads() <= 1 || active.len() <= 1 {
-            return self.run_inner(limit);
-        }
-        let mut producers = Vec::with_capacity(active.len());
-        for &ci in &active {
-            let (tx, rx) = mpsc::sync_channel::<Vec<Op>>(PIPE_DEPTH);
-            let stream = self.streams[ci].take().expect("active stream");
-            self.feeds[ci] = LaneFeed::Piped(rx);
-            producers.push((stream, tx));
-        }
-        std::thread::scope(|scope| {
-            for (mut stream, tx) in producers {
-                scope.spawn(move || loop {
-                    let mut batch = Vec::with_capacity(OP_BATCH);
-                    stream.next_batch(&mut batch, OP_BATCH);
-                    let finished = batch.last() == Some(&Op::Done) || batch.is_empty();
-                    // A send error means the engine finished (receiver
-                    // dropped) and no longer wants ops.
-                    if tx.send(batch).is_err() || finished {
-                        break;
-                    }
-                });
-            }
-            // Runs on this thread; dropping `self` inside unblocks any
-            // producer still waiting on a full channel.
-            self.run_inner(limit)
-        })
-    }
-
-    fn run_inner(mut self, limit: &RunLimit) -> RunReport {
         if let Some(iv) = limit.sample_interval {
             self.sampler = Some(Sampler::new(
                 iv,
@@ -1953,6 +1857,38 @@ mod tests {
         let b = mk();
         assert_eq!(a.wall_cycles, b.wall_cycles);
         assert_eq!(a.jobs[0].counters.l3_misses, b.jobs[0].counters.l3_misses);
+    }
+
+    #[test]
+    fn ops_are_generated_on_the_calling_thread() {
+        use std::sync::{Arc, Mutex};
+        struct Recording(ScriptStream, Arc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl crate::stream::AccessStream for Recording {
+            fn next_op(&mut self) -> Op {
+                self.0.next_op()
+            }
+            fn next_batch(&mut self, out: &mut Vec<Op>, max: usize) {
+                self.1.lock().unwrap().push(std::thread::current().id());
+                self.0.next_batch(out, max)
+            }
+        }
+        let m = cfg();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let jobs = (0..4u64)
+            .map(|core| {
+                let ops = (0..3 * OP_BATCH as u64)
+                    .map(|i| Op::Load(((core + 1) << 28) + i * 64))
+                    .collect();
+                let stream = Recording(ScriptStream::new(ops), Arc::clone(&seen));
+                Job::primary(Box::new(stream), CoreId::new(0, core as u32))
+            })
+            .collect();
+        let r = Engine::new(&m, jobs).run(&RunLimit::default());
+        assert!(r.jobs.iter().all(|j| j.done));
+        let seen = seen.lock().unwrap();
+        assert!(seen.len() >= 12, "every core refilled: {}", seen.len());
+        let me = std::thread::current().id();
+        assert!(seen.iter().all(|&id| id == me), "a batch came off-thread");
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Fast-lane determinism: the engine may run the lead core in inline
-//! bursts (`AMEM_HORIZON` ops between clock checks), but the burst
+//! bursts (`with_run_ahead` ops between clock checks), but the burst
 //! budget is a pure execution detail — every simulated number must be
 //! byte-identical at any budget, from per-op lockstep (1) to far past
 //! the default (4096), and the executor's content-addressed cache key
 //! must not encode it (see DESIGN.md §14).
-//!
-//! This lives in its own test binary: it mutates the process-wide
-//! `AMEM_HORIZON` variable, and separate binaries are separate
-//! processes, so it cannot race the lane-count test's env mutations.
 
-use active_mem::core::platform::{McbWorkload, Platform, SimPlatform};
+use active_mem::core::platform::{McbWorkload, Platform, SimPlatform, Workload};
 use active_mem::core::Executor;
 use active_mem::interfere::InterferenceMix;
 use active_mem::miniapps::McbCfg;
+use active_mem::sim::cluster::RankMap;
 use active_mem::sim::config::CoreId;
-use active_mem::sim::engine::{Engine, EventSignature, Job, RunLimit};
+use active_mem::sim::engine::{Engine, EventSignature, Job, RunLimit, DEFAULT_RUN_AHEAD};
+use active_mem::sim::machine::Machine;
 use active_mem::sim::stream::{Op, ScriptStream};
 use active_mem::sim::MachineConfig;
 
@@ -71,16 +69,14 @@ fn signature_at(cfg: &MachineConfig, run_ahead: u32) -> EventSignature {
         .event_signature()
 }
 
-/// One test fn (not several): it mutates `AMEM_HORIZON`, and parallel
-/// test fns within this binary would race on it.
 #[test]
 fn results_and_cache_keys_are_horizon_invariant() {
     let m = machine();
 
     // Engine-level: event signatures (every counter, mark, and socket
-    // traffic figure) across budgets, via the builder (no env races).
+    // traffic figure) across budgets.
     let base = signature_at(&m, 1);
-    for budget in [2, 64, 256, 4096] {
+    for budget in [2, 64, DEFAULT_RUN_AHEAD, 4096] {
         assert_eq!(
             base,
             signature_at(&m, budget),
@@ -88,41 +84,47 @@ fn results_and_cache_keys_are_horizon_invariant() {
         );
     }
 
-    // Platform-level: full Measurement bytes and executor cache keys
-    // through the `AMEM_HORIZON` environment path end to end.
+    // Platform-level: the platform's own run (default budget) against
+    // the same job set — built through the same public calls — at each
+    // budget. Every other `Measurement` field is a function of the
+    // report and the mix, so equal report bytes are equal measurements.
     let w = McbWorkload(McbCfg {
         ranks: 4,
         steps: 2,
         ..McbCfg::new(&m, 4000)
     });
     let mix = InterferenceMix::storage(2);
-    let mut blobs: Vec<String> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
-    for horizon in [Some("1"), None, Some("4096")] {
-        match horizon {
-            Some(h) => std::env::set_var("AMEM_HORIZON", h),
-            None => std::env::remove_var("AMEM_HORIZON"),
-        }
-        let plat = SimPlatform::new(m.clone());
-        let meas = plat.run(&w, 2, mix).expect("run succeeds");
-        blobs.push(serde_json::to_string(&meas).expect("serializable"));
-        let dir =
-            std::env::temp_dir().join(format!("amem_horizon_{}", horizon.unwrap_or("default")));
-        let _ = std::fs::remove_dir_all(&dir);
-        let exec = Executor::with_cache_dir(SimPlatform::new(m.clone()), dir.clone());
-        keys.push(exec.request_key(&w, 2, mix).expect("request is cacheable"));
-        let _ = std::fs::remove_dir_all(&dir);
+    let plat = SimPlatform::new(m.clone());
+    let meas = plat.run(&w, 2, mix).expect("run succeeds");
+    let expected = serde_json::to_string(&meas.report).expect("serializable");
+    for budget in [1, DEFAULT_RUN_AHEAD, 4096] {
+        let mut machine = Machine::new(m.clone());
+        let map = RankMap::new(&m, w.ranks(), 2);
+        let mut jobs = w.build(&mut machine, &map);
+        jobs.extend(mix.build_jobs(&mut machine, &map.free_cores()));
+        let report = Engine::new(&m, jobs)
+            .with_run_ahead(budget)
+            .run(plat.limit());
+        assert_eq!(
+            serde_json::to_string(&report).expect("serializable"),
+            expected,
+            "Measurement bytes diverged at run-ahead budget {budget}"
+        );
     }
-    std::env::remove_var("AMEM_HORIZON");
 
-    assert_eq!(
-        blobs[0], blobs[1],
-        "Measurement bytes must be identical at horizon 1 and the default"
-    );
-    assert_eq!(
-        blobs[1], blobs[2],
-        "Measurement bytes must be identical at the default and horizon 4096"
-    );
-    assert_eq!(keys[0], keys[1], "cache keys must not encode the horizon");
-    assert_eq!(keys[1], keys[2], "cache keys must not encode the horizon");
+    // The budget rides on the engine builder, never on `RunLimit`, so
+    // the request whose bytes were just swept still files under the
+    // snapshotted key.
+    let golden: std::collections::BTreeMap<String, String> = serde_json::from_str(
+        &std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("tests/data/request_keys_pre_qos.json"),
+        )
+        .expect("key snapshot is checked in"),
+    )
+    .expect("key snapshot parses");
+    let key = Executor::memory_only(plat)
+        .request_key(&w, 2, mix)
+        .expect("request is cacheable");
+    assert_eq!(key, golden["mcb_pp2_cs2"], "cache key moved");
 }
