@@ -51,8 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use amem_interfere::InterferenceMix;
-use amem_sim::config::MachineConfig;
-use amem_sim::engine::RunLimit;
 use amem_sim::fingerprint::fnv1a;
 use serde::{Deserialize, Serialize};
 
@@ -70,35 +68,40 @@ use crate::trial::{robust_summary, QualityStats, TrialPolicy, TrialQuality};
 /// deserialize them as `None`.)
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// The full content-addressed identity of one measurement.
-#[derive(Serialize)]
-struct CacheKey {
-    schema: u32,
-    machine: MachineConfig,
-    limit: RunLimit,
-    workload: String,
-    per_processor: usize,
-    mix: InterferenceMix,
-}
-
 /// One on-disk cache entry. The embedded `key` is compared on load so an
 /// FNV filename collision degrades to a miss, never a wrong measurement.
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct DiskEntry {
     schema_version: u32,
     key: String,
     measurement: Measurement,
 }
 
+/// [`DiskEntry`] as it is written: from the parts the store was handed.
+#[derive(Serialize)]
+struct DiskEntryRef<'a> {
+    schema_version: u32,
+    key: &'a str,
+    measurement: &'a Measurement,
+}
+
 /// One on-disk *curve* entry: a whole [`MissRatioCurve`] under one key.
 /// Versioned by [`CURVE_SCHEMA_VERSION`] independently of measurement
 /// entries, so curve-format changes never orphan per-point entries (or
 /// vice versa).
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct CurveDiskEntry {
     schema_version: u32,
     key: String,
     curve: MissRatioCurve,
+}
+
+/// [`CurveDiskEntry`] as it is written.
+#[derive(Serialize)]
+struct CurveDiskEntryRef<'a> {
+    schema_version: u32,
+    key: &'a str,
+    curve: &'a MissRatioCurve,
 }
 
 /// Counters describing how an executor satisfied its requests. Snapshot
@@ -308,6 +311,10 @@ struct ExecState {
 pub struct Executor {
     platform: Box<dyn Platform>,
     mode: CacheMode,
+    /// `{"schema":…,"machine":…,"limit":…` — the head of every
+    /// measurement key, the same for the executor's whole life. `None`
+    /// when nothing it measures is cacheable.
+    key_prefix: Option<String>,
     policy: TrialPolicy,
     state: Mutex<ExecState>,
     sim_runs: AtomicU64,
@@ -361,9 +368,17 @@ impl Executor {
         if let CacheMode::Disk(dir) = &mode {
             sweep_stale_tmp(dir, STALE_TMP_AGE);
         }
+        let key_prefix = (mode != CacheMode::Off && platform.deterministic()).then(|| {
+            format!(
+                "{{\"schema\":{CACHE_SCHEMA_VERSION},\"machine\":{},\"limit\":{}",
+                amem_sim::canonical_json(platform.cfg()),
+                amem_sim::canonical_json(platform.limit()),
+            )
+        });
         Self {
             platform: Box::new(platform),
             mode,
+            key_prefix,
             policy: TrialPolicy::default(),
             state: Mutex::new(ExecState::default()),
             sim_runs: AtomicU64::new(0),
@@ -713,10 +728,10 @@ impl Executor {
         let Some(path) = self.entry_path(key) else {
             return;
         };
-        let entry = CurveDiskEntry {
+        let entry = CurveDiskEntryRef {
             schema_version: CURVE_SCHEMA_VERSION,
-            key: key.to_string(),
-            curve: curve.clone(),
+            key,
+            curve,
         };
         let Ok(json) = serde_json::to_string(&entry) else {
             return;
@@ -971,25 +986,25 @@ impl Executor {
     }
 
     /// The canonical key string for one request, or `None` when the
-    /// request must not be cached.
+    /// request must not be cached: the canonical JSON of a `CacheKey`,
+    /// written as the constant prefix plus the three fields that vary.
     fn cache_key(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
         mix: InterferenceMix,
     ) -> Option<String> {
-        if self.mode == CacheMode::Off || !self.platform.deterministic() {
-            return None;
-        }
+        let prefix = self.key_prefix.as_ref()?;
         let workload_key = workload.cache_key()?;
-        let mut key = amem_sim::canonical_json(&CacheKey {
-            schema: CACHE_SCHEMA_VERSION,
-            machine: self.platform.cfg().clone(),
-            limit: self.platform.limit().clone(),
-            workload: workload_key,
-            per_processor,
-            mix,
-        });
+        let mut key = String::with_capacity(prefix.len() + workload_key.len() + 128);
+        key.push_str(prefix);
+        key.push_str(",\"workload\":");
+        serde_json::append(&mut key, &workload_key);
+        key.push_str(",\"per_processor\":");
+        serde_json::append(&mut key, &per_processor);
+        key.push_str(",\"mix\":");
+        serde_json::append(&mut key, &mix);
+        key.push('}');
         // Appended as a suffix, not a `CacheKey` field, so every key from
         // an unsalted (production) platform stays byte-identical to what
         // it was before salts existed — old disk caches remain valid.
@@ -1037,10 +1052,10 @@ impl Executor {
         let Some(path) = self.entry_path(key) else {
             return;
         };
-        let entry = DiskEntry {
+        let entry = DiskEntryRef {
             schema_version: CACHE_SCHEMA_VERSION,
-            key: key.to_string(),
-            measurement: measurement.clone(),
+            key,
+            measurement,
         };
         let Ok(json) = serde_json::to_string(&entry) else {
             return;
@@ -1145,6 +1160,8 @@ mod tests {
     use crate::fault::{FaultSpec, FaultyPlatform};
     use crate::platform::{McbWorkload, SimPlatform};
     use amem_miniapps::McbCfg;
+    use amem_sim::config::MachineConfig;
+    use amem_sim::engine::RunLimit;
     use std::sync::atomic::AtomicBool;
 
     fn plat() -> SimPlatform {
@@ -1449,6 +1466,75 @@ mod tests {
         // existing disk caches stay valid; salted keys can never collide.
         assert!(!pk.contains("#salt="), "production keys must be unchanged");
         assert_eq!(sk, format!("{pk}#salt=test-model-v1"));
+    }
+
+    /// The full content-addressed identity of one measurement.
+    #[derive(Serialize)]
+    struct CacheKey {
+        schema: u32,
+        machine: MachineConfig,
+        limit: RunLimit,
+        workload: String,
+        per_processor: usize,
+        mix: InterferenceMix,
+    }
+
+    /// What `cache_key` must print: the struct, serialized whole.
+    fn oracle_key(exec: &Executor, w: &dyn Workload, pp: usize, mix: InterferenceMix) -> String {
+        let p = exec.platform();
+        let mut key = amem_sim::canonical_json(&CacheKey {
+            schema: CACHE_SCHEMA_VERSION,
+            machine: p.cfg().clone(),
+            limit: p.limit().clone(),
+            workload: w.cache_key().expect("cacheable workload"),
+            per_processor: pp,
+            mix,
+        });
+        if let Some(salt) = p.cache_salt() {
+            key.push_str("#salt=");
+            key.push_str(&salt);
+        }
+        key
+    }
+
+    #[test]
+    fn keys_built_from_the_cached_prefix_equal_the_struct_oracle() {
+        let w = tiny_mcb();
+        assert!(
+            w.cache_key().unwrap().contains('"'),
+            "the workload key needs escaping inside the request key"
+        );
+        let plain = Executor::memory_only(plat());
+        let salted = Executor::memory_only(SaltedPlatform(plat()));
+        let mixes = [
+            InterferenceMix::none(),
+            InterferenceMix::storage(2),
+            InterferenceMix::bandwidth(3),
+        ];
+        for exec in [&plain, &salted] {
+            for pp in [1, 2, 4] {
+                for mix in mixes {
+                    assert_eq!(
+                        exec.request_key(&w, pp, mix).expect("cacheable"),
+                        oracle_key(exec, &w, pp, mix)
+                    );
+                }
+            }
+        }
+
+        // And both are the keys old cache directories were filed under
+        // (the snapshot's workload is `tiny_mcb`).
+        let snapshot = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/data/request_keys_pre_qos.json");
+        let golden: std::collections::BTreeMap<String, String> =
+            serde_json::from_str(&std::fs::read_to_string(snapshot).unwrap()).unwrap();
+        for (name, mix) in [
+            ("mcb_pp2_none", InterferenceMix::none()),
+            ("mcb_pp2_cs2", InterferenceMix::storage(2)),
+        ] {
+            assert_eq!(plain.request_key(&w, 2, mix).as_ref(), Some(&golden[name]));
+            assert_eq!(oracle_key(&plain, &w, 2, mix), golden[name]);
+        }
     }
 
     #[test]

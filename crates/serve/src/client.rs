@@ -11,8 +11,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use amem_core::{CapacityMap, Measurement, MissRatioCurve, Sweep};
 
 use crate::protocol::{
-    read_line, write_line, Command, JobResult, JobSpec, Priority, Request, Response, ServeStats,
-    PROTOCOL_VERSION,
+    read_line_within, write_line_via, Command, JobResult, JobSpec, Priority, Request, Response,
+    ServeStats, PROTOCOL_VERSION,
 };
 
 /// A connected client. Tenant/priority/fault are connection-level
@@ -20,6 +20,9 @@ use crate::protocol::{
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The request and response lines, reused from call to call.
+    line_out: String,
+    line_in: String,
     /// Quota identity sent with every request.
     pub tenant: String,
     pub priority: Priority,
@@ -40,6 +43,8 @@ impl Client {
         Ok(Client {
             writer: stream,
             reader,
+            line_out: String::new(),
+            line_in: String::new(),
             tenant: "default".into(),
             priority: Priority::Normal,
             fault: None,
@@ -55,8 +60,8 @@ impl Client {
             fault: self.fault.clone(),
             command,
         };
-        write_line(&mut self.writer, &req)?;
-        read_line(&mut self.reader)?
+        write_line_via(&mut self.writer, &req, &mut self.line_out)?;
+        read_line_within(&mut self.reader, usize::MAX, &mut self.line_in)?
             .ok_or_else(|| bad_data("connection closed before a response arrived"))
     }
 

@@ -60,6 +60,12 @@ impl JobStore {
         store
     }
 
+    /// Whether records go anywhere: a caller with no state directory can
+    /// skip building them.
+    pub fn is_journaling(&self) -> bool {
+        self.dir.is_some()
+    }
+
     /// Records orphaned by a crash/restart that were marked failed.
     pub fn recovered(&self) -> usize {
         self.recovered

@@ -9,6 +9,7 @@
 //! (DESIGN.md §15).
 
 use std::io::{BufRead, Read, Write};
+use std::sync::Arc;
 
 use amem_core::curve::CurveRequest;
 use amem_core::platform::{LuleshWorkload, McbWorkload, Measurement, ProbeWorkload, Workload};
@@ -112,6 +113,16 @@ impl JobSpec {
         }
     }
 
+    /// The machine the job simulates; a curve job simulates none.
+    pub fn machine(&self) -> Option<&MachineConfig> {
+        match self {
+            JobSpec::Measure { machine, .. }
+            | JobSpec::Sweep { machine, .. }
+            | JobSpec::Calibrate { machine, .. } => Some(machine),
+            JobSpec::Curve { .. } => None,
+        }
+    }
+
     /// The routing key: requests for the same measurement content must
     /// land on the same shard, so they reach the same shard-owned
     /// `Executor` and its in-flight dedup. A measure point and the sweep
@@ -119,34 +130,31 @@ impl JobSpec {
     /// sweep extent are deliberately excluded so overlapping work
     /// converges on one executor.
     pub fn route_key(&self) -> String {
+        let machine_json = self.machine().map(amem_sim::canonical_json);
+        self.route_key_with(machine_json.as_deref().unwrap_or(""))
+    }
+
+    /// [`JobSpec::route_key`] for a caller that already holds the
+    /// canonical JSON of [`JobSpec::machine`] (unused by curve jobs).
+    pub(crate) fn route_key_with(&self, machine_json: &str) -> String {
         match self {
             JobSpec::Measure {
-                machine,
+                workload,
+                per_processor,
+                ..
+            }
+            | JobSpec::Sweep {
                 workload,
                 per_processor,
                 ..
             } => {
                 let w = workload.build();
                 format!(
-                    "{}|{}|pp={per_processor}",
-                    amem_sim::canonical_json(machine),
+                    "{machine_json}|{}|pp={per_processor}",
                     w.cache_key().unwrap_or_else(|| w.name()),
                 )
             }
-            JobSpec::Sweep {
-                machine,
-                workload,
-                per_processor,
-                ..
-            } => {
-                let w = workload.build();
-                format!(
-                    "{}|{}|pp={per_processor}",
-                    amem_sim::canonical_json(machine),
-                    w.cache_key().unwrap_or_else(|| w.name()),
-                )
-            }
-            JobSpec::Calibrate { machine, .. } => amem_sim::canonical_json(machine),
+            JobSpec::Calibrate { .. } => machine_json.to_string(),
             JobSpec::Curve { request } => format!("curve|{}", amem_sim::canonical_json(request)),
         }
     }
@@ -245,6 +253,43 @@ pub enum JobResult {
     },
 }
 
+/// What a worker hands the frontend for a finished job: the job
+/// variants of [`JobResult`], with what the executor returned still
+/// behind its `Arc` — a cache hit is shared with the executor's memory
+/// layer, never copied. Serializes to the same bytes as the
+/// [`JobResult`] of the same name.
+#[derive(Debug, Serialize)]
+pub enum JobOutput {
+    Measurement(Arc<Measurement>),
+    Sweep(Sweep),
+    Capacity(CapacityMap),
+    Curve(Arc<MissRatioCurve>),
+}
+
+/// The [`Response`] line of a finished job, as the server writes it.
+#[derive(Debug, Serialize)]
+pub(crate) struct JobReply {
+    v: u32,
+    id: u64,
+    error: Option<String>,
+    result: Option<JobOutput>,
+}
+
+impl JobReply {
+    pub(crate) fn new(id: u64, outcome: Result<JobOutput, String>) -> Self {
+        let (result, error) = match outcome {
+            Ok(output) => (Some(output), None),
+            Err(e) => (None, Some(e)),
+        };
+        Self {
+            v: PROTOCOL_VERSION,
+            id,
+            error,
+            result,
+        }
+    }
+}
+
 /// Service-wide counters, plus cache stats aggregated over every
 /// shard-owned executor (the denominator of the exported hit rate).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -284,8 +329,18 @@ impl ServeStats {
 
 /// Serialize one message as a JSON line and flush it.
 pub fn write_line<W: Write, T: Serialize>(w: &mut W, msg: &T) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(msg)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    write_line_via(w, msg, &mut String::new())
+}
+
+/// [`write_line`] through a buffer the connection keeps, so a reply
+/// costs no allocation once the buffer has grown to fit one.
+pub(crate) fn write_line_via<W: Write, T: Serialize>(
+    w: &mut W,
+    msg: &T,
+    line: &mut String,
+) -> std::io::Result<()> {
+    line.clear();
+    serde_json::append(line, msg);
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
@@ -300,22 +355,23 @@ pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
 /// Read one JSON-line message; `Ok(None)` on clean EOF. Blank lines are
 /// skipped so interactive use (telnet, netcat) stays forgiving.
 pub fn read_line<R: BufRead, T: Deserialize>(r: &mut R) -> std::io::Result<Option<T>> {
-    read_line_within(r, usize::MAX)
+    read_line_within(r, usize::MAX, &mut String::new())
 }
 
-/// [`read_line`], refusing a line longer than `max` bytes with
-/// `ErrorKind::InvalidInput` (malformed JSON is `InvalidData`). At most
-/// `max + 1` bytes of a refused line are read; the rest stays in the
-/// stream, so the caller must drop the connection.
+/// [`read_line`] into a buffer the connection keeps, refusing a line
+/// longer than `max` bytes with `ErrorKind::InvalidInput` (malformed
+/// JSON is `InvalidData`). At most `max + 1` bytes of a refused line are
+/// read; the rest stays in the stream, so the caller must drop the
+/// connection.
 pub(crate) fn read_line_within<R: BufRead, T: Deserialize>(
     r: &mut R,
     max: usize,
+    line: &mut String,
 ) -> std::io::Result<Option<T>> {
     let budget = (max as u64).saturating_add(1);
-    let mut line = String::new();
     loop {
         line.clear();
-        if r.by_ref().take(budget).read_line(&mut line)? == 0 {
+        if r.by_ref().take(budget).read_line(line)? == 0 {
             return Ok(None);
         }
         if line.len() > max {
@@ -408,6 +464,93 @@ mod tests {
         assert!(matches!(resp.result, Some(JobResult::Pong)));
         let eof: Option<Response> = read_line(&mut r).unwrap();
         assert!(eof.is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn job_replies_are_the_bytes_of_the_response_they_stand_for() {
+        let curve = MissRatioCurve {
+            schema_version: amem_core::CURVE_SCHEMA_VERSION,
+            points: vec![],
+            quality: None,
+        };
+        let reply = JobReply::new(9, Ok(JobOutput::Curve(Arc::new(curve.clone()))));
+        assert_eq!(
+            serde_json::to_string(&reply).unwrap(),
+            serde_json::to_string(&Response::ok(9, JobResult::Curve(curve))).unwrap()
+        );
+        let refusal = JobReply::new(3, Err("no".into()));
+        assert_eq!(
+            serde_json::to_string(&refusal).unwrap(),
+            serde_json::to_string(&Response::err(3, "no")).unwrap()
+        );
+    }
+
+    /// A request line as real as they come: the largest workload config,
+    /// a fault spec, a tenant that needs escaping.
+    fn request_line() -> String {
+        let cfg = MachineConfig::xeon20mb();
+        let req = Request {
+            v: PROTOCOL_VERSION,
+            tenant: "tenant/\"quoted\"\\é".into(),
+            priority: Priority::Low,
+            fault: Some("seed=1,timeout=0.1,error=0.1,nan=0.1,noise=0.03".into()),
+            command: Command::Submit(Box::new(JobSpec::Measure {
+                machine: cfg.clone(),
+                workload: WorkloadSpec::Mcb(McbCfg::new(&cfg, 20_000)),
+                per_processor: 2,
+                mix: InterferenceMix::storage(3),
+            })),
+        };
+        serde_json::to_string(&req).unwrap()
+    }
+
+    fn decode(line: &[u8]) -> std::io::Result<Option<Request>> {
+        read_line(&mut &line[..])
+    }
+
+    /// Every proper prefix of a request is a refusal, never a panic; so
+    /// is the line with one byte overwritten, unless the damage left a
+    /// well-formed request — which then survives a re-encode and decode.
+    fn mangled_requests_fail_typed(seed: u64) {
+        let line = request_line();
+        assert!(decode(line.as_bytes()).unwrap().is_some());
+        for cut in 1..line.len() {
+            assert!(decode(&line.as_bytes()[..cut]).is_err(), "prefix of {cut}");
+        }
+
+        const HOSTILE: &[u8] = b"{}[]\",:\\ \x00\x7f\xff\xc3-9eE.tfn";
+        let mut rng = amem_sim::rng::SplitMix64::new(seed);
+        let mut refused = 0;
+        for _ in 0..200 {
+            let at = (rng.next_u64() % line.len() as u64) as usize;
+            let mut bytes = line.clone().into_bytes();
+            let with = HOSTILE[(rng.next_u64() % HOSTILE.len() as u64) as usize];
+            if bytes[at] == with {
+                continue;
+            }
+            bytes[at] = with;
+            match decode(&bytes) {
+                Err(_) => refused += 1,
+                Ok(parsed) => {
+                    let parsed = parsed.expect("the line is not blank");
+                    let again = serde_json::to_string(&parsed).unwrap();
+                    assert!(decode(again.as_bytes()).is_ok(), "byte {at} <- {with:#x}");
+                }
+            }
+        }
+        assert!(refused >= 100, "only {refused} of 200 corruptions refused");
+    }
+
+    #[test]
+    fn mangled_requests_fail_typed_seed_1() {
+        mangled_requests_fail_typed(1);
+    }
+
+    /// The CI `Codec` step runs this one too (`-- --include-ignored`).
+    #[test]
+    #[ignore = "a second seed for the CI codec step"]
+    fn mangled_requests_fail_typed_seed_2() {
+        mangled_requests_fail_typed(2);
     }
 
     #[test]

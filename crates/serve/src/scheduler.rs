@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::protocol::{JobResult, JobSpec, Priority};
+use crate::protocol::{JobOutput, JobSpec, Priority};
 use crate::quota::{QuotaConfig, TenantQuotas};
 
 /// One enqueued job, carrying everything a worker needs plus the cell
@@ -35,11 +35,12 @@ pub struct QueuedJob {
 }
 
 /// A one-shot rendezvous between the frontend that submitted a job and
-/// the worker that ran it. First write wins; later writes are ignored
-/// (mirrors the executor's in-flight cells).
+/// the worker that ran it. The first write wins; a later one is ignored
+/// while the first is unclaimed (mirrors the executor's in-flight
+/// cells). The one waiter takes the result out.
 #[derive(Debug)]
 pub struct ResultCell {
-    done: Mutex<Option<Result<JobResult, String>>>,
+    done: Mutex<Option<Result<JobOutput, String>>>,
     cv: Condvar,
 }
 
@@ -52,7 +53,7 @@ impl ResultCell {
     }
 
     /// Publish the result (first writer wins) and wake the waiter.
-    pub fn resolve(&self, result: Result<JobResult, String>) {
+    pub fn resolve(&self, result: Result<JobOutput, String>) {
         let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
         if done.is_none() {
             *done = Some(result);
@@ -60,11 +61,13 @@ impl ResultCell {
         self.cv.notify_all();
     }
 
-    /// Block until the result is published.
-    pub fn wait(&self) -> Result<JobResult, String> {
+    /// Block until the result is published, and move it out: a payload
+    /// is never copied under the lock. (A write that lands after the
+    /// take — the worker's drop guard — stays in the cell unread.)
+    pub fn wait(&self) -> Result<JobOutput, String> {
         let mut done = self.done.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some(result) = done.clone() {
+            if let Some(result) = done.take() {
                 return result;
             }
             done = self
@@ -287,12 +290,24 @@ mod tests {
         assert!(q.pop().is_none(), "then workers are told to exit");
     }
 
+    fn curve() -> Arc<amem_core::MissRatioCurve> {
+        Arc::new(amem_core::MissRatioCurve {
+            schema_version: amem_core::CURVE_SCHEMA_VERSION,
+            points: vec![],
+            quality: None,
+        })
+    }
+
+    fn output() -> JobOutput {
+        JobOutput::Curve(curve())
+    }
+
     #[test]
     fn result_cells_resolve_first_writer_wins_and_survive_poison() {
         let cell = ResultCell::new();
-        cell.resolve(Ok(JobResult::Pong));
+        cell.resolve(Ok(output()));
         cell.resolve(Err("late loser".into()));
-        assert!(matches!(cell.wait(), Ok(JobResult::Pong)));
+        assert!(matches!(cell.wait(), Ok(JobOutput::Curve(_))));
 
         // A panicking waiter poisons the cell's mutex; resolve/wait from
         // other threads must shrug it off.
@@ -303,8 +318,26 @@ mod tests {
             panic!("poison the cell");
         })
         .join();
-        cell.resolve(Ok(JobResult::Pong));
-        assert!(matches!(cell.wait(), Ok(JobResult::Pong)));
+        cell.resolve(Ok(output()));
+        assert!(matches!(cell.wait(), Ok(JobOutput::Curve(_))));
+    }
+
+    #[test]
+    fn waiting_moves_the_result_out_of_the_cell() {
+        let curve = curve();
+        let cell = ResultCell::new();
+        cell.resolve(Ok(JobOutput::Curve(Arc::clone(&curve))));
+        assert_eq!(Arc::strong_count(&curve), 2, "ours and the cell's");
+        let got = cell.wait().expect("resolved");
+        assert_eq!(
+            Arc::strong_count(&curve),
+            2,
+            "ours and the waiter's: the cell kept no copy and made none"
+        );
+        let JobOutput::Curve(got) = got else {
+            panic!("wrong payload {got:?}");
+        };
+        assert!(Arc::ptr_eq(&got, &curve));
     }
 
     #[test]

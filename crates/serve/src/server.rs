@@ -27,8 +27,8 @@ use amem_core::AmemError;
 
 use crate::job::{JobRecord, JobStatus, JobStore, JOB_SCHEMA_VERSION};
 use crate::protocol::{
-    read_line_within, write_line, Command, JobResult, JobSpec, Request, Response, ServeStats,
-    MAX_REQUEST_LINE, PROTOCOL_VERSION,
+    read_line_within, write_line_via, Command, JobOutput, JobReply, JobResult, JobSpec, Request,
+    Response, ServeStats, MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 use crate::quota::QuotaConfig;
 use crate::scheduler::{JobQueue, QueuedJob, ResolveOnDrop, ResultCell};
@@ -122,9 +122,10 @@ impl Inner {
     }
 
     /// Execute one job spec against its shard-owned executor. The result
-    /// payloads are the library's own structs, so what the frontend
-    /// serializes is byte-identical to a local call.
-    fn run_job(&self, spec: &JobSpec, fault: Option<&str>) -> Result<JobResult, AmemError> {
+    /// payloads are the library's own structs — the executor's own `Arc`
+    /// where it returns one — so what the frontend serializes is
+    /// byte-identical to a local call.
+    fn run_job(&self, spec: &JobSpec, fault: Option<&str>) -> Result<JobOutput, AmemError> {
         let exec = self.shards.executor(spec, fault)?;
         match spec {
             JobSpec::Measure {
@@ -134,8 +135,11 @@ impl Inner {
                 ..
             } => {
                 let w = workload.build();
-                let m = exec.run(w.as_ref(), *per_processor, *mix)?;
-                Ok(JobResult::Measurement((*m).clone()))
+                Ok(JobOutput::Measurement(exec.run(
+                    w.as_ref(),
+                    *per_processor,
+                    *mix,
+                )?))
             }
             JobSpec::Sweep {
                 workload,
@@ -146,7 +150,7 @@ impl Inner {
             } => {
                 let w = workload.build();
                 let sweep = run_sweep(&exec, w.as_ref(), *per_processor, *kind, *max_count)?;
-                Ok(JobResult::Sweep(sweep))
+                Ok(JobOutput::Sweep(sweep))
             }
             JobSpec::Calibrate { max_cs, .. } => {
                 let opts = CalibrateOpts {
@@ -154,16 +158,16 @@ impl Inner {
                     ..CalibrateOpts::default()
                 };
                 let map = amem_core::CapacityMap::calibrate(&exec, &opts)?;
-                Ok(JobResult::Capacity(map))
+                Ok(JobOutput::Capacity(map))
             }
-            JobSpec::Curve { request } => {
-                let curve = exec.run_curve(request)?;
-                Ok(JobResult::Curve((*curve).clone()))
-            }
+            JobSpec::Curve { request } => Ok(JobOutput::Curve(exec.run_curve(request)?)),
         }
     }
 
     fn write_record(&self, job: &QueuedJob, status: JobStatus, error: Option<String>) {
+        if !self.jobs.is_journaling() {
+            return;
+        }
         self.jobs.write(&JobRecord {
             schema_version: JOB_SCHEMA_VERSION,
             id: job.id,
@@ -202,7 +206,7 @@ fn worker_loop(inner: &Inner) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             inner.run_job(&job.spec, job.fault.as_deref())
         }));
-        let result: Result<JobResult, String> = match outcome {
+        let result: Result<JobOutput, String> = match outcome {
             Ok(Ok(r)) => Ok(r),
             Ok(Err(e)) => Err(e.to_string()),
             Err(payload) => Err(format!("job panicked: {}", panic_message(&*payload))),
@@ -245,20 +249,22 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// One connection = one stateless frontend.
+/// One connection = one stateless frontend. Its two line buffers live
+/// as long as the connection, so a request costs no allocation for I/O.
 fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
-    let peer_write = match stream.try_clone() {
+    let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     };
-    let mut writer = peer_write;
     let mut reader = BufReader::new(stream);
+    let (mut line_in, mut line_out) = (String::new(), String::new());
     loop {
-        let req: Request = match read_line_within(&mut reader, MAX_REQUEST_LINE) {
+        let req: Request = match read_line_within(&mut reader, MAX_REQUEST_LINE, &mut line_in) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean EOF
             Err(e) => {
-                let _ = write_line(&mut writer, &Response::err(0, format!("bad request: {e}")));
+                let refusal = Response::err(0, format!("bad request: {e}"));
+                let _ = write_line_via(&mut writer, &refusal, &mut line_out);
                 // The tail of an over-long line is still unread: close
                 // rather than parse it as further requests.
                 if e.kind() == std::io::ErrorKind::InvalidInput {
@@ -273,28 +279,36 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
                 .counter("amem_serve_requests_total", &[])
                 .inc();
         }
-        let resp = handle_request(inner, req);
-        let shutdown_acked = matches!(resp.result, Some(JobResult::Drained { .. }));
-        if write_line(&mut writer, &resp).is_err() {
-            return;
-        }
-        if shutdown_acked {
+        let (written, shutdown_acked) = match handle_request(inner, req) {
+            Reply::Control(resp) => (
+                write_line_via(&mut writer, &resp, &mut line_out),
+                matches!(resp.result, Some(JobResult::Drained { .. })),
+            ),
+            Reply::Job(reply) => (write_line_via(&mut writer, &reply, &mut line_out), false),
+        };
+        if written.is_err() || shutdown_acked {
             return;
         }
     }
 }
 
-fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
+/// One response line: a control command's, or a finished job's.
+enum Reply {
+    Control(Response),
+    Job(JobReply),
+}
+
+fn handle_request(inner: &Arc<Inner>, req: Request) -> Reply {
     if req.v != PROTOCOL_VERSION {
-        return Response::err(
+        return Reply::Control(Response::err(
             0,
             format!(
                 "protocol version mismatch: client v{}, server v{PROTOCOL_VERSION}",
                 req.v
             ),
-        );
+        ));
     }
-    match req.command {
+    Reply::Control(match req.command {
         Command::Ping => Response::ok(0, JobResult::Pong),
         Command::Stats => Response::ok(0, JobResult::Stats(inner.stats())),
         Command::Metrics => {
@@ -325,10 +339,13 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
         }
         Command::Submit(spec) => {
             if req.fault.is_some() && !inner.cfg.allow_fault {
-                return Response::err(0, "fault injection is not enabled on this server");
+                return Reply::Control(Response::err(
+                    0,
+                    "fault injection is not enabled on this server",
+                ));
             }
             if req.tenant.is_empty() {
-                return Response::err(0, "tenant must be non-empty");
+                return Reply::Control(Response::err(0, "tenant must be non-empty"));
             }
             let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
             let cell = ResultCell::new();
@@ -342,21 +359,19 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Response {
                 cell: Arc::clone(&cell),
             };
             inner.write_record(&job, JobStatus::Queued, None);
-            match inner.queue.push(job) {
+            let outcome = match inner.queue.push(job) {
                 Ok(()) => {
                     inner.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-                    match cell.wait() {
-                        Ok(result) => Response::ok(id, result),
-                        Err(e) => Response::err(id, e),
-                    }
+                    cell.wait()
                 }
                 Err(job) => {
                     inner.write_record(&job, JobStatus::Failed, Some("server is draining".into()));
-                    Response::err(id, "server is shutting down; job refused")
+                    Err("server is shutting down; job refused".into())
                 }
-            }
+            };
+            return Reply::Job(JobReply::new(id, outcome));
         }
-    }
+    })
 }
 
 /// Best-effort human form of a panic payload (the executor's helper,
@@ -526,6 +541,44 @@ mod tests {
 
         let mut c = Client::connect(server.addr()).expect("connect");
         c.ping().expect("another client is served");
+        c.shutdown().expect("drain");
+        server.wait();
+    }
+
+    /// 100 KB of `[` used to recurse the parser off the end of the
+    /// connection thread's stack and abort the whole daemon. A typed
+    /// decode refuses it at the first byte; under a key the request type
+    /// does not know, where the decoder does follow the nesting, it is
+    /// refused at the depth cap.
+    #[test]
+    fn deeply_nested_request_is_refused_and_the_daemon_keeps_serving() {
+        let server = Server::start(ServeConfig::default()).expect("start");
+
+        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+        let mut reader = BufReader::new(hostile.try_clone().expect("clone"));
+        let nest = "[".repeat(100_000);
+        for (line, complaint) in [
+            (format!("{nest}\n"), "expected object"),
+            (format!("{{\"v\":1,\"junk\":{nest}\n"), "nesting"),
+        ] {
+            hostile.write_all(line.as_bytes()).expect("send");
+            let reply: Response = read_line(&mut reader)
+                .expect("a reply, not a dead daemon")
+                .expect("a reply before EOF");
+            let error = reply.error.expect("a refusal");
+            assert!(
+                error.starts_with("bad request: ") && error.contains(complaint),
+                "{error}"
+            );
+        }
+
+        // Each line was read whole, so the same connection is still good,
+        // and so is everybody else's.
+        crate::protocol::write_line(&mut hostile, &Request::new(Command::Ping)).expect("send");
+        let pong: Response = read_line(&mut reader).expect("reply").expect("pong");
+        assert!(matches!(pong.result, Some(JobResult::Pong)));
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.ping().expect("a second client is served");
         c.shutdown().expect("drain");
         server.wait();
     }

@@ -66,7 +66,11 @@ impl ShardPool {
 
     /// Which shard a job's request key routes to.
     pub fn route(&self, spec: &JobSpec) -> usize {
-        (fnv1a(spec.route_key().as_bytes()) % self.shards.len() as u64) as usize
+        self.shard_of(&spec.route_key())
+    }
+
+    fn shard_of(&self, route_key: &str) -> usize {
+        (fnv1a(route_key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// The shard-owned executor for this job, created on first use.
@@ -77,31 +81,32 @@ impl ShardPool {
         spec: &JobSpec,
         fault: Option<&str>,
     ) -> Result<Arc<Executor>, AmemError> {
-        let machine = match spec {
-            JobSpec::Measure { machine, .. }
-            | JobSpec::Sweep { machine, .. }
-            | JobSpec::Calibrate { machine, .. } => machine.clone(),
-            // Curve jobs carry no machine: the traversal is a pure
-            // function of the request. Any platform identity works; keep
-            // them all on one so curve dedup spans connections too.
-            JobSpec::Curve { .. } => MachineConfig::xeon20mb(),
+        // Curve jobs carry no machine: the traversal is a pure function
+        // of the request. Any platform identity works; keep them all on
+        // one so curve dedup spans connections too.
+        let curve_machine;
+        let machine = match spec.machine() {
+            Some(machine) => machine,
+            None => {
+                curve_machine = MachineConfig::xeon20mb();
+                &curve_machine
+            }
         };
         let fault_spec = fault.map(FaultSpec::parse).transpose()?;
-        let identity = format!(
-            "{}|fault={}",
-            amem_sim::canonical_json(&machine),
-            fault.unwrap_or("-")
-        );
-        let shard = &self.shards[self.route(spec)];
+        // The machine's JSON is most of both keys: print it once.
+        let machine_json = amem_sim::canonical_json(machine);
+        let shard = &self.shards[self.shard_of(&spec.route_key_with(&machine_json))];
+        let identity = format!("{machine_json}|fault={}", fault.unwrap_or("-"));
         let mut executors = shard.lock();
         if let Some(exec) = executors.get(&identity) {
             return Ok(Arc::clone(exec));
         }
+        let platform = SimPlatform::new(machine.clone());
         let exec = match fault_spec {
             // Fault-injected platforms report non-deterministic, so the
             // executor never caches (or cross-caches) injected results.
-            Some(fs) => self.build(FaultyPlatform::new(SimPlatform::new(machine), fs)),
-            None => self.build(SimPlatform::new(machine)),
+            Some(fs) => self.build(FaultyPlatform::new(platform, fs)),
+            None => self.build(platform),
         };
         let exec = Arc::new(exec);
         executors.insert(identity, Arc::clone(&exec));

@@ -236,3 +236,53 @@ fn fault_injection_replays_identically() {
     };
     assert_eq!(run_once(), run_once());
 }
+
+/// Files are input from outside the program too. A cache entry or a
+/// journal record that nests arrays 100,000 deep — whole, or under a key
+/// the reader skips, or where the payload belongs — used to recurse the
+/// parser off the stack; it must read as a miss (and be overwritten) or
+/// be skipped by recovery.
+#[test]
+fn deeply_nested_garbage_files_are_a_miss_or_a_skip_never_a_crash() {
+    let m = machine();
+    let w = tiny_mcb(&m);
+    let dir = std::env::temp_dir().join("amem_robustness_nested_garbage");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let exec = Executor::with_cache_dir(SimPlatform::new(m.clone()), dir.join("cache"));
+    let fresh = exec.run(&w, 2, InterferenceMix::none()).unwrap();
+    let key = exec.request_key(&w, 2, InterferenceMix::none()).unwrap();
+    let entry = std::fs::read_dir(dir.join("cache"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("one stored entry");
+
+    let nest = "[".repeat(100_000);
+    let key_json = serde_json::to_string(&key).unwrap();
+    let garbage = [
+        nest.clone(),
+        format!("{{\"junk\":{nest}"),
+        format!("{{\"schema_version\":1,\"key\":{key_json},\"measurement\":{nest}"),
+        "{\"a\":".repeat(100_000),
+    ];
+    for text in &garbage {
+        std::fs::write(&entry, text).unwrap();
+        let exec = Executor::with_cache_dir(SimPlatform::new(m.clone()), dir.join("cache"));
+        let again = exec.run(&w, 2, InterferenceMix::none()).unwrap();
+        let s = exec.stats();
+        assert_eq!((s.disk_hits, s.sim_runs, s.stores), (0, 1, 1), "{s:?}");
+        assert_eq!(again.seconds, fresh.seconds);
+    }
+
+    let jobs = dir.join("jobs");
+    std::fs::create_dir_all(&jobs).unwrap();
+    for (i, text) in garbage.iter().enumerate() {
+        std::fs::write(jobs.join(format!("job-{i}.json")), text).unwrap();
+    }
+    let store = active_mem::serve::JobStore::open(Some(jobs));
+    assert_eq!(store.recovered(), 0, "garbage records are skipped");
+    assert!(store.load(0).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,7 +13,7 @@ use active_mem::interfere::{InterferenceKind, InterferenceMix};
 use active_mem::serve::protocol::{JobSpec, WorkloadSpec};
 use active_mem::serve::server::{ServeConfig, Server};
 use active_mem::serve::store::StorePolicy;
-use active_mem::serve::Client;
+use active_mem::serve::{Client, JobRecord, JobStatus};
 use active_mem::sim::MachineConfig;
 
 fn machine() -> MachineConfig {
@@ -211,6 +211,113 @@ fn shutdown_drains_completed_work_then_refuses_new_jobs() {
         .expect_err("submissions after the drain are refused");
     assert!(err.to_string().contains("shutting down"), "{err}");
     server.wait();
+}
+
+/// Poll one journal record until it reaches a final status, returning
+/// each distinct status seen on the way. Records are renamed into place,
+/// so a read never sees a torn one.
+fn watch_record(path: PathBuf) -> Vec<JobStatus> {
+    let mut seen = Vec::new();
+    let started = std::time::Instant::now();
+    loop {
+        assert!(
+            started.elapsed().as_secs() < 120,
+            "{} stuck at {seen:?}",
+            path.display()
+        );
+        let record = std::fs::read_to_string(&path)
+            .ok()
+            .map(|json| serde_json::from_str::<JobRecord>(&json).expect("a whole record"));
+        if let Some(record) = record {
+            if seen.last() != Some(&record.status) {
+                seen.push(record.status);
+            }
+            if matches!(record.status, JobStatus::Done | JobStatus::Failed) {
+                return seen;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The journal is invisible on the wire and complete on disk: a daemon
+/// with a state directory answers the bytes a daemon without one does,
+/// and its records pass through Queued, Running and Done in that order.
+/// One worker, so the second job is still queued while the first (a
+/// second-long sweep) runs.
+#[test]
+fn journal_records_every_stage_and_changes_no_reply() {
+    let m = machine();
+    let state = temp_dir("journal_stages");
+    let plain = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let journaled = start(ServeConfig {
+        workers: 1,
+        state_dir: Some(state.clone()),
+        ..ServeConfig::default()
+    });
+    let submit = |server: &Server, tenant: &str, spec: JobSpec| {
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.tenant = tenant.into();
+        serde_json::to_string(&c.submit(spec).unwrap()).unwrap()
+    };
+
+    let job = |id: u64| state.join(format!("jobs/job-{id}.json"));
+    let (sweep_stages, measure_stages, sweep_reply, measure_reply) = std::thread::scope(|s| {
+        let sweep_stages = s.spawn(|| watch_record(job(1)));
+        let measure_stages = s.spawn(|| watch_record(job(2)));
+        let sweep_reply = s.spawn(|| submit(&journaled, "first", sweep_spec(&m)));
+        // Job ids follow submission order: wait for the sweep's record.
+        while !job(1).exists() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let measure_reply = submit(
+            &journaled,
+            "second",
+            measure_spec(&m, InterferenceMix::storage(1)),
+        );
+        (
+            sweep_stages.join().unwrap(),
+            measure_stages.join().unwrap(),
+            sweep_reply.join().unwrap(),
+            measure_reply,
+        )
+    });
+
+    use JobStatus::{Done, Queued, Running};
+    for stages in [&sweep_stages, &measure_stages] {
+        let mut order = [Queued, Running, Done].iter();
+        assert!(
+            stages.iter().all(|s| order.any(|o| o == s)) && stages.last() == Some(&Done),
+            "stages out of order: {stages:?}"
+        );
+    }
+    assert!(sweep_stages.contains(&Running), "{sweep_stages:?}");
+    assert!(measure_stages.contains(&Queued), "{measure_stages:?}");
+    let record: JobRecord =
+        serde_json::from_str(&std::fs::read_to_string(job(2)).unwrap()).unwrap();
+    assert_eq!(
+        (record.id, record.tenant.as_str(), record.spec.kind()),
+        (2, "second", "measure")
+    );
+    assert_eq!(record.error, None);
+
+    assert_eq!(sweep_reply, submit(&plain, "first", sweep_spec(&m)));
+    assert_eq!(
+        measure_reply,
+        submit(
+            &plain,
+            "second",
+            measure_spec(&m, InterferenceMix::storage(1))
+        )
+    );
+    for server in [plain, journaled] {
+        Client::connect(server.addr()).unwrap().shutdown().unwrap();
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&state);
 }
 
 #[test]
