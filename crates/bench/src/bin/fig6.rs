@@ -13,15 +13,13 @@
 //! [`amem_core::MissRatioCurve`] — instead of re-simulating each
 //! (intensity, level, cell) grid point. The probe's line-address trace
 //! does not depend on the compute intensity, so the adds/load rows are
-//! identical by construction (the legacy `--probe-grid` path re-measures
-//! them anyway). `--curve-mode sampled[:rate]` switches the pass to
-//! SHARDS-style spatial sampling and reports the curve error bound.
+//! identical by construction. `--curve-mode sampled[:rate]` switches the
+//! pass to SHARDS-style spatial sampling and reports the curve error
+//! bound.
 
 use amem_bench::Harness;
-use amem_core::platform::ProbeWorkload;
 use amem_core::report::Table;
 use amem_core::{CapacityMap, CurveRequest};
-use amem_interfere::InterferenceMix;
 use amem_probes::dist::table2;
 use amem_probes::ehr;
 use amem_probes::probe::ProbeCfg;
@@ -40,81 +38,50 @@ fn main() {
     let intensities = [1u32, 10, 100];
     let max_cs = 5usize;
 
+    let line_bytes = m.l3.line_bytes as u64;
+    let ladder = CapacityMap::level_ladder(&m, max_cs);
+    let cells: Vec<(usize, usize)> = (0..ratios.len())
+        .flat_map(|ri| (0..dists.len()).map(move |di| (ri, di)))
+        .collect();
+    eprintln!(
+        "fig6: {} curve passes (replacing {} grid simulations)",
+        cells.len(),
+        cells.len() * intensities.len() * (max_cs + 1)
+    );
+    let per_cell: Vec<(usize, Vec<f64>, f64)> = cells
+        .par_iter()
+        .map(|&(ri, di)| {
+            let _cell = amem_metrics::phase("grid/fig6 curve");
+            let dist = dists[di].dist;
+            // The line trace is intensity-independent: one probe cfg
+            // (adds/load = 1) covers all three intensity rows.
+            let p = ProbeCfg::for_machine(&m, dist, ratios[ri], 1);
+            let req = CurveRequest::from_probe(&p, line_bytes, ladder.clone(), h.curve_mode);
+            let curve = exec
+                .run_curve(&req)
+                .expect("curve pass over the probe trace");
+            let ci = curve.quality.map(|q| q.max_ci95).unwrap_or(0.0);
+            let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, line_bytes);
+            let level_caps = ladder
+                .iter()
+                .map(|&c| {
+                    let mr = curve.miss_rate_at((c * line_bytes) as f64);
+                    ehr::effective_cache_bytes(mr, ssq, line_bytes)
+                })
+                .collect();
+            (ri * dists.len() + di, level_caps, ci)
+        })
+        .collect();
     // caps[(adds, k, cell)] -> effective capacity in bytes.
-    let caps: Vec<((u32, usize, usize), f64)>;
+    let mut caps: Vec<((u32, usize, usize), f64)> = Vec::new();
     let mut worst_ci95 = 0.0f64;
-    if h.probe_grid {
-        let mut grid: Vec<(u32, usize, usize, usize)> = Vec::new();
-        for &adds in &intensities {
-            for k in 0..=max_cs {
-                for r in 0..ratios.len() {
-                    for d in 0..dists.len() {
-                        grid.push((adds, k, r, d));
-                    }
-                }
+    for (cell, level_caps, ci) in per_cell {
+        worst_ci95 = worst_ci95.max(ci);
+        for (k, cap) in level_caps.into_iter().enumerate() {
+            for &adds in &intensities {
+                caps.push(((adds, k, cell), cap));
             }
         }
-        eprintln!("fig6: {} probe-grid simulations", grid.len());
-        caps = grid
-            .par_iter()
-            .map(|&(adds, k, ri, di)| {
-                // Grid-namespace phase: lets `amem-stats --attribution fig6`
-                // split the wall time by CSThr level (ROADMAP item 1).
-                let _cell = amem_metrics::phase(&format!("grid/fig6 cs={k}"));
-                let p = ProbeCfg::for_machine(&m, dists[di].dist, ratios[ri], adds);
-                let r = exec
-                    .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
-                    .expect("probe runs at 1 rank with at most 5 CSThrs");
-                let ssq = ehr::sum_sq_line_mass(&dists[di].dist, p.buffer_bytes, 4, 64);
-                let cap = ehr::effective_cache_bytes(r.l3_miss_rate, ssq, 64);
-                ((adds, k, ri * dists.len() + di), cap)
-            })
-            .collect();
-    } else {
-        let line_bytes = m.l3.line_bytes as u64;
-        let ladder = CapacityMap::level_ladder(&m, max_cs);
-        let cells: Vec<(usize, usize)> = (0..ratios.len())
-            .flat_map(|ri| (0..dists.len()).map(move |di| (ri, di)))
-            .collect();
-        eprintln!(
-            "fig6: {} curve passes (replacing {} grid simulations)",
-            cells.len(),
-            cells.len() * intensities.len() * (max_cs + 1)
-        );
-        let per_cell: Vec<(usize, Vec<f64>, f64)> = cells
-            .par_iter()
-            .map(|&(ri, di)| {
-                let _cell = amem_metrics::phase("grid/fig6 curve");
-                let dist = dists[di].dist;
-                // The line trace is intensity-independent: one probe cfg
-                // (adds/load = 1) covers all three intensity rows.
-                let p = ProbeCfg::for_machine(&m, dist, ratios[ri], 1);
-                let req = CurveRequest::from_probe(&p, line_bytes, ladder.clone(), h.curve_mode);
-                let curve = exec
-                    .run_curve(&req)
-                    .expect("curve pass over the probe trace");
-                let ci = curve.quality.map(|q| q.max_ci95).unwrap_or(0.0);
-                let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, line_bytes);
-                let level_caps = ladder
-                    .iter()
-                    .map(|&c| {
-                        let mr = curve.miss_rate_at((c * line_bytes) as f64);
-                        ehr::effective_cache_bytes(mr, ssq, line_bytes)
-                    })
-                    .collect();
-                (ri * dists.len() + di, level_caps, ci)
-            })
-            .collect();
-        let mut flat = Vec::new();
-        for (cell, level_caps, ci) in per_cell {
-            worst_ci95 = worst_ci95.max(ci);
-            for (k, cap) in level_caps.into_iter().enumerate() {
-                for &adds in &intensities {
-                    flat.push(((adds, k, cell), cap));
-                }
-            }
-        }
-        caps = flat;
     }
 
     let l3_mb = m.l3.size_bytes as f64 / (1 << 20) as f64;

@@ -170,23 +170,25 @@ fn main() {
     if let Err(e) = table.write_csv(&csv) {
         eprintln!("warning: could not write {}: {e}", csv.display());
     }
-    let agg = manifests
-        .iter()
-        .filter_map(|m| m.cache)
-        .fold(CacheStats::default(), |mut a, c| {
-            a.sim_runs += c.sim_runs;
-            a.mem_hits += c.mem_hits;
-            a.disk_hits += c.disk_hits;
-            a.dedup_hits += c.dedup_hits;
-            a.stores += c.stores;
-            a
-        });
+    let mut agg = CacheStats::default();
+    for c in manifests.iter().filter_map(|m| m.cache.as_ref()) {
+        agg.merge(c);
+    }
     if agg.lookups() > 0 {
         println!(
             "[cache] suite total: {}/{} measurements served from cache ({:.0}% hit rate)",
             agg.hits(),
             agg.lookups(),
             agg.hit_rate() * 100.0
+        );
+    }
+    let curves = agg.curves();
+    if curves.lookups() > 0 {
+        println!(
+            "[curve] suite total: {}/{} curves served from cache ({} passes)",
+            curves.hits(),
+            curves.lookups(),
+            curves.runs
         );
     }
     let quality = manifests.iter().filter_map(|m| m.quality.as_ref()).fold(

@@ -106,9 +106,6 @@ pub struct Args {
     pub metrics_out: Option<PathBuf>,
     /// Miss-rate-curve mode (`--curve-mode exact|sampled[:rate]`).
     pub curve_mode: amem_core::CurveMode,
-    /// Use the legacy per-point probe grid instead of the single-pass
-    /// curve engine where a binary supports both (`--probe-grid`).
-    pub probe_grid: bool,
 }
 
 impl Default for Args {
@@ -131,7 +128,6 @@ impl Default for Args {
             metrics: false,
             metrics_out: None,
             curve_mode: amem_core::CurveMode::Exact,
-            probe_grid: false,
         }
     }
 }
@@ -140,8 +136,8 @@ impl Args {
     /// Parse `--scale <f>`, `--full`, `--out <dir>`, `--sample <cycles>`,
     /// `--trace <events>`, `--no-cache`, `--cache-dir <dir>`,
     /// `--jobs <n>`, `--profile`, `--trials <n>`, `--retries <n>`,
-    /// `--timeout <secs>`, `--ci`, `--fault <spec>`,
-    /// `--curve-mode <mode>` and `--probe-grid` from the process args.
+    /// `--timeout <secs>`, `--ci`, `--fault <spec>` and
+    /// `--curve-mode <mode>` from the process args.
     pub fn parse() -> Self {
         let mut out = Self::default();
         let mut it = std::env::args().skip(1);
@@ -213,11 +209,10 @@ impl Args {
                     let v = it.next().expect("--curve-mode needs exact|sampled[:rate]");
                     out.curve_mode = amem_core::CurveMode::parse(&v).expect("invalid --curve-mode");
                 }
-                "--probe-grid" => out.probe_grid = true,
                 other => panic!(
                     "unknown argument: {other} (expected --scale/--full/--out/--sample/--trace/\
                      --no-cache/--cache-dir/--jobs/--profile/--trials/--retries/--timeout/--ci/\
-                     --fault/--metrics/--metrics-out/--curve-mode/--probe-grid)"
+                     --fault/--metrics/--metrics-out/--curve-mode)"
                 ),
             }
         }
@@ -723,10 +718,9 @@ mod tests {
     }
 
     #[test]
-    fn curve_flags_default_to_exact_grid_off() {
+    fn curve_mode_defaults_to_exact() {
         let a = Args::default();
         assert_eq!(a.curve_mode, amem_core::CurveMode::Exact);
-        assert!(!a.probe_grid);
         assert_eq!(
             amem_core::CurveMode::parse("sampled:0.02").unwrap().rate(),
             0.02

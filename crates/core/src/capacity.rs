@@ -10,7 +10,6 @@
 //! also be constructed from the paper's published fractions
 //! ([`CapacityMap::paper_xeon20mb`]) when the machine *is* the paper's.
 
-use amem_interfere::InterferenceMix;
 use amem_probes::dist::table2;
 use amem_probes::ehr;
 use amem_probes::probe::ProbeCfg;
@@ -21,7 +20,6 @@ use serde::{Deserialize, Serialize};
 use crate::curve::{CurveOpts, CurveRequest};
 use crate::error::AmemError;
 use crate::executor::Executor;
-use crate::platform::ProbeWorkload;
 
 /// Calibration options. Since the single-pass curve engine the grid
 /// knobs and the curve-mode knobs are one builder: [`CurveOpts`].
@@ -59,10 +57,9 @@ impl CapacityMap {
     /// Calibrate via the single-pass curve engine: one
     /// [`Executor::run_curve`] per (distribution, buffer-ratio) cell
     /// yields the miss rate at *every* CSThr level's effective capacity
-    /// at once — where the probe grid re-simulated each (cell, level)
-    /// pair. All probe-grid call sites (fig6, calibration, prediction)
-    /// go through this one entry point; the legacy per-point grid
-    /// survives as [`CapacityMap::calibrate_probe_grid`].
+    /// at once — where the probe grid it replaced re-simulated each
+    /// (cell, level) pair. fig6, calibration and prediction all go
+    /// through this one entry point.
     pub fn calibrate(exec: &Executor, opts: &CalibrateOpts) -> Result<Self, AmemError> {
         let cfg = exec.platform().cfg().clone();
         let line_bytes = cfg.l3.line_bytes as u64;
@@ -96,68 +93,6 @@ impl CapacityMap {
         let points = (0..=opts.max_cs)
             .map(|k| {
                 let vals: Vec<f64> = per_cell.iter().map(|caps| caps[k]).collect();
-                let mean = vals.iter().sum::<f64>() / vals.len() as f64;
-                let var =
-                    vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
-                CapacityPoint {
-                    cs_threads: k,
-                    mean_bytes: mean,
-                    stddev_bytes: var.sqrt(),
-                }
-            })
-            .collect();
-        Ok(Self { points })
-    }
-
-    /// The pre-curve calibration path: run the full probe grid of
-    /// (level × distribution × ratio) co-running simulations through the
-    /// executor. One simulation per grid point — orders of magnitude
-    /// slower than [`CapacityMap::calibrate`], kept for `--probe-grid`
-    /// cross-checks of the curve engine against the cycle-level model.
-    pub fn calibrate_probe_grid(exec: &Executor, opts: &CalibrateOpts) -> Result<Self, AmemError> {
-        let cfg = exec.platform().cfg().clone();
-        let dists: Vec<_> = table2()
-            .into_iter()
-            .step_by(opts.dist_step.max(1))
-            .collect();
-        let grid: Vec<(usize, usize, usize)> = (0..=opts.max_cs)
-            .flat_map(|k| {
-                let ratios = 0..opts.ratios.len();
-                dists
-                    .iter()
-                    .enumerate()
-                    .flat_map(move |(di, _)| ratios.clone().map(move |ri| (k, di, ri)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let caps: Vec<(usize, Result<f64, AmemError>)> = grid
-            .par_iter()
-            .map(|&(k, di, ri)| {
-                // Grid-namespace phase: attributes calibration wall time to
-                // its CSThr level (overlaps the leaf phases inside the run).
-                let _cell = amem_metrics::phase(&format!("grid/calibrate cs={k}"));
-                let dist = dists[di].dist;
-                let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
-                let cap = exec
-                    .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
-                    .map(|m| {
-                        let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, 64);
-                        ehr::effective_cache_bytes(m.l3_miss_rate, ssq, cfg.l3.line_bytes as u64)
-                    });
-                (k, cap)
-            })
-            .collect();
-        let caps: Vec<(usize, f64)> = caps
-            .into_iter()
-            .map(|(k, c)| c.map(|c| (k, c)))
-            .collect::<Result<_, _>>()?;
-        let points = (0..=opts.max_cs)
-            .map(|k| {
-                let vals: Vec<f64> = caps
-                    .iter()
-                    .filter(|(kk, _)| *kk == k)
-                    .map(|(_, c)| *c)
-                    .collect();
                 let mean = vals.iter().sum::<f64>() / vals.len() as f64;
                 let var =
                     vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
@@ -212,7 +147,8 @@ impl CapacityMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::SimPlatform;
+    use crate::platform::{ProbeWorkload, SimPlatform};
+    use amem_interfere::InterferenceMix;
 
     fn cfg() -> MachineConfig {
         MachineConfig::xeon20mb().scaled(0.0625)
@@ -273,6 +209,70 @@ mod tests {
         assert!((ladder[1] as f64 / l3_lines as f64 - 0.8).abs() < 0.01);
         // Deep levels floor at the churn share, never zero.
         assert_eq!(*ladder.last().unwrap(), l3_lines >> 5);
+    }
+
+    impl CapacityMap {
+        /// The pre-curve calibration path, kept as the oracle for the curve
+        /// engine: run the full probe grid of (level × distribution × ratio)
+        /// co-running simulations through the executor, one simulation per
+        /// grid point.
+        fn calibrate_probe_grid(exec: &Executor, opts: &CalibrateOpts) -> Result<Self, AmemError> {
+            let cfg = exec.platform().cfg().clone();
+            let dists: Vec<_> = table2()
+                .into_iter()
+                .step_by(opts.dist_step.max(1))
+                .collect();
+            let grid: Vec<(usize, usize, usize)> = (0..=opts.max_cs)
+                .flat_map(|k| {
+                    let ratios = 0..opts.ratios.len();
+                    dists
+                        .iter()
+                        .enumerate()
+                        .flat_map(move |(di, _)| ratios.clone().map(move |ri| (k, di, ri)))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let caps: Vec<(usize, Result<f64, AmemError>)> = grid
+                .par_iter()
+                .map(|&(k, di, ri)| {
+                    let dist = dists[di].dist;
+                    let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
+                    let cap = exec
+                        .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
+                        .map(|m| {
+                            let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, 64);
+                            ehr::effective_cache_bytes(
+                                m.l3_miss_rate,
+                                ssq,
+                                cfg.l3.line_bytes as u64,
+                            )
+                        });
+                    (k, cap)
+                })
+                .collect();
+            let caps: Vec<(usize, f64)> = caps
+                .into_iter()
+                .map(|(k, c)| c.map(|c| (k, c)))
+                .collect::<Result<_, _>>()?;
+            let points = (0..=opts.max_cs)
+                .map(|k| {
+                    let vals: Vec<f64> = caps
+                        .iter()
+                        .filter(|(kk, _)| *kk == k)
+                        .map(|(_, c)| *c)
+                        .collect();
+                    let mean = vals.iter().sum::<f64>() / vals.len() as f64;
+                    let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+                        / vals.len() as f64;
+                    CapacityPoint {
+                        cs_threads: k,
+                        mean_bytes: mean,
+                        stddev_bytes: var.sqrt(),
+                    }
+                })
+                .collect();
+            Ok(Self { points })
+        }
     }
 
     #[test]

@@ -191,8 +191,8 @@ impl CurveRequest {
     }
 }
 
-/// One builder for everything the probe-grid call sites need: the grid
-/// resolution knobs of the old `CalibrateOpts` plus the curve mode.
+/// One builder for everything calibration needs: the grid resolution
+/// knobs of the old `CalibrateOpts` plus the curve mode.
 #[derive(Debug, Clone)]
 pub struct CurveOpts {
     /// Use every `dist_step`-th Table II distribution (1 = all ten).
@@ -200,7 +200,7 @@ pub struct CurveOpts {
     /// Probe buffer sizes as ratios of the L3.
     pub ratios: Vec<f64>,
     /// Integer adds per load. Curves are invariant to it (see
-    /// [`CurveRequest`]); kept for the legacy probe-grid path.
+    /// [`CurveRequest`]); the test-only probe-grid oracle is not.
     pub adds_per_load: u32,
     /// Calibrate 0..=max_cs CSThr levels.
     pub max_cs: usize,

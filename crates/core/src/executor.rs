@@ -10,7 +10,10 @@
 //! ever returned for an exact key match, so a hit is byte-identical to
 //! the simulation it replaced (wall cycles, counters, report and all).
 //!
-//! Three layers:
+//! Three layers, written once in the crate-private `cache` module
+//! (`TieredCache`) and instantiated twice — for [`Measurement`]s and
+//! for whole [`MissRatioCurve`]s — while key construction, the
+//! cacheability gate and the trial policy live here:
 //!
 //! 1. **In-memory cache** — `Arc<Measurement>` per key, shared freely.
 //! 2. **On-disk cache** — one JSON file per key under
@@ -24,8 +27,9 @@
 //!    key concurrently, one simulates and the rest block on a condvar for
 //!    the same result. The owning runner can *never* leave its waiters
 //!    wedged: the platform call is wrapped in `catch_unwind` (a panic
-//!    becomes [`AmemError::Flaky`]) and a drop guard resolves the shared
-//!    cell even if the runner unwinds past the normal resolution path.
+//!    becomes [`AmemError::Flaky`]) and the shared cell is resolved by
+//!    the drop of the runner's claim, so it happens even if the runner
+//!    unwinds.
 //!
 //! Caching is *gated on determinism*: a workload without a
 //! [`Workload::cache_key`] or a platform whose
@@ -45,15 +49,14 @@
 //! there are bit-identical, so entries measured under any policy are
 //! quality-equivalent (see DESIGN.md §10).
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use amem_interfere::InterferenceMix;
-use amem_sim::fingerprint::fnv1a;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::{sweep_stale_tmp, Outcomes, Payload, TieredCache, STALE_TMP_AGE};
 use crate::curve::{CurveRequest, CURVE_SCHEMA_VERSION};
 use crate::error::AmemError;
 use crate::mrc::MissRatioCurve;
@@ -68,40 +71,31 @@ use crate::trial::{robust_summary, QualityStats, TrialPolicy, TrialQuality};
 /// deserialize them as `None`.)
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
 
-/// One on-disk cache entry. The embedded `key` is compared on load so an
-/// FNV filename collision degrades to a miss, never a wrong measurement.
-#[derive(Deserialize)]
-struct DiskEntry {
-    schema_version: u32,
-    key: String,
-    measurement: Measurement,
+impl Payload for Measurement {
+    const SCHEMA: u32 = CACHE_SCHEMA_VERSION;
+    const FIELD: &'static str = "measurement";
+    const OUTCOMES: Outcomes = Outcomes {
+        mem_hit: "mem_hit",
+        dedup_join: "dedup_join",
+        disk_hit: "disk_hit",
+        computed: "sim",
+        uncached: "uncached_sim",
+    };
 }
 
-/// [`DiskEntry`] as it is written: from the parts the store was handed.
-#[derive(Serialize)]
-struct DiskEntryRef<'a> {
-    schema_version: u32,
-    key: &'a str,
-    measurement: &'a Measurement,
-}
-
-/// One on-disk *curve* entry: a whole [`MissRatioCurve`] under one key.
 /// Versioned by [`CURVE_SCHEMA_VERSION`] independently of measurement
 /// entries, so curve-format changes never orphan per-point entries (or
 /// vice versa).
-#[derive(Deserialize)]
-struct CurveDiskEntry {
-    schema_version: u32,
-    key: String,
-    curve: MissRatioCurve,
-}
-
-/// [`CurveDiskEntry`] as it is written.
-#[derive(Serialize)]
-struct CurveDiskEntryRef<'a> {
-    schema_version: u32,
-    key: &'a str,
-    curve: &'a MissRatioCurve,
+impl Payload for MissRatioCurve {
+    const SCHEMA: u32 = CURVE_SCHEMA_VERSION;
+    const FIELD: &'static str = "curve";
+    const OUTCOMES: Outcomes = Outcomes {
+        mem_hit: "curve_mem_hit",
+        dedup_join: "curve_dedup_join",
+        disk_hit: "curve_disk_hit",
+        computed: "curve_pass",
+        uncached: "curve_uncached",
+    };
 }
 
 /// Counters describing how an executor satisfied its requests. Snapshot
@@ -180,10 +174,27 @@ impl CacheStats {
             self.hits() as f64 / self.lookups() as f64
         }
     }
+
+    /// Accumulate another executor's or run's counters. Curve counters
+    /// stay `None` only while neither side has any.
+    pub fn merge(&mut self, o: &CacheStats) {
+        self.sim_runs += o.sim_runs;
+        self.mem_hits += o.mem_hits;
+        self.disk_hits += o.disk_hits;
+        self.dedup_hits += o.dedup_hits;
+        self.stores += o.stores;
+        if let Some(oc) = o.curves {
+            let c = self.curves.get_or_insert_with(Default::default);
+            c.runs += oc.runs;
+            c.mem_hits += oc.mem_hits;
+            c.disk_hits += oc.disk_hits;
+            c.dedup_hits += oc.dedup_hits;
+            c.stores += oc.stores;
+        }
+    }
 }
 
 /// How aggressively the executor caches.
-#[derive(Debug, Clone, PartialEq, Eq)]
 enum CacheMode {
     /// Memory + disk + dedup (the default).
     Disk(PathBuf),
@@ -193,140 +204,20 @@ enum CacheMode {
     Off,
 }
 
-/// A result slot one thread fills and any number of waiters read. All
-/// locking is poison-tolerant: a panicking runner must never convert
-/// into a `PoisonError` panic in an innocent waiter. Generic over the
-/// result type so measurements and curves share the machinery.
-struct Inflight<T> {
-    done: Mutex<Option<Result<T, AmemError>>>,
-    cv: Condvar,
-}
-
-impl<T: Clone> Inflight<T> {
-    fn new() -> Self {
-        Self {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock_done(&self) -> MutexGuard<'_, Option<Result<T, AmemError>>> {
-        self.done.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Fill the slot. First writer wins — a late guard-driven resolution
-    /// never overwrites a real result.
-    fn resolve(&self, result: Result<T, AmemError>) {
-        let mut done = self.lock_done();
-        if done.is_none() {
-            *done = Some(result);
-        }
-        drop(done);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<T, AmemError> {
-        let mut done = self.lock_done();
-        while done.is_none() {
-            done = self.cv.wait(done).unwrap_or_else(|p| p.into_inner());
-        }
-        done.as_ref().unwrap().clone()
-    }
-}
-
-/// Drop guard held by the runner that owns an in-flight key. If the
-/// runner unwinds before the normal resolution path (any panic between
-/// claiming the key and resolving the cell), the guard removes the key
-/// and hands every waiter a typed [`AmemError::Flaky`] — the dedup queue
-/// can never wedge.
-struct InflightGuard<'a> {
-    exec: &'a Executor,
-    key: &'a str,
-    cell: &'a Arc<Inflight<Arc<Measurement>>>,
-    armed: bool,
-}
-
-impl InflightGuard<'_> {
-    fn defuse(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut state = self.exec.lock_state();
-        state.inflight.remove(self.key);
-        drop(state);
-        self.cell.resolve(Err(AmemError::Flaky {
-            attempts: 1,
-            last: "measurement runner unwound before resolving".into(),
-        }));
-    }
-}
-
-/// The curve twin of [`InflightGuard`]: releases `curve_inflight` waiters
-/// if the curve pass unwinds before resolving.
-struct CurveGuard<'a> {
-    exec: &'a Executor,
-    key: &'a str,
-    cell: &'a Arc<Inflight<Arc<MissRatioCurve>>>,
-    armed: bool,
-}
-
-impl CurveGuard<'_> {
-    fn defuse(&mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for CurveGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut state = self.exec.lock_state();
-        state.curve_inflight.remove(self.key);
-        drop(state);
-        self.cell.resolve(Err(AmemError::Flaky {
-            attempts: 1,
-            last: "curve pass unwound before resolving".into(),
-        }));
-    }
-}
-
-#[derive(Default)]
-struct ExecState {
-    mem: HashMap<String, Arc<Measurement>>,
-    inflight: HashMap<String, Arc<Inflight<Arc<Measurement>>>>,
-    curve_mem: HashMap<String, Arc<MissRatioCurve>>,
-    curve_inflight: HashMap<String, Arc<Inflight<Arc<MissRatioCurve>>>>,
-}
-
 /// The measurement executor. Cheap to share (`Arc<Executor>`) and safe to
 /// call from many threads — sweeps fan their points out over rayon and
 /// every point goes through [`Executor::run`].
 pub struct Executor {
     platform: Box<dyn Platform>,
-    mode: CacheMode,
+    /// `false` under `--no-cache`: no request gets a key.
+    caching: bool,
     /// `{"schema":…,"machine":…,"limit":…` — the head of every
     /// measurement key, the same for the executor's whole life. `None`
     /// when nothing it measures is cacheable.
     key_prefix: Option<String>,
     policy: TrialPolicy,
-    state: Mutex<ExecState>,
-    sim_runs: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    dedup_hits: AtomicU64,
-    stores: AtomicU64,
-    curve_runs: AtomicU64,
-    curve_mem_hits: AtomicU64,
-    curve_disk_hits: AtomicU64,
-    curve_dedup_hits: AtomicU64,
-    curve_stores: AtomicU64,
+    measurements: TieredCache<Measurement>,
+    curves: TieredCache<MissRatioCurve>,
     // Robustness counters (the `[quality]` line and manifest).
     trials: AtomicU64,
     retries: AtomicU64,
@@ -365,10 +256,15 @@ impl Executor {
     }
 
     fn build(platform: impl Platform + 'static, mode: CacheMode) -> Self {
-        if let CacheMode::Disk(dir) = &mode {
-            sweep_stale_tmp(dir, STALE_TMP_AGE);
-        }
-        let key_prefix = (mode != CacheMode::Off && platform.deterministic()).then(|| {
+        let (caching, dir) = match mode {
+            CacheMode::Disk(dir) => {
+                sweep_stale_tmp(&dir, STALE_TMP_AGE);
+                (true, Some(dir))
+            }
+            CacheMode::Memory => (true, None),
+            CacheMode::Off => (false, None),
+        };
+        let key_prefix = (caching && platform.deterministic()).then(|| {
             format!(
                 "{{\"schema\":{CACHE_SCHEMA_VERSION},\"machine\":{},\"limit\":{}",
                 amem_sim::canonical_json(platform.cfg()),
@@ -377,20 +273,11 @@ impl Executor {
         });
         Self {
             platform: Box::new(platform),
-            mode,
+            caching,
             key_prefix,
             policy: TrialPolicy::default(),
-            state: Mutex::new(ExecState::default()),
-            sim_runs: AtomicU64::new(0),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            curve_runs: AtomicU64::new(0),
-            curve_mem_hits: AtomicU64::new(0),
-            curve_disk_hits: AtomicU64::new(0),
-            curve_dedup_hits: AtomicU64::new(0),
-            curve_stores: AtomicU64::new(0),
+            measurements: TieredCache::new(dir.clone()),
+            curves: TieredCache::new(dir),
             trials: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -421,24 +308,7 @@ impl Executor {
 
     /// The on-disk cache directory, when disk caching is enabled.
     pub fn cache_dir(&self) -> Option<&Path> {
-        match &self.mode {
-            CacheMode::Disk(dir) => Some(dir),
-            _ => None,
-        }
-    }
-
-    fn lock_state(&self) -> MutexGuard<'_, ExecState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Mirror one request outcome into the global metrics registry.
-    /// No-op (one relaxed load) unless the metrics gate is on.
-    fn metric_request(&self, outcome: &'static str) {
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .counter("amem_executor_requests_total", &[("outcome", outcome)])
-                .inc();
-        }
+        self.measurements.dir()
     }
 
     /// Mirror a robustness/cache counter delta into the metrics registry.
@@ -448,34 +318,21 @@ impl Executor {
         }
     }
 
-    /// Count one rejected disk entry, by reason (`parse` / `schema` /
-    /// `key`). These are the cache's verification failures: a missing
-    /// file is an ordinary miss and is *not* counted here.
-    fn metric_verify_failure(&self, reason: &'static str) {
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .counter(
-                    "amem_executor_cache_verify_failures_total",
-                    &[("reason", reason)],
-                )
-                .inc();
-        }
-    }
-
     /// Snapshot of the hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
+        let (m, c) = (self.measurements.counters(), self.curves.counters());
         CacheStats {
-            sim_runs: self.sim_runs.load(Ordering::Relaxed),
-            mem_hits: self.mem_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
+            sim_runs: m.computed,
+            mem_hits: m.mem_hits,
+            disk_hits: m.disk_hits,
+            dedup_hits: m.dedup_hits,
+            stores: m.stores,
             curves: Some(CurveCacheStats {
-                runs: self.curve_runs.load(Ordering::Relaxed),
-                mem_hits: self.curve_mem_hits.load(Ordering::Relaxed),
-                disk_hits: self.curve_disk_hits.load(Ordering::Relaxed),
-                dedup_hits: self.curve_dedup_hits.load(Ordering::Relaxed),
-                stores: self.curve_stores.load(Ordering::Relaxed),
+                runs: c.computed,
+                mem_hits: c.mem_hits,
+                disk_hits: c.disk_hits,
+                dedup_hits: c.dedup_hits,
+                stores: c.stores,
             }),
         }
     }
@@ -517,170 +374,34 @@ impl Executor {
     }
 
     /// Measure `workload` under `mix`, serving from cache when the
-    /// identical measurement already exists.
+    /// identical measurement already exists. Uncacheable requests — no
+    /// workload key, a nondeterministic platform, or caching switched
+    /// off — have no key and always measure fresh.
     pub fn run(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
         mix: InterferenceMix,
     ) -> Result<Arc<Measurement>, AmemError> {
-        let key = match self.cache_key(workload, per_processor, mix) {
-            Some(k) => k,
-            None => {
-                // Uncacheable: no key, a nondeterministic platform, or
-                // caching switched off.
-                self.sim_runs.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("uncached_sim");
-                return self.measure(workload, per_processor, mix).map(Arc::new);
-            }
-        };
-
-        // Fast path + in-flight claim under one lock.
-        let cell = {
-            let mut state = self.lock_state();
-            if let Some(m) = state.mem.get(&key) {
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("mem_hit");
-                return Ok(Arc::clone(m));
-            }
-            if let Some(cell) = state.inflight.get(&key) {
-                let cell = Arc::clone(cell);
-                drop(state);
-                self.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("dedup_join");
-                if amem_metrics::enabled() {
-                    // Time spent blocked on the owning runner.
-                    let waited = std::time::Instant::now();
-                    let res = cell.wait();
-                    amem_metrics::global()
-                        .histogram("amem_executor_dedup_wait_ns", &[])
-                        .record(u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    return res;
-                }
-                return cell.wait();
-            }
-            let cell = Arc::new(Inflight::new());
-            state.inflight.insert(key.clone(), Arc::clone(&cell));
-            cell
-        };
-        let mut guard = InflightGuard {
-            exec: self,
-            key: &key,
-            cell: &cell,
-            armed: true,
-        };
-
-        // We own this key: disk lookup, then a fresh simulation.
-        let result = match self.load_disk(&key) {
-            Some(m) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("disk_hit");
-                Ok(Arc::new(m))
-            }
-            None => {
-                self.sim_runs.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("sim");
-                let res = self.measure(workload, per_processor, mix).map(Arc::new);
-                if let Ok(m) = &res {
-                    self.store_disk(&key, m);
-                }
-                res
-            }
-        };
-
-        let mut state = self.lock_state();
-        if let Ok(m) = &result {
-            state.mem.insert(key.clone(), Arc::clone(m));
-        }
-        state.inflight.remove(&key);
-        drop(state);
-        cell.resolve(result.clone());
-        guard.defuse();
-        result
+        self.measurements
+            .get_or_compute(self.request_key(workload, per_processor, mix), || {
+                self.measure(workload, per_processor, mix)
+            })
     }
 
     /// Compute (or fetch) a whole miss-ratio curve: the single-pass
     /// stack-distance engine behind one cache entry *per curve* instead
     /// of one per grid point.
     ///
-    /// Mirrors [`Executor::run`]'s three layers — memory, disk, in-flight
-    /// dedup — but is *not* gated on [`Platform::deterministic`]: the
-    /// curve pass is a pure function of the request (no simulator machine
-    /// is built), so it is cacheable even on platforms whose timing
-    /// measurements are not. Only `--no-cache` disables reuse.
+    /// Goes through the same tiered cache as [`Executor::run`] — memory,
+    /// in-flight dedup, disk — but is *not* gated on
+    /// [`Platform::deterministic`]: the curve pass is a pure function of
+    /// the request (no simulator machine is built), so it is cacheable
+    /// even on platforms whose timing measurements are not. Only
+    /// `--no-cache` disables reuse.
     pub fn run_curve(&self, req: &CurveRequest) -> Result<Arc<MissRatioCurve>, AmemError> {
-        let key = match self.curve_request_key(req) {
-            Some(k) => k,
-            None => {
-                self.curve_runs.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("curve_uncached");
-                return self.compute_curve_caught(req).map(Arc::new);
-            }
-        };
-
-        // Fast path + in-flight claim under one lock.
-        let cell = {
-            let mut state = self.lock_state();
-            if let Some(c) = state.curve_mem.get(&key) {
-                self.curve_mem_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("curve_mem_hit");
-                return Ok(Arc::clone(c));
-            }
-            if let Some(cell) = state.curve_inflight.get(&key) {
-                let cell = Arc::clone(cell);
-                drop(state);
-                self.curve_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("curve_dedup_join");
-                return cell.wait();
-            }
-            let cell = Arc::new(Inflight::new());
-            state.curve_inflight.insert(key.clone(), Arc::clone(&cell));
-            cell
-        };
-        let mut guard = CurveGuard {
-            exec: self,
-            key: &key,
-            cell: &cell,
-            armed: true,
-        };
-
-        let result = match self.load_curve_disk(&key) {
-            Some(c) => {
-                self.curve_disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("curve_disk_hit");
-                Ok(Arc::new(c))
-            }
-            None => {
-                self.curve_runs.fetch_add(1, Ordering::Relaxed);
-                self.metric_request("curve_pass");
-                let res = self.compute_curve_caught(req).map(Arc::new);
-                if let Ok(c) = &res {
-                    self.store_curve_disk(&key, c);
-                }
-                res
-            }
-        };
-
-        let mut state = self.lock_state();
-        if let Ok(c) = &result {
-            state.curve_mem.insert(key.clone(), Arc::clone(c));
-        }
-        state.curve_inflight.remove(&key);
-        drop(state);
-        cell.resolve(result.clone());
-        guard.defuse();
-        result
-    }
-
-    /// Run the curve pass with panics converted into typed errors, so a
-    /// malformed request can never wedge deduplicated waiters.
-    fn compute_curve_caught(&self, req: &CurveRequest) -> Result<MissRatioCurve, AmemError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| req.compute())).map_err(
-            |payload| AmemError::Flaky {
-                attempts: 1,
-                last: format!("curve pass panicked: {}", panic_message(&payload)),
-            },
-        )
+        self.curves
+            .get_or_compute(self.curve_request_key(req), || compute_curve_caught(req))
     }
 
     /// The canonical cache key `run_curve` would use, or `None` when
@@ -691,64 +412,12 @@ impl Executor {
     /// salt is appended: the pass never consults the platform, so every
     /// model identity shares one curve entry.
     pub fn curve_request_key(&self, req: &CurveRequest) -> Option<String> {
-        if self.mode == CacheMode::Off {
-            return None;
-        }
-        Some(format!(
-            "curve/v{CURVE_SCHEMA_VERSION}/{}",
-            amem_sim::canonical_json(req)
-        ))
-    }
-
-    /// Load a curve disk entry; any problem is a miss.
-    fn load_curve_disk(&self, key: &str) -> Option<MissRatioCurve> {
-        let path = self.entry_path(key)?;
-        let _p = amem_metrics::phase("cache_lookup");
-        let json = std::fs::read_to_string(path).ok()?;
-        let entry: CurveDiskEntry = match serde_json::from_str(&json) {
-            Ok(e) => e,
-            Err(_) => {
-                self.metric_verify_failure("parse");
-                return None;
-            }
-        };
-        if entry.schema_version != CURVE_SCHEMA_VERSION {
-            self.metric_verify_failure("schema");
-            return None;
-        }
-        if entry.key != key {
-            self.metric_verify_failure("key");
-            return None;
-        }
-        Some(entry.curve)
-    }
-
-    /// Persist a curve entry atomically; failures are swallowed.
-    fn store_curve_disk(&self, key: &str, curve: &MissRatioCurve) {
-        let Some(path) = self.entry_path(key) else {
-            return;
-        };
-        let entry = CurveDiskEntryRef {
-            schema_version: CURVE_SCHEMA_VERSION,
-            key,
-            curve,
-        };
-        let Ok(json) = serde_json::to_string(&entry) else {
-            return;
-        };
-        let Some(dir) = path.parent() else {
-            return;
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = unique_tmp_path(&path);
-        if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-            self.curve_stores.fetch_add(1, Ordering::Relaxed);
-            self.metric_add("amem_executor_disk_stores_total", 1);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        self.caching.then(|| {
+            format!(
+                "curve/v{CURVE_SCHEMA_VERSION}/{}",
+                amem_sim::canonical_json(req)
+            )
+        })
     }
 
     /// One fresh measurement under the executor's [`TrialPolicy`]:
@@ -971,24 +640,14 @@ impl Executor {
         })
     }
 
-    /// The canonical cache key `run` would use for this request, or
-    /// `None` when the request is uncacheable. Public so tests can assert
-    /// that key construction ignores execution-only knobs
-    /// ([`TrialPolicy`] above all): two configurations that must
-    /// share cache entries must produce equal strings here.
+    /// The canonical cache key `run` uses for this request, or `None`
+    /// when the request must not be cached: the canonical JSON of a
+    /// `CacheKey`, written as the constant prefix plus the three fields
+    /// that vary. Public so tests can assert that key construction
+    /// ignores execution-only knobs ([`TrialPolicy`] above all): two
+    /// configurations that must share cache entries must produce equal
+    /// strings here.
     pub fn request_key(
-        &self,
-        workload: &dyn Workload,
-        per_processor: usize,
-        mix: InterferenceMix,
-    ) -> Option<String> {
-        self.cache_key(workload, per_processor, mix)
-    }
-
-    /// The canonical key string for one request, or `None` when the
-    /// request must not be cached: the canonical JSON of a `CacheKey`,
-    /// written as the constant prefix plus the three fields that vary.
-    fn cache_key(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
@@ -1014,123 +673,18 @@ impl Executor {
         }
         Some(key)
     }
-
-    /// On-disk path of a key: the FNV-1a fingerprint names the file.
-    fn entry_path(&self, key: &str) -> Option<PathBuf> {
-        self.cache_dir()
-            .map(|dir| dir.join(format!("{:016x}.json", fnv1a(key.as_bytes()))))
-    }
-
-    /// Load a disk entry, treating *any* problem — missing file, parse
-    /// error, schema mismatch, key mismatch — as a miss.
-    fn load_disk(&self, key: &str) -> Option<Measurement> {
-        let path = self.entry_path(key)?;
-        let _p = amem_metrics::phase("cache_lookup");
-        let json = std::fs::read_to_string(path).ok()?;
-        let entry: DiskEntry = match serde_json::from_str(&json) {
-            Ok(e) => e,
-            Err(_) => {
-                self.metric_verify_failure("parse");
-                return None;
-            }
-        };
-        if entry.schema_version != CACHE_SCHEMA_VERSION {
-            self.metric_verify_failure("schema");
-            return None;
-        }
-        if entry.key != key {
-            self.metric_verify_failure("key");
-            return None;
-        }
-        Some(entry.measurement)
-    }
-
-    /// Persist an entry atomically (temp file + rename) so a concurrent
-    /// reader or a crash never observes a torn entry. Failures are
-    /// swallowed: the cache is an accelerator, not a correctness layer.
-    fn store_disk(&self, key: &str, measurement: &Measurement) {
-        let Some(path) = self.entry_path(key) else {
-            return;
-        };
-        let entry = DiskEntryRef {
-            schema_version: CACHE_SCHEMA_VERSION,
-            key,
-            measurement,
-        };
-        let Ok(json) = serde_json::to_string(&entry) else {
-            return;
-        };
-        let Some(dir) = path.parent() else {
-            return;
-        };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let tmp = unique_tmp_path(&path);
-        if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-            self.metric_add("amem_executor_disk_stores_total", 1);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
 }
 
-/// Unique scratch path for one atomic store: `<entry>.tmp.<pid>.<nonce>`.
-///
-/// The pid alone is not enough — two threads in one process persisting
-/// the same key (dedup-bypassing `--no-cache` writers, or two `Executor`s
-/// sharing a cache dir) would race on a single tmp path and could rename
-/// a torn or foreign write over the entry. A per-process atomic counter
-/// makes every in-flight write its own file; `fs::rename` then keeps the
-/// publish atomic.
-pub fn unique_tmp_path(path: &Path) -> PathBuf {
-    static NONCE: AtomicU64 = AtomicU64::new(0);
-    let n = NONCE.fetch_add(1, Ordering::Relaxed);
-    path.with_extension(format!("tmp.{}.{n}", std::process::id()))
-}
-
-/// Remove orphaned `*.tmp.*` scratch files older than `max_age` from a
-/// cache directory, returning how many were reclaimed.
-///
-/// A crash between `fs::write` and `fs::rename` leaks the tmp file
-/// forever; nothing ever reads it, so it is pure disk-space debt. The age
-/// threshold is conservative on purpose: a *young* tmp file may belong to
-/// a concurrent writer in another live process, and deleting it mid-write
-/// would break that writer's rename. Callers run this at startup
-/// (`Executor::build` for disk caches, and the serve daemon's shared
-/// store) where "older than an hour" cannot be in flight.
-pub fn sweep_stale_tmp(dir: &Path, max_age: std::time::Duration) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    let now = std::time::SystemTime::now();
-    let mut reclaimed = 0usize;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let is_tmp = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(".tmp."));
-        if !is_tmp {
-            continue;
+/// Run the curve pass with panics converted into typed errors, so a
+/// malformed request can never wedge deduplicated waiters.
+fn compute_curve_caught(req: &CurveRequest) -> Result<MissRatioCurve, AmemError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| req.compute())).map_err(|payload| {
+        AmemError::Flaky {
+            attempts: 1,
+            last: format!("curve pass panicked: {}", panic_message(&payload)),
         }
-        let stale = entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|mtime| now.duration_since(mtime).ok())
-            .is_some_and(|age| age >= max_age);
-        if stale && std::fs::remove_file(&path).is_ok() {
-            reclaimed += 1;
-        }
-    }
-    reclaimed
+    })
 }
-
-/// Age above which an orphaned tmp file cannot plausibly still be an
-/// in-flight write (writes are milliseconds; an hour is crash debris).
-pub const STALE_TMP_AGE: std::time::Duration = std::time::Duration::from_secs(3600);
 
 /// Reject a measurement whose headline statistic (execution time, the
 /// input to every knee/inversion downstream) is NaN or infinite.
@@ -1157,6 +711,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{read_entry, unique_tmp_path};
     use crate::fault::{FaultSpec, FaultyPlatform};
     use crate::platform::{McbWorkload, SimPlatform};
     use amem_miniapps::McbCfg;
@@ -1224,8 +779,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, AmemError::InfeasibleMapping { .. }), "{err}");
         // Errors are not cached as measurements.
-        assert!(exec.lock_state().mem.is_empty());
-        assert!(exec.lock_state().inflight.is_empty());
+        assert!(exec.measurements.is_empty());
     }
 
     #[test]
@@ -1253,6 +807,37 @@ mod tests {
         let old: CacheStats = serde_json::from_str(legacy).unwrap();
         assert!(old.curves.is_none());
         assert_eq!(old.curves().lookups(), 0);
+    }
+
+    #[test]
+    fn merge_adds_every_counter_and_keeps_absent_curves_absent() {
+        let with_curves = CacheStats {
+            sim_runs: 1,
+            mem_hits: 2,
+            disk_hits: 3,
+            dedup_hits: 4,
+            stores: 5,
+            curves: Some(CurveCacheStats {
+                runs: 6,
+                mem_hits: 7,
+                disk_hits: 8,
+                dedup_hits: 9,
+                stores: 10,
+            }),
+        };
+        let pre_curve = CacheStats {
+            curves: None,
+            ..with_curves
+        };
+        let mut total = CacheStats::default();
+        total.merge(&pre_curve);
+        assert_eq!(total, pre_curve, "no curve counters appear from nowhere");
+        total.merge(&with_curves);
+        total.merge(&with_curves);
+        assert_eq!((total.sim_runs, total.stores), (3, 15));
+        assert_eq!(total.hits(), 27);
+        let c = total.curves.expect("curve counters survive the fold");
+        assert_eq!((c.runs, c.stores, c.hits()), (12, 20, 48));
     }
 
     #[test]
@@ -1617,7 +1202,7 @@ mod tests {
             }
         }
         assert!(
-            exec.lock_state().inflight.is_empty(),
+            exec.measurements.is_empty(),
             "no wedged in-flight cells remain"
         );
         // A later identical request does not hang on stale state either
@@ -1670,9 +1255,9 @@ mod tests {
                 let name = e.file_name().to_str().unwrap().to_string();
                 assert!(!name.contains(".tmp."), "leaked scratch file {name}");
                 let json = std::fs::read_to_string(e.path()).unwrap();
-                let entry: DiskEntry = serde_json::from_str(&json)
+                let (schema, ..) = read_entry::<Measurement>(&json)
                     .unwrap_or_else(|err| panic!("torn cache entry {name}: {err}"));
-                assert_eq!(entry.schema_version, CACHE_SCHEMA_VERSION);
+                assert_eq!(schema, CACHE_SCHEMA_VERSION);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -40,6 +40,7 @@
 
 pub mod advisor;
 pub mod bandwidth;
+mod cache;
 pub mod capacity;
 pub mod curve;
 pub mod error;
@@ -60,14 +61,12 @@ pub mod sweep;
 pub mod trial;
 
 pub use bandwidth::BandwidthMap;
+pub use cache::{sweep_stale_tmp, write_atomic, STALE_TMP_AGE};
 pub use capacity::CapacityMap;
 pub use curve::{CurveMode, CurveOpts, CurveQuality, CurveRequest, CURVE_SCHEMA_VERSION};
 pub use error::AmemError;
 pub use estimate::ResourceInterval;
-pub use executor::{
-    sweep_stale_tmp, unique_tmp_path, CacheStats, CurveCacheStats, Executor, CACHE_SCHEMA_VERSION,
-    STALE_TMP_AGE,
-};
+pub use executor::{CacheStats, CurveCacheStats, Executor, CACHE_SCHEMA_VERSION};
 pub use fault::{FaultSpec, FaultyPlatform};
 pub use knee::Knee;
 pub use manifest::{RunManifest, SCHEMA_VERSION};

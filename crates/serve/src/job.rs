@@ -5,12 +5,12 @@
 //! answer "what was in flight when the daemon died?". On startup, records
 //! stuck in `Queued`/`Running` are marked `Failed` (orphaned by restart) —
 //! the manifest-as-durable-record idea from the run harness, applied to
-//! the service. Writes go through the executor's tmp+rename helper, so
+//! the service. Writes go through the cache layer's atomic publish, so
 //! records are never torn.
 
 use std::path::{Path, PathBuf};
 
-use amem_core::unique_tmp_path;
+use amem_core::write_atomic;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::{JobSpec, Priority};
@@ -100,8 +100,8 @@ impl JobStore {
         fixed
     }
 
-    /// Journal one record (atomic tmp+rename; failures are swallowed —
-    /// the journal is an audit trail, not a correctness layer).
+    /// Journal one record (published atomically; failures are swallowed
+    /// — the journal is an audit trail, not a correctness layer).
     pub fn write(&self, rec: &JobRecord) {
         if let Some(dir) = &self.dir {
             self.write_at(&dir.join(format!("job-{}.json", rec.id)), rec);
@@ -109,12 +109,8 @@ impl JobStore {
     }
 
     fn write_at(&self, path: &Path, rec: &JobRecord) {
-        let Ok(json) = serde_json::to_string_pretty(rec) else {
-            return;
-        };
-        let tmp = unique_tmp_path(path);
-        if std::fs::write(&tmp, json).is_err() || std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        if let Ok(json) = serde_json::to_string_pretty(rec) {
+            let _ = write_atomic(path, &json);
         }
     }
 

@@ -124,52 +124,16 @@ impl ShardPool {
     /// the executor count. This is the service-wide hit rate the daemon
     /// exports.
     pub fn aggregate_stats(&self) -> (CacheStats, usize) {
-        let mut total: Option<CacheStats> = None;
+        let mut total = CacheStats::default();
         let mut count = 0usize;
         for shard in &self.shards {
             for exec in shard.lock().values() {
-                let s = exec.stats();
+                total.merge(&exec.stats());
                 count += 1;
-                total = Some(match total.take() {
-                    None => s,
-                    Some(t) => merge(t, s),
-                });
             }
         }
-        (total.unwrap_or_else(empty_stats), count)
+        (total, count)
     }
-}
-
-fn empty_stats() -> CacheStats {
-    CacheStats {
-        sim_runs: 0,
-        mem_hits: 0,
-        disk_hits: 0,
-        dedup_hits: 0,
-        stores: 0,
-        curves: None,
-    }
-}
-
-fn merge(mut a: CacheStats, b: CacheStats) -> CacheStats {
-    a.sim_runs += b.sim_runs;
-    a.mem_hits += b.mem_hits;
-    a.disk_hits += b.disk_hits;
-    a.dedup_hits += b.dedup_hits;
-    a.stores += b.stores;
-    a.curves = match (a.curves.take(), b.curves) {
-        (None, c) => c,
-        (c, None) => c,
-        (Some(mut x), Some(y)) => {
-            x.runs += y.runs;
-            x.mem_hits += y.mem_hits;
-            x.disk_hits += y.disk_hits;
-            x.dedup_hits += y.dedup_hits;
-            x.stores += y.stores;
-            Some(x)
-        }
-    };
-    a
 }
 
 #[cfg(test)]
@@ -239,6 +203,8 @@ mod tests {
     #[test]
     fn stats_aggregate_across_shards() {
         let pool = ShardPool::new(2, None);
+        // No executor yet: all zeros and — on the wire — `"curves":null`.
+        assert_eq!(pool.aggregate_stats(), (CacheStats::default(), 0));
         let exec = pool.executor(&sweep_spec(2), None).unwrap();
         let w = WorkloadSpec::Probe(amem_core::figures::fig1_probe(&cfg())).build();
         exec.run(w.as_ref(), 1, InterferenceMix::none()).unwrap();
@@ -247,5 +213,6 @@ mod tests {
         assert_eq!(execs, 1);
         assert_eq!(stats.sim_runs, 1);
         assert_eq!(stats.mem_hits, 1);
+        assert_eq!(stats.curves, Some(Default::default()));
     }
 }

@@ -145,39 +145,54 @@ fn durable_records_match_the_parent_commits_bytes() {
     check::<RunManifest>("run_manifest.pretty.json", &pretty(&manifest), pretty);
 }
 
-/// The executor's disk entry is a private type: its bytes are what a
-/// store leaves in the cache directory, and decoding them is a disk hit.
-#[test]
-fn disk_entries_match_the_parent_commits_bytes_and_serve_as_hits() {
-    let m = machine();
-    let w = ProbeWorkload(probe(&m));
-    let mix = InterferenceMix::storage(1);
-    let dir = std::env::temp_dir().join("amem_codec_golden_disk_entry");
+/// Store `request`'s result through a fresh executor and compare the one
+/// file it leaves with the parent's; then plant the parent's file under
+/// the name this build derives for the key and expect a disk hit that
+/// computes nothing. `request` returns the result's JSON and the
+/// namespace's (disk hits, fresh computations).
+fn check_disk_entry(name: &str, request: impl Fn(&Executor) -> (String, u64, u64)) {
+    let dir = std::env::temp_dir().join(format!("amem_codec_golden_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let exec = Executor::with_cache_dir(SimPlatform::new(m.clone()), dir.clone());
-    let fresh = exec.run(&w, 1, mix).unwrap();
+    let exec = Executor::with_cache_dir(SimPlatform::new(machine()), dir.clone());
+    let (fresh, ..) = request(&exec);
     let file = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|x| x == "json"))
         .expect("one stored entry");
-    let want = golden("disk_entry.json");
+    let want = golden(name);
     assert_eq!(
         std::fs::read_to_string(&file).unwrap(),
         want,
-        "disk entry encoding changed"
+        "{name}: disk entry encoding changed"
     );
 
-    // The parent's file under the name this build derives for the key.
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join(file.file_name().unwrap()), &want).unwrap();
-    let exec = Executor::with_cache_dir(SimPlatform::new(m), dir.clone());
-    let hit = exec.run(&w, 1, mix).unwrap();
-    assert_eq!(exec.stats().disk_hits, 1, "{:?}", exec.stats());
-    assert_eq!(exec.stats().sim_runs, 0);
-    assert_eq!(compact(&*hit), compact(&*fresh));
+    let exec = Executor::with_cache_dir(SimPlatform::new(machine()), dir.clone());
+    let (hit, disk_hits, computed) = request(&exec);
+    assert_eq!((disk_hits, computed), (1, 0), "{name}: {:?}", exec.stats());
+    assert_eq!(hit, fresh);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The executor's disk entries are private: their bytes are what a
+/// store leaves in the cache directory, and decoding them is a disk hit.
+#[test]
+fn disk_entries_match_the_parent_commits_bytes_and_serve_as_hits() {
+    let m = machine();
+    check_disk_entry("disk_entry.json", |exec| {
+        let w = ProbeWorkload(probe(&m));
+        let meas = exec.run(&w, 1, InterferenceMix::storage(1)).unwrap();
+        let s = exec.stats();
+        (compact(&*meas), s.disk_hits, s.sim_runs)
+    });
+    check_disk_entry("curve_disk_entry.json", |exec| {
+        let curve = exec.run_curve(&curve_request(&m)).unwrap();
+        let s = exec.stats().curves();
+        (compact(&*curve), s.disk_hits, s.runs)
+    });
 }

@@ -286,3 +286,53 @@ fn deeply_nested_garbage_files_are_a_miss_or_a_skip_never_a_crash() {
     assert!(store.load(0).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A cache directory that cannot be created — its path is a regular
+/// file — costs the entries, never the results: both namespaces answer
+/// from memory, nothing is stored, no scratch file is left, and each
+/// lost store is counted by the step that failed.
+#[test]
+fn an_unwritable_cache_dir_degrades_to_memory_with_counted_failures() {
+    let m = machine();
+    let w = tiny_mcb(&m);
+    let blocker = std::env::temp_dir().join("amem_robustness_cache_dir_is_a_file");
+    let _ = std::fs::remove_dir_all(&blocker);
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let failures = || {
+        active_mem::metrics::snapshot().counter(
+            "amem_executor_disk_store_failures_total",
+            &[("reason", "mkdir")],
+        )
+    };
+
+    active_mem::metrics::set_enabled(true);
+    let before = failures().unwrap_or(0);
+    let exec = Executor::with_cache_dir(SimPlatform::new(m.clone()), blocker.clone());
+    let meas = exec.run(&w, 2, InterferenceMix::none()).unwrap();
+    let curve = exec
+        .run_curve(&active_mem::core::CurveRequest::from_probe(
+            &active_mem::core::figures::fig1_probe(&m),
+            m.l3.line_bytes as u64,
+            vec![64, 4096],
+            active_mem::core::CurveMode::Exact,
+        ))
+        .unwrap();
+    let after = failures().unwrap_or(0);
+    active_mem::metrics::set_enabled(false);
+
+    assert!(meas.seconds > 0.0 && curve.points.len() == 2);
+    let s = exec.stats();
+    assert_eq!((s.sim_runs, s.stores), (1, 0), "{s:?}");
+    assert_eq!((s.curves().runs, s.curves().stores), (1, 0), "{s:?}");
+    assert_eq!(after - before, 2, "one lost store per namespace");
+    // Still served from memory afterwards.
+    exec.run(&w, 2, InterferenceMix::none()).unwrap();
+    assert_eq!(exec.stats().mem_hits, 1);
+    // The path is still the file it was: no entry and no `*.tmp.*`
+    // scratch file could have been left under it.
+    assert_eq!(
+        std::fs::read_to_string(&blocker).unwrap(),
+        "not a directory"
+    );
+    let _ = std::fs::remove_file(&blocker);
+}
