@@ -69,7 +69,10 @@ use crate::trial::{robust_summary, QualityStats, TrialPolicy, TrialQuality};
 /// a miss and is re-simulated. (Additive, `Option`-typed fields like
 /// `Measurement::quality` do *not* need a bump — old entries simply
 /// deserialize them as `None`.)
-pub const CACHE_SCHEMA_VERSION: u32 = 1;
+///
+/// History: 2 — the engine's barrier-release order was specified and
+/// every result downstream of a barrier moved (DESIGN.md §14).
+pub const CACHE_SCHEMA_VERSION: u32 = 2;
 
 impl Payload for Measurement {
     const SCHEMA: u32 = CACHE_SCHEMA_VERSION;

@@ -3,8 +3,9 @@
 //!
 //! Single-threaded and deterministic. Each core has its own clock; the
 //! engine always advances the core with the smallest clock (a linear
-//! two-min scan over a per-core clock array — core counts are ≤32, where
-//! a branch-predictable scan beats binary-heap churn), in batches bounded
+//! two-min scan over a per-core clock array, one ready slot per runnable
+//! core, ties to the lowest index — core counts are ≤32, where a
+//! branch-predictable scan beats a priority queue), in batches bounded
 //! by a small quantum so cross-core interleaving through the shared L3
 //! and DRAM channel stays causally accurate. Within a batch, a fast lane
 //! commits runs of simple ops (loads, compute, marks) through an inlined
@@ -642,29 +643,16 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             had_primaries || limit.max_cycles.is_some(),
             "a run with no primary jobs must set max_cycles"
         );
-        // Heap-free scheduler: one ready slot per core in `clock`,
-        // `u64::MAX` for cores with nothing queued (done, parked, or
-        // currently dispatched). Each round a linear two-min scan picks
-        // the next core and the quantum horizon; with strict `<` the
-        // first minimum in index order wins, matching the old
-        // `BinaryHeap<Reverse<(t, ci)>>` lexicographic pop.
-        //
-        // The legacy heap had one quirk the array must reproduce: when
-        // the *last* core arriving at a barrier released it,
-        // `try_release_barrier` pushed that core at the resume time and
-        // the dispatch loop's re-queue pushed it again — the last parker
-        // owned TWO heap slots until its next park, and those duplicate
-        // pops perturb every shared-resource interleaving downstream.
-        // `spill` carries such second slots (it is empty in barrier-free
-        // runs, so the common round is still a pure two-min scan); the
-        // pop order over `clock ∪ spill` is identical to the seed
-        // engine's, entry for entry.
+        // One ready slot per runnable core, holding that core's current
+        // clock; `u64::MAX` for cores with nothing queued (done, parked,
+        // or currently dispatched). Each round a linear two-min scan
+        // picks the next core and the quantum horizon; with strict `<`
+        // ties go to the lowest core index.
         let mut clock: Vec<u64> = self
             .cores
             .iter()
             .map(|c| if c.done { u64::MAX } else { 0 })
             .collect();
-        let mut spill: Vec<(u64, u32)> = Vec::new();
         let max_cycles = limit.max_cycles.unwrap_or(u64::MAX);
         // Telemetry observes per-op state between steps, so it forces the
         // one-op legacy dispatch path (equivalent, just slower).
@@ -688,53 +676,23 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                 // (background) cores where they stand.
                 break;
             }
-            let (mut t1, mut t2, mut sel) = (u64::MAX, u64::MAX, usize::MAX);
-            for (i, &t) in clock.iter().enumerate() {
-                if t < t1 {
-                    t2 = t1;
-                    t1 = t;
-                    sel = i;
-                } else if t < t2 {
-                    t2 = t;
+            // `t` is the selected core's clock, `t_next` the runner-up's.
+            let (mut t, mut t_next, mut ci) = (u64::MAX, u64::MAX, usize::MAX);
+            for (i, &c) in clock.iter().enumerate() {
+                if c < t {
+                    t_next = t;
+                    t = c;
+                    ci = i;
+                } else if c < t_next {
+                    t_next = c;
                 }
             }
-            // Pop the lexicographic (t, ci) minimum over `clock ∪ spill`
-            // — exactly the heap's order. `t` is the popped entry's
-            // timestamp (it can lag `cores[ci].time` for a spill entry of
-            // a core that ran since), `t_next` the earliest remaining
-            // entry, i.e. what the heap's post-pop peek saw.
-            let (t, ci, t_next) = if spill.is_empty() {
-                if sel == usize::MAX {
-                    break; // every core done (or parked past the stop limit)
-                }
-                clock[sel] = u64::MAX;
-                (t1, sel, t2)
-            } else {
-                let (mut se, mut sj) = ((u64::MAX, u32::MAX), usize::MAX);
-                let (mut s1, mut s2) = (u64::MAX, u64::MAX);
-                for (j, &e) in spill.iter().enumerate() {
-                    if e < se {
-                        se = e;
-                        sj = j;
-                    }
-                    if e.0 < s1 {
-                        s2 = s1;
-                        s1 = e.0;
-                    } else if e.0 < s2 {
-                        s2 = e.0;
-                    }
-                }
-                if sel != usize::MAX && (t1, sel as u32) <= se {
-                    clock[sel] = u64::MAX;
-                    (t1, sel, t2.min(s1))
-                } else {
-                    spill.swap_remove(sj);
-                    (se.0, se.1 as usize, t1.min(s2))
-                }
-            };
-            if self.cores[ci].done || self.cores[ci].parked {
-                continue; // stale spill entry of a finished/parked core
+            if ci == usize::MAX {
+                break; // every core done (or parked past the stop limit)
             }
+            clock[ci] = u64::MAX;
+            debug_assert_eq!(t, self.cores[ci].time);
+            debug_assert!(!self.cores[ci].done && !self.cores[ci].parked);
             // Fire every epoch boundary the popped timestamp has crossed,
             // *before* dispatching the core — the snapshot/actuation point
             // is then a pure function of the (deterministic) pop order.
@@ -748,10 +706,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             if t >= max_cycles {
                 // All runnable cores are at or past the stop limit; halt
                 // them where they stand (the popped core at its popped
-                // timestamp, slotted cores at theirs). `stop_core` touches
-                // only per-core state, so the old one-pop-at-a-time drain
-                // order is irrelevant; leftover spill entries would all be
-                // discarded as done on pop, so drop them wholesale.
+                // timestamp, slotted cores at theirs).
                 self.stop_core(ci, t);
                 if self.cores[ci].primary && primaries_left > 0 {
                     primaries_left -= 1;
@@ -765,7 +720,6 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                         *slot = u64::MAX;
                     }
                 }
-                spill.clear();
                 break;
             }
             // With a controller attached the dispatch horizon also stops
@@ -785,7 +739,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                         BurstEnd::Unhandled => {}
                     }
                 }
-                let state = self.step(ci, limit);
+                let state = self.step(ci);
                 if let Some(sm) = self.sampler.as_mut() {
                     let c = &self.cores[ci];
                     if sm.due(ci, c.time) {
@@ -803,28 +757,21 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                         if self.cores[ci].primary {
                             primaries_left -= 1;
                         }
-                        self.try_release_barrier(&mut clock, &mut spill, limit);
+                        self.try_release_barrier(&mut clock, limit);
                         break;
                     }
                     StepOutcome::Parked => {
-                        self.try_release_barrier(&mut clock, &mut spill, limit);
+                        self.try_release_barrier(&mut clock, limit);
                         break;
                     }
                 }
             }
-            // Re-queue like the heap's post-dispatch push. If this core
-            // parked and then released the barrier itself, its slot was
-            // already re-armed at the resume time inside
-            // `try_release_barrier` — the legacy heap pushed a *second*
-            // entry in that case, so the duplicate goes to `spill`.
+            // Re-arm the core at its new clock. This also covers a core
+            // that released the barrier it just parked at: its clock is
+            // the resume time `try_release_barrier` already wrote.
             let c = &self.cores[ci];
             if !c.done && !c.parked {
-                let now = c.time;
-                if clock[ci] == u64::MAX {
-                    clock[ci] = now;
-                } else {
-                    spill.push((now, ci as u32));
-                }
+                clock[ci] = c.time;
             }
         }
         // Finalize any cores still running (e.g. stopped backgrounds).
@@ -889,20 +836,10 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         }
     }
 
-    /// If every unfinished primary is parked at the barrier, release them
-    /// (re-arming their ready clocks at the common resume time).
-    ///
-    /// A released core's slot is normally free (parking pops it), but a
-    /// core that parked while dispatched *from a spill entry* still owns
-    /// its queued clock slot — the legacy heap kept that entry alongside
-    /// the release push, so the resume entry spills rather than
-    /// clobbering it.
-    fn try_release_barrier(
-        &mut self,
-        clock: &mut [u64],
-        spill: &mut Vec<(u64, u32)>,
-        limit: &RunLimit,
-    ) {
+    /// If every unfinished primary is parked at the barrier, release them:
+    /// all resume at the latest arrival plus `barrier_overhead`, each
+    /// re-armed in its (free, since parking vacated it) ready slot.
+    fn try_release_barrier(&mut self, clock: &mut [u64], limit: &RunLimit) {
         let mut waiting = Vec::new();
         for (i, c) in self.cores.iter().enumerate() {
             if c.primary && !c.done {
@@ -932,16 +869,12 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             if let Some(r) = self.ring.as_mut() {
                 r.push(SpanEvent::span("barrier-wait", i, arrival, resume));
             }
-            if clock[i] == u64::MAX {
-                clock[i] = resume;
-            } else {
-                spill.push((resume, i as u32));
-            }
+            clock[i] = resume;
         }
     }
 
     /// Execute one op on core `ci`.
-    fn step(&mut self, ci: usize, limit: &RunLimit) -> StepOutcome {
+    fn step(&mut self, ci: usize) -> StepOutcome {
         let op = match self.cores[ci].pending.take() {
             Some(op) => op,
             None => self.next_lane_op(ci),
@@ -1038,7 +971,6 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                 if let Some(r) = self.ring.as_mut() {
                     r.push(SpanEvent::span("phase", ci, start, end));
                 }
-                let _ = limit;
                 StepOutcome::Parked
             }
             Op::Done => {
@@ -1767,6 +1699,48 @@ mod tests {
         assert!(c0.abs_diff(c1) < 500, "c0={c0} c1={c1}");
         assert!(r.jobs[0].counters.barrier_cycles > 9000);
         assert!(r.jobs[1].counters.barrier_cycles < 1000);
+    }
+
+    #[test]
+    fn barrier_releaser_gets_no_turn_past_the_horizon() {
+        // Core 0 arrives last and releases the barrier; both cores then
+        // stream DRAM misses at one load a cycle. Ties at the resume time
+        // go to core 0, which may issue exactly the `quantum` loads that
+        // fit below `resume + quantum` before core 1 runs — so core 1's
+        // first load queues on the channel behind `quantum` lines and its
+        // own transfer, not one more.
+        let mut m = cfg();
+        m.prefetch = false; // keep the channel to demand lines only
+        let limit = RunLimit {
+            quantum: 32,
+            ..RunLimit::default()
+        };
+        // `probe` marks right after the first load, timing it alone.
+        let mk = |work: u32, base: u64, probe: bool| {
+            let mut ops = vec![Op::Compute(work), Op::Barrier, Op::Mark, Op::Load(base)];
+            if probe {
+                ops.push(Op::Mark);
+            }
+            ops.extend((1..128).map(|i| Op::Load(base + i * 8192)));
+            ops.push(Op::Mark);
+            ScriptStream::new(ops).with_mlp(64)
+        };
+        let jobs = vec![
+            Job::primary(Box::new(mk(10_000, 0x1000_0000, false)), CoreId::new(0, 0)),
+            Job::primary(Box::new(mk(100, 0x2000_0000, true)), CoreId::new(0, 1)),
+        ];
+        let r = Engine::new(&m, jobs).run(&limit);
+        let resume = 10_000 + limit.barrier_overhead as u64;
+        assert_eq!(r.jobs[0].marks[0].cycles, resume);
+        assert_eq!(r.jobs[1].marks[0].cycles, resume);
+        let line_cycles = m.l3.line_bytes as f64 / m.dram_bytes_per_cycle;
+        let queued = ((limit.quantum + 1) as f64 * line_cycles).ceil() as u64;
+        assert!(queued > m.dram_latency as u64, "backlog must be visible");
+        assert_eq!(
+            r.jobs[1].marks[1].cycles - resume,
+            m.l3.latency as u64 + queued,
+            "core 1's first load waited behind the wrong number of lines"
+        );
     }
 
     #[test]

@@ -181,6 +181,8 @@ fn check_disk_entry(name: &str, request: impl Fn(&Executor) -> (String, u64, u64
 
 /// The executor's disk entries are private: their bytes are what a
 /// store leaves in the cache directory, and decoding them is a disk hit.
+/// (`disk_entry.json` embeds `CACHE_SCHEMA_VERSION` twice, in the entry
+/// and in its key; a schema bump edits those two digits and nothing else.)
 #[test]
 fn disk_entries_match_the_parent_commits_bytes_and_serve_as_hits() {
     let m = machine();

@@ -157,12 +157,12 @@ fn golden_trace_signatures_are_stable() {
 }
 
 /// Barrier-heavy snapshot. The ping-pong script parks cores at
-/// barriers constantly, so this golden pins the two scheduler corner
-/// cases the figure CSVs depend on: the duplicate queue slot a core
-/// gains by releasing its own barrier, and the retained stale entry of
-/// a core that parks while running off a duplicate. Reverting either
-/// emulation in `run_inner`/`try_release_barrier` changes this
-/// signature.
+/// barriers constantly, so this golden pins the barrier-release order
+/// DESIGN.md §14 specifies: every waiting primary resumes at the latest
+/// arrival plus `barrier_overhead`, ties at that instant go to the
+/// lowest core index, and the core that released the barrier gets no
+/// second turn. Any change to who runs first after a release moves the
+/// shared-DRAM interleaving and with it this signature.
 #[test]
 fn golden_pingpong_signature_is_stable() {
     let update = std::env::var("AMEM_UPDATE_GOLDEN").is_ok_and(|v| v == "1");

@@ -5,7 +5,7 @@ use active_mem::core::estimate::{bandwidth_use_per_process, storage_use_per_proc
 use active_mem::core::knee::find_knee;
 use active_mem::core::platform::{LuleshWorkload, McbWorkload, SimPlatform};
 use active_mem::core::predict::DegradationModel;
-use active_mem::core::sweep::run_sweep;
+use active_mem::core::sweep::{run_sweep, Sweep};
 use active_mem::core::Executor;
 use active_mem::core::{BandwidthMap, CapacityMap};
 use active_mem::interfere::InterferenceKind;
@@ -38,6 +38,73 @@ fn mcb_pipeline_brackets_the_mesh_footprint() {
         iv.lo,
         iv.hi,
         mesh
+    );
+}
+
+/// Fig. 9 top-left at test scale: 20 k particles, `p` ranks per
+/// processor, 0–4 CSThrs.
+fn mcb_storage_sweep(p: usize) -> Sweep {
+    let m = machine();
+    let exec = Executor::memory_only(SimPlatform::new(m.clone()));
+    let w = McbWorkload(McbCfg::new(&m, 20_000));
+    run_sweep(&exec, &w, p, InterferenceKind::Storage, 4).expect("sweep")
+}
+
+#[test]
+fn mcb_mapping_staircase_holds() {
+    // The scoreboard's "MCB storage degradation" and Fig. 9 staircase
+    // rows: one rank per processor shrugs off three CSThrs and pays at
+    // four, and packing more ranks onto a processor can only bring the
+    // first degraded level forward.
+    let sweeps: Vec<Sweep> = [1usize, 2, 3].into_iter().map(mcb_storage_sweep).collect();
+    let p1: Vec<f64> = sweeps[0].points.iter().map(|p| p.degradation_pct).collect();
+    assert!(p1[..=3].iter().all(|&d| d <= 1.0), "p=1 k<=3: {p1:?}");
+    assert!(p1[4] >= 15.0, "p=1 k=4: {p1:?}");
+    let first: Vec<usize> = sweeps
+        .iter()
+        .map(|s| {
+            let knee = find_knee(s, 3.0).expect("5-point sweep is not degenerate");
+            knee.first_degraded.expect("every mapping degrades by k=4")
+        })
+        .collect();
+    assert!(
+        first.windows(2).all(|w| w[1] <= w[0]),
+        "first degraded level must not move right as ranks pack in: {first:?}"
+    );
+}
+
+/// A multi-rank barrier *figure*, pinned byte for byte: two MCB ranks per
+/// processor meet at a barrier every step, so any change to the
+/// barrier-release order (DESIGN.md §14) shows up here as a CSV diff.
+/// Regenerate intentionally with `AMEM_UPDATE_GOLDEN=1 cargo test --test
+/// methodology`.
+#[test]
+fn fig9_p2_storage_rows_match_golden() {
+    let mut csv = String::from("ranks_per_processor,csthrs,time_ms,degradation_pct\n");
+    for pt in &mcb_storage_sweep(2).points {
+        csv.push_str(&format!(
+            "2,{},{:.3},{:.1}\n",
+            pt.count,
+            pt.seconds * 1e3,
+            pt.degradation_pct
+        ));
+    }
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/fig9_p2_storage_s0625.csv");
+    if std::env::var("AMEM_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &csv).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run AMEM_UPDATE_GOLDEN=1 cargo test --test methodology",
+            path.display()
+        )
+    });
+    assert!(
+        csv == expected,
+        "fig9 p=2 storage rows drifted from {}; if intended, regenerate with AMEM_UPDATE_GOLDEN=1\n{csv}",
+        path.display()
     );
 }
 
