@@ -5,12 +5,14 @@
 //! cargo run --release -p amem-bench --bin conformance                 # 200 seeds/config
 //! cargo run --release -p amem-bench --bin conformance -- --seeds 1000
 //! cargo run --release -p amem-bench --bin conformance -- --config nonpow2-bip
+//! cargo run --release -p amem-bench --bin conformance -- --config xeon-20way
 //! cargo run --release -p amem-bench --bin conformance -- --sabotage --minimize
 //! cargo run --release -p amem-bench --bin conformance -- --replay target/conformance/x.json
 //! ```
 //!
 //! Default run: fuzz every geometry in [`amem_conformance::configs`] for
-//! `--seeds` seeds each (parallel over seeds), run the two-socket
+//! `--seeds` seeds each (parallel over seeds), the 20-way `xeon-20way`
+//! lane (the shipped L3 shape, CAT-masked), run the two-socket
 //! ping-pong/barrier lane (substrate differential + fast-lane budget
 //! invariance), lockstep the single-pass curve engine against the
 //! per-point reference-cache sweep over the same seed budget, then
@@ -28,8 +30,8 @@ use std::process::ExitCode;
 
 use amem_conformance::curves::{check_curve_case, gen_curve_case, CurveDivergence};
 use amem_conformance::fuzz::{
-    check_case, check_pingpong_case, gen_case, gen_pingpong_case, minimize, reproducer_dir,
-    sabotage, write_reproducer, Divergence,
+    check_case, check_pingpong_case, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
+    reproducer_dir, sabotage, write_reproducer, Divergence, TraceCase,
 };
 use amem_conformance::{configs, ehr_oracle_pack, replay_file};
 use rayon::prelude::*;
@@ -73,6 +75,47 @@ fn parse_args() -> Args {
     a
 }
 
+type Check = fn(&TraceCase) -> Result<(), Divergence>;
+
+/// Fuzz one lane over the seed budget (parallel over seeds), report it,
+/// and write the first witness — `--minimize`d if asked — as a
+/// reproducer. Returns whether the lane diverged.
+fn run_lane(name: &str, args: &Args, gen: impl Fn(u64) -> TraceCase + Sync, check: Check) -> bool {
+    let divergences: Vec<Divergence> = (0..args.seeds)
+        .into_par_iter()
+        .map(|seed| check(&gen(seed)).err())
+        .collect::<Vec<Option<Divergence>>, _>()
+        .into_iter()
+        .flatten()
+        .collect();
+    println!(
+        "{:<20} {} seeds, {} divergence(s)",
+        name,
+        args.seeds,
+        divergences.len()
+    );
+    // One witness per lane is plenty; minimizing hundreds is noise.
+    let Some(d) = divergences.into_iter().next() else {
+        return false;
+    };
+    let case = if args.minimize {
+        let m = minimize(&d.case, |c| check(c).is_err());
+        println!(
+            "  minimized seed {} to {} accesses",
+            d.case.seed,
+            m.total_accesses()
+        );
+        m
+    } else {
+        d.case
+    };
+    match write_reproducer(&case, reproducer_dir()) {
+        Ok(p) => println!("  reproducer: {}", p.display()),
+        Err(e) => eprintln!("  failed to write reproducer: {e}"),
+    }
+    true
+}
+
 fn main() -> ExitCode {
     let args = parse_args();
 
@@ -93,51 +136,26 @@ fn main() -> ExitCode {
         };
     }
 
-    let check: fn(&amem_conformance::fuzz::TraceCase) -> Result<(), Divergence> = if args.sabotage {
+    let check: Check = if args.sabotage {
         sabotage::check_case_sabotaged
     } else {
         check_case
     };
+    let wanted = |name: &str| args.config.as_deref().is_none_or(|only| only == name);
 
     let mut total_div = 0usize;
     for cfg in configs() {
-        if let Some(only) = &args.config {
-            if cfg.name != only {
-                continue;
-            }
+        if wanted(cfg.name) {
+            let gen = |seed| gen_case(&cfg, seed, args.ops);
+            total_div += run_lane(cfg.name, &args, gen, check) as usize;
         }
-        let divergences: Vec<Divergence> = (0..args.seeds)
-            .into_par_iter()
-            .map(|seed| check(&gen_case(&cfg, seed, args.ops)).err())
-            .collect::<Vec<Option<Divergence>>, _>()
-            .into_iter()
-            .flatten()
-            .collect();
-        println!(
-            "{:<20} {} seeds, {} divergence(s)",
-            cfg.name,
-            args.seeds,
-            divergences.len()
-        );
-        // One witness per config is plenty; minimizing hundreds is noise.
-        if let Some(d) = divergences.into_iter().next() {
-            total_div += 1;
-            let case = if args.minimize {
-                let m = minimize(&d.case, |c| check(c).is_err());
-                println!(
-                    "  minimized seed {} to {} accesses",
-                    d.case.seed,
-                    m.total_accesses()
-                );
-                m
-            } else {
-                d.case
-            };
-            match write_reproducer(&case, reproducer_dir()) {
-                Ok(p) => println!("  reproducer: {}", p.display()),
-                Err(e) => eprintln!("  failed to write reproducer: {e}"),
-            }
-        }
+    }
+
+    // The shipped L3 shape (20-way, hashed, CAT masks across the set
+    // kernels' 8|8|4 seams) — a lane of its own, outside `configs()`.
+    if wanted("xeon-20way") {
+        let gen = |seed| gen_xeon20way_case(seed, args.ops);
+        total_div += run_lane("xeon-20way", &args, gen, check) as usize;
     }
 
     // Ping-pong lane: shared-line / barrier-heavy traces across two
@@ -145,44 +163,14 @@ fn main() -> ExitCode {
     // fast-lane budget invariance (lockstep vs default vs seed-varied).
     // Under --sabotage it instead runs the engine with a planted
     // one-cycle horizon overrun and must see it diverge.
-    if args.config.is_none() || args.config.as_deref() == Some("pingpong-2s") {
-        let pp_check: fn(&amem_conformance::fuzz::TraceCase) -> Result<(), Divergence> =
-            if args.sabotage {
-                sabotage::check_case_horizon_leaky
-            } else {
-                check_pingpong_case
-            };
-        let divergences: Vec<Divergence> = (0..args.seeds)
-            .into_par_iter()
-            .map(|seed| pp_check(&gen_pingpong_case(seed, args.ops)).err())
-            .collect::<Vec<Option<Divergence>>, _>()
-            .into_iter()
-            .flatten()
-            .collect();
-        println!(
-            "{:<20} {} seeds, {} divergence(s)",
-            "pingpong-2s",
-            args.seeds,
-            divergences.len()
-        );
-        if let Some(d) = divergences.into_iter().next() {
-            total_div += 1;
-            let case = if args.minimize {
-                let m = minimize(&d.case, |c| pp_check(c).is_err());
-                println!(
-                    "  minimized seed {} to {} accesses",
-                    d.case.seed,
-                    m.total_accesses()
-                );
-                m
-            } else {
-                d.case
-            };
-            match write_reproducer(&case, reproducer_dir()) {
-                Ok(p) => println!("  reproducer: {}", p.display()),
-                Err(e) => eprintln!("  failed to write reproducer: {e}"),
-            }
-        }
+    if wanted("pingpong-2s") {
+        let pp_check: Check = if args.sabotage {
+            sabotage::check_case_horizon_leaky
+        } else {
+            check_pingpong_case
+        };
+        let gen = |seed| gen_pingpong_case(seed, args.ops);
+        total_div += run_lane("pingpong-2s", &args, gen, pp_check) as usize;
     }
 
     // Curve lockstep: the single-pass stack-distance engine vs a naive

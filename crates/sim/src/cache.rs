@@ -31,10 +31,15 @@
 //! metadata lives in parallel structure-of-arrays slices (`tags`,
 //! `stamp`, `dirty`, `sharers`, `present`) indexed by
 //! `set * ways + way`, so a set scan walks one contiguous `ways`-wide
-//! window per array. The probation flag lives in the stamp's high bit
-//! (`PROB_BIT`): probation lines sort below promoted ones under
-//! `stamp ^ PROB_BIT`, so LRU victim selection is a single min-scan of
-//! the stamp window with no second flag array. The power-of-two/modulo
+//! window per array. Every tag scan (`lookup`, `fill_masked`, `find`)
+//! is one call to `setscan::set_masks` and the LRU victim one call to
+//! `setscan::first_min_way`: fixed-width AVX2 kernels at 8, 16 and 20
+//! ways, the scalar loops they are tested against everywhere else (see
+//! that module; sets wider than 64 ways keep an early-exit scan here).
+//! The probation flag lives in the stamp's high bit (`PROB_BIT`):
+//! probation lines sort below promoted ones under `stamp ^ PROB_BIT`, so
+//! LRU victim selection is a single first-minimum over the stamp window
+//! with no second flag array. The power-of-two/modulo
 //! choice for set indexing is made once at construction (all shipped
 //! configs are powers of two and take the mask path); a per-set valid
 //! count lets probe-style calls (`contains`, `invalidate`, `mark_dirty`)
@@ -48,6 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::CacheConfig;
 use crate::rng::SplitMix64;
+use crate::setscan::{first_min_way, set_masks};
 
 /// Victim-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -175,47 +181,38 @@ fn prefetch_read<T>(p: &T) {
     let _ = p;
 }
 
-/// Scan one set's tag slice for `line`, also noting the first empty way.
-/// Returns `(hit_way or usize::MAX, first_free_way or NO_WAY)`.
+/// Scan one set's tag slice: the way holding `line` (`usize::MAX` if
+/// absent) and the first empty way `way_mask` allows (`usize::MAX` if
+/// none; meaningful only when the line is absent).
 ///
-/// For set widths up to 64 the per-way compares accumulate into bitmasks
-/// (the movemask idiom — branchless, and SIMD-friendly on wide targets)
-/// and `trailing_zeros` recovers the first match; wider sets (huge
-/// fully-associative validation caches) fall back to an early-exit scan.
+/// Sets up to 64 ways wide go through the shared [`set_masks`] kernel and
+/// `trailing_zeros` recovers the first match; wider sets (huge
+/// fully-associative validation caches) take an early-exit scan.
 #[inline(always)]
-fn scan_tags(tags: &[u64], line: u64) -> (usize, u32) {
+fn scan_set(tags: &[u64], line: u64, way_mask: u32) -> (usize, usize) {
+    let first = |bits: u64| match bits {
+        0 => usize::MAX,
+        b => b.trailing_zeros() as usize,
+    };
     if tags.len() <= 64 {
-        let mut eq = 0u64;
-        let mut emp = 0u64;
-        for (w, &t) in tags.iter().enumerate() {
-            eq |= u64::from(t == line) << w;
-            emp |= u64::from(t == EMPTY) << w;
-        }
-        (
-            if eq == 0 {
-                usize::MAX
-            } else {
-                eq.trailing_zeros() as usize
-            },
-            if emp == 0 {
-                NO_WAY
-            } else {
-                emp.trailing_zeros()
-            },
-        )
+        let (eq, emp) = set_masks(tags, line, EMPTY);
+        let allowed = if way_mask == u32::MAX {
+            u64::MAX
+        } else {
+            u64::from(way_mask)
+        };
+        (first(eq), first(emp & allowed))
     } else {
-        let mut hit = usize::MAX;
-        let mut free = NO_WAY;
+        let mut free = usize::MAX;
         for (w, &t) in tags.iter().enumerate() {
             if t == line {
-                hit = w;
-                break;
+                return (w, free);
             }
-            if t == EMPTY && free == NO_WAY {
-                free = w as u32;
+            if t == EMPTY && free == usize::MAX && way_mask & (1u32 << (w as u32 & 31)) != 0 {
+                free = w;
             }
         }
-        (hit, free)
+        (usize::MAX, free)
     }
 }
 
@@ -321,11 +318,12 @@ impl Cache {
         // One bounds check for the whole set scan; find both the line and
         // the first free way so a following fill need not rescan.
         let tags = &self.tags[base..base + ways];
-        let (hit, free) = scan_tags(tags, line);
+        let (hit, free) = scan_set(tags, line, u32::MAX);
         if hit == usize::MAX {
             self.miss_line = line;
             self.miss_base = base as u32;
-            self.miss_free = free;
+            // `usize::MAX` (set full) truncates to `NO_WAY`.
+            self.miss_free = free as u32;
             return false;
         }
         self.last = base + hit;
@@ -417,40 +415,10 @@ impl Cache {
         } else {
             let set = self.set_of(line);
             base = self.base(set);
-            // One movemask pass finds both a present copy and the first
-            // free allowed way (the present check wins: a hit degenerates
-            // to a touch).
-            let tags = &self.tags[base..base + ways];
-            if ways <= 64 {
-                let mut eqm = 0u64;
-                let mut empm = 0u64;
-                for (w, &t) in tags.iter().enumerate() {
-                    eqm |= u64::from(t == line) << w;
-                    empm |= u64::from(t == EMPTY) << w;
-                }
-                empm &= if way_mask == u32::MAX {
-                    u64::MAX
-                } else {
-                    u64::from(way_mask)
-                };
-                if eqm != 0 {
-                    hit = eqm.trailing_zeros() as usize;
-                }
-                if empm != 0 {
-                    free = empm.trailing_zeros() as usize;
-                }
-            } else {
-                for (w, &t) in tags.iter().enumerate() {
-                    if t == line {
-                        hit = w;
-                        break;
-                    }
-                    if t == EMPTY && free == usize::MAX && way_mask & (1u32 << (w as u32 & 31)) != 0
-                    {
-                        free = w;
-                    }
-                }
-            }
+            // One scan finds both a present copy and the first free
+            // allowed way (the present check wins: a hit degenerates to
+            // a touch).
+            (hit, free) = scan_set(&self.tags[base..base + ways], line, way_mask);
         }
         if hit != usize::MAX {
             self.last = base + hit;
@@ -582,35 +550,10 @@ impl Cache {
                 // the leftover ways); otherwise plain LRU. Flipping the
                 // probation bit ([`PROB_BIT`]) sorts every probation line
                 // below every promoted one and oldest-first within each
-                // group, so one strict-`<` min scan (first minimum wins,
-                // like the old two-candidate pass) picks the victim.
+                // group, so the first minimum in way order is the victim.
                 let stamps = &self.stamp[base..base + ways];
                 if way_mask == u32::MAX {
-                    // Pack (key, way) into one u64 so the argmin becomes a
-                    // pure min-reduce: ties in key resolve to the smallest
-                    // way, i.e. the first minimum in scan order — exactly
-                    // the old strict-`<` scan. Four independent accumulator
-                    // chains break the serial cmp/cmov dependency that made
-                    // this scan latency-bound on 20-way sets.
-                    #[inline(always)]
-                    fn pk(st: u32, w: usize) -> u64 {
-                        (((st ^ PROB_BIT) as u64) << 32) | w as u64
-                    }
-                    let n = stamps.len();
-                    let (mut m0, mut m1, mut m2, mut m3) = (u64::MAX, u64::MAX, u64::MAX, u64::MAX);
-                    let mut w = 0;
-                    while w + 4 <= n {
-                        m0 = m0.min(pk(stamps[w], w));
-                        m1 = m1.min(pk(stamps[w + 1], w + 1));
-                        m2 = m2.min(pk(stamps[w + 2], w + 2));
-                        m3 = m3.min(pk(stamps[w + 3], w + 3));
-                        w += 4;
-                    }
-                    while w < n {
-                        m0 = m0.min(pk(stamps[w], w));
-                        w += 1;
-                    }
-                    return (m0.min(m1).min(m2).min(m3) & 0xFFFF_FFFF) as usize;
+                    return first_min_way(stamps, PROB_BIT);
                 }
                 let mut pick = None;
                 for (w, &st) in stamps.iter().enumerate() {
@@ -655,16 +598,8 @@ impl Cache {
         }
         let base = self.base(set);
         let ways = self.ways as usize;
-        let tags = &self.tags[base..base + ways];
-        if ways <= 64 {
-            let mut eq = 0u64;
-            for (w, &t) in tags.iter().enumerate() {
-                eq |= u64::from(t == line) << w;
-            }
-            (eq != 0).then(|| base + eq.trailing_zeros() as usize)
-        } else {
-            tags.iter().position(|&t| t == line).map(|w| base + w)
-        }
+        let (hit, _) = scan_set(&self.tags[base..base + ways], line, u32::MAX);
+        (hit != usize::MAX).then(|| base + hit)
     }
 
     /// Record `core` as a sharer of a present line (no-op when absent).

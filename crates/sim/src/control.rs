@@ -59,7 +59,8 @@ pub struct CoreView {
 /// byte-comparable decision logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Knob {
-    /// Restrict L3 fills on this core to the set ways (must be non-zero).
+    /// Restrict L3 fills on this core to the set ways (must select at
+    /// least one way the L3 has; the engine rejects the actuation otherwise).
     L3WayMask(u32),
     /// Install (or retune) the DRAM line token bucket on this core.
     Throttle(ThrottleCfg),

@@ -95,7 +95,9 @@ impl Job {
         }
     }
 
-    /// Restrict this job's L3 allocations to the given ways (CAT).
+    /// Restrict this job's L3 allocations to the given ways (CAT). The
+    /// mask must select at least one way of the machine's L3;
+    /// [`EngineWith::new`] checks that against the config.
     pub fn with_l3_ways(mut self, mask: u32) -> Self {
         assert!(mask != 0, "way mask must allow at least one way");
         self.l3_way_mask = mask;
@@ -468,6 +470,17 @@ pub struct EngineWith<'a, S: Substrate = SoaSubstrate> {
 /// The production engine: [`EngineWith`] over the SoA substrate.
 pub type Engine<'a> = EngineWith<'a, SoaSubstrate>;
 
+/// Reject a CAT mask that selects none of the L3's ways where it first
+/// meets the machine config — a full set would otherwise have no victim
+/// to offer, many cycles into the run.
+fn check_l3_way_mask(cfg: &MachineConfig, core: usize, mask: u32) {
+    let ways = cfg.l3.ways;
+    assert!(
+        mask & (u32::MAX >> 32u32.saturating_sub(ways)) != 0,
+        "core {core}: L3 way mask {mask:#x} allows none of the {ways} ways"
+    );
+}
+
 impl<'a, S: Substrate> EngineWith<'a, S> {
     pub fn new(cfg: &'a MachineConfig, jobs: Vec<Job>) -> Self {
         let n = cfg.total_cores();
@@ -522,6 +535,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             job_meta.push((job.core, job.primary));
             cores[fc].mlp = (job.stream.mlp() as usize).clamp(1, 32);
             cores[fc].llc_hint = job.stream.llc_insert_hint();
+            check_l3_way_mask(cfg, fc, job.l3_way_mask);
             cores[fc].l3_way_mask = job.l3_way_mask;
             cores[fc].done = false;
             cores[fc].primary = job.primary;
@@ -813,7 +827,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             let c = &mut self.cores[core];
             match knob {
                 Knob::L3WayMask(mask) => {
-                    assert!(mask != 0, "an empty way mask would forbid all fills");
+                    check_l3_way_mask(self.cfg, core, mask);
                     c.l3_way_mask = mask;
                 }
                 // Retuning to the *same* setting keeps the bucket (and its
@@ -840,27 +854,19 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// all resume at the latest arrival plus `barrier_overhead`, each
     /// re-armed in its (free, since parking vacated it) ready slot.
     fn try_release_barrier(&mut self, clock: &mut [u64], limit: &RunLimit) {
-        let mut waiting = Vec::new();
-        for (i, c) in self.cores.iter().enumerate() {
-            if c.primary && !c.done {
-                if c.parked {
-                    waiting.push(i);
-                } else {
-                    return; // someone is still computing
-                }
+        let mut latest = None;
+        for c in self.cores.iter().filter(|c| c.primary && !c.done) {
+            if !c.parked {
+                return; // someone is still computing
             }
+            latest = latest.max(Some(c.barrier_arrival));
         }
-        if waiting.is_empty() {
-            return;
-        }
-        let tmax = waiting
-            .iter()
-            .map(|&i| self.cores[i].barrier_arrival)
-            .max()
-            .unwrap();
+        let Some(tmax) = latest else {
+            return; // no primary left to release
+        };
         let resume = tmax + limit.barrier_overhead as u64;
-        for &i in &waiting {
-            let c = &mut self.cores[i];
+        let waiting = self.cores.iter_mut().enumerate();
+        for (i, c) in waiting.filter(|(_, c)| c.primary && !c.done) {
             c.counters.barrier_cycles += resume - c.barrier_arrival;
             c.time = resume;
             c.parked = false;
@@ -1075,14 +1081,16 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         }
     }
 
-    /// Translate through the core's TLB; returns page-walk cycles.
+    /// Translate through the core's TLB; returns page-walk cycles. Only
+    /// reached under the hoisted `tlb_on`, so a zero walk is a hit.
     #[inline]
     fn tlb_access(&mut self, ci: usize, addr: u64) -> u32 {
+        debug_assert!(self.tlb_on);
         let c = &mut self.cores[ci];
         let walk = c.tlb.access(addr);
         if walk > 0 {
             c.counters.tlb_misses += 1;
-        } else if self.cfg.tlb.is_enabled() {
+        } else {
             c.counters.tlb_hits += 1;
         }
         walk
@@ -1874,6 +1882,41 @@ mod tests {
             Job::primary(Box::new(ScriptStream::new(vec![])), CoreId::new(0, 0)),
         ];
         let _ = Engine::new(&m, jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 1: L3 way mask 0xfff00000 allows none of the 20 ways")]
+    fn job_way_mask_outside_the_l3_is_rejected_at_construction() {
+        let m = cfg();
+        let job = Job::primary(Box::new(ScriptStream::new(vec![])), CoreId::new(0, 1))
+            .with_l3_ways(0xfff0_0000);
+        let _ = Engine::new(&m, vec![job]);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0: L3 way mask 0x100000 allows none of the 20 ways")]
+    fn actuated_way_mask_outside_the_l3_is_rejected_when_it_fires() {
+        struct BadMask;
+        impl EpochController for BadMask {
+            fn epoch_cycles(&self) -> u64 {
+                50
+            }
+            fn on_epoch(&mut self, _: u64, _: u64, _: &[CoreView]) -> Vec<Actuation> {
+                vec![Actuation {
+                    core: 0,
+                    knob: Knob::L3WayMask(1 << 20),
+                }]
+            }
+        }
+        let m = cfg();
+        let job = Job::primary(
+            Box::new(ScriptStream::new(vec![Op::Compute(500)])),
+            CoreId::new(0, 0),
+        );
+        let mut ctl = BadMask;
+        let _ = Engine::new(&m, vec![job])
+            .with_controller(&mut ctl)
+            .run(&RunLimit::default());
     }
 
     #[test]

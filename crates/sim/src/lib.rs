@@ -66,6 +66,7 @@ pub mod machine;
 pub mod model;
 pub mod prefetch;
 pub mod rng;
+mod setscan;
 pub mod stackdist;
 pub mod stream;
 pub mod telemetry;

@@ -17,6 +17,8 @@
 //! threshold the prefetcher throttles (drops requests), as real hardware
 //! does under saturation.
 
+use crate::setscan::{first_min_way, set_masks};
+
 /// Lines per 4 KiB page with 64-byte lines.
 const LINES_PER_PAGE_SHIFT: u32 = 6; // 4096 / 64 = 64 lines
 
@@ -34,10 +36,10 @@ pub struct PrefetchRequests {
 /// A small fully-associative table of stride detectors.
 ///
 /// Stored as parallel arrays rather than an array of structs: the tag
-/// match (and the LRU victim scan on allocation) walks only the 128-byte
-/// `pages` array, which the compiler turns into a handful of vector
-/// compares; the per-entry training state is touched for at most one
-/// index per observation.
+/// match walks only the 128-byte `pages` array and the LRU victim scan on
+/// allocation only the 64-byte `lru` array, both through the shared
+/// `setscan` kernels; the per-entry training state is touched
+/// for at most one index per observation.
 #[derive(Debug, Clone)]
 pub struct Prefetcher {
     /// Page number per entry (line >> 6). 0 is a valid page in theory but
@@ -76,17 +78,11 @@ impl Prefetcher {
         }
         self.tick = self.tick.wrapping_add(1);
         let page = line >> LINES_PER_PAGE_SHIFT;
-        // Branchless movemask sweep over the 128-byte page array: match
-        // and empty bitmaps in one vectorizable pass (no early exit, so
-        // the 16 compares become a couple of vector ops). Random traffic
-        // takes the allocation path on essentially every observation, so
-        // the untrained miss — not the trained hit — is the hot case.
-        let mut eqm = 0u32;
-        let mut empm = 0u32;
-        for i in 0..TABLE {
-            eqm |= u32::from(self.pages[i] == page) << i;
-            empm |= u32::from(self.pages[i] == 0) << i;
-        }
+        // One pass over the 128-byte page array yields the match and
+        // empty bitmaps together. Random traffic takes the allocation
+        // path on essentially every observation, so the untrained miss —
+        // not the trained hit — is the hot case.
+        let (eqm, empm) = set_masks(&self.pages, page, 0);
         match (eqm != 0).then(|| eqm.trailing_zeros() as usize) {
             Some(i) => {
                 self.lru[i] = self.tick;
@@ -119,18 +115,12 @@ impl Prefetcher {
                 }
             }
             None => {
-                // Allocate: first empty slot, else the LRU entry. The
-                // victim scan is a packed (tick, index) min-reduce —
-                // lowest tick wins, ties to the lowest index, matching
-                // the strict-`<` first-minimum of a sequential scan.
+                // Allocate: first empty slot, else the LRU entry
+                // (lowest tick, ties to the lowest index).
                 let victim = if empm != 0 {
                     empm.trailing_zeros() as usize
                 } else {
-                    let mut best = u64::MAX;
-                    for i in 0..TABLE {
-                        best = best.min((u64::from(self.lru[i]) << 4) | i as u64);
-                    }
-                    (best & 0xF) as usize
+                    first_min_way(&self.lru, 0)
                 };
                 self.pages[victim] = page;
                 self.last_line[victim] = line;

@@ -20,8 +20,8 @@
 use std::path::PathBuf;
 
 use active_mem::conformance::fuzz::{
-    check_case, configs, fuzz_config, gen_case, gen_pingpong_case, minimize, run_case, sabotage,
-    write_reproducer,
+    check_case, configs, fuzz_config, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
+    run_case, sabotage, write_reproducer,
 };
 use active_mem::conformance::{ehr_oracle_pack, orthogonality_pack, replay_file};
 use active_mem::sim::engine::EventSignature;
@@ -43,6 +43,24 @@ fn differential_fuzz_smoke() {
             out.divergences[0].describe()
         );
     }
+}
+
+#[test]
+fn xeon20way_lane_agrees_under_masks_and_probation() {
+    // The shipped L3 shape: the only width whose set kernels split
+    // unevenly (8|8|4), with CAT masks that cut across those seams.
+    let mut masks = std::collections::BTreeSet::new();
+    for seed in 0..16 {
+        let case = gen_xeon20way_case(seed, 1200);
+        assert_eq!(case.machine.l3.ways, 20);
+        assert!(case.machine.l3.hash_sets);
+        assert!(case.lanes.iter().any(|l| l.probation_hint));
+        masks.extend(case.lanes.iter().map(|l| l.l3_way_mask));
+        if let Err(d) = check_case(&case) {
+            panic!("substrates diverged: {}", d.describe());
+        }
+    }
+    assert_eq!(masks.len(), 4, "every mask shape must be drawn: {masks:x?}");
 }
 
 #[test]
