@@ -1,7 +1,5 @@
-//! `amem-stats` — cost attribution and performance trajectory for the
-//! reproduction harness itself.
-//!
-//! Two reports:
+#![forbid(unsafe_code)]
+//! `amem-stats` — cost attribution for the reproduction harness itself.
 //!
 //! * `--attribution <fig1|fig6>` runs the named figure binary cold
 //!   (`--no-cache --metrics`, progress silenced, rayon pinned to one
@@ -12,17 +10,12 @@
 //!   CSThr levels dominate the cold fig6 wall (ROADMAP item 1). Use
 //!   `--parallel` to keep the default rayon pool (phases then overlap and
 //!   leaf coverage is reported per worker-second).
-//! * `--trend` reads the appended `BENCH_history.jsonl` (see `perfbase`)
-//!   and renders each kernel's first→latest trajectory, plus the latest
-//!   entry's delta against the committed `BENCH_sim.json` ratchet.
+//! * `--overhead <fig>` times a figure with the metrics gate off and on
+//!   (both cold) and prints the relative cost of instrumentation.
 //!
-//! `--overhead <fig>` additionally times a figure with the metrics gate
-//! off and on (both cold) and prints the relative cost of instrumentation.
-//!
-//! Flags: `--scale <f>` (default 0.0625, matching `perfbase`'s cold runs),
-//! `--out <dir>` for the child's CSV/manifest output (default a temp dir),
-//! `--report <file>` to mirror the rendered report (CI uploads it as an
-//! artifact), `--history <file>`, `--baseline <file>`.
+//! Flags: `--scale <f>` (default 0.0625), `--out <dir>` for the child's
+//! CSV/manifest output (default a temp dir), `--report <file>` to mirror
+//! the rendered report (CI uploads it as an artifact).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -31,7 +24,6 @@ use std::time::Instant;
 use amem_core::manifest::RunManifest;
 use amem_core::report::Table;
 use amem_metrics::Snapshot;
-use serde::{Deserialize, Serialize};
 
 /// Leaf phases partition a run's wall time; everything else (the
 /// `grid/...` namespace) is an overlapping by-level view of the same time
@@ -43,26 +35,20 @@ fn is_leaf(name: &str) -> bool {
 struct Cli {
     attribution: Option<String>,
     overhead: Option<String>,
-    trend: bool,
     scale: f64,
     parallel: bool,
     out: Option<PathBuf>,
     report: Option<PathBuf>,
-    history: PathBuf,
-    baseline: PathBuf,
 }
 
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         attribution: None,
         overhead: None,
-        trend: false,
         scale: 0.0625,
         parallel: false,
         out: None,
         report: None,
-        history: PathBuf::from("BENCH_history.jsonl"),
-        baseline: PathBuf::from("BENCH_sim.json"),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -73,7 +59,6 @@ fn parse_cli() -> Cli {
             "--overhead" => {
                 cli.overhead = Some(it.next().expect("--overhead needs a figure name"));
             }
-            "--trend" => cli.trend = true,
             "--scale" => {
                 let v = it.next().expect("--scale needs a value");
                 cli.scale = v.parse().expect("--scale must be a float");
@@ -84,20 +69,14 @@ fn parse_cli() -> Cli {
             "--report" => {
                 cli.report = Some(PathBuf::from(it.next().expect("--report needs a file")));
             }
-            "--history" => {
-                cli.history = PathBuf::from(it.next().expect("--history needs a file"));
-            }
-            "--baseline" => {
-                cli.baseline = PathBuf::from(it.next().expect("--baseline needs a file"));
-            }
             other => panic!(
-                "unknown argument: {other} (expected --attribution/--overhead/--trend/\
-                 --scale/--parallel/--out/--report/--history/--baseline)"
+                "unknown argument: {other} (expected --attribution/--overhead/\
+                 --scale/--parallel/--out/--report)"
             ),
         }
     }
-    if cli.attribution.is_none() && cli.overhead.is_none() && !cli.trend {
-        panic!("nothing to do: pass --attribution <fig>, --overhead <fig>, or --trend");
+    if cli.attribution.is_none() && cli.overhead.is_none() {
+        panic!("nothing to do: pass --attribution <fig> or --overhead <fig>");
     }
     cli
 }
@@ -219,11 +198,11 @@ fn requests_with(snap: &Snapshot, outcome: &str) -> u64 {
 }
 
 fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
-    // Best-of-N on each side (perfbase's idiom): a single cold run's
-    // wall clock is noisier than the effect being measured, while minima
-    // converge to the machine's actual best case. The children's own
-    // wall clocks (manifest-stamped) exclude process start-up, so the
-    // ratio isolates the instrumentation itself.
+    // Best-of-N on each side: a single cold run's wall clock is noisier
+    // than the effect being measured, while minima converge to the
+    // machine's actual best case. The children's own wall clocks
+    // (manifest-stamped) exclude process start-up, so the ratio isolates
+    // the instrumentation itself.
     const REPS: usize = 3;
     let base_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_plain"));
     let inst_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_metrics"));
@@ -245,195 +224,6 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
     let _ = std::fs::remove_dir_all(&inst_dir);
 }
 
-// Mirror of perfbase's serialized shapes (kept minimal: only the fields
-// the trend report reads).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct KernelResult {
-    name: String,
-    ns_per_op: f64,
-    mops_per_sec: f64,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ColdResult {
-    name: String,
-    seconds: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct HistoryEntry {
-    schema: u32,
-    host: String,
-    git_sha: String,
-    recorded_unix: u64,
-    kernels: Vec<KernelResult>,
-    cold: Vec<ColdResult>,
-}
-
-fn short_sha(sha: &str) -> &str {
-    if sha.len() >= 8 {
-        &sha[..8]
-    } else {
-        sha
-    }
-}
-
-fn trend_report(cli: &Cli, doc: &mut String) {
-    let text = match std::fs::read_to_string(&cli.history) {
-        Ok(t) => t,
-        Err(e) => {
-            writeln!(
-                doc,
-                "[trend] no history at {} ({e}); run perfbase to record one",
-                cli.history.display()
-            )
-            .unwrap();
-            return;
-        }
-    };
-    let mut entries: Vec<HistoryEntry> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<HistoryEntry>(line) {
-            Ok(e) => entries.push(e),
-            Err(e) => eprintln!(
-                "warning: {} line {}: {e} (skipped)",
-                cli.history.display(),
-                i + 1
-            ),
-        }
-    }
-    if entries.is_empty() {
-        writeln!(doc, "[trend] history is empty").unwrap();
-        return;
-    }
-    entries.sort_by_key(|e| e.recorded_unix);
-    let first = &entries[0];
-    let last = &entries[entries.len() - 1];
-    writeln!(
-        doc,
-        "[trend] {} runs, {} -> {} (host {}, commit {})",
-        entries.len(),
-        first.recorded_unix,
-        last.recorded_unix,
-        last.host,
-        short_sha(&last.git_sha)
-    )
-    .unwrap();
-
-    let mut t = Table::new(
-        "amem-stats — kernel throughput trajectory (Mops/s)",
-        &["Kernel", "Runs", "First", "Latest", "Delta"],
-    );
-    let mut names: Vec<&str> = Vec::new();
-    for e in &entries {
-        for k in &e.kernels {
-            if !names.contains(&k.name.as_str()) {
-                names.push(&k.name);
-            }
-        }
-    }
-    for name in &names {
-        let series: Vec<f64> = entries
-            .iter()
-            .filter_map(|e| e.kernels.iter().find(|k| &k.name == name))
-            .map(|k| k.mops_per_sec)
-            .collect();
-        let (f, l) = (series[0], series[series.len() - 1]);
-        t.row(vec![
-            name.to_string(),
-            series.len().to_string(),
-            format!("{f:.3}"),
-            format!("{l:.3}"),
-            format!("{:+.1}%", 100.0 * (l - f) / f.max(1e-9)),
-        ]);
-    }
-    writeln!(doc, "{}", t.render()).unwrap();
-
-    let colds: Vec<&str> = {
-        let mut v: Vec<&str> = Vec::new();
-        for e in &entries {
-            for c in &e.cold {
-                if !v.contains(&c.name.as_str()) {
-                    v.push(&c.name);
-                }
-            }
-        }
-        v
-    };
-    if !colds.is_empty() {
-        let mut t = Table::new(
-            "amem-stats — cold figure wall-time trajectory (s)",
-            &["Run", "Samples", "First", "Latest", "Delta"],
-        );
-        for name in &colds {
-            let series: Vec<f64> = entries
-                .iter()
-                .filter_map(|e| e.cold.iter().find(|c| &c.name == name))
-                .map(|c| c.seconds)
-                .collect();
-            let (f, l) = (series[0], series[series.len() - 1]);
-            t.row(vec![
-                name.to_string(),
-                series.len().to_string(),
-                format!("{f:.2}"),
-                format!("{l:.2}"),
-                format!("{:+.1}%", 100.0 * (l - f) / f.max(1e-9)),
-            ]);
-        }
-        writeln!(doc, "{}", t.render()).unwrap();
-    }
-
-    // Delta of the latest run against the committed ratchet file, when
-    // present (it only carries kernels + cold, same shapes).
-    if let Ok(text) = std::fs::read_to_string(&cli.baseline) {
-        #[derive(Debug, Serialize, Deserialize)]
-        struct Baseline {
-            schema: u32,
-            note: String,
-            /// Recording host (absent in baselines from before the field).
-            host: Option<String>,
-            ops_per_kernel: u64,
-            reps: usize,
-            kernels: Vec<KernelResult>,
-            cold: Vec<ColdResult>,
-        }
-        match serde_json::from_str::<Baseline>(&text) {
-            Ok(base) => {
-                let mut t = Table::new(
-                    format!("amem-stats — latest run vs {}", cli.baseline.display()),
-                    &["Kernel", "Committed", "Latest", "Delta"],
-                );
-                for k in &base.kernels {
-                    let Some(cur) = last.kernels.iter().find(|c| c.name == k.name) else {
-                        continue;
-                    };
-                    t.row(vec![
-                        k.name.clone(),
-                        format!("{:.3}", k.mops_per_sec),
-                        format!("{:.3}", cur.mops_per_sec),
-                        format!(
-                            "{:+.1}%",
-                            100.0 * (cur.mops_per_sec - k.mops_per_sec) / k.mops_per_sec.max(1e-9)
-                        ),
-                    ]);
-                }
-                writeln!(doc, "{}", t.render()).unwrap();
-            }
-            Err(e) => eprintln!("warning: bad baseline {}: {e}", cli.baseline.display()),
-        }
-    } else {
-        writeln!(
-            doc,
-            "[trend] no committed baseline at {} to diff against",
-            cli.baseline.display()
-        )
-        .unwrap();
-    }
-}
-
 fn main() {
     let cli = parse_cli();
     let mut doc = String::new();
@@ -442,9 +232,6 @@ fn main() {
     }
     if let Some(fig) = &cli.overhead {
         overhead_report(fig, &cli, &mut doc);
-    }
-    if cli.trend {
-        trend_report(&cli, &mut doc);
     }
     print!("{doc}");
     if let Some(path) = &cli.report {

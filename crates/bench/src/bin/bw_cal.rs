@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! §III-A calibration: bandwidth consumed per BWThr (Eq. 1) and channel
 //! saturation as threads are added. Paper: ≈2.8 GB/s per thread; seven
 //! threads ≈ 100% of the machine's 17 GB/s.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Cache-allocation-technology (CAT) experiment: the modern fix for the
 //! problem the paper measures, validated *with* the paper's instrument.
 //!

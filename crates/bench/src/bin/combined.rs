@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Combined interference vs multiplicative composition.
 //!
 //! The prediction machinery (§I/§VI) assumes storage and bandwidth

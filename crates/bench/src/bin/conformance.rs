@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Conformance driver: differential fuzzing + analytic oracles from the
 //! command line.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Energy cost of interference (the paper's §I power motivation, closed
 //! numerically): the same MCB run under rising interference, accounted
 //! with the event-energy model — slowdowns are also joules.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 1 — the paper's concept figure, reenacted with real measurements:
 //! interfere with increasing fractions of a resource until the
 //! application's performance degrades; the knee reveals its use.

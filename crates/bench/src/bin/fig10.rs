@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 10 — MCB per-process resource consumption vs mapping.
 //!
 //! Derived from the Fig. 9 (top) sweeps: the degradation knee at each

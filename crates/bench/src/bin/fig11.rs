@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 11 — Lulesh performance degradation.
 //!
 //! Top panels: 64-rank Lulesh on the 22³ per-rank domain under mappings

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 12 — Lulesh per-process resource consumption vs mapping.
 //!
 //! Like Fig. 10 but for Lulesh on the 22³ and 36³ domains. Paper: the

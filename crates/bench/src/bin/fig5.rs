@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 5 — validation of the analytic model (Eq. 4).
 //!
 //! For every Table II distribution and a sweep of buffer sizes

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 6 — effective cache capacity under CSThr interference.
 //!
 //! The 660-configuration experiment of §III-C3: probes over 10

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 7 — orthogonality, part 1: BWThr is unaffected by CSThrs.
 //!
 //! One BWThr runs a fixed number of main-loop iterations (the paper uses

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 8 — orthogonality, part 2: CSThr vs 0–5 BWThrs.
 //!
 //! One CSThr performs a fixed number of read+add+write rounds while 0–5

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Fig. 9 — MCB performance degradation.
 //!
 //! Top panels: 24-rank MCB at 20 000 particles under several mappings

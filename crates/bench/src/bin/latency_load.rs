@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Loaded memory latency vs interference level: the latency-under-load
 //! companion to Eq. 1's bandwidth view ("cache misses take longer to
 //! complete" — paper §IV).

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Miss-ratio curves via active measurement, and Hartstein's "is it √2?"
 //! power law (the paper's ref \[9\]) tested on several workloads.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Noise amplification (paper §IV, refs \[11\]\[18\]): interference-induced
 //! jitter is amplified by BSP barriers as ranks multiply.
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Performance prediction for memory-constrained machines (§I, §VI).
 //!
 //! The payoff of Active Measurement: having swept MCB against storage and

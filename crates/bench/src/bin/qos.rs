@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! QoS enforcement experiment: the closed-loop answer to the open-loop
 //! problem the paper measures.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Run the entire reproduction suite, then aggregate every run's manifest
 //! into a cross-experiment comparison report.
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Serve-vs-library round trip: prove the daemon changes *nothing* about
 //! the results while deduplicating work across connections.
 //!

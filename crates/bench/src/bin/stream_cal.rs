@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! STREAM calibration: the paper's "17 GB/s between the L3 cache and
 //! memory according to the STREAM benchmark".
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Table I: the Xeon20MB memory hierarchy (as simulated).
 
 use amem_bench::Harness;

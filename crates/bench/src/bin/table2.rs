@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Table II: the ten memory access distributions, plus the model constant
 //! Σ g(ℓ)² and the Eq. 4 miss-rate prediction at a reference buffer size.
 

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Hierarchy parameter discovery (the paper's related work \[23\]\[24\]):
 //! dependent pointer chases sweep the working set and report each level's
 //! capacity and latency — doubling as a simulator self-check.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-bench — the reproduction harness
 //!
 //! One binary per table/figure of the paper (run them with
@@ -53,7 +54,7 @@
 //! any of this print a `[quality]` summary line and record the counters
 //! in the manifest.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -229,17 +230,6 @@ impl Args {
         self.out.join(format!("{name}.csv"))
     }
 
-    /// Print a table and mirror it to CSV.
-    pub fn emit(&self, name: &str, table: &amem_core::report::Table) {
-        println!("{}", table.render());
-        let path = self.csv(name);
-        if let Err(e) = table.write_csv(&path) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[csv] {}\n", path.display());
-        }
-    }
-
     /// A platform with this invocation's sampling/tracing knobs applied.
     pub fn platform(&self) -> SimPlatform {
         let mut p = SimPlatform::new(self.machine());
@@ -341,6 +331,8 @@ pub struct Harness {
     exec: Arc<Executor>,
     manifest: RunManifest,
     start: Instant,
+    /// Outputs that could not be written; `finish` fails the run on any.
+    failed_writes: Vec<PathBuf>,
 }
 
 impl std::ops::Deref for Harness {
@@ -374,6 +366,7 @@ impl Harness {
             exec,
             manifest,
             start: Instant::now(),
+            failed_writes: Vec::new(),
         }
     }
 
@@ -394,8 +387,22 @@ impl Harness {
 
     /// Print a table, mirror it to CSV, and record it in the manifest.
     pub fn emit(&mut self, name: &str, table: &amem_core::report::Table) {
-        self.args.emit(name, table);
+        println!("{}", table.render());
+        let path = self.args.csv(name);
+        if self.wrote(&path, table.write_csv(&path)) {
+            println!("[csv] {}\n", path.display());
+        }
         self.manifest.tables.push(table.clone());
+    }
+
+    /// Whether an output write succeeded; a failure is reported and
+    /// remembered so [`Harness::finish`] can fail the run.
+    fn wrote(&mut self, path: &Path, result: std::io::Result<()>) -> bool {
+        if let Err(e) = &result {
+            eprintln!("error: could not write {}: {e}", path.display());
+            self.failed_writes.push(path.to_path_buf());
+        }
+        result.is_ok()
     }
 
     /// Record the RNG seed the experiment used.
@@ -441,28 +448,22 @@ impl Harness {
         if let Some(dir) = jsonl.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        match std::fs::write(&jsonl, tel.samples_jsonl()) {
-            Ok(()) => {
-                println!(
-                    "[telemetry] {} ({} samples)",
-                    jsonl.display(),
-                    tel.samples.len()
-                );
-                self.note(format!("telemetry samples: {}", jsonl.display()));
-            }
-            Err(e) => eprintln!("warning: could not write {}: {e}", jsonl.display()),
+        if self.wrote(&jsonl, std::fs::write(&jsonl, tel.samples_jsonl())) {
+            println!(
+                "[telemetry] {} ({} samples)",
+                jsonl.display(),
+                tel.samples.len()
+            );
+            self.note(format!("telemetry samples: {}", jsonl.display()));
         }
-        match std::fs::write(&trace, tel.chrome_trace(freq)) {
-            Ok(()) => {
-                println!(
-                    "[telemetry] {} ({} spans, {} dropped)",
-                    trace.display(),
-                    tel.events.len(),
-                    tel.dropped_events
-                );
-                self.note(format!("chrome trace: {}", trace.display()));
-            }
-            Err(e) => eprintln!("warning: could not write {}: {e}", trace.display()),
+        if self.wrote(&trace, std::fs::write(&trace, tel.chrome_trace(freq))) {
+            println!(
+                "[telemetry] {} ({} spans, {} dropped)",
+                trace.display(),
+                tel.events.len(),
+                tel.dropped_events
+            );
+            self.note(format!("chrome trace: {}", trace.display()));
         }
     }
 
@@ -472,8 +473,21 @@ impl Harness {
     }
 
     /// Stamp the wall time, record the cache counters and write the
-    /// manifest. Returns its path.
-    pub fn finish(mut self) -> PathBuf {
+    /// manifest. Returns its path. Exits non-zero if any output of the run
+    /// (CSV, telemetry, metrics, manifest) could not be written — each is
+    /// named as it fails, and every remaining write is still attempted.
+    pub fn finish(self) -> PathBuf {
+        let (path, failed) = self.write_outputs();
+        if !failed.is_empty() {
+            eprintln!("error: {} output file(s) not written", failed.len());
+            std::process::exit(1);
+        }
+        path
+    }
+
+    /// [`Harness::finish`] up to the exit decision: the manifest path and
+    /// every output path whose write failed.
+    fn write_outputs(mut self) -> (PathBuf, Vec<PathBuf>) {
         self.manifest.wall_seconds = self.start.elapsed().as_secs_f64();
         let stats = self.exec.stats();
         if stats.lookups() > 0 {
@@ -525,13 +539,13 @@ impl Harness {
             if let Some(dir) = prom.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            match std::fs::write(&prom, amem_metrics::export::prometheus_text(&snap)) {
-                Ok(()) => println!(
+            let text = amem_metrics::export::prometheus_text(&snap);
+            if self.wrote(&prom, std::fs::write(&prom, text)) {
+                println!(
                     "[metrics] {} ({} series)",
                     prom.display(),
                     snap.series.len()
-                ),
-                Err(e) => eprintln!("warning: could not write {}: {e}", prom.display()),
+                );
             }
             self.manifest.metrics = Some(snap);
         }
@@ -539,11 +553,10 @@ impl Harness {
             .args
             .out
             .join(format!("{}.manifest.json", self.manifest.name));
-        match self.manifest.write(&path) {
-            Ok(()) => println!("[manifest] {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        if self.wrote(&path, self.manifest.write(&path)) {
+            println!("[manifest] {}", path.display());
         }
-        path
+        (path, self.failed_writes)
     }
 }
 
@@ -662,6 +675,24 @@ mod tests {
         assert!(m.wall_seconds >= 0.0);
         assert!(m.cache.is_some(), "manifests record cache counters");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwritable_out_names_every_failed_output() {
+        // `--out` is a regular file, so nothing can be created under it.
+        let out = std::env::temp_dir().join("amem_harness_out_is_a_file");
+        std::fs::write(&out, b"").unwrap();
+        let args = Args {
+            out: out.clone(),
+            ..Default::default()
+        };
+        let mut h = Harness::with_args("unit_unwritable", args);
+        h.emit("unit_t", &amem_core::report::Table::new("t", &["a"]));
+        let (manifest, failed) = h.write_outputs();
+        // (Plus a `.metrics.prom` when a sibling test turned the gate on.)
+        assert!(failed.contains(&out.join("unit_t.csv")), "{failed:?}");
+        assert!(failed.contains(&manifest), "{failed:?}");
+        let _ = std::fs::remove_file(&out);
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-conformance — does the fast simulator still implement the model?
 //!
 //! The simulator's hot structures ([`amem_sim::cache::Cache`] and friends)

@@ -31,8 +31,7 @@ pub enum AmemError {
     EmptySweep { workload: String },
     /// The measurement cache could not be read or written.
     Cache(String),
-    /// The platform cannot run this workload (e.g. a sim-only workload
-    /// handed to the native platform).
+    /// A request this build cannot honour (e.g. a malformed fault spec).
     Unsupported(String),
     /// A single platform run exceeded its wall-clock budget.
     Timeout { limit_ms: u64 },

@@ -33,8 +33,8 @@
 //!
 //! Caching is *gated on determinism*: a workload without a
 //! [`Workload::cache_key`] or a platform whose
-//! [`Platform::deterministic`] is `false` (the native wall-clock one, or
-//! a [`crate::fault::FaultyPlatform`]) always simulates fresh.
+//! [`Platform::deterministic`] is `false`
+//! (a [`crate::fault::FaultyPlatform`]) always simulates fresh.
 //!
 //! Every fresh measurement runs under the executor's
 //! [`TrialPolicy`]. The default policy is a pass-through — one trial,

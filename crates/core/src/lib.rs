@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-core — the Active Measurement methodology
 //!
 //! The paper's central idea (*Casas & Bronevetsky, IPDPS 2014*): an
@@ -24,8 +25,7 @@
 //! Measurements execute through the [`executor`]: a content-addressed
 //! measurement cache (in-memory + on-disk, schema-versioned) with
 //! in-flight deduplication, sitting on top of the [`platform::Platform`]
-//! trait ([`platform::SimPlatform`] for the simulator,
-//! [`native_platform::NativePlatform`] for real hardware). Failures come
+//! trait ([`platform::SimPlatform`], the simulator). Failures come
 //! back as typed [`error::AmemError`]s. A robustness layer wraps every
 //! run: [`trial::TrialPolicy`] governs repeated trials (MAD outlier
 //! rejection, CI-driven adaptive stopping), retries with backoff, and
@@ -52,7 +52,6 @@ pub mod knee;
 pub mod manifest;
 pub mod mrc;
 pub mod multinode;
-pub mod native_platform;
 pub mod noise;
 pub mod platform;
 pub mod predict;
@@ -71,7 +70,6 @@ pub use fault::{FaultSpec, FaultyPlatform};
 pub use knee::Knee;
 pub use manifest::{RunManifest, SCHEMA_VERSION};
 pub use mrc::MissRatioCurve;
-pub use native_platform::NativePlatform;
 pub use platform::{Measurement, Platform, SimPlatform, Workload};
 pub use predict::DegradationModel;
 pub use sweep::{Sweep, SweepPoint, SweepRequest};

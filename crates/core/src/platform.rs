@@ -3,12 +3,12 @@
 //! A [`Workload`] knows how to instantiate itself as a set of rank streams
 //! on a simulated node given an MPI-style mapping; a [`Platform`] runs it
 //! with a chosen [`InterferenceMix`] on the cores the mapping leaves free
-//! — the physical setup of every experiment in the paper. Two platforms
-//! exist: [`SimPlatform`] (the deterministic simulator) and
-//! [`crate::native_platform::NativePlatform`] (real hardware, wall-clock
-//! timed). Most callers should go through [`crate::executor::Executor`],
-//! which adds content-addressed caching and in-flight deduplication on
-//! top of any platform.
+//! — the physical setup of every experiment in the paper. [`SimPlatform`]
+//! (the deterministic simulator) is the one production platform;
+//! [`crate::fault::FaultyPlatform`] wraps it for fault injection. Most
+//! callers should go through [`crate::executor::Executor`], which adds
+//! content-addressed caching and in-flight deduplication on top of any
+//! platform.
 
 use amem_interfere::InterferenceMix;
 use amem_miniapps::{lulesh, mcb, LuleshCfg, McbCfg};
@@ -41,14 +41,6 @@ pub trait Workload: Sync {
     /// Implementations conventionally return
     /// `"{kind}/{canonical_json(cfg)}"`.
     fn cache_key(&self) -> Option<String> {
-        None
-    }
-
-    /// One native (real-hardware) repetition of the workload, when it can
-    /// run outside the simulator. `None` (the default) means sim-only;
-    /// the native platform refuses such workloads with
-    /// [`AmemError::Unsupported`].
-    fn native_body(&self) -> Option<Box<dyn FnMut() + '_>> {
         None
     }
 }
@@ -176,7 +168,7 @@ pub trait Platform: Send + Sync {
 
     /// Whether identical requests produce identical measurements. The
     /// executor only caches measurements from deterministic platforms;
-    /// wall-clock platforms must return `false`.
+    /// a platform whose results vary run to run must return `false`.
     fn deterministic(&self) -> bool {
         true
     }
@@ -486,7 +478,6 @@ mod tests {
         });
         assert_ne!(k, other.cache_key().unwrap());
         assert_eq!(k, tiny_mcb().cache_key().unwrap());
-        assert!(w.native_body().is_none(), "sim workloads are sim-only");
     }
 
     #[test]

@@ -162,19 +162,6 @@ impl TrialSummary {
     }
 }
 
-/// Median of the finite entries of `xs`, or `None` when no entry is
-/// finite. NaN and ±inf are screened, never compared — this is the
-/// total-order replacement for the `partial_cmp(..).unwrap()` sort that
-/// used to panic the native platform on a single NaN timing.
-pub fn finite_median(xs: &[f64]) -> Option<f64> {
-    let mut finite: Vec<f64> = xs.iter().copied().filter(|x| x.is_finite()).collect();
-    if finite.is_empty() {
-        return None;
-    }
-    finite.sort_unstable_by(f64::total_cmp);
-    Some(finite[(finite.len() - 1) / 2])
-}
-
 /// Aggregate trial samples: screen non-finite values, reject MAD
 /// outliers, and summarize the survivors. Returns `None` when no sample
 /// is finite. For any finite input set every summary statistic is
@@ -328,14 +315,6 @@ mod tests {
         assert_eq!(p.backoff_before(2).as_millis(), 20);
         assert_eq!(p.backoff_before(3).as_millis(), 40);
         assert_eq!(p.backoff_before(100).as_millis(), 640, "capped at 64x");
-    }
-
-    #[test]
-    fn finite_median_screens_nan() {
-        assert_eq!(finite_median(&[3.0, f64::NAN, 1.0, 2.0]), Some(2.0));
-        assert_eq!(finite_median(&[f64::NAN, f64::INFINITY]), None);
-        assert_eq!(finite_median(&[]), None);
-        assert_eq!(finite_median(&[5.0]), Some(5.0));
     }
 
     #[test]

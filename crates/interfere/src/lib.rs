@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-interfere — the paper's interference threads
 //!
 //! Implements the two interference workloads of *Casas & Bronevetsky,
@@ -13,12 +14,9 @@
 //!   size, denying that capacity to co-running applications while using
 //!   almost no memory bandwidth.
 //!
-//! Both exist in two forms:
-//!
-//! * **Simulator streams** implementing [`amem_sim::AccessStream`], used by
-//!   every reproduction experiment (deterministic), and
-//! * **Native threads** ([`native`]) that hammer real memory on the host —
-//!   the deployable form of the paper's tool.
+//! Both are deterministic simulator streams ([`amem_sim::AccessStream`]),
+//! used by every reproduction experiment; `examples/native_interference.rs`
+//! runs the same two loop bodies as real host threads.
 //!
 //! [`spec::InterferenceSpec`] describes "k storage threads" / "k bandwidth
 //! threads" abstractly and places them on free cores; [`calibrate`]
@@ -29,7 +27,6 @@ pub mod bw;
 pub mod calibrate;
 pub mod cs;
 pub mod latency;
-pub mod native;
 pub mod spec;
 
 pub use bw::{BwThread, BwThreadCfg};

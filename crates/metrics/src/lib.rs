@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-metrics — gated, label-aware metrics for the active-mem workspace
 //!
 //! The measurement methodology (Casas & Bronevetsky, IPDPS 2014) is itself a

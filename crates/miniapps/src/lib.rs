@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-miniapps — the paper's application proxies
 //!
 //! §IV of *Casas & Bronevetsky, IPDPS 2014* studies two LLNL codes:

@@ -78,8 +78,8 @@ pub fn expected_miss_rate(cache_lines: u64, ssq: f64) -> f64 {
 
 /// Extension: per-line presence probability bounded at 1
 /// (`EHR = Σ g·min(1, C·g)`), which fixes the over-prediction Eq. 4
-/// suffers for strongly concentrated distributions. Used in the model
-/// ablation bench, not in the paper-faithful figures.
+/// suffers for strongly concentrated distributions. Not used by the
+/// paper-faithful figures.
 pub fn expected_hit_rate_clamped(cache_lines: u64, masses: &[f64]) -> f64 {
     let c = cache_lines as f64;
     // The capacity used by saturated lines (presence = 1) is unavailable

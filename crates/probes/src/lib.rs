@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-probes — synthetic benchmarks with analytically known hit rates
 //!
 //! Implements §III-C of *Casas & Bronevetsky, IPDPS 2014*:

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # amem-qos — online slowdown estimation and QoS enforcement
 //!
 //! The paper's measurement basis (shared-cache storage, memory

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! CLI client for the measurement daemon.
 //!
 //! ```text

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! The measurement daemon.
 //!
 //! ```text

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `amem-serve` — a sharded measurement service over the executor.
 //!
 //! The paper's workflow (Casas & Bronevetsky, IPDPS 2014) assumes one

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # active-mem — Active Measurement of Memory Resource Consumption
 //!
 //! Facade crate re-exporting the whole workspace: a reproduction of
