@@ -29,7 +29,9 @@
 
 use std::process::ExitCode;
 
-use amem_conformance::curves::{check_curve_case, gen_curve_case, CurveDivergence};
+use amem_conformance::curves::{
+    check_curve_case, check_wide_curve_case, gen_curve_case, CurveDivergence,
+};
 use amem_conformance::fuzz::{
     check_case, check_pingpong_case, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
     reproducer_dir, sabotage, write_reproducer, Divergence, TraceCase,
@@ -185,6 +187,8 @@ fn main() -> ExitCode {
             .map(|seed| check_curve_case(seed, &gen_curve_case(seed, args.ops)).err())
             .collect::<Vec<Option<CurveDivergence>>, _>()
             .into_iter()
+            // Plus the one case wider than a table page and a slot window.
+            .chain([check_wide_curve_case(args.seeds).err()])
             .flatten()
             .collect();
         println!(

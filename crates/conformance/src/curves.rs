@@ -1,7 +1,7 @@
 //! Lockstep conformance of the single-pass curve engine.
 //!
 //! The miss-rate-curve fast path ([`amem_sim::stackdist`]) claims that
-//! one Bennett–Kruskal traversal reproduces, at every capacity at once,
+//! one stack-distance traversal reproduces, at every capacity at once,
 //! what the reference cache would measure point by point. This module
 //! holds it to that claim the same way [`crate::fuzz`] holds the SoA
 //! cache to the reference cache: seeded deterministic traces, replayed
@@ -85,8 +85,11 @@ fn universe(seed: u64) -> u64 {
 /// hot set revisited often (the deep-reuse best case), with the
 /// warm/measure mark placed at 30%.
 pub fn gen_curve_case(seed: u64, accesses: usize) -> LineTrace {
+    gen_case_over(seed, accesses, universe(seed))
+}
+
+fn gen_case_over(seed: u64, accesses: usize, u: u64) -> LineTrace {
     let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC0_FFEE);
-    let u = universe(seed);
     let mut lines = Vec::with_capacity(accesses);
     while lines.len() < accesses {
         match rng.below(3) {
@@ -123,7 +126,30 @@ pub fn gen_curve_case(seed: u64, accesses: usize) -> LineTrace {
 /// divergent point.
 pub fn check_curve_case(seed: u64, trace: &LineTrace) -> Result<(), CurveDivergence> {
     let hist = StackDistHistogram::compute(trace, 1.0);
-    for cap in 0..=(hist.distinct_lines + 4) {
+    check_capacities(seed, trace, &hist, 0..=hist.distinct_lines + 4)
+}
+
+/// The one wide case: a universe past the engine's first table page and
+/// first slot window (both 4096), so page allocation, window growth and
+/// compaction are all on the locked-step path. The reference cache costs
+/// `O(capacity)` an access, so it is held at the capacities around the
+/// engine's block, page and footprint edges instead of at every one.
+pub fn check_wide_curve_case(seed: u64) -> Result<(), CurveDivergence> {
+    let trace = gen_case_over(seed, 30_000, 5000);
+    let hist = StackDistHistogram::compute(&trace, 1.0);
+    let d = hist.distinct_lines;
+    assert!(d > 4096, "the wide case must leave the first page: {d}");
+    let edges = [0, 1, 64, 512, 513, 4096, 4097, d - 1, d, d + 1];
+    check_capacities(seed, &trace, &hist, edges)
+}
+
+fn check_capacities(
+    seed: u64,
+    trace: &LineTrace,
+    hist: &StackDistHistogram,
+    capacities: impl IntoIterator<Item = u64>,
+) -> Result<(), CurveDivergence> {
+    for cap in capacities {
         let fast = hist.miss_rate_at_lines(cap);
         let slow = reference_miss_rate(trace, cap as u32);
         if (fast - slow).abs() > 1e-12 {
@@ -148,6 +174,11 @@ mod tests {
             let t = gen_curve_case(seed, 800);
             check_curve_case(seed, &t).unwrap_or_else(|d| panic!("{}", d.describe()));
         }
+    }
+
+    #[test]
+    fn wide_case_locksteps_past_one_page_and_one_window() {
+        check_wide_curve_case(1).unwrap_or_else(|d| panic!("{}", d.describe()));
     }
 
     #[test]

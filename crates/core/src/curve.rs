@@ -13,10 +13,10 @@
 //!
 //! Two modes ([`CurveMode`]):
 //!
-//! * `Exact` — full trace, exact Bennett–Kruskal pass. Deterministic and
+//! * `Exact` — full stream, exact stack distances. Deterministic and
 //!   bit-stable; the conformance lockstep suite proves it equal to naive
 //!   per-point fully-associative LRU simulation.
-//! * `Sampled { rate }` — Examem-style spatial sampling: the trace is
+//! * `Sampled { rate }` — Examem-style spatial sampling: the stream is
 //!   generated directly from the conditional distribution over a
 //!   hash-sampled subset of lines ([`amem_probes::trace`]), shrinking
 //!   both generation and traversal cost by ~`rate` end to end. The
@@ -24,10 +24,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::AmemError;
 use crate::mrc::MissRatioCurve;
 use amem_probes::dist::AccessDist;
 use amem_probes::probe::ProbeCfg;
-use amem_sim::stackdist::StackDistHistogram;
+use amem_probes::trace;
 
 /// Version of the curve serde/cache-entry format. Bump to orphan stale
 /// curve entries; per-point measurement entries are versioned separately
@@ -152,34 +153,53 @@ impl CurveRequest {
         }
     }
 
+    /// Reject a request the pass cannot honour, naming the field, before
+    /// any work is done on it.
+    fn validate(&self) -> Result<(), AmemError> {
+        let reject = |what: String| Err(AmemError::Unsupported(format!("curve request: {what}")));
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 4 {
+            return reject(format!(
+                "line_bytes {} is not a power of two >= 4",
+                self.line_bytes
+            ));
+        }
+        if self.buffer_bytes < 4 {
+            return reject(format!(
+                "buffer_bytes {} holds no 4-byte element",
+                self.buffer_bytes
+            ));
+        }
+        if let CurveMode::Sampled { rate } = self.mode {
+            if !(rate > 0.0 && rate <= 1.0) {
+                return reject(format!("mode sample rate {rate} is not in (0, 1]"));
+            }
+        }
+        if self.capacities_lines.is_empty() {
+            return reject("capacities_lines is empty".into());
+        }
+        Ok(())
+    }
+
     /// Run the single-pass engine. Pure CPU work — no simulator machine
-    /// is built, so the result is independent of the execution platform.
-    /// Sampled mode falls back to exact when the buffer is too small to
-    /// sample (the quality block then reports `rate_actual = 1.0`).
-    pub fn compute(&self) -> MissRatioCurve {
+    /// is built, so the result is independent of the execution platform —
+    /// and streaming: the probe's line sequence goes straight into the
+    /// stack-distance pass, no trace is held. Sampled mode falls back to
+    /// exact when the buffer is too small to sample (the quality block
+    /// then reports `rate_actual = 1.0`).
+    pub fn compute(&self) -> Result<MissRatioCurve, AmemError> {
+        self.validate()?;
         let _pass = amem_metrics::phase("curve_pass");
         let probe = self.probe_cfg();
-        let (trace, rate, nominal) = match self.mode {
-            CurveMode::Exact => (
-                amem_probes::trace::line_trace(&probe, self.line_bytes),
-                1.0,
-                None,
-            ),
-            CurveMode::Sampled { rate } => {
-                match amem_probes::trace::sampled_line_trace(&probe, self.line_bytes, rate) {
-                    Some((t, actual)) => (t, actual, Some(rate)),
-                    None => (
-                        amem_probes::trace::line_trace(&probe, self.line_bytes),
-                        1.0,
-                        Some(rate),
-                    ),
-                }
-            }
+        let sampled = match self.mode {
+            CurveMode::Exact => None,
+            CurveMode::Sampled { rate } => trace::sampled_lines(&probe, self.line_bytes, rate),
         };
-        let hist = StackDistHistogram::compute(&trace, rate);
+        let (stream, rate) =
+            sampled.unwrap_or_else(|| (trace::lines(&probe, self.line_bytes), 1.0));
+        let hist = stream.histogram(rate);
         let mut curve =
             MissRatioCurve::from_stack_distances(&hist, &self.capacities_lines, self.line_bytes);
-        if let Some(rate_nominal) = nominal {
+        if let CurveMode::Sampled { rate: rate_nominal } = self.mode {
             curve.quality = Some(CurveQuality {
                 rate_nominal,
                 rate_actual: rate,
@@ -187,7 +207,7 @@ impl CurveRequest {
                 max_ci95: hist.max_ci95(),
             });
         }
-        curve
+        Ok(curve)
     }
 }
 
@@ -279,7 +299,7 @@ mod tests {
 
     #[test]
     fn exact_curve_is_monotone_and_unqualified() {
-        let c = request(CurveMode::Exact).compute();
+        let c = request(CurveMode::Exact).compute().unwrap();
         assert!(c.quality.is_none());
         assert_eq!(c.schema_version, CURVE_SCHEMA_VERSION);
         assert_eq!(c.points.len(), 5);
@@ -290,8 +310,10 @@ mod tests {
 
     #[test]
     fn sampled_curve_carries_quality_and_tracks_exact() {
-        let exact = request(CurveMode::Exact).compute();
-        let sampled = request(CurveMode::Sampled { rate: 0.05 }).compute();
+        let exact = request(CurveMode::Exact).compute().unwrap();
+        let sampled = request(CurveMode::Sampled { rate: 0.05 })
+            .compute()
+            .unwrap();
         let q = sampled.quality.expect("sampled curves carry quality");
         assert_eq!(q.rate_nominal, 0.05);
         assert!(q.rate_actual > 0.0 && q.rate_actual < 1.0);
@@ -309,13 +331,83 @@ mod tests {
     }
 
     #[test]
+    fn streaming_pass_equals_the_materialised_trace_route() {
+        // The curve path holds no trace; collecting the same stream and
+        // running the pass over the trace must give the same JSON.
+        use amem_probes::trace::{line_trace, sampled_line_trace};
+        use amem_sim::stackdist::StackDistHistogram;
+        for mode in [CurveMode::Exact, CurveMode::Sampled { rate: 0.1 }] {
+            let req = request(mode);
+            let probe = req.probe_cfg();
+            let (trace, rate) = match mode {
+                CurveMode::Exact => (line_trace(&probe, 64), 1.0),
+                CurveMode::Sampled { rate } => sampled_line_trace(&probe, 64, rate).unwrap(),
+            };
+            let hist = StackDistHistogram::compute(&trace, rate);
+            let mut want = MissRatioCurve::from_stack_distances(&hist, &req.capacities_lines, 64);
+            if let CurveMode::Sampled { rate: rate_nominal } = mode {
+                want.quality = Some(CurveQuality {
+                    rate_nominal,
+                    rate_actual: rate,
+                    sampled_accesses: hist.measured,
+                    max_ci95: hist.max_ci95(),
+                });
+            }
+            assert_eq!(
+                serde_json::to_string(&req.compute().unwrap()).unwrap(),
+                serde_json::to_string(&want).unwrap(),
+                "{mode:?}"
+            );
+        }
+    }
+
+    /// `run_curve` on a request with one field broken: the typed refusal.
+    fn refusal(broken: impl FnOnce(&mut CurveRequest)) -> String {
+        use crate::platform::SimPlatform;
+        let mut req = request(CurveMode::Exact);
+        broken(&mut req);
+        let exec = crate::Executor::memory_only(SimPlatform::new(
+            amem_sim::MachineConfig::xeon20mb().scaled(0.0625),
+        ));
+        match exec.run_curve(&req) {
+            Err(AmemError::Unsupported(msg)) => msg,
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_line_bytes_is_refused_typed() {
+        assert!(refusal(|r| r.line_bytes = 48).contains("line_bytes 48"));
+        assert!(refusal(|r| r.line_bytes = 2).contains("line_bytes 2"));
+        assert!(refusal(|r| r.line_bytes = 0).contains("line_bytes 0"));
+    }
+
+    #[test]
+    fn buffer_below_one_element_is_refused_typed() {
+        assert!(refusal(|r| r.buffer_bytes = 3).contains("buffer_bytes 3"));
+    }
+
+    #[test]
+    fn sample_rate_outside_unit_interval_is_refused_typed() {
+        for rate in [0.0, -0.5, 1.5, f64::NAN] {
+            let msg = refusal(|r| r.mode = CurveMode::Sampled { rate });
+            assert!(msg.contains("sample rate"), "{rate}: {msg}");
+        }
+    }
+
+    #[test]
+    fn empty_capacity_list_is_refused_typed() {
+        assert!(refusal(|r| r.capacities_lines.clear()).contains("capacities_lines"));
+    }
+
+    #[test]
     fn tiny_buffer_sampled_falls_back_to_exact() {
         let mut r = request(CurveMode::Sampled { rate: 0.001 });
         r.buffer_bytes = 256;
         r.warm_accesses = 100;
         r.measure_accesses = 100;
         r.capacities_lines = vec![1, 2, 4];
-        let c = r.compute();
+        let c = r.compute().unwrap();
         let q = c.quality.expect("fallback still reports quality");
         assert_eq!(q.rate_actual, 1.0);
         assert_eq!(q.max_ci95, 0.0);
@@ -335,7 +427,7 @@ mod tests {
 
     #[test]
     fn curve_serde_roundtrip_and_legacy_default() {
-        let c = request(CurveMode::Sampled { rate: 0.1 }).compute();
+        let c = request(CurveMode::Sampled { rate: 0.1 }).compute().unwrap();
         let json = serde_json::to_string(&c).unwrap();
         let back: MissRatioCurve = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);

@@ -678,15 +678,18 @@ impl Executor {
     }
 }
 
-/// Run the curve pass with panics converted into typed errors, so a
-/// malformed request can never wedge deduplicated waiters.
+/// Run the curve pass. A malformed request is refused typed by
+/// [`CurveRequest::compute`] itself; a panic past that check is a bug,
+/// converted here so it can never wedge deduplicated waiters.
 fn compute_curve_caught(req: &CurveRequest) -> Result<MissRatioCurve, AmemError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| req.compute())).map_err(|payload| {
-        AmemError::Flaky {
-            attempts: 1,
-            last: format!("curve pass panicked: {}", panic_message(&payload)),
-        }
-    })
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| req.compute())).unwrap_or_else(
+        |payload| {
+            Err(AmemError::Flaky {
+                attempts: 1,
+                last: format!("curve pass panicked: {}", panic_message(&payload)),
+            })
+        },
+    )
 }
 
 /// Reject a measurement whose headline statistic (execution time, the

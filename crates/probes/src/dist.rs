@@ -96,15 +96,18 @@ impl AccessDist {
     /// CDF truncated (re-normalized) to [0, 1]: `cdf(0) = 0`, `cdf(1) = 1`.
     /// This is the distribution the benchmark actually samples from.
     pub fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        if x >= 1.0 {
-            return 1.0;
-        }
+        self.truncated().cdf(x)
+    }
+
+    /// The truncated CDF with its two normalisation constants evaluated
+    /// once, for callers that evaluate it at many points.
+    pub(crate) fn truncated(&self) -> TruncatedCdf {
         let lo = self.raw_cdf(0.0);
-        let hi = self.raw_cdf(1.0);
-        ((self.raw_cdf(x) - lo) / (hi - lo)).clamp(0.0, 1.0)
+        TruncatedCdf {
+            dist: *self,
+            lo,
+            span: self.raw_cdf(1.0) - lo,
+        }
     }
 
     /// Sample a position in [0, 1).
@@ -183,6 +186,27 @@ impl AccessDist {
                 (sigma * sigma + between).sqrt()
             }
         }
+    }
+}
+
+/// [`AccessDist::cdf`] with `raw_cdf(0)` and `raw_cdf(1) − raw_cdf(0)`
+/// held, so each evaluation costs one `raw_cdf`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TruncatedCdf {
+    dist: AccessDist,
+    lo: f64,
+    span: f64,
+}
+
+impl TruncatedCdf {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
+        }
+        if x >= 1.0 {
+            return 1.0;
+        }
+        ((self.dist.raw_cdf(x) - self.lo) / self.span).clamp(0.0, 1.0)
     }
 }
 
@@ -304,6 +328,23 @@ mod tests {
                 let c = d.cdf(x);
                 assert!(c >= prev - 1e-12, "{} not monotone at {x}", nd.name);
                 prev = c;
+            }
+        }
+    }
+
+    #[test]
+    fn held_truncation_constants_do_not_move_a_bit() {
+        // `truncated()` evaluates raw_cdf(0) and raw_cdf(1) once; every
+        // value must be the float the per-call derivation gives.
+        for nd in table2().into_iter().chain(extensions()) {
+            let d = nd.dist;
+            let held = d.truncated();
+            for i in 1..4096 {
+                let x = i as f64 / 4096.0;
+                let (lo, hi) = (d.raw_cdf(0.0), d.raw_cdf(1.0));
+                let want = ((d.raw_cdf(x) - lo) / (hi - lo)).clamp(0.0, 1.0);
+                assert_eq!(held.cdf(x).to_bits(), want.to_bits(), "{} at {x}", nd.name);
+                assert_eq!(d.cdf(x).to_bits(), want.to_bits(), "{} at {x}", nd.name);
             }
         }
     }

@@ -32,23 +32,35 @@
 use crate::dist::AccessDist;
 
 /// Per-line access masses `g(ℓ)` for a buffer of `buffer_bytes` holding
-/// `elem_bytes`-sized elements packed into `line_bytes` lines.
+/// `elem_bytes`-sized elements packed into `line_bytes` lines, in line
+/// order: `cdf(hi) − cdf(lo)` per line, where a line's `hi` is the next
+/// one's `lo`, so each line costs one CDF evaluation.
+pub(crate) fn line_mass_iter(
+    dist: &AccessDist,
+    buffer_bytes: u64,
+    elem_bytes: u64,
+    line_bytes: u64,
+) -> impl Iterator<Item = f64> {
+    assert!(elem_bytes > 0 && line_bytes >= elem_bytes);
+    let cdf = dist.truncated();
+    let total = buffer_bytes as f64;
+    let mut below = cdf.cdf(0.0);
+    (1..=buffer_bytes.div_ceil(line_bytes)).map(move |l| {
+        let upto = cdf.cdf((l * line_bytes).min(buffer_bytes) as f64 / total);
+        let mass = upto - below;
+        below = upto;
+        mass
+    })
+}
+
+/// [`line_mass_iter`], collected.
 pub fn line_masses(
     dist: &AccessDist,
     buffer_bytes: u64,
     elem_bytes: u64,
     line_bytes: u64,
 ) -> Vec<f64> {
-    assert!(elem_bytes > 0 && line_bytes >= elem_bytes);
-    let n_lines = buffer_bytes.div_ceil(line_bytes);
-    let total = buffer_bytes as f64;
-    (0..n_lines)
-        .map(|l| {
-            let lo = (l * line_bytes) as f64 / total;
-            let hi = (((l + 1) * line_bytes).min(buffer_bytes)) as f64 / total;
-            dist.cdf(hi) - dist.cdf(lo)
-        })
-        .collect()
+    line_mass_iter(dist, buffer_bytes, elem_bytes, line_bytes).collect()
 }
 
 /// `Σ g(ℓ)²` — the distribution-dependent constant of Eq. 4.
@@ -58,8 +70,7 @@ pub fn sum_sq_line_mass(
     elem_bytes: u64,
     line_bytes: u64,
 ) -> f64 {
-    line_masses(dist, buffer_bytes, elem_bytes, line_bytes)
-        .iter()
+    line_mass_iter(dist, buffer_bytes, elem_bytes, line_bytes)
         .map(|g| g * g)
         .sum()
 }
@@ -212,6 +223,30 @@ mod tests {
         let paper = expected_hit_rate(cache_lines, ssq);
         let clamped = expected_hit_rate_clamped(cache_lines, &masses);
         assert!((paper - clamped).abs() < 1e-9);
+    }
+
+    #[test]
+    fn masses_are_bit_equal_to_per_line_cdf_differences() {
+        // One CDF evaluation per line, carried, must be the same floats
+        // as evaluating both ends of every line — including a buffer
+        // whose last line is partial.
+        use crate::dist::extensions;
+        for nd in table2().into_iter().chain(extensions()) {
+            for buffer in [2 * MB, 3 * MB + 512 * 1024, 1000 * 1000 + 36] {
+                let total = buffer as f64;
+                let masses = line_masses(&nd.dist, buffer, 4, 64);
+                assert_eq!(masses.len() as u64, buffer.div_ceil(64));
+                for (l, g) in masses.iter().enumerate() {
+                    let lo = (l as u64 * 64) as f64 / total;
+                    let hi = ((l as u64 + 1) * 64).min(buffer) as f64 / total;
+                    let want = nd.dist.cdf(hi) - nd.dist.cdf(lo);
+                    assert_eq!(g.to_bits(), want.to_bits(), "{} line {l}", nd.name);
+                }
+                let ssq: f64 = masses.iter().map(|g| g * g).sum();
+                let folded = sum_sq_line_mass(&nd.dist, buffer, 4, 64);
+                assert_eq!(folded.to_bits(), ssq.to_bits(), "{}", nd.name);
+            }
+        }
     }
 
     #[test]

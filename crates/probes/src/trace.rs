@@ -2,72 +2,170 @@
 //!
 //! The single-pass curve engine needs the probe's *cache-line reference
 //! sequence*, not its timing: which line each load touches, in order,
-//! with the warm-up/measure boundary. Two generators supply it:
+//! with the warm-up/measure boundary. [`LineStream`] generates it one
+//! line at a time, in two flavours:
 //!
-//! * [`line_trace`] replays the exact `ProbeStream` RNG sequence at line
+//! * [`lines`] replays the exact `ProbeStream` RNG sequence at line
 //!   granularity — same seed, same `sample_index` calls, so the line
 //!   sequence is bit-identical to what a simulated run would issue
 //!   (`Compute` ops never touch memory and the probe buffer is
 //!   page-aligned, so relative line ids carry all the information).
-//! * [`sampled_line_trace`] is the ~10×-cheaper Examem-style mode. It
+//! * [`sampled_lines`] is the ~10×-cheaper Examem-style mode. It
 //!   exploits that probe accesses are i.i.d.: the subsequence restricted
 //!   to a hash-sampled subset of lines is itself i.i.d. from the
 //!   conditional distribution over those lines. So instead of generating
 //!   the full stream and filtering (which would leave generation cost
 //!   dominating), it draws the short sub-stream *directly* from the
 //!   conditional CDF — cost scales with the sampling rate end to end.
+//!
+//! The curve path feeds a stream straight into the stack-distance engine
+//! ([`LineStream::histogram`]) and never holds a trace; [`line_trace`] and
+//! [`sampled_line_trace`] collect the same streams for callers that want
+//! the sequence itself.
 
 use amem_sim::rng::Xoshiro256;
-use amem_sim::stackdist::{line_sampled, LineTrace};
+use amem_sim::stackdist::{line_sampled, LineTrace, StackDist, StackDistHistogram};
+use amem_sim::stream::OP_BATCH;
 
+use crate::dist::AccessDist;
 use crate::ehr;
 use crate::probe::ProbeCfg;
 
-/// The probe's relative-line access trace: `warm + measure` draws from
-/// `cfg.dist`, mapped to line ids, mark at the warm/measure boundary.
+/// How a [`LineStream`] turns one RNG draw into a line id.
+enum Draw {
+    /// `dist.sample_index` over `elems` elements, `1 << shift` per line.
+    Exact {
+        dist: AccessDist,
+        elems: u64,
+        shift: u32,
+    },
+    /// Inverse of the conditional CDF over the sampled `lines` (`cum` is
+    /// their running mass, `cum.last() == mass`).
+    Sampled {
+        lines: Vec<u64>,
+        cum: Vec<f64>,
+        mass: f64,
+    },
+}
+
+/// The probe's relative-line reference sequence: `warm` warm-up accesses,
+/// then the measured ones. Resumable at any point — it is an iterator.
+pub struct LineStream {
+    rng: Xoshiro256,
+    draw: Draw,
+    /// Accesses before the mark, in total, and issued so far.
+    warm: u64,
+    len: u64,
+    pos: u64,
+}
+
+impl LineStream {
+    /// Drain the stream into the stack-distance engine. `rate` is the
+    /// line-sampling rate the stream was built with (1.0 for [`lines`]).
+    pub fn histogram(mut self, rate: f64) -> StackDistHistogram {
+        let mut pass = StackDist::new();
+        let mut at = self.pos;
+        // In batches: the generator (float math, rejection loops) and the
+        // pass (dependent loads) each run tighter alone than interleaved
+        // access by access — 43 against 62 ns per access, end to end.
+        let mut batch = [0u64; OP_BATCH];
+        loop {
+            let mut n = 0;
+            for (slot, line) in batch.iter_mut().zip(self.by_ref()) {
+                *slot = line;
+                n += 1;
+            }
+            if n == 0 {
+                return pass.finish(rate);
+            }
+            for &line in &batch[..n] {
+                pass.access(line, at >= self.warm);
+                at += 1;
+            }
+        }
+    }
+
+    /// Collect the stream (from its start) into a trace.
+    fn into_trace(self) -> LineTrace {
+        LineTrace {
+            mark: self.warm as usize,
+            lines: self.collect(),
+        }
+    }
+}
+
+impl Iterator for LineStream {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.pos == self.len {
+            return None;
+        }
+        self.pos += 1;
+        Some(match &self.draw {
+            Draw::Exact { dist, elems, shift } => dist.sample_index(&mut self.rng, *elems) >> shift,
+            Draw::Sampled { lines, cum, mass } => {
+                let u = self.rng.next_f64() * mass;
+                lines[cum.partition_point(|&c| c <= u).min(lines.len() - 1)]
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.len - self.pos) as usize;
+        (left, Some(left))
+    }
+}
+
+/// The probe's relative-line access stream: `warm + measure` draws from
+/// `cfg.dist`, mapped to line ids.
 ///
 /// Uses the same seed and the same `sample_index` call sequence as
 /// [`crate::probe::ProbeStream`], so line ids here equal the stream's
 /// `(addr - base) >> log2(line_bytes)` exactly.
-pub fn line_trace(cfg: &ProbeCfg, line_bytes: u64) -> LineTrace {
+pub fn lines(cfg: &ProbeCfg, line_bytes: u64) -> LineStream {
     assert!(line_bytes.is_power_of_two() && line_bytes >= 4);
     let elems = cfg.buffer_bytes / 4;
     assert!(elems > 0, "buffer must hold at least one element");
-    let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-    let total = cfg.warm_accesses + cfg.measure_accesses;
-    let shift = (line_bytes / 4).trailing_zeros(); // elems per line, log2
-    let mut lines = Vec::with_capacity(total as usize);
-    for _ in 0..total {
-        let idx = cfg.dist.sample_index(&mut rng, elems);
-        lines.push(idx >> shift);
-    }
-    LineTrace {
-        lines,
-        mark: cfg.warm_accesses as usize,
+    LineStream {
+        rng: Xoshiro256::seed_from_u64(cfg.seed),
+        draw: Draw::Exact {
+            dist: cfg.dist,
+            elems,
+            shift: (line_bytes / 4).trailing_zeros(), // elems per line, log2
+        },
+        warm: cfg.warm_accesses,
+        len: cfg.warm_accesses + cfg.measure_accesses,
+        pos: 0,
     }
 }
 
-/// Direct generation of the spatially-sampled sub-trace at `rate`.
+/// [`lines`], collected: mark at the warm/measure boundary.
+pub fn line_trace(cfg: &ProbeCfg, line_bytes: u64) -> LineTrace {
+    lines(cfg, line_bytes).into_trace()
+}
+
+/// Direct generation of the spatially-sampled sub-stream at `rate`.
 ///
 /// Lines are selected by the same stateless hash as
 /// [`amem_sim::stackdist::line_sampled`]; the sub-stream length is the
 /// expected number of accesses landing on sampled lines, and each draw
 /// inverts the conditional CDF over the sampled lines (binary search).
-/// Returns the sub-trace plus the *actual* fraction of distinct lines
+/// Returns the sub-stream plus the *actual* fraction of distinct lines
 /// sampled (the distance scaling factor), or `None` when fewer than two
 /// lines survive — callers should fall back to exact mode then.
-pub fn sampled_line_trace(cfg: &ProbeCfg, line_bytes: u64, rate: f64) -> Option<(LineTrace, f64)> {
+pub fn sampled_lines(cfg: &ProbeCfg, line_bytes: u64, rate: f64) -> Option<(LineStream, f64)> {
     assert!(rate > 0.0 && rate <= 1.0, "sample rate must be in (0, 1]");
-    let masses = ehr::line_masses(&cfg.dist, cfg.buffer_bytes, 4, line_bytes);
-    let n_lines = masses.len() as u64;
     // Cumulative mass over the sampled lines only.
     let mut sampled: Vec<u64> = Vec::new();
     let mut cum: Vec<f64> = Vec::new();
     let mut p_s = 0.0f64;
-    for (l, &m) in masses.iter().enumerate() {
-        if line_sampled(l as u64, rate) {
+    let n_lines = cfg.buffer_bytes.div_ceil(line_bytes);
+    let masses = ehr::line_mass_iter(&cfg.dist, cfg.buffer_bytes, 4, line_bytes);
+    for (l, m) in (0..n_lines).zip(masses) {
+        if line_sampled(l, rate) {
             p_s += m;
-            sampled.push(l as u64);
+            sampled.push(l);
             cum.push(p_s);
         }
     }
@@ -79,20 +177,23 @@ pub fn sampled_line_trace(cfg: &ProbeCfg, line_bytes: u64, rate: f64) -> Option<
     // sub-stream keeps the expected count from each phase.
     let warm = (cfg.warm_accesses as f64 * p_s).round() as u64;
     let measure = ((cfg.measure_accesses as f64 * p_s).round() as u64).max(1);
-    let mut rng = Xoshiro256::seed_from_u64(cfg.seed);
-    let mut lines = Vec::with_capacity((warm + measure) as usize);
-    for _ in 0..warm + measure {
-        let u = rng.next_f64() * p_s;
-        let i = cum.partition_point(|&c| c <= u).min(sampled.len() - 1);
-        lines.push(sampled[i]);
-    }
-    Some((
-        LineTrace {
-            lines,
-            mark: warm as usize,
+    let stream = LineStream {
+        rng: Xoshiro256::seed_from_u64(cfg.seed),
+        draw: Draw::Sampled {
+            lines: sampled,
+            cum,
+            mass: p_s,
         },
-        actual_rate,
-    ))
+        warm,
+        len: warm + measure,
+        pos: 0,
+    };
+    Some((stream, actual_rate))
+}
+
+/// [`sampled_lines`], collected.
+pub fn sampled_line_trace(cfg: &ProbeCfg, line_bytes: u64, rate: f64) -> Option<(LineTrace, f64)> {
+    sampled_lines(cfg, line_bytes, rate).map(|(s, actual)| (s.into_trace(), actual))
 }
 
 #[cfg(test)]
@@ -143,6 +244,41 @@ mod tests {
         assert_eq!(t.lines, rel);
         assert_eq!(t.mark, mark_at);
         assert_eq!(t.mark, 500);
+    }
+
+    #[test]
+    fn streams_are_resumable_and_equal_their_collected_traces() {
+        // Pulling a stream in pieces of any size and feeding the engine
+        // piecewise gives the histogram of the one-shot pass and of the
+        // collected trace: 16384 lines, several window compactions.
+        let cfg = probe(
+            AccessDist::Exponential { rate: 4.0 },
+            1 << 20,
+            30_000,
+            30_000,
+        );
+        let streams: [(&dyn Fn() -> LineStream, f64); 2] = [
+            (&|| lines(&cfg, 64), 1.0),
+            (&|| sampled_lines(&cfg, 64, 0.1).unwrap().0, 0.1),
+        ];
+        for (make, rate) in streams {
+            let whole = StackDistHistogram::compute(&make().into_trace(), rate);
+            assert!(whole.distinct_lines > 1000, "{}", whole.distinct_lines);
+            assert_eq!(make().histogram(rate), whole);
+            for piece in [1, 7, OP_BATCH] {
+                let mut stream = make();
+                let warm = stream.warm;
+                let mut pass = StackDist::new();
+                let mut at = 0;
+                while stream.pos < stream.len {
+                    for line in stream.by_ref().take(piece) {
+                        pass.access(line, at >= warm);
+                        at += 1;
+                    }
+                }
+                assert_eq!(pass.finish(rate), whole, "pieces of {piece}");
+            }
+        }
     }
 
     #[test]

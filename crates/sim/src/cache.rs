@@ -10,7 +10,7 @@
 //!   the policy the paper's analytic model effectively assumes).
 //! * [`Replacement::BitPlru`] — MRU-bit pseudo-LRU, a common hardware
 //!   approximation that works for any associativity (the 20-way L3 has no
-//!   clean binary tree). Used by the replacement-policy ablation bench.
+//!   clean binary tree). Exercised by the conformance fuzz geometries.
 //! * [`Replacement::Random`] — random victim, the worst-case baseline.
 //!
 //! Insertion policies model where a *newly filled* line lands in the
@@ -19,7 +19,7 @@
 //! frequently re-touched working set and a streamer already reproduces the
 //! paper's orthogonality result (Fig. 8). [`InsertPolicy::Mid`] (mid-stack)
 //! and [`InsertPolicy::Lru`] (BIP-style probation with ε-promotion) are
-//! alternative LLC policies exercised by the insertion ablation bench.
+//! alternative LLC policies exercised by the conformance fuzz geometries.
 //!
 //! Fills can additionally be restricted to a subset of ways
 //! ([`Cache::fill_masked`]) — Intel CAT-style way partitioning.

@@ -110,7 +110,7 @@ pub struct MachineConfig {
     /// folds average translation cost into `dram_latency` (the
     /// calibrated 2.8 GB/s-per-BWThr number already includes it); switch
     /// to [`TlbConfig::xeon_dtlb`] to model translation explicitly (see
-    /// the `tlb_effects` example and the ablation bench).
+    /// the `tlb_effects` example).
     pub tlb: TlbConfig,
 }
 

@@ -9,10 +9,33 @@
 //! capacity at once, where re-simulating would cost one full run per
 //! capacity point.
 //!
-//! The pass is the classic Bennett–Kruskal formulation: a last-access
-//! table per line plus a Fenwick tree over access slots counting "most
-//! recent access of some line". The distance of an access is then a
-//! prefix-sum difference, `O(log n)` per access, `O(n log n)` total.
+//! The pass is [`StackDist`], a streaming engine fed one line id at a
+//! time. Every line seen so far owns exactly one *slot* — the position of
+//! its most recent access in a window of slots handed out in access
+//! order — so the stack distance of a re-access is the number of live
+//! slots above the line's own. Two structures answer that:
+//!
+//! * **line → last slot**: 4096-line pages of `u32` slots, indexed
+//!   directly inside the page, found through a small open-addressed
+//!   directory of page numbers. The directory stays cache-resident
+//!   whatever the footprint, so a lookup is one data miss.
+//!   (A hashed per-line table pays the hash, a probe sequence and a wider
+//!   entry on every access: 62 ns against 29 ns per access on the
+//!   benchmark grid.) The cost is 16 KB per *touched page*: ids are
+//!   expected clustered, as relative probe lines and real address traces
+//!   are.
+//! * **recency**: one bit per slot, with a live count per 512-slot block
+//!   and per 32768-slot super-block. A distance is a masked `count_ones`
+//!   plus three short sums; moving a marker is two bit flips and four
+//!   count updates. (A `u32` Fenwick tree over the same window keeps the
+//!   same bound but walks `log n` nodes four times per access: 105 ns.)
+//!
+//! Slots are never reused in place. When the window fills it is compacted
+//! by rank — a marker's new slot is the number of markers below it, so the
+//! table is rewritten from the bitmap alone, with no slot → line map — and
+//! doubled until half its slots are free again and it is no shorter than
+//! the table. Memory is therefore `O(distinct lines)` and never depends on
+//! the trace length; the amortized cost per access is constant.
 //!
 //! Two sampling hooks support an approximate mode ~10× cheaper:
 //!
@@ -21,14 +44,17 @@
 //!   line survives with probability `rate` independent of how hot it is,
 //!   so distinct-line counts — and hence stack distances — shrink by the
 //!   factor `rate` in expectation.
-//! * [`StackDistHistogram::compute`] accepts the line-sampling `rate`
-//!   the trace was built with and un-scales distances at evaluation
-//!   time: a raw distance `d` among sampled lines estimates a true
-//!   distance `d / rate`, so capacity `C` is compared against `C·rate`.
+//! * [`StackDist::finish`] (and [`StackDistHistogram::compute`] over a
+//!   materialised trace) accepts the line-sampling `rate` the stream was
+//!   built with and un-scales distances at evaluation time: a raw
+//!   distance `d` among sampled lines estimates a true distance
+//!   `d / rate`, so capacity `C` is compared against `C·rate`.
 //!
 //! Exact mode is `rate = 1.0` and is bit-deterministic: the same trace
 //! always produces the same histogram, with no dependence on thread
 //! count or iteration order.
+
+use std::cmp::Ordering;
 
 use crate::stream::{AccessStream, Op, OP_BATCH};
 
@@ -139,32 +165,228 @@ pub fn spatial_sample(trace: &LineTrace, rate: f64) -> (LineTrace, f64) {
     (LineTrace { lines, mark }, actual)
 }
 
-/// Fenwick tree over access slots (1-based), counting which slots hold
-/// the *most recent* access of some line.
-struct Fenwick {
-    t: Vec<i64>,
+/// Lines per page of the last-slot table.
+const PAGE_LINES: usize = 1 << 12;
+/// "Never seen" in the last-slot table, "vacant" in its directory.
+const NONE: u32 = u32::MAX;
+/// Slots per block / per super-block of the recency window.
+const BLOCK_SLOTS: usize = 512;
+const SUPER_SLOTS: usize = 32768;
+/// Slots in a fresh window: enough that compacting one page pays.
+const INITIAL_WINDOW: usize = PAGE_LINES;
+
+/// The streaming stack-distance engine (see the module docs for the
+/// structure): feed every access in order, then [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct StackDist {
+    /// Last slot of every line of every touched page, `NONE` if unseen;
+    /// page `i` is `table[i * PAGE_LINES..][..PAGE_LINES]`.
+    table: Vec<u32>,
+    /// Open-addressed `(page number, page index)` directory, a power of
+    /// two long and at most half full; vacant entries hold `NONE`.
+    dir: Vec<(u64, u32)>,
+    /// Slots in the window (a power of two).
+    slots: usize,
+    /// One bit per slot: set iff the slot is some line's last access.
+    bits: Vec<u64>,
+    /// Set bits per block and per super-block. `bits` and `blocks` are
+    /// zero-padded to whole super-blocks.
+    blocks: Vec<u16>,
+    supers: Vec<u32>,
+    /// The next slot to hand out; every set bit sits below it.
+    next: usize,
+    /// `counts[d]` = measured re-accesses at distance `d`; one entry per
+    /// distinct line plus one, so `counts.len() - 1` lines are live.
+    counts: Vec<u64>,
+    measured: u64,
+    cold: u64,
 }
 
-impl Fenwick {
-    fn new(n: usize) -> Self {
-        Self { t: vec![0; n + 1] }
+impl Default for StackDist {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StackDist {
+    pub fn new() -> Self {
+        let mut pass = Self {
+            table: Vec::new(),
+            dir: vec![(0, NONE); 16],
+            slots: 0,
+            bits: Vec::new(),
+            blocks: Vec::new(),
+            supers: Vec::new(),
+            next: 0,
+            counts: vec![0],
+            measured: 0,
+            cold: 0,
+        };
+        pass.reset_window(INITIAL_WINDOW, 0);
+        pass
     }
 
-    fn add(&mut self, mut i: usize, v: i64) {
-        while i < self.t.len() {
-            self.t[i] += v;
-            i += i & i.wrapping_neg();
+    /// Record one access to `line`; `measured` is false for warm-up
+    /// accesses, which move the stack but are not counted.
+    pub fn access(&mut self, line: u64, measured: bool) {
+        if self.next == self.slots {
+            self.compact();
+        }
+        let slot = self.next;
+        let prev = std::mem::replace(self.last_slot(line), slot as u32);
+        self.measured += measured as u64;
+        if prev == NONE {
+            self.cold += measured as u64;
+            self.counts.push(0);
+        } else {
+            let p = prev as usize;
+            if measured {
+                let d = self.live_above(p);
+                self.counts[d] += 1;
+            }
+            self.bits[p / 64] &= !(1 << (p % 64));
+            self.blocks[p / BLOCK_SLOTS] -= 1;
+            self.supers[p / SUPER_SLOTS] -= 1;
+        }
+        self.bits[slot / 64] |= 1 << (slot % 64);
+        self.blocks[slot / BLOCK_SLOTS] += 1;
+        self.supers[slot / SUPER_SLOTS] += 1;
+        self.next = slot + 1;
+    }
+
+    /// Close the pass. `rate` is the line-sampling rate the stream was
+    /// built with; pass 1.0 for an unsampled stream.
+    pub fn finish(self, rate: f64) -> StackDistHistogram {
+        assert!(rate > 0.0 && rate <= 1.0, "sample rate must be in (0, 1]");
+        // Suffix-accumulate: suffix[c] = Σ_{d ≥ c} counts[d].
+        let mut suffix = self.counts;
+        for c in (0..suffix.len() - 1).rev() {
+            suffix[c] += suffix[c + 1];
+        }
+        StackDistHistogram {
+            sample_rate: rate,
+            measured: self.measured,
+            cold: self.cold,
+            distinct_lines: suffix.len() as u64 - 1,
+            suffix,
         }
     }
 
-    /// Sum of positions `1..=i`.
-    fn prefix(&self, mut i: usize) -> i64 {
-        let mut s = 0;
-        while i > 0 {
-            s += self.t[i];
-            i -= i & i.wrapping_neg();
+    /// The table entry of `line`, allocating its page on first touch.
+    fn last_slot(&mut self, line: u64) -> &mut u32 {
+        let key = line / PAGE_LINES as u64;
+        let mut entry = self.dir[self.dir_index(key)];
+        if entry.1 == NONE {
+            entry = (key, (self.table.len() / PAGE_LINES) as u32);
+            self.table.resize(self.table.len() + PAGE_LINES, NONE);
+            if (entry.1 as usize + 1) * 2 > self.dir.len() {
+                let doubled = vec![(0, NONE); self.dir.len() * 2];
+                for old in std::mem::replace(&mut self.dir, doubled) {
+                    if old.1 != NONE {
+                        let i = self.dir_index(old.0);
+                        self.dir[i] = old;
+                    }
+                }
+            }
+            let i = self.dir_index(key);
+            self.dir[i] = entry;
         }
-        s
+        &mut self.table[entry.1 as usize * PAGE_LINES + line as usize % PAGE_LINES]
+    }
+
+    /// Where page number `key` is in the directory, or the vacant entry
+    /// where it belongs: linear probing from a Fibonacci hash, which
+    /// sends consecutive page numbers far apart.
+    fn dir_index(&self, key: u64) -> usize {
+        let mask = self.dir.len() - 1;
+        let home =
+            key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.dir.len().trailing_zeros());
+        let mut i = home as usize;
+        while self.dir[i].1 != NONE && self.dir[i].0 != key {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Live slots strictly above `p` — the distinct lines touched since
+    /// the access that holds slot `p`. Fixed-width and branch-free inside
+    /// the block and the super-block (both arrays are padded to whole
+    /// units, and counts beyond `next` are zero).
+    fn live_above(&self, p: usize) -> usize {
+        const WORDS: usize = BLOCK_SLOTS / 64;
+        const BLOCKS: usize = SUPER_SLOTS / BLOCK_SLOTS;
+        let (word, block, sup) = (p / 64, p / BLOCK_SLOTS, p / SUPER_SLOTS);
+        let words: &[u64; WORDS] = self.bits[block * WORDS..][..WORDS]
+            .try_into()
+            .expect("a whole block");
+        let in_block: u32 = (0..WORDS)
+            .map(|i| {
+                let keep = match i.cmp(&(word % WORDS)) {
+                    Ordering::Less => 0,
+                    Ordering::Equal => (u64::MAX << (p % 64)) << 1,
+                    Ordering::Greater => u64::MAX,
+                };
+                (words[i] & keep).count_ones()
+            })
+            .sum();
+        let blocks: &[u16; BLOCKS] = self.blocks[sup * BLOCKS..][..BLOCKS]
+            .try_into()
+            .expect("a whole super-block");
+        // At most SUPER_SLOTS - BLOCK_SLOTS: no u16 overflow.
+        let in_super: u16 = (0..BLOCKS)
+            .map(|i| if i > block % BLOCKS { blocks[i] } else { 0 })
+            .sum();
+        let super_end = (self.next - 1) / SUPER_SLOTS + 1;
+        let above: u32 = self.supers[sup + 1..super_end].iter().sum();
+        (in_block + in_super as u32 + above) as usize
+    }
+
+    /// The window is full: renumber every live slot to its rank, so the
+    /// `live` markers occupy slots `0..live` in the same order, and double
+    /// the window until half of it is free again and it is no shorter
+    /// than the table — the two things this walk costs, so compaction
+    /// stays O(1) per access however sparse the ids.
+    fn compact(&mut self) {
+        let mut below = Vec::with_capacity(self.bits.len());
+        let mut live = 0u32;
+        for w in &self.bits {
+            below.push(live);
+            live += w.count_ones();
+        }
+        for e in self.table.iter_mut().filter(|e| **e != NONE) {
+            let p = *e as usize;
+            *e = below[p / 64] + (self.bits[p / 64] & ((1 << (p % 64)) - 1)).count_ones();
+        }
+        let live = live as usize;
+        let mut slots = self.slots;
+        while live * 2 > slots || self.table.len() > slots {
+            slots *= 2;
+            assert!(
+                slots < NONE as usize,
+                "too many distinct lines for u32 slots"
+            );
+        }
+        self.reset_window(slots, live);
+    }
+
+    /// A window of `slots` slots whose first `live` are set.
+    fn reset_window(&mut self, slots: usize, live: usize) {
+        let supers = slots.div_ceil(SUPER_SLOTS);
+        let filled = |unit: usize, i: usize| live.saturating_sub(i * unit).min(unit);
+        self.bits.clear();
+        self.bits
+            .extend((0..supers * SUPER_SLOTS / 64).map(|i| match filled(64, i) {
+                64 => u64::MAX,
+                n => (1 << n) - 1,
+            }));
+        self.blocks.clear();
+        self.blocks
+            .extend((0..supers * SUPER_SLOTS / BLOCK_SLOTS).map(|i| filled(BLOCK_SLOTS, i) as u16));
+        self.supers.clear();
+        self.supers
+            .extend((0..supers).map(|i| filled(SUPER_SLOTS, i) as u32));
+        self.slots = slots;
+        self.next = live;
     }
 }
 
@@ -189,68 +411,15 @@ pub struct StackDistHistogram {
 }
 
 impl StackDistHistogram {
-    /// One Bennett–Kruskal pass over the trace. `rate` is the
+    /// One [`StackDist`] pass over a materialised trace. `rate` is the
     /// line-sampling rate the trace was built with (see
     /// [`spatial_sample`]); pass 1.0 for an unsampled trace.
     pub fn compute(trace: &LineTrace, rate: f64) -> Self {
-        assert!(rate > 0.0 && rate <= 1.0, "sample rate must be in (0, 1]");
-        let n = trace.lines.len();
-        // Dense remap of line ids so the last-access table is a Vec.
-        let mut ids: Vec<u64> = trace.lines.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        let u = ids.len();
-        let dense = |line: u64| ids.binary_search(&line).expect("line is in the id table");
-
-        const NONE: u32 = u32::MAX;
-        assert!(n < NONE as usize, "trace too long for u32 slots");
-        let mut last: Vec<u32> = vec![NONE; u];
-        let mut bit = Fenwick::new(n);
-        let mut counts: Vec<u64> = vec![0; u + 1];
-        let mut cold = 0u64;
-        let mut measured = 0u64;
-
+        let mut pass = StackDist::new();
         for (t, &line) in trace.lines.iter().enumerate() {
-            let id = dense(line);
-            let in_measure = t >= trace.mark;
-            if in_measure {
-                measured += 1;
-            }
-            match last[id] {
-                NONE => {
-                    if in_measure {
-                        cold += 1;
-                    }
-                }
-                p => {
-                    let p = p as usize;
-                    // Distinct lines touched strictly between p and t:
-                    // active markers in slots (p+1, t], minus none — the
-                    // marker for `line` itself sits at slot p+1 and is
-                    // excluded by the lower bound.
-                    let d = (bit.prefix(t) - bit.prefix(p + 1)) as usize;
-                    if in_measure {
-                        counts[d] += 1;
-                    }
-                    bit.add(p + 1, -1);
-                }
-            }
-            bit.add(t + 1, 1);
-            last[id] = t as u32;
+            pass.access(line, t >= trace.mark);
         }
-
-        // Suffix-accumulate: suffix[c] = Σ_{d ≥ c} counts[d].
-        let mut suffix = counts;
-        for c in (0..suffix.len() - 1).rev() {
-            suffix[c] += suffix[c + 1];
-        }
-        Self {
-            sample_rate: rate,
-            measured,
-            cold,
-            distinct_lines: u as u64,
-            suffix,
-        }
+        pass.finish(rate)
     }
 
     /// Miss rate of a fully-associative LRU cache of `capacity_lines`
@@ -439,6 +608,97 @@ mod tests {
             StackDistHistogram::compute(&t, 1.0),
             StackDistHistogram::compute(&st, r)
         );
+    }
+
+    /// A seeded trace over `universe` logical lines — uniform churn, a
+    /// 64-line hot set and a wrapping sequential cursor, interleaved.
+    fn churn_trace(seed: u64, n: usize, universe: u64) -> Vec<u64> {
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut cursor = 0;
+        (0..n)
+            .map(|_| match rng.below(4) {
+                0 => rng.below(64) * (universe / 64),
+                1 => {
+                    cursor = (cursor + 1) % universe;
+                    cursor
+                }
+                _ => rng.below(universe),
+            })
+            .collect()
+    }
+
+    /// The histogram of `ids[mark..]` by an algorithm that shares nothing
+    /// with [`StackDist`]: `Trace::reuse_distances` (a `HashMap` and its
+    /// own Fenwick tree over access timestamps).
+    fn oracle_histogram(ids: &[u64], mark: usize) -> StackDistHistogram {
+        use crate::trace::{Trace, TraceEvent};
+        let events = ids.iter().map(|&l| TraceEvent::Load(l << 6)).collect();
+        let distances = Trace { events }.reuse_distances();
+        let distinct = distances.iter().filter(|d| d.is_none()).count();
+        let mut suffix = vec![0u64; distinct + 1];
+        let mut cold = 0;
+        for d in &distances[mark..] {
+            match d {
+                Some(d) => suffix[*d as usize] += 1,
+                None => cold += 1,
+            }
+        }
+        for c in (0..distinct).rev() {
+            suffix[c] += suffix[c + 1];
+        }
+        StackDistHistogram {
+            sample_rate: 1.0,
+            measured: (ids.len() - mark) as u64,
+            cold,
+            distinct_lines: distinct as u64,
+            suffix,
+        }
+    }
+
+    #[test]
+    fn matches_the_mattson_oracle_across_compactions_growth_and_id_layouts() {
+        const N: usize = 600_000;
+        const UNIVERSE: u64 = 90_000;
+        let logical = churn_trace(0x5D15_7A9C, N, UNIVERSE);
+        // Injective relabelings: one cluster, every fifth line of ~110
+        // pages, and the top of the id space. Distances cannot tell.
+        type Relabel = fn(u64) -> u64;
+        let layouts: [(&str, Relabel); 3] = [
+            ("clustered", |l| 7000 + l),
+            ("strided over pages", |l| l * 5),
+            ("near u64::MAX", |l| u64::MAX - l),
+        ];
+        for mark in [0, N / 2, N] {
+            let want = oracle_histogram(&logical, mark);
+            assert!(want.distinct_lines >= 80_000, "{}", want.distinct_lines);
+            for (name, relabel) in layouts {
+                let mut pass = StackDist::new();
+                let (mut compactions, mut growths) = (0, 0);
+                for (t, &l) in logical.iter().enumerate() {
+                    let (next, slots) = (pass.next, pass.slots);
+                    pass.access(relabel(l), t >= mark);
+                    if pass.next <= next {
+                        compactions += 1;
+                        growths += (pass.slots > slots) as u32;
+                    }
+                }
+                assert!(
+                    growths >= 1 && compactions - growths >= 1,
+                    "{name}: {compactions} compactions, {growths} of them growths"
+                );
+                assert_eq!(pass.finish(1.0), want, "{name}, mark {mark}");
+            }
+        }
+    }
+
+    #[test]
+    fn feeding_the_engine_equals_compute_on_the_collected_trace() {
+        let t = random_trace(17, 20_000, 6000, 0.25);
+        let mut pass = StackDist::new();
+        for (i, &l) in t.lines.iter().enumerate() {
+            pass.access(l, i >= t.mark);
+        }
+        assert_eq!(pass.finish(1.0), StackDistHistogram::compute(&t, 1.0));
     }
 
     #[test]
