@@ -7,13 +7,15 @@
 //! cargo run --release -p amem-bench --bin conformance -- --seeds 1000
 //! cargo run --release -p amem-bench --bin conformance -- --config nonpow2-bip
 //! cargo run --release -p amem-bench --bin conformance -- --config xeon-20way
+//! cargo run --release -p amem-bench --bin conformance -- --config noninclusive-l3
 //! cargo run --release -p amem-bench --bin conformance -- --sabotage --minimize
 //! cargo run --release -p amem-bench --bin conformance -- --replay target/conformance/x.json
 //! ```
 //!
 //! Default run: fuzz every geometry in [`amem_conformance::configs`] for
 //! `--seeds` seeds each (parallel over seeds), the 20-way `xeon-20way`
-//! lane (the shipped L3 shape, CAT-masked), run the two-socket
+//! lane (the shipped L3 shape, CAT-masked), the `noninclusive-l3` lane
+//! (up-links going stale under live L2 copies), run the two-socket
 //! ping-pong/barrier lane (substrate differential + fast-lane budget
 //! invariance), lockstep the single-pass curve engine against the
 //! per-point reference-cache sweep over the same seed budget, then
@@ -34,7 +36,7 @@ use amem_conformance::curves::{
 };
 use amem_conformance::fuzz::{
     check_case, check_pingpong_case, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
-    reproducer_dir, sabotage, write_reproducer, Divergence, TraceCase,
+    noninclusive_config, reproducer_dir, sabotage, write_reproducer, Divergence, TraceCase,
 };
 use amem_conformance::{configs, ehr_oracle_pack, replay_file};
 use rayon::prelude::*;
@@ -159,6 +161,14 @@ fn main() -> ExitCode {
     if wanted("xeon-20way") {
         let gen = |seed| gen_xeon20way_case(seed, args.ops);
         total_div += run_lane("xeon-20way", &args, gen, check) as usize;
+    }
+
+    // The non-inclusive L3: the one setting where an L2 entry's up-link
+    // goes stale while the L2 copy lives. Also outside `configs()`.
+    if wanted("noninclusive-l3") {
+        let cfg = noninclusive_config();
+        let gen = |seed| gen_case(&cfg, seed, args.ops);
+        total_div += run_lane(cfg.name, &args, gen, check) as usize;
     }
 
     // Ping-pong lane: shared-line / barrier-heavy traces across two

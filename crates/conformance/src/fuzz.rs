@@ -264,6 +264,23 @@ pub fn gen_xeon20way_case(seed: u64, ops_per_lane: usize) -> TraceCase {
     case
 }
 
+/// A non-inclusive L3 no larger than the two L2s it sits over
+/// (`inclusive_l3: false`, 16 × 8 lines against 2 × 64): lines that stay
+/// hot in a private cache age out of the L3 underneath it, so an L2
+/// entry's up-link goes stale while the L2 copy lives — the one setting
+/// where the engine's hinted `mark_dirty_at` must fail its tag compare
+/// and fall back (DESIGN.md §9). Kept out of [`configs`] like
+/// [`xeon20way_config`]: that panel's length is benchmark work.
+pub fn noninclusive_config() -> FuzzCfg {
+    use amem_sim::cache::Replacement::Lru;
+    let mut m = tiny_machine("noninclusive-l3", l3(16, 8, Lru, InsertPolicy::Mru, false));
+    m.inclusive_l3 = false;
+    FuzzCfg {
+        name: "noninclusive-l3",
+        machine: m,
+    }
+}
+
 /// Generate one lane's adversarial op list.
 fn gen_lane(rng: &mut Xoshiro256, m: &MachineConfig, flat: usize, len: usize) -> Vec<Op> {
     let l3cfg = &m.l3;

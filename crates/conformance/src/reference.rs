@@ -20,7 +20,7 @@
 //! lines, so a single `stamp ^ PROB_BIT` min-scan picks victims in both
 //! worlds.
 
-use amem_sim::cache::{Eviction, InsertPolicy, Replacement};
+use amem_sim::cache::{Eviction, InsertPolicy, Replacement, NO_LINK};
 use amem_sim::config::CacheConfig;
 use amem_sim::model::{CacheModel, PrefetchModel, Substrate, TlbModel};
 use amem_sim::prefetch::PrefetchRequests;
@@ -277,6 +277,9 @@ impl RefCache {
                     line: e.tag,
                     dirty: e.dirty,
                     present: if self.track_ownership { e.present } else { 0 },
+                    // The reference keeps no up-links: every hinted
+                    // call the engine makes takes its unhinted default.
+                    link: NO_LINK,
                 };
                 (w, Some(ev))
             }

@@ -45,9 +45,17 @@
 //! count lets probe-style calls (`contains`, `invalidate`, `mark_dirty`)
 //! skip empty sets; a one-entry index memo short-circuits the repeated
 //! lookup→fill→sharer sequences the engine performs on the same line;
-//! and a miss memo carries the set scan a missing `lookup` already did
+//! a miss memo carries the set scan a missing `lookup` already did
 //! into the `fill` that follows it, so the engine's
-//! lookup-miss-then-fill sequence scans each set once.
+//! lookup-miss-then-fill sequence scans each set once; and private
+//! caches carry one advisory up-link per entry (`up`: where the same
+//! line sat one level up when it was filled), so the probe calls the
+//! engine makes *about a line it has already located* (`sharers_at`,
+//! `set_exclusive_at`, `mark_dirty_at`) are one tag compare at the link
+//! instead of a set scan. A link is only ever trusted after
+//! `tags[link] == line` — tags are full line numbers, so that compare
+//! IS the line — and every hinted call falls back to `find` otherwise:
+//! a stale, wrong or out-of-range link costs a scan, never an answer.
 
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +103,16 @@ pub struct Eviction {
     /// [`Cache::note_present`]): a superset of the cores whose private
     /// caches may still hold the line. Always 0 for private caches.
     pub present: u32,
+    /// The evicted entry's up-link (see [`Cache::fill_linked`]): where
+    /// the line sat one level up when it was filled here. Advisory —
+    /// only meaningful to the `*_at` calls, which validate it.
+    /// [`NO_LINK`] for caches that keep none.
+    pub link: u32,
 }
+
+/// "No link": an entry index no cache has, so every hinted call given it
+/// takes the unhinted path.
+pub const NO_LINK: u32 = u32::MAX;
 
 const EMPTY: u64 = u64::MAX;
 
@@ -147,6 +164,11 @@ pub struct Cache {
     /// not). Private caches never receive ownership updates, so their
     /// fill/invalidate paths skip those arrays entirely.
     track_ownership: bool,
+    /// Per-entry up-link, written by [`Cache::fill_linked`]: the entry
+    /// index the same line had one level up at fill time. Private caches
+    /// only (empty on ownership-tracking instances — the shared L3 is
+    /// the top of the chain and the largest array set).
+    up: Box<[u32]>,
     /// Valid-way count per set: probe calls early-exit on empty sets.
     valid: Box<[u16]>,
     /// Index memo: last entry installed or matched. The engine touches
@@ -238,6 +260,7 @@ impl Cache {
             sharers: vec![0; n].into_boxed_slice(),
             present: vec![0; n].into_boxed_slice(),
             track_ownership: true,
+            up: Box::new([]),
             valid: vec![0; sets as usize].into_boxed_slice(),
             last: usize::MAX,
             miss_line: EMPTY,
@@ -251,11 +274,13 @@ impl Cache {
 
     /// Drop sharer/presence tracking (for private caches, which the
     /// engine never queries for ownership): their fill and invalidate
-    /// paths stop touching two metadata arrays per access.
+    /// paths stop touching two metadata arrays per access. A private
+    /// cache has a level above it, so it carries the up-link array.
     pub fn without_ownership(mut self) -> Self {
         self.track_ownership = false;
         self.sharers = Box::new([]);
         self.present = Box::new([]);
+        self.up = vec![NO_LINK; self.tags.len()].into_boxed_slice();
         self
     }
 
@@ -437,14 +462,16 @@ impl Cache {
             (free, None)
         } else {
             let w = self.pick_victim_masked(base, way_mask);
+            let (present, link) = if self.track_ownership {
+                (self.present[base + w], NO_LINK)
+            } else {
+                (0, self.up[base + w])
+            };
             let ev = Eviction {
                 line: self.tags[base + w],
                 dirty: self.dirty[base + w],
-                present: if self.track_ownership {
-                    self.present[base + w]
-                } else {
-                    0
-                },
+                present,
+                link,
             };
             (w, Some(ev))
         };
@@ -505,6 +532,37 @@ impl Cache {
             }
         }
         ev
+    }
+
+    /// [`Cache::fill`] on a private cache, recording `up` — the entry
+    /// index `line` has one level up, i.e. that cache's [`Cache::memo`]
+    /// right after it matched or installed the line — on the entry the
+    /// fill placed or touched. The link rides out in [`Eviction::link`]
+    /// when the entry is replaced.
+    #[inline]
+    pub fn fill_linked(&mut self, line: u64, dirty: bool, up: u32) -> Option<Eviction> {
+        let ev = self.fill(line, dirty);
+        if !self.track_ownership {
+            self.up[self.last] = up;
+        }
+        ev
+    }
+
+    /// Entry index of the line last installed or matched ([`NO_LINK`]
+    /// on a cache nothing has touched yet).
+    #[inline]
+    pub fn memo(&self) -> u32 {
+        self.last as u32
+    }
+
+    /// The up-link recorded at entry `at`, if `at` holds `line`;
+    /// [`NO_LINK`] otherwise (including on caches that keep no links).
+    #[inline]
+    pub fn up_link(&self, at: u32, line: u64) -> u32 {
+        match self.up.get(at as usize) {
+            Some(&up) if self.tags[at as usize] == line => up,
+            _ => NO_LINK,
+        }
     }
 
     /// Recency stamp for a fresh insertion, honouring the insert policy.
@@ -602,6 +660,18 @@ impl Cache {
         (hit != usize::MAX).then(|| base + hit)
     }
 
+    /// [`Cache::find`] with a hint: `at` is where the caller believes
+    /// `line` sits. One tag compare validates it; anything else — stale,
+    /// off by a way, [`NO_LINK`], past the array — takes the plain path.
+    #[inline]
+    fn find_at(&self, at: u32, line: u64) -> Option<usize> {
+        let at = at as usize;
+        if at < self.tags.len() && self.tags[at] == line {
+            return Some(at);
+        }
+        self.find(line)
+    }
+
     /// Record `core` as a sharer of a present line (no-op when absent).
     #[inline]
     pub fn add_sharer(&mut self, line: u64, core: u32) {
@@ -614,14 +684,26 @@ impl Cache {
     /// Current sharer mask of a line (0 when absent or untracked).
     #[inline]
     pub fn sharers(&self, line: u64) -> u32 {
-        self.find(line).map(|i| self.sharers[i]).unwrap_or(0)
+        self.sharers_at(NO_LINK, line)
+    }
+
+    /// [`Cache::sharers`], looking at entry `at` first.
+    #[inline]
+    pub fn sharers_at(&self, at: u32, line: u64) -> u32 {
+        self.find_at(at, line).map(|i| self.sharers[i]).unwrap_or(0)
     }
 
     /// Replace the sharer set of a present line with just `core` (the
     /// exclusive owner after a write).
     #[inline]
     pub fn set_exclusive(&mut self, line: u64, core: u32) {
-        if let Some(i) = self.find(line) {
+        self.set_exclusive_at(NO_LINK, line, core)
+    }
+
+    /// [`Cache::set_exclusive`], looking at entry `at` first.
+    #[inline]
+    pub fn set_exclusive_at(&mut self, at: u32, line: u64, core: u32) {
+        if let Some(i) = self.find_at(at, line) {
             self.sharers[i] = 1 << core;
             self.last = i;
         }
@@ -668,7 +750,13 @@ impl Cache {
     /// Mark a present line dirty; returns whether the line was found.
     #[inline]
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        match self.find(line) {
+        self.mark_dirty_at(NO_LINK, line)
+    }
+
+    /// [`Cache::mark_dirty`], looking at entry `at` first.
+    #[inline]
+    pub fn mark_dirty_at(&mut self, at: u32, line: u64) -> bool {
+        match self.find_at(at, line) {
             Some(i) => {
                 self.dirty[i] = true;
                 true

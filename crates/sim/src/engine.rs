@@ -8,12 +8,12 @@
 //! branch-predictable scan beats a priority queue), in batches bounded
 //! by a small quantum so cross-core interleaving through the shared L3
 //! and DRAM channel stays causally accurate. Within a batch, a fast lane
-//! commits runs of simple ops (loads, compute, marks) through an inlined
-//! dispatch loop; it never crosses the scheduling horizon, so results
-//! are event-for-event identical to the one-op-at-a-time path (see
-//! DESIGN.md §14). The engine spawns no threads and reads no environment:
-//! each core's ops are generated inline, on the thread that calls `run`
-//! (DESIGN.md §9).
+//! commits runs of simple ops (loads, stores, compute, marks) through an
+//! inlined dispatch loop; it never crosses the scheduling horizon, so
+//! results are event-for-event identical to the one-op-at-a-time path
+//! (see DESIGN.md §14). The engine spawns no threads and reads no
+//! environment: each core's ops are generated inline, on the thread that
+//! calls `run` (DESIGN.md §9).
 //!
 //! ## Timing model
 //!
@@ -40,6 +40,7 @@
 //! written back. L1 ⊆ L2 is maintained the same way. Dirty evictions charge
 //! write-back occupancy on the channel.
 
+use crate::cache::{Eviction, NO_LINK};
 use crate::config::{CoreId, MachineConfig};
 use crate::control::{Actuation, CoreView, EpochController, Knob};
 use crate::counters::CoreCounters;
@@ -920,15 +921,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                 StepOutcome::Running
             }
             Op::Store(addr) => {
-                let line = addr >> 6;
-                let now = self.cores[ci].time;
-                if self.tlb_on {
-                    self.tlb_access(ci, addr);
-                }
-                self.mem_access(ci, line, true, now);
-                let c = &mut self.cores[ci];
-                c.time += 1;
-                c.counters.stores += 1;
+                self.retire_store(ci, addr);
                 StepOutcome::Running
             }
             Op::Compute(cy) => {
@@ -997,13 +990,32 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         }
     }
 
+    /// A store retires through the store buffer: the hierarchy and the
+    /// channel see it (with the coherence it triggers), the core moves on
+    /// after one issue cycle. The one body behind `step` and the fast
+    /// lane.
+    #[inline]
+    fn retire_store(&mut self, ci: usize, addr: u64) {
+        let now = self.cores[ci].time;
+        if self.tlb_on {
+            self.tlb_access(ci, addr);
+        }
+        self.mem_access(ci, addr >> 6, true, now);
+        let c = &mut self.cores[ci];
+        c.time += 1;
+        c.counters.stores += 1;
+    }
+
     /// Fast lane: commit up to `budget` consecutive simple ops (loads,
-    /// compute, marks) for core `ci` through a flat, inlined dispatch
-    /// loop, stopping at the scheduling horizon `cap` exactly where the
-    /// general loop would. Ops it cannot retire inline — stores (store
-    /// buffering plus coherence), barriers, remote transfers, stream end,
-    /// or an empty op buffer — are left at the buffer cursor for the
-    /// general dispatcher. Only runs when telemetry is off, so the
+    /// stores, compute, marks) for core `ci` through a flat, inlined
+    /// dispatch loop, stopping at the scheduling horizon `cap` exactly
+    /// where the general loop would. A store's coherence is applied by
+    /// the core that runs it, below the horizon, like every other
+    /// cross-core effect — so it is as safe here as in `step` (the
+    /// paper's BWThr and CSThr are `buf[i]++` loops: half their ops).
+    /// Ops it cannot retire inline — barriers, remote transfers, stream
+    /// end, or an empty op buffer — are left at the buffer cursor for
+    /// the general dispatcher. Only runs when telemetry is off, so the
     /// per-op sampler and ring checks of the legacy path are vacuous.
     fn fast_burst(&mut self, ci: usize, cap: u64, budget: u32) -> BurstEnd {
         // A deferred load must retire (via `step`) before any buffered op.
@@ -1056,6 +1068,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                     c.time += 1;
                     c.counters.loads += 1;
                 }
+                Op::Store(addr) => self.retire_store(ci, addr),
                 Op::Compute(cy) => {
                     self.drain(ci);
                     let c = &mut self.cores[ci];
@@ -1110,13 +1123,15 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// MESI-style within-socket coherence on a store: invalidate every
     /// other sharer's private copies and claim exclusive ownership. The
     /// inclusive L3's sharer mask makes this a single lookup instead of a
-    /// broadcast snoop. Returns extra latency (ownership upgrade).
-    fn coherence_store(&mut self, ci: usize, s: usize, line: u64) -> u32 {
+    /// broadcast snoop. `at` is where the caller last saw the line in the
+    /// L3 (an up-link or the L3's own memo; advisory). Returns extra
+    /// latency (ownership upgrade).
+    fn coherence_store(&mut self, ci: usize, s: usize, line: u64, at: u32) -> u32 {
         let me = self.cores[ci].me;
-        let mask = self.sockets[s].l3.sharers(line);
+        let mask = self.sockets[s].l3.sharers_at(at, line);
         let others = mask & !(1u32 << me);
         if others == 0 {
-            self.sockets[s].l3.set_exclusive(line, me);
+            self.sockets[s].l3.set_exclusive_at(at, line, me);
             return 0;
         }
         let lo = s * self.cfg.cores_per_socket as usize;
@@ -1136,7 +1151,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                 self.cores[idx].counters.coherence_invalidations += 1;
             }
         }
-        self.sockets[s].l3.set_exclusive(line, me);
+        self.sockets[s].l3.set_exclusive_at(at, line, me);
         self.cores[ci].counters.coherence_upgrades += 1;
         // Cross-core ownership transfer costs roughly an L3 round trip.
         self.cfg.l3.latency
@@ -1151,8 +1166,11 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             self.cores[ci].counters.l1_hits += 1;
             let mut lat = self.cfg.l1.latency;
             if store {
-                let s = self.cores[ci].sock;
-                lat += self.coherence_store(ci, s, line);
+                // The hit left the L1's memo on the line: follow its
+                // up-links L1 → L2 → L3 to the sharer word.
+                let c = &self.cores[ci];
+                let at = c.l2.up_link(c.l1.up_link(c.l1.memo(), line), line);
+                lat += self.coherence_store(ci, c.sock, line, at);
             }
             return (lat, HitLevel::L1);
         }
@@ -1188,7 +1206,8 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             let me = self.cores[ci].me;
             let mut lat = self.cfg.l3.latency;
             if store {
-                lat += self.coherence_store(ci, s, line);
+                // The L3's own memo is still on the line it just matched.
+                lat += self.coherence_store(ci, s, line, NO_LINK);
             } else {
                 self.sockets[s].l3.add_sharer(line, me);
             }
@@ -1231,10 +1250,15 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         result
     }
 
+    /// Install `line` in the L1, linked to its L2 entry (every caller has
+    /// just matched or installed it there, so the L2's memo is on it). A
+    /// dirty victim is marked in the L2 at the victim's own link.
     fn fill_l1(&mut self, ci: usize, line: u64, store: bool, now: u64) {
-        if let Some(ev) = self.cores[ci].l1.fill(line, store) {
-            if ev.dirty && !self.cores[ci].l2.mark_dirty(ev.line) {
-                let s = self.cores[ci].sock;
+        let c = &mut self.cores[ci];
+        let up = c.l2.memo();
+        if let Some(ev) = c.l1.fill_linked(line, store, up) {
+            if ev.dirty && !c.l2.mark_dirty_at(ev.link, ev.line) {
+                let s = c.sock;
                 if !self.sockets[s].l3.mark_dirty(ev.line) {
                     self.sockets[s].dram.writeback(now);
                 }
@@ -1249,11 +1273,24 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         // bypass `add_sharer`.
         let me = self.cores[ci].me;
         self.sockets[s].l3.note_present(line, me);
-        if let Some(ev) = self.cores[ci].l2.fill(line, false) {
+        self.fill_l2_quiet(ci, s, line, now);
+    }
+
+    /// [`Self::fill_l2`] without the presence update: the demand path's
+    /// fused L3 fill already recorded the requester's presence bit.
+    ///
+    /// Every caller has just matched or installed `line` in the L3, so
+    /// the L3's memo is the line's up-link; a dirty victim is marked in
+    /// the L3 at the victim's own link (stale under a non-inclusive L3
+    /// once the L3 copy is replaced — then the compare fails, the scan
+    /// finds nothing, and the line is written back, as before).
+    fn fill_l2_quiet(&mut self, ci: usize, s: usize, line: u64, now: u64) {
+        let up = self.sockets[s].l3.memo();
+        if let Some(ev) = self.cores[ci].l2.fill_linked(line, false, up) {
             // Maintain L1 ⊆ L2.
             let d1 = self.cores[ci].l1.invalidate(ev.line);
             let dirty = ev.dirty || d1 == Some(true);
-            if dirty && !self.sockets[s].l3.mark_dirty(ev.line) {
+            if dirty && !self.sockets[s].l3.mark_dirty_at(ev.link, ev.line) {
                 self.sockets[s].dram.writeback(now);
             }
         }
@@ -1268,32 +1305,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         way_mask: u32,
     ) {
         if let Some(ev) = self.sockets[s].l3.fill_masked(line, false, hint, way_mask) {
-            let mut dirty = ev.dirty;
-            if self.cfg.inclusive_l3 {
-                // Probe only cores whose presence bit is set: the mask is a
-                // superset of current private holders (bits are only cleared
-                // when the L3 slot turns over, and under inclusion the
-                // private copies are removed right here when that happens),
-                // so skipped cores provably hold nothing. Ascending core
-                // order keeps counter/dirty updates byte-identical to the
-                // old full-socket scan.
-                let lo = (s as u32 * self.cfg.cores_per_socket) as usize;
-                let mut m = ev.present;
-                while m != 0 {
-                    let c2 = lo + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if let Some(d) = self.cores[c2].l2.invalidate(ev.line) {
-                        dirty |= d;
-                        self.cores[c2].counters.back_invalidations += 1;
-                    }
-                    if let Some(d) = self.cores[c2].l1.invalidate(ev.line) {
-                        dirty |= d;
-                    }
-                }
-            }
-            if dirty {
-                self.sockets[s].dram.writeback(now);
-            }
+            self.l3_evicted(s, ev, now);
         }
     }
 
@@ -1326,38 +1338,43 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
             .l3
             .fill_demand(line, store, hint, way_mask, me)
         {
-            let mut dirty = ev.dirty;
-            if self.cfg.inclusive_l3 {
-                let lo = (s as u32 * self.cfg.cores_per_socket) as usize;
-                let mut m = ev.present;
-                while m != 0 {
-                    let c2 = lo + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if let Some(d) = self.cores[c2].l2.invalidate(ev.line) {
-                        dirty |= d;
-                        self.cores[c2].counters.back_invalidations += 1;
-                    }
-                    if let Some(d) = self.cores[c2].l1.invalidate(ev.line) {
-                        dirty |= d;
-                    }
-                }
-            }
-            if dirty {
-                self.sockets[s].dram.writeback(now);
-            }
+            self.l3_evicted(s, ev, now);
         }
     }
 
-    /// [`Self::fill_l2`] without the presence update: the demand path's
-    /// fused L3 fill already recorded the requester's presence bit.
-    fn fill_l2_quiet(&mut self, ci: usize, s: usize, line: u64, now: u64) {
-        if let Some(ev) = self.cores[ci].l2.fill(line, false) {
-            // Maintain L1 ⊆ L2.
-            let d1 = self.cores[ci].l1.invalidate(ev.line);
-            let dirty = ev.dirty || d1 == Some(true);
-            if dirty && !self.sockets[s].l3.mark_dirty(ev.line) {
-                self.sockets[s].dram.writeback(now);
+    /// An L3 fill replaced `ev`: under inclusion, remove the line from the
+    /// private caches below and write merged dirtiness back.
+    fn l3_evicted(&mut self, s: usize, ev: Eviction, now: u64) {
+        let mut dirty = ev.dirty;
+        if self.cfg.inclusive_l3 {
+            // Probe only cores whose presence bit is set: the mask is a
+            // superset of current private holders (bits are only cleared
+            // when the L3 slot turns over, and under inclusion the
+            // private copies are removed right here when that happens),
+            // so skipped cores provably hold nothing. Ascending core
+            // order keeps counter/dirty updates byte-identical to a
+            // full-socket scan.
+            let lo = (s as u32 * self.cfg.cores_per_socket) as usize;
+            let mut m = ev.present;
+            while m != 0 {
+                let c = &mut self.cores[lo + m.trailing_zeros() as usize];
+                m &= m - 1;
+                // L1 ⊆ L2 (every L1 fill follows an L2 match or fill of
+                // the same line; every L2 removal takes the L1 copy with
+                // it): only an L2 hit can have an L1 copy under it.
+                if let Some(d) = c.l2.invalidate(ev.line) {
+                    dirty |= d;
+                    c.counters.back_invalidations += 1;
+                    if let Some(d) = c.l1.invalidate(ev.line) {
+                        dirty |= d;
+                    }
+                } else {
+                    debug_assert!(!c.l1.contains(ev.line), "L1 copy without an L2 copy");
+                }
             }
+        }
+        if dirty {
+            self.sockets[s].dram.writeback(now);
         }
     }
 
@@ -2009,6 +2026,80 @@ mod coherence_tests {
             assert_eq!(j.counters.coherence_invalidations, 0);
             assert_eq!(j.counters.coherence_upgrades, 0);
         }
+    }
+
+    #[test]
+    fn store_that_hits_in_l2_claims_no_ownership_and_invalidates_no_sharer() {
+        // Pins a known gap, it does not endorse it (DESIGN.md §6, ROADMAP
+        // item 4(c)): `mem_access_after_l1`'s L2-hit arm fills the L1
+        // dirty and returns without `coherence_store`, so a store whose
+        // line has left the L1 but not the L2 neither claims exclusivity
+        // in the L3 nor invalidates the other sharer, whose stale copy
+        // keeps hitting. Fixing it moves goldens; this test moves with it.
+        let a = 0x1000_0000u64;
+        let mut m = cfg();
+        m.prefetch = false; // keep the L2 hit count to the one store
+        let l1_sets = m.l1.sets() as u64;
+        assert!(m.l2.sets() as u64 > l1_sets);
+        let run = |evict_from_l1: bool| {
+            let mut writer = vec![Op::Load(a), Op::Compute(0)];
+            if evict_from_l1 {
+                // `ways` more lines in the line's L1 set, spread over
+                // other L2 sets: the line leaves the L1, not the L2.
+                writer.extend((1..=m.l1.ways as u64).map(|k| Op::Load(a + k * l1_sets * 64)));
+                writer.push(Op::Compute(0));
+            }
+            writer.extend([Op::Barrier, Op::Store(a), Op::Barrier]);
+            let reader = vec![
+                Op::Load(a),
+                Op::Compute(0),
+                Op::Barrier, // the writer stores between the barriers
+                Op::Barrier,
+                Op::Load(a),
+                Op::Compute(0),
+            ];
+            let jobs = vec![
+                Job::primary(Box::new(ScriptStream::new(writer)), CoreId::new(0, 0)),
+                Job::primary(Box::new(ScriptStream::new(reader)), CoreId::new(0, 1)),
+            ];
+            let r = Engine::new(&m, jobs).run(&RunLimit::default());
+            (r.jobs[0].counters, r.jobs[1].counters)
+        };
+        // Control: the store hits the L1 and the protocol runs.
+        let (w, r) = run(false);
+        assert_eq!((w.l2_hits, w.coherence_upgrades), (0, 1));
+        assert_eq!((r.coherence_invalidations, r.l1_hits), (1, 0));
+        // The gap: the same store through the L2 is silent.
+        let (w, r) = run(true);
+        assert_eq!(w.l2_hits, 1, "the store must be served by the L2");
+        assert_eq!(w.coherence_upgrades, 0);
+        assert_eq!(r.coherence_invalidations, 0);
+        assert_eq!(r.l1_hits, 1, "the reader's stale copy still hits");
+    }
+
+    #[test]
+    fn stale_up_link_under_a_noninclusive_l3_still_writes_the_line_back() {
+        // One L3 way (CAT) and no back-invalidation: `b` replaces `a` in
+        // the L3 while `a` stays dirty in the L2, whose up-link now names
+        // the entry holding `b`. When the L2 lets `a` go, the link's tag
+        // compare must fail and the line go to DRAM — marking `b` dirty
+        // instead would lose `a`'s writeback and add one for `b` later.
+        let mut m = cfg();
+        m.inclusive_l3 = false;
+        m.prefetch = false;
+        m.l3.hash_sets = false; // same L3 set <=> same line mod `l3_sets`
+        let (l2_sets, l3_sets) = (m.l2.sets() as u64, m.l3.sets() as u64);
+        let pushers = 2 * m.l2.ways as u64;
+        assert!(l3_sets % l2_sets == 0 && l3_sets / l2_sets > pushers);
+        let a = 0x1000_0000u64;
+        let b = a + l3_sets * 64;
+        let mut ops = vec![Op::Store(a), Op::Load(b)];
+        // Push `a` out of the L2 through its L2 set, in other L3 sets.
+        ops.extend((1..=pushers).map(|k| Op::Load(a + k * l2_sets * 64)));
+        ops.push(Op::Compute(0));
+        let job = Job::primary(Box::new(ScriptStream::new(ops)), CoreId::new(0, 0)).with_l3_ways(1);
+        let r = Engine::new(&m, vec![job]).run(&RunLimit::default());
+        assert_eq!(r.sockets[0].dram.writeback_lines, 1, "a's dirty data");
     }
 
     #[test]

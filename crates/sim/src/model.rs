@@ -17,7 +17,7 @@
 //! **identical** counters, wall cycles and writeback traffic — making
 //! event-for-event differential testing meaningful.
 
-use crate::cache::{Cache, Eviction, InsertPolicy};
+use crate::cache::{Cache, Eviction, InsertPolicy, NO_LINK};
 use crate::config::CacheConfig;
 use crate::prefetch::{PrefetchRequests, Prefetcher};
 use crate::tlb::{Tlb, TlbConfig};
@@ -102,6 +102,50 @@ pub trait CacheModel {
 
     /// Count resident lines whose line number falls within `[lo, hi)`.
     fn occupancy_in(&self, lo: u64, hi: u64) -> u64;
+
+    // ---- Up-links: where the engine already located a line ----------
+    //
+    // The engine finds a line at one level and then asks the level above
+    // about the same line (sharers on a store hit, `mark_dirty` on a
+    // dirty eviction). A model may remember, per entry, the index the
+    // line had one level up and answer those calls with one compare.
+    // Links are advisory: every default below ignores them and is the
+    // plain call, so a model that implements none of this — the
+    // reference substrate — defines what a linked model must equal.
+
+    /// Entry index of the line last matched or installed ([`NO_LINK`]
+    /// when the model keeps no such memo).
+    fn memo(&self) -> u32 {
+        NO_LINK
+    }
+
+    /// [`CacheModel::fill`], recording `up` (the level above's
+    /// [`CacheModel::memo`] for this line) on the installed entry; it
+    /// comes back in [`Eviction::link`].
+    fn fill_linked(&mut self, line: u64, dirty: bool, _up: u32) -> Option<Eviction> {
+        self.fill(line, dirty)
+    }
+
+    /// The up-link recorded at entry `at` if `at` holds `line`, else
+    /// [`NO_LINK`].
+    fn up_link(&self, _at: u32, _line: u64) -> u32 {
+        NO_LINK
+    }
+
+    /// [`CacheModel::sharers`], given where the line probably is.
+    fn sharers_at(&self, _at: u32, line: u64) -> u32 {
+        self.sharers(line)
+    }
+
+    /// [`CacheModel::set_exclusive`], given where the line probably is.
+    fn set_exclusive_at(&mut self, _at: u32, line: u64, core: u32) {
+        self.set_exclusive(line, core)
+    }
+
+    /// [`CacheModel::mark_dirty`], given where the line probably is.
+    fn mark_dirty_at(&mut self, _at: u32, line: u64) -> bool {
+        self.mark_dirty(line)
+    }
 }
 
 /// A per-core TLB, as the engine observes it: translate an address,
@@ -194,6 +238,24 @@ impl CacheModel for Cache {
     }
     fn occupancy_in(&self, lo: u64, hi: u64) -> u64 {
         Cache::occupancy_in(self, lo, hi)
+    }
+    fn memo(&self) -> u32 {
+        Cache::memo(self)
+    }
+    fn fill_linked(&mut self, line: u64, dirty: bool, up: u32) -> Option<Eviction> {
+        Cache::fill_linked(self, line, dirty, up)
+    }
+    fn up_link(&self, at: u32, line: u64) -> u32 {
+        Cache::up_link(self, at, line)
+    }
+    fn sharers_at(&self, at: u32, line: u64) -> u32 {
+        Cache::sharers_at(self, at, line)
+    }
+    fn set_exclusive_at(&mut self, at: u32, line: u64, core: u32) {
+        Cache::set_exclusive_at(self, at, line, core)
+    }
+    fn mark_dirty_at(&mut self, at: u32, line: u64) -> bool {
+        Cache::mark_dirty_at(self, at, line)
     }
 }
 

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use active_mem::conformance::fuzz::{
     check_case, configs, fuzz_config, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
-    run_case, sabotage, write_reproducer,
+    noninclusive_config, run_case, sabotage, write_reproducer,
 };
 use active_mem::conformance::{ehr_oracle_pack, orthogonality_pack, replay_file};
 use active_mem::sim::engine::EventSignature;
@@ -61,6 +61,32 @@ fn xeon20way_lane_agrees_under_masks_and_probation() {
         }
     }
     assert_eq!(masks.len(), 4, "every mask shape must be drawn: {masks:x?}");
+}
+
+#[test]
+fn noninclusive_l3_lane_agrees_while_up_links_go_stale() {
+    // The one setting where an L2 entry's up-link outlives the L3 entry
+    // it names: the L3 (128 lines) is no larger than the two L2s above
+    // it and does not back-invalidate, so lines hot in a private cache
+    // age out underneath it. Counted once on this lane (EXPERIMENTS.md):
+    // 29 % of hinted calls meet a stale link, none on any inclusive lane.
+    let cfg = noninclusive_config();
+    assert!(!cfg.machine.inclusive_l3);
+    assert!(
+        cfg.machine.l3.lines() <= 2 * cfg.machine.l2.lines(),
+        "the L3 must turn over under live L2 copies"
+    );
+    assert!(
+        configs().iter().all(|c| c.name != cfg.name),
+        "a lane of its own: the benchmark iterates configs()"
+    );
+    let out = fuzz_config(&cfg, 0..50, 1200);
+    assert_eq!(out.seeds_run, 50);
+    assert!(
+        out.divergences.is_empty(),
+        "substrates diverged: {}",
+        out.divergences[0].describe()
+    );
 }
 
 #[test]

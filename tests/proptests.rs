@@ -175,6 +175,152 @@ fn cache_invalidate_removes() {
     }
 }
 
+/// Up-links are advisory (DESIGN.md §9): every hinted call must equal the
+/// unhinted one whatever link it is handed.
+mod up_links {
+    use super::*;
+    use active_mem::sim::cache::NO_LINK;
+    use std::collections::BTreeMap;
+
+    /// The cache widths with a fixed-width set kernel on the hot path:
+    /// L1/L2 (8) and the Xeon20MB L3 (20).
+    fn cache_of(ways: u32, sets: u64, hash_sets: bool) -> Cache {
+        Cache::new(&CacheConfig {
+            size_bytes: sets * ways as u64 * 64,
+            line_bytes: 64,
+            ways,
+            latency: 1,
+            replacement: Replacement::Lru,
+            insert: InsertPolicy::Mru,
+            hash_sets,
+        })
+    }
+
+    /// A link for `line`: where it is, where it was (stale once the slot
+    /// is replaced), a neighbouring way, another line's slot, no link,
+    /// or an index past the array.
+    fn any_link(rng: &mut Xoshiro256, seen: &BTreeMap<u64, u32>, line: u64, cap: u32) -> u32 {
+        let known = seen.get(&line).copied().unwrap_or(NO_LINK);
+        match rng.below(7) {
+            0 | 1 => known,
+            2 => known.wrapping_add(1),
+            3 => known.wrapping_sub(1),
+            4 => seen
+                .values()
+                .nth(rng.below(seen.len().max(1) as u64) as usize)
+                .copied()
+                .unwrap_or(0),
+            5 => NO_LINK,
+            _ => cap + rng.below(1 << 20) as u32,
+        }
+    }
+
+    #[test]
+    fn hinted_ownership_calls_equal_unhinted_for_any_link() {
+        let mut rng = Xoshiro256::seed_from_u64(0x11_4B5);
+        for case in 0..CASES {
+            let ways = if case % 2 == 0 { 8 } else { 20 };
+            let sets = 1 << rng.below(4);
+            let hash = rng.below(2) == 0;
+            // `a` takes every call with a link, `b` the plain call.
+            let (mut a, mut b) = (cache_of(ways, sets, hash), cache_of(ways, sets, hash));
+            let cap = a.capacity_lines() as u32;
+            let span = 3 * cap as u64;
+            // Every slot a line was ever seen in — deliberately never
+            // pruned, so old entries are the stale links.
+            let mut seen: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut valid = 0u32;
+            for op in 0..600 {
+                let line = rng.below(span);
+                let at = any_link(&mut rng, &seen, line, cap);
+                let core = rng.below(8) as u32;
+                let ctx = format!("case {case} op {op} line {line} link {at:#x}");
+                match rng.below(8) {
+                    0..=2 => {
+                        let dirty = rng.below(3) == 0;
+                        assert_eq!(a.fill(line, dirty), b.fill(line, dirty), "{ctx}");
+                        seen.insert(line, a.memo());
+                        a.add_sharer(line, core);
+                        b.add_sharer(line, core);
+                    }
+                    3 => assert_eq!(a.invalidate(line), b.invalidate(line), "{ctx}"),
+                    4 => assert_eq!(a.sharers_at(at, line), b.sharers(line), "{ctx}"),
+                    5 => {
+                        a.set_exclusive_at(at, line, core);
+                        b.set_exclusive(line, core);
+                    }
+                    6 => assert_eq!(a.mark_dirty_at(at, line), b.mark_dirty(line), "{ctx}"),
+                    _ => assert_eq!(a.lookup(line, false), b.lookup(line, false), "{ctx}"),
+                }
+                valid += (a.contains(line) && seen.get(&line) == Some(&at)) as u32;
+                assert_eq!(a.sharers(line), b.sharers(line), "{ctx}");
+            }
+            assert!(valid > 20, "case {case}: only {valid} correct links drawn");
+            // Same contents, same dirtiness, same ownership at the end.
+            for line in 0..span {
+                assert_eq!(a.sharers(line), b.sharers(line), "case {case} line {line}");
+                assert_eq!(
+                    a.invalidate(line),
+                    b.invalidate(line),
+                    "case {case} line {line}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn linked_fills_equal_plain_fills_and_links_ride_out_in_evictions() {
+        let mut rng = Xoshiro256::seed_from_u64(0x11_4B6);
+        for case in 0..CASES {
+            let ways = if case % 2 == 0 { 8 } else { 20 };
+            let sets = 1 << rng.below(4);
+            let mut a = cache_of(ways, sets, false).without_ownership();
+            let mut b = cache_of(ways, sets, false).without_ownership();
+            let span = 3 * a.capacity_lines();
+            let mut given: BTreeMap<u64, u32> = BTreeMap::new();
+            for op in 0..600 {
+                let line = rng.below(span);
+                let ctx = format!("case {case} op {op} line {line}");
+                if rng.below(4) == 0 {
+                    assert_eq!(a.invalidate(line), b.invalidate(line), "{ctx}");
+                    given.remove(&line);
+                    continue;
+                }
+                let dirty = rng.below(3) == 0;
+                let up = match rng.below(3) {
+                    0 => NO_LINK,
+                    _ => rng.below(1 << 24) as u32,
+                };
+                let (ea, eb) = (a.fill_linked(line, dirty, up), b.fill(line, dirty));
+                given.insert(line, up);
+                // The victim is the plain fill's victim, carrying the
+                // link its own fill was given.
+                assert_eq!(
+                    ea.map(|e| (e.line, e.dirty, e.present)),
+                    eb.map(|e| (e.line, e.dirty, e.present)),
+                    "{ctx}"
+                );
+                if let Some(e) = ea {
+                    assert_eq!(
+                        Some(e.link),
+                        given.remove(&e.line),
+                        "{ctx}: evicted {}",
+                        e.line
+                    );
+                }
+                // The link reads back only through the entry that holds
+                // the line.
+                let at = a.memo();
+                assert_eq!(a.up_link(at, line), up, "{ctx}");
+                assert_eq!(a.up_link(at, line + span), NO_LINK, "{ctx}");
+                assert_eq!(a.up_link(at.wrapping_add(1), line), NO_LINK, "{ctx}");
+                assert_eq!(a.up_link(NO_LINK, line), NO_LINK, "{ctx}");
+                assert_eq!(a.up_link(a.capacity_lines() as u32, line), NO_LINK, "{ctx}");
+            }
+        }
+    }
+}
+
 #[test]
 fn rankmap_places_every_local_rank_uniquely() {
     let mut rng = Xoshiro256::seed_from_u64(0x4A4B);
