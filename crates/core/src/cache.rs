@@ -179,6 +179,14 @@ impl<T: Payload> TieredCache<T> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// Whether `key` is in the memory map right now. A peek, not a
+    /// request: it moves no counter and joins nothing in flight. The map
+    /// never evicts, so a `true` here is a memory hit whenever the
+    /// request follows.
+    pub fn in_memory(&self, key: &str) -> bool {
+        self.lock_state().mem.contains_key(key)
+    }
+
     /// The value for `key`: from memory, from the thread already
     /// computing it, from disk, or from `compute` — which then runs
     /// exactly once however many threads ask. `None` is a request that

@@ -392,6 +392,27 @@ impl Executor {
             })
     }
 
+    /// Whether [`Executor::run`] on this request would be a memory hit:
+    /// the measurement is already in this executor's memory tier. A peek
+    /// — [`Executor::stats`] does not move — for callers that decide
+    /// *where* to run a request by whether it needs any work (sweeps, the
+    /// serve daemon's frontends). Uncacheable requests are never resident.
+    pub fn in_memory(
+        &self,
+        workload: &dyn Workload,
+        per_processor: usize,
+        mix: InterferenceMix,
+    ) -> bool {
+        self.request_key(workload, per_processor, mix)
+            .is_some_and(|key| self.measurements.in_memory(&key))
+    }
+
+    /// [`Executor::in_memory`] for [`Executor::run_curve`].
+    pub fn curve_in_memory(&self, req: &CurveRequest) -> bool {
+        self.curve_request_key(req)
+            .is_some_and(|key| self.curves.in_memory(&key))
+    }
+
     /// Compute (or fetch) a whole miss-ratio curve: the single-pass
     /// stack-distance engine behind one cache entry *per curve* instead
     /// of one per grid point.
@@ -983,6 +1004,39 @@ mod tests {
         assert_eq!(s.curves().runs, 1);
         assert_eq!(s.curves().mem_hits, 1);
         assert_eq!(s.sim_runs, 0, "curves never touch measurement counters");
+    }
+
+    #[test]
+    fn peeks_see_the_memory_tier_and_count_nothing() {
+        let dir = std::env::temp_dir().join(format!("amem_peek_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let exec = Executor::with_cache_dir(plat(), dir.clone());
+        let (w, mix) = (tiny_mcb(), InterferenceMix::storage(1));
+        assert!(!exec.in_memory(&w, 2, mix));
+        assert!(!exec.curve_in_memory(&tiny_curve_req()));
+        exec.run(&w, 2, mix).unwrap();
+        exec.run_curve(&tiny_curve_req()).unwrap();
+        let before = exec.stats();
+        for _ in 0..100 {
+            assert!(exec.in_memory(&w, 2, mix));
+            assert!(exec.curve_in_memory(&tiny_curve_req()));
+            assert!(!exec.in_memory(&w, 2, InterferenceMix::storage(2)));
+        }
+        assert_eq!(exec.stats(), before, "a peek is not a request");
+
+        // On disk is not in memory: a fresh executor over the same
+        // directory peeks `false` until its first (disk-hit) request.
+        let reopened = Executor::with_cache_dir(plat(), dir.clone());
+        assert!(!reopened.in_memory(&w, 2, mix));
+        reopened.run(&w, 2, mix).unwrap();
+        assert_eq!(reopened.stats().disk_hits, 1);
+        assert!(reopened.in_memory(&w, 2, mix));
+
+        // Nothing is resident where nothing is cached.
+        let uncached = Executor::uncached(plat());
+        uncached.run(&w, 2, mix).unwrap();
+        assert!(!uncached.in_memory(&w, 2, mix));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! ([`run_sweeps`]) — are flattened into one bounded-concurrency rayon
 //! pool, and each point goes through the [`Executor`], so shared points
 //! (most obviously the zero-interference baselines) are simulated once
-//! and served from cache everywhere else.
+//! and served from cache everywhere else. Points the executor already
+//! holds in memory skip the pool and are answered on the calling thread:
+//! re-running a warm sweep spawns nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -171,72 +173,81 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
         reg.gauge("amem_sweep_queue_depth", &[]).set(total as i64);
     }
     let batch_started = std::time::Instant::now();
-    let results: Vec<(usize, usize, Result<_, AmemError>)> = tasks
-        .into_par_iter()
-        .map(|(ri, k)| {
-            let req = &requests[ri];
-            let mix = InterferenceMix::of_kind(req.kind, k);
-            let point_started = std::time::Instant::now();
-            let res = {
-                // Grid-namespace phase: which sweep level this wall time
-                // belongs to (overlaps the leaf phases inside the run).
-                let _cell = amem_metrics::phase(&format!("grid/sweep/{:?} k={}", req.kind, k));
-                if metrics_on {
-                    amem_metrics::global()
-                        .gauge("amem_sweep_points_inflight", &[])
-                        .inc();
-                }
-                let res = exec.run(req.workload, req.per_processor, mix);
-                if metrics_on {
-                    amem_metrics::global()
-                        .gauge("amem_sweep_points_inflight", &[])
-                        .dec();
-                }
-                res
-            };
-            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-            let remaining = total - n;
+    let point = |(ri, k): (usize, usize)| {
+        let req = &requests[ri];
+        let mix = InterferenceMix::of_kind(req.kind, k);
+        let point_started = std::time::Instant::now();
+        let res = {
+            // Grid-namespace phase: which sweep level this wall time
+            // belongs to (overlaps the leaf phases inside the run).
+            let _cell = amem_metrics::phase(&format!("grid/sweep/{:?} k={}", req.kind, k));
             if metrics_on {
-                let reg = amem_metrics::global();
-                reg.gauge("amem_sweep_queue_depth", &[])
-                    .set(remaining as i64);
-                reg.histogram("amem_sweep_point_ns", &[])
-                    .record(u64::try_from(point_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                let outcome = if res.is_ok() { "ok" } else { "error" };
-                reg.counter("amem_sweep_points_total", &[("result", outcome)])
+                amem_metrics::global()
+                    .gauge("amem_sweep_points_inflight", &[])
                     .inc();
             }
-            if progress {
-                // Points-remaining and a rolling-throughput ETA ride on
-                // every line, so a 120 s Fig. 6-style wait is legible.
-                let eta = eta_secs(batch_started.elapsed().as_secs_f64(), n, remaining);
-                match &res {
-                    Ok(m) => eprintln!(
-                        "[sweep {}/{}] {} {:?} k={} -> {:.4}s ({} left, ETA {:.1}s)",
-                        n,
-                        total,
-                        req.workload.name(),
-                        req.kind,
-                        k,
-                        m.seconds,
-                        remaining,
-                        eta
-                    ),
-                    Err(e) => eprintln!(
-                        "[sweep {}/{}] {} {:?} k={} -> error: {e} ({} left, ETA {:.1}s)",
-                        n,
-                        total,
-                        req.workload.name(),
-                        req.kind,
-                        k,
-                        remaining,
-                        eta
-                    ),
-                }
+            let res = exec.run(req.workload, req.per_processor, mix);
+            if metrics_on {
+                amem_metrics::global()
+                    .gauge("amem_sweep_points_inflight", &[])
+                    .dec();
             }
-            (ri, k, res)
-        })
-        .collect();
+            res
+        };
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        let remaining = total - n;
+        if metrics_on {
+            let reg = amem_metrics::global();
+            reg.gauge("amem_sweep_queue_depth", &[])
+                .set(remaining as i64);
+            reg.histogram("amem_sweep_point_ns", &[])
+                .record(u64::try_from(point_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let outcome = if res.is_ok() { "ok" } else { "error" };
+            reg.counter("amem_sweep_points_total", &[("result", outcome)])
+                .inc();
+        }
+        if progress {
+            // Points-remaining and a rolling-throughput ETA ride on
+            // every line, so a 120 s Fig. 6-style wait is legible.
+            let eta = eta_secs(batch_started.elapsed().as_secs_f64(), n, remaining);
+            match &res {
+                Ok(m) => eprintln!(
+                    "[sweep {}/{}] {} {:?} k={} -> {:.4}s ({} left, ETA {:.1}s)",
+                    n,
+                    total,
+                    req.workload.name(),
+                    req.kind,
+                    k,
+                    m.seconds,
+                    remaining,
+                    eta
+                ),
+                Err(e) => eprintln!(
+                    "[sweep {}/{}] {} {:?} k={} -> error: {e} ({} left, ETA {:.1}s)",
+                    n,
+                    total,
+                    req.workload.name(),
+                    req.kind,
+                    k,
+                    remaining,
+                    eta
+                ),
+            }
+        }
+        (ri, k, res)
+    };
+    // Points already in the executor's memory tier need no worker: they
+    // are answered here, on the calling thread, and only the rest go to
+    // the pool. A fully cached batch spawns no thread at all.
+    let (resident, cold): (Vec<_>, Vec<_>) = tasks.into_iter().partition(|&(ri, k)| {
+        let req = &requests[ri];
+        let mix = InterferenceMix::of_kind(req.kind, k);
+        exec.in_memory(req.workload, req.per_processor, mix)
+    });
+    let mut results: Vec<(usize, usize, Result<_, AmemError>)> =
+        resident.into_iter().map(&point).collect();
+    let computed: Vec<_> = cold.into_par_iter().map(&point).collect();
+    results.extend(computed);
     if metrics_on {
         amem_metrics::global()
             .counter("amem_sweep_batch_ns_total", &[])
@@ -394,6 +405,34 @@ mod tests {
             assert!(pt.seconds.is_finite());
             assert!(pt.degradation_pct.is_finite());
         }
+    }
+
+    /// Levels already in memory are answered on the calling thread and
+    /// the rest in the pool; which is which must not show in the sweep.
+    #[test]
+    fn partly_resident_sweep_equals_the_cold_one() {
+        let sweep = |exec: &Executor| {
+            let s = run_sweep(exec, &w(), 2, InterferenceKind::Storage, 4).unwrap();
+            serde_json::to_string(&s).unwrap()
+        };
+        let cold = sweep(&exec());
+
+        let exec = exec();
+        for k in [0, 2, 3] {
+            exec.run(&w(), 2, InterferenceMix::storage(k)).unwrap();
+        }
+        let before = exec.stats();
+        assert_eq!((before.sim_runs, before.mem_hits), (3, 0));
+        assert_eq!(sweep(&exec), cold, "field for field, in order");
+        let s = exec.stats();
+        assert_eq!(s.sim_runs - before.sim_runs, 2, "the cold levels: {s:?}");
+        assert_eq!(s.mem_hits, 3, "the resident ones: {s:?}");
+
+        // Fully resident now: five more memory hits and nothing else.
+        assert_eq!(sweep(&exec), cold);
+        let again = exec.stats();
+        assert_eq!(again.mem_hits, 8, "{again:?}");
+        assert_eq!(again.lookups(), s.lookups() + 5);
     }
 
     #[test]

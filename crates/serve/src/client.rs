@@ -39,6 +39,9 @@ impl Client {
     /// Connect to a daemon.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // A request is one write of a whole line: never hold its tail
+        // back waiting for the ACK of its head.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             writer: stream,

@@ -7,10 +7,13 @@
 //!
 //! - **Stateless frontends** ([`server`]): one thread per TCP connection,
 //!   speaking JSON lines (see [`protocol`]). Frontends parse, journal a
-//!   durable [`job::JobRecord`], enqueue, and block on the result.
+//!   durable [`job::JobRecord`], enqueue, and block on the result — or,
+//!   when every result the job needs is already in memory, run it
+//!   themselves: a warm request never leaves the thread that parsed it.
 //! - **Priority scheduler** ([`scheduler`] + [`quota`]): three FIFO
 //!   lanes with per-tenant token buckets; throttled tenants defer in
-//!   place, they are never reordered and never starve others.
+//!   place, and queued jobs are never reordered and never starve others
+//!   (a memory hit is not queued, so it waits behind nothing).
 //! - **Sharded executors** ([`shard`]): request keys route by content
 //!   hash to a shard-owned [`amem_core::Executor`], so the executor's
 //!   in-flight dedup holds across *all* connections — two clients

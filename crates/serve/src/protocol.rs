@@ -24,7 +24,10 @@ use serde::{Deserialize, Serialize};
 /// requests with a typed error instead of guessing.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// Scheduling class. Within one priority, jobs run FIFO per tenant.
+/// Scheduling class. Within one priority, *queued* jobs run FIFO per
+/// tenant. A job whose results are all in memory is not queued — the
+/// frontend answers it — so it does not wait behind its tenant's, or a
+/// higher class's, queued computations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Priority {
     High,
@@ -299,6 +302,10 @@ pub struct ServeStats {
     pub jobs_submitted: u64,
     pub jobs_completed: u64,
     pub jobs_failed: u64,
+    /// Jobs a connection thread executed itself because every result was
+    /// already in memory (counted in `jobs_completed` too). Clients built
+    /// before this field skip it like any unknown key.
+    pub frontend_jobs: u64,
     /// Jobs currently queued (not yet picked up by a worker).
     pub queue_depth: u64,
     /// Times the scheduler skipped a job because its tenant was over

@@ -7,6 +7,11 @@
 //! When nothing is admissible the worker parks on a condvar with a short
 //! timeout so bucket refills are re-checked promptly.
 //!
+//! That order holds among *queued* jobs. A frontend runs a job that is
+//! memory hits only without queueing it (`server.rs`), charging the same
+//! bucket through [`JobQueue::admit`]: such a job overtakes whatever its
+//! tenant has queued, and a tenant over quota gets no such shortcut.
+//!
 //! Every lock is poison-tolerant (`unwrap_or_else(|p| p.into_inner())`,
 //! the executor's discipline): one panicking job must never wedge the
 //! queue for every other connection.
@@ -153,6 +158,15 @@ impl JobQueue {
         Ok(())
     }
 
+    /// Charge `tenant`'s token bucket for one job, now — what [`pop`]
+    /// does before handing a job to a worker, for a frontend about to run
+    /// a memory hit itself. `false`: over quota; queue the job instead.
+    ///
+    /// [`pop`]: JobQueue::pop
+    pub fn admit(&self, tenant: &str) -> bool {
+        self.quotas.admit(tenant)
+    }
+
     /// Dequeue the next admissible job, blocking while the queue is open
     /// and empty (or every queued tenant is throttled). `None` means
     /// closed *and* fully drained — the worker should exit.
@@ -275,6 +289,20 @@ mod tests {
         assert_eq!(q.pop().unwrap().id, 3, "b is not starved by a's backlog");
         assert!(q.deferrals() > 0, "the skip was counted");
         assert_eq!(q.depth(), 1, "a's second job is still queued");
+    }
+
+    #[test]
+    fn frontend_admission_spends_the_bucket_pop_draws_on() {
+        let q = JobQueue::new(QuotaConfig {
+            rate_per_sec: 1e-9,
+            burst: 1.0,
+        });
+        assert!(q.admit("a"), "a's one token");
+        assert!(!q.admit("a"), "spent: the frontend must queue the job");
+        q.push(job(1, "a", Priority::Normal)).unwrap();
+        q.push(job(2, "b", Priority::Normal)).unwrap();
+        assert_eq!(q.pop().unwrap().id, 2, "a worker finds a's bucket empty");
+        assert!(q.deferrals() > 0);
     }
 
     #[test]

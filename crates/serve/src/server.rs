@@ -4,10 +4,14 @@
 //! Golem lineage): connection handlers are *stateless frontends* — they
 //! parse lines, journal a durable job record, enqueue, and block on the
 //! job's result cell. All state lives behind them: the priority queue,
-//! the shard-owned executors, and the shared store. Shutdown is a drain:
-//! the queue closes (new submissions are refused with a typed error),
-//! workers finish everything queued, and only then is the shutdown
-//! acknowledged.
+//! the shard-owned executors, and the shared store. A job whose every
+//! result is already in its executor's memory tier needs no worker: the
+//! frontend runs it itself, through the same `Inner::execute` a worker
+//! calls, so a warm request never leaves the thread that parsed it and
+//! the `workers` cap still bounds every computation. Shutdown is a
+//! drain: the queue closes (new submissions are refused with a typed
+//! error), workers finish everything queued, and only then is the
+//! shutdown acknowledged.
 //!
 //! Every mutex in the daemon follows the executor's poison-tolerance
 //! discipline, and workers run jobs under `catch_unwind`, so one
@@ -23,7 +27,8 @@ use std::time::{Duration, Instant};
 
 use amem_core::capacity::CalibrateOpts;
 use amem_core::sweep::run_sweep;
-use amem_core::AmemError;
+use amem_core::{AmemError, Executor};
+use amem_interfere::InterferenceMix;
 
 use crate::job::{JobRecord, JobStatus, JobStore, JOB_SCHEMA_VERSION};
 use crate::protocol::{
@@ -83,6 +88,11 @@ struct Inner {
     jobs_submitted: AtomicU64,
     jobs_completed: AtomicU64,
     jobs_failed: AtomicU64,
+    /// Jobs a connection thread executed itself (memory hits).
+    frontend_jobs: AtomicU64,
+    /// Jobs executed, on any thread, counted toward the next
+    /// `store.evict()`: every 32nd runs it.
+    since_evict: AtomicU64,
     shutting_down: AtomicBool,
     workers_alive: AtomicUsize,
     drained: Mutex<bool>,
@@ -101,6 +111,7 @@ impl Inner {
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
+            frontend_jobs: self.frontend_jobs.load(Ordering::Relaxed),
             queue_depth: self.queue.depth() as u64,
             quota_deferrals: self.queue.deferrals(),
             shards: self.shards.shard_count(),
@@ -121,12 +132,50 @@ impl Inner {
         stats
     }
 
+    /// The job's executor, when every result the job needs is already in
+    /// its memory tier — running it is then lookups only, and a frontend
+    /// may do that itself. Measure: the point; Sweep: every feasible
+    /// level; Curve: the curve; Calibrate: never (it searches, and what
+    /// it asks for depends on what it finds). The memory tier never
+    /// evicts, so `Some` here is followed by memory hits. A peek: no
+    /// executor counter moves.
+    fn in_memory(&self, spec: &JobSpec) -> Option<Arc<Executor>> {
+        let exec = self.shards.executor(spec, None).ok()?;
+        let resident = match spec {
+            JobSpec::Measure {
+                workload,
+                per_processor,
+                mix,
+                ..
+            } => exec.in_memory(workload.build().as_ref(), *per_processor, *mix),
+            JobSpec::Sweep {
+                workload,
+                per_processor,
+                kind,
+                max_count,
+                ..
+            } => {
+                let w = workload.build();
+                let mut levels = (0..=*max_count)
+                    .filter(|&k| exec.feasible(w.as_ref(), *per_processor, k))
+                    .peekable();
+                levels.peek().is_some()
+                    && levels.all(|k| {
+                        let mix = InterferenceMix::of_kind(*kind, k);
+                        exec.in_memory(w.as_ref(), *per_processor, mix)
+                    })
+            }
+            JobSpec::Calibrate { .. } => false,
+            JobSpec::Curve { request } => exec.curve_in_memory(request),
+        };
+        resident.then_some(exec)
+    }
+
     /// Execute one job spec against its shard-owned executor. The result
     /// payloads are the library's own structs — the executor's own `Arc`
     /// where it returns one — so what the frontend serializes is
     /// byte-identical to a local call.
-    fn run_job(&self, spec: &JobSpec, fault: Option<&str>) -> Result<JobOutput, AmemError> {
-        let exec = self.shards.executor(spec, fault)?;
+    fn run_job(exec: &Executor, spec: &JobSpec) -> Result<JobOutput, AmemError> {
         match spec {
             JobSpec::Measure {
                 workload,
@@ -149,7 +198,7 @@ impl Inner {
                 ..
             } => {
                 let w = workload.build();
-                let sweep = run_sweep(&exec, w.as_ref(), *per_processor, *kind, *max_count)?;
+                let sweep = run_sweep(exec, w.as_ref(), *per_processor, *kind, *max_count)?;
                 Ok(JobOutput::Sweep(sweep))
             }
             JobSpec::Calibrate { max_cs, .. } => {
@@ -157,7 +206,7 @@ impl Inner {
                     max_cs: *max_cs,
                     ..CalibrateOpts::default()
                 };
-                let map = amem_core::CapacityMap::calibrate(&exec, &opts)?;
+                let map = amem_core::CapacityMap::calibrate(exec, &opts)?;
                 Ok(JobOutput::Capacity(map))
             }
             JobSpec::Curve { request } => Ok(JobOutput::Curve(exec.run_curve(request)?)),
@@ -192,19 +241,26 @@ impl Inner {
         reg.histogram("amem_serve_job_wait_ns", &[])
             .record(wait.as_nanos() as u64);
     }
-}
 
-fn worker_loop(inner: &Inner) {
-    let mut since_evict = 0u64;
-    while let Some(job) = inner.queue.pop() {
+    /// Run one job to its resolved result cell: journal, panic
+    /// containment, counters, store maintenance. The one execution path —
+    /// a worker calls it for each job it pops, a frontend for a job
+    /// [`Inner::in_memory`] found resident, passing the executor that
+    /// peek already routed to (`None`: route here, where a bad fault
+    /// spec fails the job).
+    fn execute(&self, job: &QueuedJob, resident: Option<Arc<Executor>>) {
         let wait = job.enqueued.elapsed();
         let kind = job.spec.kind();
-        inner.write_record(&job, JobStatus::Running, None);
-        // If anything below unwinds past the catch (or the worker dies
-        // between pop and resolve), the guard still unblocks the waiter.
+        self.write_record(job, JobStatus::Running, None);
+        // If anything below unwinds past the catch (or the thread dies
+        // between here and resolve), the guard still unblocks the waiter.
         let guard = ResolveOnDrop::new(Arc::clone(&job.cell));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inner.run_job(&job.spec, job.fault.as_deref())
+            let exec = match resident {
+                Some(exec) => exec,
+                None => self.shards.executor(&job.spec, job.fault.as_deref())?,
+            };
+            Self::run_job(&exec, &job.spec)
         }));
         let result: Result<JobOutput, String> = match outcome {
             Ok(Ok(r)) => Ok(r),
@@ -213,33 +269,32 @@ fn worker_loop(inner: &Inner) {
         };
         match &result {
             Ok(_) => {
-                inner.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                inner.metric_job("completed", kind, wait);
-                inner.write_record(&job, JobStatus::Done, None);
+                self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                self.metric_job("completed", kind, wait);
+                self.write_record(job, JobStatus::Done, None);
             }
             Err(e) => {
-                inner.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                inner.metric_job("failed", kind, wait);
-                inner.write_record(&job, JobStatus::Failed, Some(e.clone()));
+                self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                self.metric_job("failed", kind, wait);
+                self.write_record(job, JobStatus::Failed, Some(e.clone()));
             }
         }
         job.cell.resolve(result);
         drop(guard); // already resolved; the guard's write is a no-op
 
-        // Periodic store maintenance, amortized across the pool.
-        since_evict += 1;
-        if since_evict >= 32 {
-            since_evict = 0;
-            if let Some(store) = &inner.store {
+        // Periodic store maintenance, amortized across every thread that
+        // executes jobs.
+        if self.since_evict.fetch_add(1, Ordering::Relaxed) % 32 == 31 {
+            if let Some(store) = &self.store {
                 store.evict();
             }
         }
-        if amem_metrics::enabled() {
-            let (cache, _) = inner.shards.aggregate_stats();
-            amem_metrics::global()
-                .gauge("amem_serve_cache_hit_rate_percent", &[])
-                .set((100.0 * cache.hit_rate()) as i64);
-        }
+    }
+}
+
+fn worker_loop(inner: &Inner) {
+    while let Some(job) = inner.queue.pop() {
+        inner.execute(&job, None);
     }
     // Last worker out signals the drain.
     if inner.workers_alive.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -252,6 +307,9 @@ fn worker_loop(inner: &Inner) {
 /// One connection = one stateless frontend. Its two line buffers live
 /// as long as the connection, so a request costs no allocation for I/O.
 fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
+    // A reply is one write of a whole line; without this, the second
+    // segment of a reply larger than one waits out Nagle + delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -359,7 +417,25 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Reply {
                 cell: Arc::clone(&cell),
             };
             inner.write_record(&job, JobStatus::Queued, None);
-            let outcome = match inner.queue.push(job) {
+            // A memory hit is lookups only: run it here and skip the two
+            // hand-offs through the queue. Quota is charged as a worker's
+            // pop would charge it, last, so a refusal spends no token.
+            let resident = if job.fault.is_none() && !inner.shutting_down.load(Ordering::SeqCst) {
+                inner
+                    .in_memory(&job.spec)
+                    .filter(|_| inner.queue.admit(&job.tenant))
+            } else {
+                None
+            };
+            let queued = match resident {
+                Some(exec) => {
+                    inner.frontend_jobs.fetch_add(1, Ordering::Relaxed);
+                    inner.execute(&job, Some(exec));
+                    Ok(())
+                }
+                None => inner.queue.push(job),
+            };
+            let outcome = match queued {
                 Ok(()) => {
                     inner.jobs_submitted.fetch_add(1, Ordering::Relaxed);
                     cell.wait()
@@ -423,6 +499,8 @@ impl Server {
             jobs_submitted: AtomicU64::new(0),
             jobs_completed: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
+            frontend_jobs: AtomicU64::new(0),
+            since_evict: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
             workers_alive: AtomicUsize::new(workers_n),
             drained: Mutex::new(false),
@@ -511,8 +589,89 @@ impl Server {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::protocol::read_line;
+    use crate::protocol::{read_line, WorkloadSpec};
+    use amem_sim::config::MachineConfig;
     use std::io::Write;
+
+    /// One fig1 probe point: a fraction of a second cold, a lookup warm.
+    fn point(k: usize) -> JobSpec {
+        let machine = MachineConfig::xeon20mb().scaled(0.0625);
+        JobSpec::Measure {
+            workload: WorkloadSpec::Probe(amem_core::figures::fig1_probe(&machine)),
+            machine,
+            per_processor: 1,
+            mix: InterferenceMix::storage(k),
+        }
+    }
+
+    fn client(server: &Server, tenant: &str) -> Client {
+        let mut c = Client::connect(server.addr()).expect("connect");
+        c.tenant = tenant.into();
+        c
+    }
+
+    /// The frontend charges the tenant's bucket before it runs a hit, and
+    /// a tenant over quota gets no shortcut: its hit waits in the queue
+    /// for the refill like any other job. (Half a token a second: the
+    /// test takes two seconds, and only a two-second stall between its
+    /// two requests could let the second one in.)
+    #[test]
+    fn an_over_quota_hit_queues_like_any_other_job() {
+        let server = Server::start(ServeConfig {
+            quota: QuotaConfig {
+                rate_per_sec: 0.5,
+                burst: 1.0,
+            },
+            ..ServeConfig::default()
+        })
+        .expect("start");
+        client(&server, "warm")
+            .submit(point(1))
+            .expect("cold: a worker simulates it");
+        assert_eq!(server.stats().frontend_jobs, 0);
+
+        let mut c = client(&server, "t");
+        c.submit(point(1)).expect("resident, and t's one token");
+        assert_eq!(server.stats().frontend_jobs, 1);
+        c.submit(point(1))
+            .expect("resident, but the bucket is empty");
+        let stats = server.stats();
+        assert_eq!(stats.frontend_jobs, 1, "the second hit was a worker's");
+        assert!(stats.quota_deferrals > 0, "{stats:?}");
+        assert_eq!((stats.jobs_submitted, stats.jobs_completed), (3, 3));
+
+        c.shutdown().expect("drain");
+        server.wait();
+    }
+
+    /// A fault spec names another executor — one that caches nothing —
+    /// so what the clean executor holds in memory says nothing about the
+    /// job: it goes to a worker, and a bad spec fails it there.
+    #[test]
+    fn a_fault_injected_request_never_runs_on_the_frontend() {
+        let server = Server::start(ServeConfig {
+            allow_fault: true,
+            ..ServeConfig::default()
+        })
+        .expect("start");
+        let mut clean = client(&server, "clean");
+        clean.submit(point(1)).expect("cold");
+        clean.submit(point(1)).expect("resident");
+        assert_eq!(server.stats().frontend_jobs, 1);
+
+        let mut faulty = client(&server, "chaos");
+        faulty.fault = Some("seed=1,panic=1.0".into());
+        let err = faulty.submit(point(1)).expect_err("always panics");
+        assert!(err.to_string().contains("panic"), "{err}");
+        faulty.fault = Some("bogus=1".into());
+        faulty.submit(point(1)).expect_err("a bad fault spec");
+        let stats = server.stats();
+        assert_eq!(stats.frontend_jobs, 1, "neither ran inline");
+        assert_eq!((stats.jobs_completed, stats.jobs_failed), (2, 2));
+
+        clean.shutdown().expect("drain");
+        server.wait();
+    }
 
     #[test]
     fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {

@@ -206,11 +206,139 @@ fn shutdown_drains_completed_work_then_refuses_new_jobs() {
     let drained = c.shutdown().unwrap();
     assert_eq!(drained, 1, "drain reports the lifetime completion count");
 
+    // The point is resident by now, and still nobody runs it: a frontend
+    // takes no job once the drain has begun.
     let err = late
         .measure(measure_spec(&m, InterferenceMix::none()))
         .expect_err("submissions after the drain are refused");
     assert!(err.to_string().contains("shutting down"), "{err}");
+    let stats = server.wait();
+    assert_eq!((stats.frontend_jobs, stats.jobs_completed), (0, 1));
+}
+
+/// With both workers inside seconds of simulation, a request for a
+/// resident point is answered by the connection thread that parsed it —
+/// before either worker is free to take anything.
+#[test]
+fn a_resident_hit_does_not_wait_for_busy_workers() {
+    let m = machine();
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let point = measure_spec(&m, InterferenceMix::storage(2));
+    let mut c = Client::connect(addr).unwrap();
+    let cold = c.measure(point.clone()).unwrap();
+
+    std::thread::scope(|s| {
+        // Two sweeps of five cold levels each, one per worker.
+        let mut bandwidth = sweep_spec(&m);
+        if let JobSpec::Sweep { kind, .. } = &mut bandwidth {
+            *kind = InterferenceKind::Bandwidth;
+        }
+        for spec in [sweep_spec(&m), bandwidth] {
+            s.spawn(move || Client::connect(addr).unwrap().sweep(spec).unwrap());
+        }
+        loop {
+            let stats = server.stats();
+            if stats.jobs_submitted == 3 && stats.queue_depth == 0 {
+                break; // both popped: both workers are busy
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        let hit = c.measure(point).unwrap();
+        let stats = server.stats();
+        assert_eq!(stats.jobs_completed, 2, "neither sweep is done: {stats:?}");
+        assert_eq!(stats.frontend_jobs, 1);
+        assert_eq!(
+            serde_json::to_string(&hit).unwrap(),
+            serde_json::to_string(&cold).unwrap()
+        );
+    });
+
+    let stats = server.stats();
+    assert_eq!((stats.jobs_completed, stats.frontend_jobs), (4, 1));
+    c.shutdown().unwrap();
     server.wait();
+}
+
+/// A job the frontend ran is a job: it has an id, a record that ends
+/// `Done`, and a place in every counter.
+#[test]
+fn an_inline_hit_is_journaled_and_counted_like_any_job() {
+    let m = machine();
+    let state = temp_dir("journal_inline");
+    let server = start(ServeConfig {
+        state_dir: Some(state.clone()),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.tenant = "again".into();
+    let spec = || measure_spec(&m, InterferenceMix::storage(1));
+    let cold = c.measure(spec()).unwrap();
+    let hit = c.measure(spec()).unwrap();
+    assert_eq!(
+        serde_json::to_string(&hit).unwrap(),
+        serde_json::to_string(&cold).unwrap()
+    );
+
+    let stats = server.stats();
+    assert_eq!(stats.frontend_jobs, 1);
+    assert_eq!((stats.jobs_submitted, stats.jobs_completed), (2, 2));
+    assert_eq!(
+        entry_files(&state.join("jobs")).len(),
+        2,
+        "one record a job"
+    );
+    let record: JobRecord =
+        serde_json::from_str(&std::fs::read_to_string(state.join("jobs/job-2.json")).unwrap())
+            .unwrap();
+    assert_eq!(
+        (record.id, record.tenant.as_str(), record.status),
+        (2, "again", JobStatus::Done)
+    );
+    assert_eq!(record.error, None);
+
+    c.shutdown().unwrap();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// On disk is not in memory: after a restart the first touch of a key
+/// reads a file, which is a worker's job; only the touch after that is
+/// the frontend's.
+#[test]
+fn first_touch_after_restart_goes_through_a_worker() {
+    let m = machine();
+    let dir = temp_dir("restart_touch");
+    let cfg = || ServeConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let spec = || measure_spec(&m, InterferenceMix::storage(1));
+
+    let first_life = start(cfg());
+    let mut c = Client::connect(first_life.addr()).unwrap();
+    c.measure(spec()).unwrap();
+    c.shutdown().unwrap();
+    first_life.wait();
+
+    let server = start(cfg());
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.measure(spec()).unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.frontend_jobs, 0, "{stats:?}");
+    assert_eq!((stats.cache.disk_hits, stats.cache.sim_runs), (1, 0));
+    c.measure(spec()).unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.frontend_jobs, 1, "{stats:?}");
+    assert_eq!((stats.cache.mem_hits, stats.cache.disk_hits), (1, 1));
+
+    c.shutdown().unwrap();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Poll one journal record until it reaches a final status, returning
