@@ -4,7 +4,7 @@
 //! whiteboard: one struct per cache way, linear scans, no memos, no
 //! bitmask tricks, no prefetch hints kept between calls. What it *does*
 //! keep, deliberately and exactly, is the **replacement contract** of
-//! [`amem_sim::cache::Cache`]: the same tick renormalization, the same
+//! [`amem_sim::cache::Cache`]: the same tick renormalization (by rank), the same
 //! probation-bit stamp encoding, the same insertion-policy stamps, the
 //! same RNG draw order (Random-victim draw before the BIP ε draw), the
 //! same first-minimum tie-breaks, and the same CAT way-mask edge cases —
@@ -19,6 +19,8 @@
 //! live below bit 31 and the probation bit (bit 31) marks BIP-probation
 //! lines, so a single `stamp ^ PROB_BIT` min-scan picks victims in both
 //! worlds.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use amem_sim::cache::{Eviction, InsertPolicy, Replacement, NO_LINK};
 use amem_sim::config::CacheConfig;
@@ -146,10 +148,17 @@ impl RefCache {
 
     fn bump_tick(&mut self) -> u32 {
         if self.tick == PROB_BIT - 1 {
+            // Out of recency bits: every stamp's recency becomes its rank
+            // among the distinct recencies in the cache (order and ties
+            // kept), its probation bit stays, and the tick resumes above
+            // the highest rank.
+            let distinct: BTreeSet<u32> =
+                self.entries.iter().map(|w| w.stamp & !PROB_BIT).collect();
+            let rank: BTreeMap<u32, u32> = distinct.into_iter().zip(0..).collect();
             for w in self.entries.iter_mut() {
-                w.stamp = (w.stamp & PROB_BIT) | ((w.stamp & !PROB_BIT) / 2);
+                w.stamp = (w.stamp & PROB_BIT) | rank[&(w.stamp & !PROB_BIT)];
             }
-            self.tick = (PROB_BIT - 1) / 2;
+            self.tick = rank.len() as u32 - 1;
         }
         self.tick += 1;
         self.tick
@@ -547,7 +556,7 @@ struct PfEntry {
     last_line: u64,
     stride: i64,
     confidence: u8,
-    lru: u32,
+    lru: u64,
 }
 
 impl PfEntry {
@@ -562,11 +571,14 @@ impl PfEntry {
     }
 }
 
-/// The reference stride prefetcher: an array of whole entries.
+/// The reference stride prefetcher: an array of whole entries, stamped
+/// by a tick that never wraps. (The production table's `u32` tick
+/// rank-compresses its stamps before it would wrap; the fuzzer holds it
+/// to this.)
 #[derive(Debug, Clone)]
 pub struct RefPrefetcher {
     table: [PfEntry; PF_TABLE],
-    tick: u32,
+    tick: u64,
     degree: u32,
     enabled: bool,
 }
@@ -587,7 +599,7 @@ impl RefPrefetcher {
         if !self.enabled {
             return out;
         }
-        self.tick = self.tick.wrapping_add(1);
+        self.tick += 1;
         let page = line >> LINES_PER_PAGE_SHIFT;
         match self.table.iter().position(|e| e.page == page) {
             Some(i) => {
@@ -627,7 +639,7 @@ impl RefPrefetcher {
                     Some(e) => e,
                     None => {
                         let mut victim = 0;
-                        let mut oldest = u32::MAX;
+                        let mut oldest = u64::MAX;
                         for (i, e) in self.table.iter().enumerate() {
                             if e.lru < oldest {
                                 oldest = e.lru;
@@ -839,6 +851,43 @@ mod tests {
             !r.lookup_scanning(3, false, 3),
             "truncated scan must miss way 3"
         );
+    }
+
+    #[test]
+    fn ref_lru_order_survives_the_tick_renormalisation() {
+        // The production cache's `lru_order_survives_the_tick_
+        // renormalisation`, on the reference: line 2 stays the LRU line
+        // of set 0 when the tick runs out of bits after line 0's touch.
+        for start in [1, PROB_BIT - 4] {
+            let mut r = RefCache::new(&cfg(2, 4, Replacement::Lru, InsertPolicy::Mru));
+            r.tick = start;
+            r.fill(0, false);
+            r.fill(2, false);
+            assert!(r.lookup(0, false));
+            r.fill(1, false);
+            let ev = r.fill(4, false).expect("set 0 is full");
+            assert_eq!(ev.line, 2, "tick started at {start:#x}");
+        }
+    }
+
+    #[test]
+    fn ref_prefetcher_lru_survives_the_u32_boundary() {
+        // The production prefetcher's boundary case: sixteen pages
+        // allocated across tick 2^32, page 1 re-touched; the next two
+        // allocations replace pages 2 and 3.
+        let mut r = RefPrefetcher::new(true, 2);
+        r.tick = u32::MAX as u64 - 8;
+        let page = |p: u64| p << LINES_PER_PAGE_SHIFT;
+        for p in 1..=16 {
+            r.observe(page(p));
+        }
+        r.observe(page(1) + 1);
+        r.observe(page(17));
+        r.observe(page(18));
+        let mut pages: Vec<u64> = r.table.iter().map(|e| e.page).collect();
+        pages.sort_unstable();
+        let want: Vec<u64> = [1].into_iter().chain(4..=18).collect();
+        assert_eq!(pages, want);
     }
 
     #[test]

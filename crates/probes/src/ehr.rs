@@ -53,7 +53,9 @@ pub(crate) fn line_mass_iter(
     })
 }
 
-/// [`line_mass_iter`], collected.
+/// Per-line access masses `g(ℓ)` of `dist` over a buffer of
+/// `buffer_bytes` holding `elem_bytes`-sized elements in `line_bytes`
+/// lines, in line order (they sum to 1).
 pub fn line_masses(
     dist: &AccessDist,
     buffer_bytes: u64,

@@ -22,7 +22,7 @@ use amem_sim::rng::Xoshiro256;
 use amem_sim::stream::{AccessStream, Op};
 use serde::{Deserialize, Serialize};
 
-use crate::dist::AccessDist;
+use crate::dist::{AccessDist, Sampler};
 
 /// Integer ALU throughput assumed when converting "integer additions"
 /// into cycles (3-wide issue, as on the paper's Sandy Bridge cores).
@@ -93,7 +93,7 @@ impl ProbeCfg {
 pub struct ProbeStream {
     base: u64,
     elems: u64,
-    dist: AccessDist,
+    sampler: Sampler,
     rng: Xoshiro256,
     compute: u32,
     remaining_warm: u64,
@@ -110,7 +110,7 @@ impl ProbeStream {
         Self {
             base,
             elems: cfg.buffer_bytes / 4,
-            dist: cfg.dist,
+            sampler: cfg.dist.sampler(),
             rng: Xoshiro256::seed_from_u64(cfg.seed),
             compute: cfg.compute_cycles(),
             remaining_warm: cfg.warm_accesses,
@@ -123,7 +123,7 @@ impl ProbeStream {
 
     #[inline]
     fn sample_load(&mut self) -> Op {
-        let idx = self.dist.sample_index(&mut self.rng, self.elems);
+        let idx = self.sampler.sample_index(&mut self.rng, self.elems);
         Op::Load(self.base + idx * 4)
     }
 }

@@ -27,15 +27,16 @@ use amem_sim::rng::Xoshiro256;
 use amem_sim::stackdist::{line_sampled, LineTrace, StackDist, StackDistHistogram};
 use amem_sim::stream::OP_BATCH;
 
-use crate::dist::AccessDist;
+use crate::dist::Sampler;
 use crate::ehr;
 use crate::probe::ProbeCfg;
 
 /// How a [`LineStream`] turns one RNG draw into a line id.
 enum Draw {
-    /// `dist.sample_index` over `elems` elements, `1 << shift` per line.
+    /// `sampler.sample_index` over `elems` elements, `1 << shift` per
+    /// line.
     Exact {
-        dist: AccessDist,
+        sampler: Sampler,
         elems: u64,
         shift: u32,
     },
@@ -103,7 +104,11 @@ impl Iterator for LineStream {
         }
         self.pos += 1;
         Some(match &self.draw {
-            Draw::Exact { dist, elems, shift } => dist.sample_index(&mut self.rng, *elems) >> shift,
+            Draw::Exact {
+                sampler,
+                elems,
+                shift,
+            } => sampler.sample_index(&mut self.rng, *elems) >> shift,
             Draw::Sampled { lines, cum, mass } => {
                 let u = self.rng.next_f64() * mass;
                 lines[cum.partition_point(|&c| c <= u).min(lines.len() - 1)]
@@ -130,7 +135,7 @@ pub fn lines(cfg: &ProbeCfg, line_bytes: u64) -> LineStream {
     LineStream {
         rng: Xoshiro256::seed_from_u64(cfg.seed),
         draw: Draw::Exact {
-            dist: cfg.dist,
+            sampler: cfg.dist.sampler(),
             elems,
             shift: (line_bytes / 4).trailing_zeros(), // elems per line, log2
         },

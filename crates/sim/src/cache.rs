@@ -56,12 +56,19 @@
 //! `tags[link] == line` — tags are full line numbers, so that compare
 //! IS the line — and every hinted call falls back to `find` otherwise:
 //! a stale, wrong or out-of-range link costs a scan, never an answer.
+//! The same compare lets a store `lookup` answer from the index memo
+//! (the load of a `buf[i]++` left it on the line).
+//!
+//! The methods the engine calls once or more per simulated access are
+//! `#[inline(always)]`: without it LLVM keeps them out of line, and the
+//! calls cost more than the bodies (DESIGN.md §9, "One compiled demand
+//! walk").
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::CacheConfig;
 use crate::rng::SplitMix64;
-use crate::setscan::{first_min_way, set_masks};
+use crate::setscan::{first_min_way, first_min_way_masked, set_masks};
 
 /// Victim-selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +124,7 @@ pub const NO_LINK: u32 = u32::MAX;
 const EMPTY: u64 = u64::MAX;
 
 /// Probation flag, folded into the stamp's high bit. Real recency stamps
-/// stay below this (the tick renormalizes at 31 bits), and
+/// stay below this (the tick renormalizes, by rank, at 31 bits), and
 /// `stamp ^ PROB_BIT` yields a victim-selection key where every probation
 /// line sorts below every promoted line, oldest first within each group.
 const PROB_BIT: u32 = 1 << 31;
@@ -238,6 +245,26 @@ fn scan_set(tags: &[u64], line: u64, way_mask: u32) -> (usize, usize) {
     }
 }
 
+/// Order-preserving renormalisation of recency stamps, for a tick about
+/// to run out of bits: the bits of each stamp outside `keep` become their
+/// dense rank among all the stamps' (equal stays equal, older stays
+/// older), the `keep` bits stay as they are. Returns the largest rank —
+/// the tick to continue from. `stamps` must be non-empty.
+///
+/// Ranks rather than halving: halving merges adjacent stamps into ties,
+/// and a first-minimum victim could then be the lower way instead of the
+/// older line.
+pub(crate) fn rank_compress(stamps: &mut [u32], keep: u32) -> u32 {
+    let mut order: Vec<u32> = stamps.iter().map(|&s| s & !keep).collect();
+    order.sort_unstable();
+    order.dedup();
+    for s in stamps.iter_mut() {
+        let rank = order.partition_point(|&v| v < *s & !keep) as u32;
+        *s = (*s & keep) | rank;
+    }
+    order.len() as u32 - 1
+}
+
 impl Cache {
     /// Build a cache from a [`CacheConfig`].
     pub fn new(cfg: &CacheConfig) -> Self {
@@ -308,24 +335,38 @@ impl Cache {
         set * self.ways as usize
     }
 
-    #[inline]
+    #[inline(always)]
     fn bump_tick(&mut self) -> u32 {
         // Wrapping into PROB_BIT would corrupt both LRU order and the
         // probation flags; renormalize rarely, preserving the flag bits.
         if self.tick == PROB_BIT - 1 {
-            for s in self.stamp.iter_mut() {
-                *s = (*s & PROB_BIT) | ((*s & !PROB_BIT) / 2);
-            }
-            self.tick = (PROB_BIT - 1) / 2;
+            self.renormalize();
         }
         self.tick += 1;
         self.tick
     }
 
+    #[cold]
+    #[inline(never)]
+    fn renormalize(&mut self) {
+        self.tick = rank_compress(&mut self.stamp, PROB_BIT);
+    }
+
     /// Look up a line; on hit, update recency (and dirtiness if `store`).
     /// Returns whether it hit.
-    #[inline]
+    #[inline(always)]
     pub fn lookup(&mut self, line: u64, store: bool) -> bool {
+        // A store nearly always follows a load of the same line, which
+        // left the index memo on it. Tags are full line numbers and a
+        // line is resident at most once, so a memo tag match is the
+        // entry the scan below would find. (Loads keep the scan: a memo
+        // check there measured nothing — DESIGN.md §9.)
+        if store && self.tags.get(self.last) == Some(&line) {
+            let i = self.last;
+            self.touch_entry(i);
+            self.dirty[i] = true;
+            return true;
+        }
         let set = self.set_of(line);
         let base = self.base(set);
         if self.valid[set] == 0 {
@@ -352,25 +393,27 @@ impl Cache {
             return false;
         }
         self.last = base + hit;
-        self.touch_entry(base, hit);
+        self.touch_entry(base + hit);
         if store {
             self.dirty[base + hit] = true;
         }
         true
     }
 
-    /// Recency update for a hit way. A re-reference ends probation (the
-    /// line has proven reuse): every arm clears [`PROB_BIT`].
-    #[inline]
-    fn touch_entry(&mut self, base: usize, w: usize) {
+    /// Recency update for the hit entry `i`. A re-reference ends
+    /// probation (the line has proven reuse): every arm clears
+    /// [`PROB_BIT`].
+    #[inline(always)]
+    fn touch_entry(&mut self, i: usize) {
         match self.replacement {
             Replacement::Lru => {
                 let t = self.bump_tick();
-                self.stamp[base + w] = t;
+                self.stamp[i] = t;
             }
             Replacement::BitPlru => {
-                self.stamp[base + w] = 1;
+                self.stamp[i] = 1;
                 let ways = self.ways as usize;
+                let (base, w) = (i - i % ways, i % ways);
                 let bits = &mut self.stamp[base..base + ways];
                 if bits.iter().all(|&b| b & !PROB_BIT == 1) {
                     // Reset round: clear every MRU bit but keep the
@@ -382,7 +425,7 @@ impl Cache {
                 }
             }
             Replacement::Random => {
-                self.stamp[base + w] &= !PROB_BIT;
+                self.stamp[i] &= !PROB_BIT;
             }
         }
     }
@@ -391,7 +434,7 @@ impl Cache {
     ///
     /// Filling a line that is already present is a logic error upstream but
     /// is tolerated: it degenerates to a recency touch.
-    #[inline]
+    #[inline(always)]
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
         self.fill_with(line, dirty, None)
     }
@@ -400,7 +443,7 @@ impl Cache {
     /// one fill. Models per-request insertion hints: real LLCs (DIP/RRIP)
     /// insert detected-streaming lines near LRU so they flow through
     /// without displacing reused data.
-    #[inline]
+    #[inline(always)]
     pub fn fill_with(
         &mut self,
         line: u64,
@@ -414,6 +457,7 @@ impl Cache {
     /// whose bit is set in `way_mask` — Intel CAT-style way partitioning.
     /// Lookups still hit in any way (CAT restricts allocation, not
     /// presence). At least one way must be allowed.
+    #[inline(always)]
     pub fn fill_masked(
         &mut self,
         line: u64,
@@ -447,7 +491,7 @@ impl Cache {
         }
         if hit != usize::MAX {
             self.last = base + hit;
-            self.touch_entry(base, hit);
+            self.touch_entry(base + hit);
             self.dirty[base + hit] |= dirty;
             return None;
         }
@@ -512,7 +556,7 @@ impl Cache {
     /// at the line's entry on both its fresh-insert and degenerate-touch
     /// paths, and a fresh insert clears `sharers`, making `add_sharer`'s
     /// OR and `set_exclusive`'s overwrite coincide there.
-    #[inline]
+    #[inline(always)]
     pub fn fill_demand(
         &mut self,
         line: u64,
@@ -539,7 +583,7 @@ impl Cache {
     /// right after it matched or installed the line — on the entry the
     /// fill placed or touched. The link rides out in [`Eviction::link`]
     /// when the entry is replaced.
-    #[inline]
+    #[inline(always)]
     pub fn fill_linked(&mut self, line: u64, dirty: bool, up: u32) -> Option<Eviction> {
         let ev = self.fill(line, dirty);
         if !self.track_ownership {
@@ -550,14 +594,14 @@ impl Cache {
 
     /// Entry index of the line last installed or matched ([`NO_LINK`]
     /// on a cache nothing has touched yet).
-    #[inline]
+    #[inline(always)]
     pub fn memo(&self) -> u32 {
         self.last as u32
     }
 
     /// The up-link recorded at entry `at`, if `at` holds `line`;
     /// [`NO_LINK`] otherwise (including on caches that keep no links).
-    #[inline]
+    #[inline(always)]
     pub fn up_link(&self, at: u32, line: u64) -> u32 {
         match self.up.get(at as usize) {
             Some(&up) if self.tags[at as usize] == line => up,
@@ -566,6 +610,7 @@ impl Cache {
     }
 
     /// Recency stamp for a fresh insertion, honouring the insert policy.
+    #[inline(always)]
     fn insert_stamp(&mut self, base: usize, w: usize, insert: InsertPolicy) -> u32 {
         match self.replacement {
             Replacement::Lru => {
@@ -599,6 +644,7 @@ impl Cache {
     }
 
     /// Choose a victim among the ways allowed by `way_mask` in a full set.
+    #[inline(always)]
     fn pick_victim_masked(&mut self, base: usize, way_mask: u32) -> usize {
         let ways = self.ways as usize;
         let allowed = |w: usize| way_mask & (1u32 << (w as u32 & 31)) != 0;
@@ -611,19 +657,10 @@ impl Cache {
                 // group, so the first minimum in way order is the victim.
                 let stamps = &self.stamp[base..base + ways];
                 if way_mask == u32::MAX {
-                    return first_min_way(stamps, PROB_BIT);
+                    first_min_way(stamps, PROB_BIT)
+                } else {
+                    first_min_way_masked(stamps, PROB_BIT, way_mask)
                 }
-                let mut pick = None;
-                for (w, &st) in stamps.iter().enumerate() {
-                    if !allowed(w) {
-                        continue;
-                    }
-                    let key = st ^ PROB_BIT;
-                    if pick.is_none_or(|(_, bk)| key < bk) {
-                        pick = Some((w, key));
-                    }
-                }
-                pick.expect("mask allows at least one way").0
             }
             Replacement::BitPlru => {
                 for w in 0..ways {
@@ -643,7 +680,7 @@ impl Cache {
     }
 
     /// Entry index of a present line, checking the memo first.
-    #[inline]
+    #[inline(always)]
     fn find(&self, line: u64) -> Option<usize> {
         // Tags are full line numbers, so a memo tag match IS the line —
         // no set recomputation needed.
@@ -663,7 +700,7 @@ impl Cache {
     /// [`Cache::find`] with a hint: `at` is where the caller believes
     /// `line` sits. One tag compare validates it; anything else — stale,
     /// off by a way, [`NO_LINK`], past the array — takes the plain path.
-    #[inline]
+    #[inline(always)]
     fn find_at(&self, at: u32, line: u64) -> Option<usize> {
         let at = at as usize;
         if at < self.tags.len() && self.tags[at] == line {
@@ -1098,6 +1135,34 @@ mod tests {
         let ev = c.fill(12, false).unwrap();
         assert_eq!(ev.line, 10);
         assert_eq!(ev.present, 0, "refilled entry must not inherit the mask");
+    }
+
+    #[test]
+    fn lru_order_survives_the_tick_renormalisation() {
+        // 2 sets × 2 ways. Line 0 is touched after line 2 fills, so 2 is
+        // the LRU line of set 0 — also when the tick runs out of bits
+        // (at the fill of line 1, in the other set) in between. Halving
+        // every stamp there tied 0 and 2, and the first minimum evicted
+        // line 0 from the lower way.
+        for start in [1, PROB_BIT - 4] {
+            let mut c = tiny(2, 4, Replacement::Lru, InsertPolicy::Mru);
+            c.tick = start;
+            c.fill(0, false);
+            c.fill(2, false);
+            assert!(c.lookup(0, false));
+            c.fill(1, false);
+            let ev = c.fill(4, false).expect("set 0 is full");
+            assert_eq!(ev.line, 2, "tick started at {start:#x}");
+            assert!(c.tick < PROB_BIT - 4, "renormalised");
+        }
+    }
+
+    #[test]
+    fn rank_compression_keeps_order_ties_and_flags() {
+        let p = PROB_BIT;
+        let mut s = [5 | p, 9, 5, 0, 9 | p, 7];
+        assert_eq!(rank_compress(&mut s, p), 3);
+        assert_eq!(s, [1 | p, 3, 1, 0, 3 | p, 2]);
     }
 
     #[test]

@@ -1126,6 +1126,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// broadcast snoop. `at` is where the caller last saw the line in the
     /// L3 (an up-link or the L3's own memo; advisory). Returns extra
     /// latency (ownership upgrade).
+    #[inline(always)]
     fn coherence_store(&mut self, ci: usize, s: usize, line: u64, at: u32) -> u32 {
         let me = self.cores[ci].me;
         let mask = self.sockets[s].l3.sharers_at(at, line);
@@ -1180,7 +1181,11 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
 
     /// [`Self::mem_access`] continued past a recorded L1 miss — split out
     /// so the fast lane can probe the L1 inline and only pay a call on
-    /// the miss path, without double-probing.
+    /// the miss path, without double-probing. It is the one compiled body
+    /// of the miss walk: the helpers below and the substrate calls of the
+    /// walk are `#[inline(always)]` into it, and it is deliberately not,
+    /// so `step` and `fast_burst` share one copy (DESIGN.md §9, "One
+    /// compiled demand walk").
     fn mem_access_after_l1(
         &mut self,
         ci: usize,
@@ -1253,6 +1258,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// Install `line` in the L1, linked to its L2 entry (every caller has
     /// just matched or installed it there, so the L2's memo is on it). A
     /// dirty victim is marked in the L2 at the victim's own link.
+    #[inline(always)]
     fn fill_l1(&mut self, ci: usize, line: u64, store: bool, now: u64) {
         let c = &mut self.cores[ci];
         let up = c.l2.memo();
@@ -1266,6 +1272,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         }
     }
 
+    #[inline(always)]
     fn fill_l2(&mut self, ci: usize, s: usize, line: u64, now: u64) {
         // Record which core pulled the line into its private hierarchy so
         // inclusive back-invalidation can probe only cores that ever held
@@ -1284,6 +1291,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// the L3 at the victim's own link (stale under a non-inclusive L3
     /// once the L3 copy is replaced — then the compare fails, the scan
     /// finds nothing, and the line is written back, as before).
+    #[inline(always)]
     fn fill_l2_quiet(&mut self, ci: usize, s: usize, line: u64, now: u64) {
         let up = self.sockets[s].l3.memo();
         if let Some(ev) = self.cores[ci].l2.fill_linked(line, false, up) {
@@ -1344,6 +1352,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
 
     /// An L3 fill replaced `ev`: under inclusion, remove the line from the
     /// private caches below and write merged dirtiness back.
+    #[inline(always)]
     fn l3_evicted(&mut self, s: usize, ev: Eviction, now: u64) {
         let mut dirty = ev.dirty;
         if self.cfg.inclusive_l3 {

@@ -180,6 +180,9 @@ impl Substrate for SoaSubstrate {
     type Pf = Prefetcher;
 }
 
+// Every forwarder the engine calls on its demand walk is
+// `#[inline(always)]`: a plain forwarder stays an out-of-line call
+// (DESIGN.md §9, "One compiled demand walk").
 impl CacheModel for Cache {
     fn build(cfg: &CacheConfig) -> Self {
         Cache::new(cfg)
@@ -187,12 +190,15 @@ impl CacheModel for Cache {
     fn without_ownership(self) -> Self {
         Cache::without_ownership(self)
     }
+    #[inline(always)]
     fn lookup(&mut self, line: u64, store: bool) -> bool {
         Cache::lookup(self, line, store)
     }
+    #[inline(always)]
     fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
         Cache::fill(self, line, dirty)
     }
+    #[inline(always)]
     fn fill_masked(
         &mut self,
         line: u64,
@@ -202,15 +208,19 @@ impl CacheModel for Cache {
     ) -> Option<Eviction> {
         Cache::fill_masked(self, line, dirty, insert_override, way_mask)
     }
+    #[inline(always)]
     fn invalidate(&mut self, line: u64) -> Option<bool> {
         Cache::invalidate(self, line)
     }
+    #[inline(always)]
     fn mark_dirty(&mut self, line: u64) -> bool {
         Cache::mark_dirty(self, line)
     }
+    #[inline(always)]
     fn contains(&self, line: u64) -> bool {
         Cache::contains(self, line)
     }
+    #[inline(always)]
     fn add_sharer(&mut self, line: u64, core: u32) {
         Cache::add_sharer(self, line, core)
     }
@@ -220,9 +230,11 @@ impl CacheModel for Cache {
     fn set_exclusive(&mut self, line: u64, core: u32) {
         Cache::set_exclusive(self, line, core)
     }
+    #[inline(always)]
     fn note_present(&mut self, line: u64, core: u32) {
         Cache::note_present(self, line, core)
     }
+    #[inline(always)]
     fn fill_demand(
         &mut self,
         line: u64,
@@ -239,21 +251,27 @@ impl CacheModel for Cache {
     fn occupancy_in(&self, lo: u64, hi: u64) -> u64 {
         Cache::occupancy_in(self, lo, hi)
     }
+    #[inline(always)]
     fn memo(&self) -> u32 {
         Cache::memo(self)
     }
+    #[inline(always)]
     fn fill_linked(&mut self, line: u64, dirty: bool, up: u32) -> Option<Eviction> {
         Cache::fill_linked(self, line, dirty, up)
     }
+    #[inline(always)]
     fn up_link(&self, at: u32, line: u64) -> u32 {
         Cache::up_link(self, at, line)
     }
+    #[inline(always)]
     fn sharers_at(&self, at: u32, line: u64) -> u32 {
         Cache::sharers_at(self, at, line)
     }
+    #[inline(always)]
     fn set_exclusive_at(&mut self, at: u32, line: u64, core: u32) {
         Cache::set_exclusive_at(self, at, line, core)
     }
+    #[inline(always)]
     fn mark_dirty_at(&mut self, at: u32, line: u64) -> bool {
         Cache::mark_dirty_at(self, at, line)
     }
@@ -272,6 +290,7 @@ impl PrefetchModel for Prefetcher {
     fn build(enabled: bool, degree: u32) -> Self {
         Prefetcher::new(enabled, degree)
     }
+    #[inline(always)]
     fn observe(&mut self, line: u64) -> PrefetchRequests {
         Prefetcher::observe(self, line)
     }

@@ -17,6 +17,7 @@
 //! threshold the prefetcher throttles (drops requests), as real hardware
 //! does under saturation.
 
+use crate::cache::rank_compress;
 use crate::setscan::{first_min_way, set_masks};
 
 /// Lines per 4 KiB page with 64-byte lines.
@@ -71,12 +72,18 @@ impl Prefetcher {
     }
 
     /// Observe a demand L2 miss for `line`; return lines to prefetch.
+    /// Inlined into the engine's demand walk, which calls it on every L2
+    /// miss (DESIGN.md §9).
+    #[inline(always)]
     pub fn observe(&mut self, line: u64) -> PrefetchRequests {
         let mut out = PrefetchRequests::default();
         if !self.enabled {
             return out;
         }
-        self.tick = self.tick.wrapping_add(1);
+        if self.tick == u32::MAX {
+            self.renormalize();
+        }
+        self.tick += 1;
         let page = line >> LINES_PER_PAGE_SHIFT;
         // One pass over the 128-byte page array yields the match and
         // empty bitmaps together. Random traffic takes the allocation
@@ -130,6 +137,15 @@ impl Prefetcher {
             }
         }
         out
+    }
+
+    /// Rank-compress the LRU stamps before the tick wraps: a wrapped
+    /// tick would stamp fresh entries below old ones, and the LRU victim
+    /// would be the newest entry.
+    #[cold]
+    #[inline(never)]
+    fn renormalize(&mut self) {
+        self.tick = rank_compress(&mut self.lru, 0);
     }
 }
 
@@ -204,5 +220,28 @@ mod tests {
         pf.observe(base);
         pf.observe(base + 1);
         assert!(pf.observe(base + 2).n > 0);
+    }
+
+    #[test]
+    fn lru_order_survives_the_tick_boundary() {
+        // Sixteen pages allocated across the point where the tick runs
+        // out of bits, page 1 re-touched after it: the next two
+        // allocations must replace the two oldest entries, pages 2 and 3,
+        // exactly as they do far from the boundary. (A wrapping tick
+        // stamps the post-boundary entries lowest and evicts them.)
+        for start in [0, u32::MAX - 8] {
+            let mut pf = Prefetcher::new(true, 2);
+            pf.tick = start;
+            for p in 1..=16u64 {
+                pf.observe(p << LINES_PER_PAGE_SHIFT);
+            }
+            pf.observe((1 << LINES_PER_PAGE_SHIFT) + 1);
+            pf.observe(17 << LINES_PER_PAGE_SHIFT);
+            pf.observe(18 << LINES_PER_PAGE_SHIFT);
+            let mut pages = pf.pages.to_vec();
+            pages.sort_unstable();
+            let want: Vec<u64> = [1].into_iter().chain(4..=18).collect();
+            assert_eq!(pages, want, "tick started at {start:#x}");
+        }
     }
 }

@@ -321,6 +321,180 @@ mod up_links {
     }
 }
 
+/// The demand walk's substrate shortcuts (DESIGN.md §9, "One compiled
+/// demand walk") are unobservable: a store `lookup` that answers from the
+/// index memo equals the plain calls whatever state the memos are in, and
+/// a CAT-masked fill picks the reference's victim.
+mod demand_walk {
+    use super::*;
+    use active_mem::conformance::RefCache;
+    use active_mem::sim::cache::{Eviction, NO_LINK};
+    use std::collections::BTreeMap;
+
+    fn cache_of(ways: u32, sets: u64, private: bool) -> Cache {
+        let c = Cache::new(&CacheConfig {
+            size_bytes: sets * ways as u64 * 64,
+            line_bytes: 64,
+            ways,
+            latency: 1,
+            replacement: Replacement::Lru,
+            insert: InsertPolicy::Mru,
+            hash_sets: false,
+        });
+        if private {
+            c.without_ownership()
+        } else {
+            c
+        }
+    }
+
+    /// Every set's contents in LRU order with dirtiness, read off by
+    /// filling `ways` fresh lines into each set of a copy: equal drains
+    /// mean equal tags, recency order and dirty bits.
+    fn drain(c: &Cache, ways: u32, sets: u64) -> Vec<Option<Eviction>> {
+        let mut c = c.clone();
+        let fresh = 1 << 40;
+        (0..sets)
+            .flat_map(|s| (0..ways as u64).map(move |k| fresh + s + k * sets))
+            .map(|line| c.fill(line, false))
+            .collect()
+    }
+
+    /// Where `a`'s index memo sits relative to `line`: not set yet, on
+    /// the line, on an invalidated (`EMPTY`) entry, on another line of
+    /// the same set, or in another set.
+    fn memo_kind(a: &Cache, at: &BTreeMap<u32, u64>, line: u64, ways: u32, sets: u64) -> usize {
+        let m = a.memo();
+        match at.get(&m) {
+            _ if m == NO_LINK => 0,
+            Some(&l) if l == line => 1,
+            None => 2,
+            Some(_) if (m / ways) as u64 == line % sets => 3,
+            Some(_) => 4,
+        }
+    }
+
+    #[test]
+    fn memo_first_store_lookup_equals_load_lookup_then_mark_dirty() {
+        let mut rng = Xoshiro256::seed_from_u64(0x5_70E);
+        let mut kinds = [0u32; 5];
+        for case in 0..CASES {
+            let ways = if case % 2 == 0 { 8 } else { 20 };
+            let sets = 1 << rng.below(3);
+            let private = rng.below(2) == 0;
+            // `a` stores with `lookup(_, true)`, `b` with a load lookup
+            // and `mark_dirty` on a hit — the plain, scanning path.
+            let (mut a, mut b) = (cache_of(ways, sets, private), cache_of(ways, sets, private));
+            let span = 2 * ways as u64 * sets;
+            // Line per entry, as far as the test knows (memo after fills,
+            // dropped on invalidation).
+            let mut at: BTreeMap<u32, u64> = BTreeMap::new();
+            for op in 0..400 {
+                let line = rng.below(span);
+                let ctx = format!("case {case} op {op} line {line}");
+                match rng.below(8) {
+                    0 | 1 => {
+                        let dirty = rng.below(3) == 0;
+                        assert_eq!(a.fill(line, dirty), b.fill(line, dirty), "{ctx}");
+                        at.insert(a.memo(), line);
+                    }
+                    2 => {
+                        // Half the time the memo's own line: the memo is
+                        // left on an `EMPTY` entry.
+                        let line = match at.get(&a.memo()) {
+                            Some(&l) if rng.below(2) == 0 => l,
+                            _ => line,
+                        };
+                        assert_eq!(a.invalidate(line), b.invalidate(line), "{ctx}");
+                        at.retain(|_, l| *l != line);
+                    }
+                    3 => assert_eq!(a.lookup(line, false), b.lookup(line, false), "{ctx}"),
+                    4 if !private => {
+                        // Moves the memo without a recency touch.
+                        a.add_sharer(line, 1);
+                        b.add_sharer(line, 1);
+                    }
+                    _ => {
+                        // A store, half the time right after a load of
+                        // the same line (the `buf[i]++` shape).
+                        if rng.below(2) == 0 {
+                            assert_eq!(a.lookup(line, false), b.lookup(line, false), "{ctx}");
+                        }
+                        kinds[memo_kind(&a, &at, line, ways, sets)] += 1;
+                        let hit = b.lookup(line, false);
+                        if hit {
+                            assert!(b.mark_dirty(line), "{ctx}");
+                        }
+                        assert_eq!(a.lookup(line, true), hit, "{ctx}");
+                    }
+                }
+                // The miss memos, too: the next fill of a missing line
+                // must pick the same way (and victim) in both.
+                if op % 16 == 0 {
+                    assert_eq!(drain(&a, ways, sets), drain(&b, ways, sets), "{ctx}");
+                }
+            }
+            assert_eq!(drain(&a, ways, sets), drain(&b, ways, sets), "case {case}");
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 20),
+            "memo states drawn: {kinds:?}"
+        );
+    }
+
+    /// CAT-masked victims through the public API against the reference's
+    /// strict-`<` scan, at every width the kernels serve and past them,
+    /// with random masks and BIP / mid-stack insertions (mid-stack stamps
+    /// tie). The `u32::MAX`-key fallback needs stamps a public call
+    /// sequence cannot reach in a test's time (2^31 ticks); `setscan`'s
+    /// `masked_first_min_equals_the_scalar_scan_at_every_width` pins it.
+    #[test]
+    fn masked_victims_equal_the_reference_at_widths_1_to_64() {
+        let mut rng = Xoshiro256::seed_from_u64(0xCA7_0064);
+        for ways in 1..=64u32 {
+            let sets = 1 + rng.below(2);
+            let cfg = CacheConfig {
+                size_bytes: sets * ways as u64 * 64,
+                line_bytes: 64,
+                ways,
+                latency: 1,
+                replacement: Replacement::Lru,
+                insert: InsertPolicy::Mru,
+                hash_sets: false,
+            };
+            let (mut a, mut r) = (Cache::new(&cfg), RefCache::new(&cfg));
+            let span = 3 * ways as u64 * sets;
+            let narrow = u32::MAX >> 32u32.saturating_sub(ways);
+            for op in 0..600 {
+                let line = rng.below(span);
+                let ctx = format!("{ways} ways op {op} line {line}");
+                if rng.below(3) == 0 {
+                    assert_eq!(a.lookup(line, false), r.lookup(line, false), "{ctx}");
+                    continue;
+                }
+                let mut mask = match rng.below(4) {
+                    0 => u32::MAX,
+                    1 => 1u32 << rng.below(ways.min(32) as u64),
+                    _ => rng.next_u64() as u32 & narrow,
+                };
+                if mask & narrow == 0 {
+                    mask |= 1;
+                }
+                let hint = match rng.below(3) {
+                    0 => Some(InsertPolicy::Mid),
+                    1 => Some(InsertPolicy::Lru),
+                    _ => None,
+                };
+                assert_eq!(
+                    a.fill_masked(line, false, hint, mask),
+                    r.fill_masked(line, false, hint, mask),
+                    "{ctx} mask {mask:#x}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn rankmap_places_every_local_rank_uniquely() {
     let mut rng = Xoshiro256::seed_from_u64(0x4A4B);
