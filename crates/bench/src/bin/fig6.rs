@@ -62,7 +62,7 @@ fn main() {
                 .run_curve(&req)
                 .expect("curve pass over the probe trace");
             let ci = curve.quality.map(|q| q.max_ci95).unwrap_or(0.0);
-            let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, line_bytes);
+            let ssq = exec.sum_sq_line_mass(&dist, p.buffer_bytes, line_bytes);
             let level_caps = ladder
                 .iter()
                 .map(|&c| {

@@ -79,7 +79,7 @@ impl CapacityMap {
                 let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
                 let req = CurveRequest::from_probe(&p, line_bytes, ladder.clone(), opts.mode);
                 let curve = exec.run_curve(&req)?;
-                let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, line_bytes);
+                let ssq = exec.sum_sq_line_mass(&dist, p.buffer_bytes, line_bytes);
                 Ok(ladder
                     .iter()
                     .map(|&c| {

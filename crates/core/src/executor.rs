@@ -49,11 +49,14 @@
 //! there are bit-identical, so entries measured under any policy are
 //! quality-equivalent (see DESIGN.md §10).
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use amem_interfere::InterferenceMix;
+use amem_probes::dist::AccessDist;
+use amem_probes::ehr;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{sweep_stale_tmp, Outcomes, Payload, TieredCache, STALE_TMP_AGE};
@@ -221,6 +224,9 @@ pub struct Executor {
     policy: TrialPolicy,
     measurements: TieredCache<Measurement>,
     curves: TieredCache<MissRatioCurve>,
+    /// Eq. 4's `Σ g²` per (distribution, buffer bytes, line bytes); see
+    /// [`Executor::sum_sq_line_mass`].
+    sum_sq: Mutex<HashMap<String, f64>>,
     // Robustness counters (the `[quality]` line and manifest).
     trials: AtomicU64,
     retries: AtomicU64,
@@ -281,6 +287,7 @@ impl Executor {
             policy: TrialPolicy::default(),
             measurements: TieredCache::new(dir.clone()),
             curves: TieredCache::new(dir),
+            sum_sq: Mutex::default(),
             trials: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -442,6 +449,26 @@ impl Executor {
                 amem_sim::canonical_json(req)
             )
         })
+    }
+
+    /// Eq. 4's `Σ g(ℓ)²` for a probe drawing 4-byte elements from `dist`
+    /// over `buffer_bytes` in `line_bytes` lines: [`ehr::sum_sq_line_mass`],
+    /// evaluated once per executor. It walks the CDF at every line of the
+    /// buffer, so a calibration whose curves are all memory hits would
+    /// otherwise still pay one walk per cell. Keyed by the canonical JSON
+    /// of the triple, as curve keys key the same fields, and kept in
+    /// memory under every cache mode: it is a pure function of the key,
+    /// not a measurement.
+    pub fn sum_sq_line_mass(&self, dist: &AccessDist, buffer_bytes: u64, line_bytes: u64) -> f64 {
+        let key = amem_sim::canonical_json(&(dist, buffer_bytes, line_bytes));
+        let memo = || self.sum_sq.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(&ssq) = memo().get(&key) {
+            return ssq;
+        }
+        // Computed outside the lock: cells of one grid run in parallel.
+        let ssq = ehr::sum_sq_line_mass(dist, buffer_bytes, 4, line_bytes);
+        memo().insert(key, ssq);
+        ssq
     }
 
     /// One fresh measurement under the executor's [`TrialPolicy`]:
@@ -1004,6 +1031,29 @@ mod tests {
         assert_eq!(s.curves().runs, 1);
         assert_eq!(s.curves().mem_hits, 1);
         assert_eq!(s.sim_runs, 0, "curves never touch measurement counters");
+    }
+
+    #[test]
+    fn memoised_sum_sq_is_the_model_bit_for_bit_and_keyed_by_every_field() {
+        // Each triple differs from the first in one field: a key that
+        // dropped a field would hand back the first triple's value.
+        let exp = AccessDist::Exponential { rate: 4.0 };
+        let triples = [
+            (exp, 1 << 20, 64),
+            (AccessDist::Exponential { rate: 6.0 }, 1 << 20, 64),
+            (exp, 3 << 19, 64),
+            (exp, 1 << 20, 128),
+        ];
+        for exec in [Executor::memory_only(plat()), Executor::uncached(plat())] {
+            for _ in 0..2 {
+                for (dist, buffer, line) in triples {
+                    let want = ehr::sum_sq_line_mass(&dist, buffer, 4, line);
+                    let got = exec.sum_sq_line_mass(&dist, buffer, line);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{dist:?} {buffer} {line}");
+                }
+            }
+            assert_eq!(exec.sum_sq.lock().unwrap().len(), triples.len());
+        }
     }
 
     #[test]

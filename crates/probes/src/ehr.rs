@@ -31,22 +31,36 @@
 
 use crate::dist::AccessDist;
 
+/// The truncated CDF of `dist` at the lower edge of line `l` of a
+/// `buffer_bytes` buffer in `line_bytes` lines (`l` = line count gives
+/// the upper edge of the last, possibly partial, line). Line `l`'s mass
+/// is `edge(l + 1) − edge(l)`, the same floats however the edges are
+/// visited.
+pub(crate) fn line_edge_cdf(
+    dist: &AccessDist,
+    buffer_bytes: u64,
+    line_bytes: u64,
+) -> impl Fn(u64) -> f64 {
+    let cdf = dist.truncated();
+    let total = buffer_bytes as f64;
+    move |l| cdf.cdf((l * line_bytes).min(buffer_bytes) as f64 / total)
+}
+
 /// Per-line access masses `g(ℓ)` for a buffer of `buffer_bytes` holding
 /// `elem_bytes`-sized elements packed into `line_bytes` lines, in line
-/// order: `cdf(hi) − cdf(lo)` per line, where a line's `hi` is the next
-/// one's `lo`, so each line costs one CDF evaluation.
-pub(crate) fn line_mass_iter(
+/// order: a line's upper edge is the next one's lower edge, so each line
+/// costs one CDF evaluation.
+fn line_mass_iter(
     dist: &AccessDist,
     buffer_bytes: u64,
     elem_bytes: u64,
     line_bytes: u64,
 ) -> impl Iterator<Item = f64> {
     assert!(elem_bytes > 0 && line_bytes >= elem_bytes);
-    let cdf = dist.truncated();
-    let total = buffer_bytes as f64;
-    let mut below = cdf.cdf(0.0);
+    let edge = line_edge_cdf(dist, buffer_bytes, line_bytes);
+    let mut below = edge(0);
     (1..=buffer_bytes.div_ceil(line_bytes)).map(move |l| {
-        let upto = cdf.cdf((l * line_bytes).min(buffer_bytes) as f64 / total);
+        let upto = edge(l);
         let mass = upto - below;
         below = upto;
         mass

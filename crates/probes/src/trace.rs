@@ -10,13 +10,14 @@
 //!   sequence is bit-identical to what a simulated run would issue
 //!   (`Compute` ops never touch memory and the probe buffer is
 //!   page-aligned, so relative line ids carry all the information).
-//! * [`sampled_lines`] is the ~10×-cheaper Examem-style mode. It
-//!   exploits that probe accesses are i.i.d.: the subsequence restricted
-//!   to a hash-sampled subset of lines is itself i.i.d. from the
-//!   conditional distribution over those lines. So instead of generating
-//!   the full stream and filtering (which would leave generation cost
-//!   dominating), it draws the short sub-stream *directly* from the
-//!   conditional CDF — cost scales with the sampling rate end to end.
+//! * [`sampled_lines`] is the Examem-style sampled mode. It exploits
+//!   that probe accesses are i.i.d.: the subsequence restricted to a
+//!   hash-sampled subset of lines is itself i.i.d. from the conditional
+//!   distribution over those lines. So instead of generating the full
+//!   stream and filtering (which would leave generation cost dominating),
+//!   it draws the short sub-stream *directly* from the conditional CDF,
+//!   evaluated at the edges of sampled lines only. The stream scales with
+//!   the rate; choosing the lines still hashes every line of the buffer.
 //!
 //! The curve path feeds a stream straight into the stack-distance engine
 //! ([`LineStream::histogram`]) and never holds a trace; [`line_trace`] and
@@ -161,18 +162,19 @@ pub fn line_trace(cfg: &ProbeCfg, line_bytes: u64) -> LineTrace {
 /// lines survive — callers should fall back to exact mode then.
 pub fn sampled_lines(cfg: &ProbeCfg, line_bytes: u64, rate: f64) -> Option<(LineStream, f64)> {
     assert!(rate > 0.0 && rate <= 1.0, "sample rate must be in (0, 1]");
-    // Cumulative mass over the sampled lines only.
+    assert!(line_bytes.is_power_of_two() && line_bytes >= 4);
+    // Cumulative mass over the sampled lines only. The CDF is evaluated
+    // at the edges of sampled lines alone — the same floats as
+    // `ehr::line_masses`, at a cost in proportion to the rate.
     let mut sampled: Vec<u64> = Vec::new();
     let mut cum: Vec<f64> = Vec::new();
     let mut p_s = 0.0f64;
     let n_lines = cfg.buffer_bytes.div_ceil(line_bytes);
-    let masses = ehr::line_mass_iter(&cfg.dist, cfg.buffer_bytes, 4, line_bytes);
-    for (l, m) in (0..n_lines).zip(masses) {
-        if line_sampled(l, rate) {
-            p_s += m;
-            sampled.push(l);
-            cum.push(p_s);
-        }
+    let edge = ehr::line_edge_cdf(&cfg.dist, cfg.buffer_bytes, line_bytes);
+    for l in (0..n_lines).filter(|&l| line_sampled(l, rate)) {
+        p_s += edge(l + 1) - edge(l);
+        sampled.push(l);
+        cum.push(p_s);
     }
     if sampled.len() < 2 || p_s <= 0.0 {
         return None;
@@ -309,6 +311,43 @@ mod tests {
                 (e - a).abs() < 0.06,
                 "cap {c}: exact {e:.4} vs sampled {a:.4}"
             );
+        }
+    }
+
+    #[test]
+    fn sampled_masses_are_the_running_sum_of_line_masses_bit_for_bit() {
+        // The sampled draw's cumulative masses — CDF edges of sampled
+        // lines only — against a running sum over `ehr::line_masses`,
+        // which carries the CDF across every line. Includes a buffer
+        // whose last line is partial.
+        use crate::dist::{extensions, table2};
+        for nd in table2().into_iter().chain(extensions()) {
+            for buffer in [2 << 20, 1000 * 1000 + 36] {
+                let cfg = probe(nd.dist, buffer, 1000, 1000);
+                let masses = ehr::line_masses(&nd.dist, buffer, 4, 64);
+                for rate in [0.01, 0.1, 1.0] {
+                    let (stream, actual) = sampled_lines(&cfg, 64, rate).unwrap();
+                    let Draw::Sampled { lines, cum, mass } = stream.draw else {
+                        panic!("a sampled stream draws from sampled lines");
+                    };
+                    let mut want_lines = Vec::new();
+                    let mut want_cum = Vec::new();
+                    let mut running = 0.0f64;
+                    for (l, g) in masses.iter().enumerate() {
+                        if line_sampled(l as u64, rate) {
+                            running += g;
+                            want_lines.push(l as u64);
+                            want_cum.push(running.to_bits());
+                        }
+                    }
+                    let what = format!("{} buffer {buffer} rate {rate}", nd.name);
+                    assert_eq!(lines, want_lines, "{what}");
+                    let cum: Vec<u64> = cum.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(cum, want_cum, "{what}");
+                    assert_eq!(mass.to_bits(), running.to_bits(), "{what}");
+                    assert_eq!(actual, lines.len() as f64 / masses.len() as f64, "{what}");
+                }
+            }
         }
     }
 
