@@ -12,22 +12,29 @@
 //! cargo run --release -p amem-bench --bin conformance -- --replay target/conformance/x.json
 //! ```
 //!
-//! Default run: fuzz every geometry in [`amem_conformance::configs`] for
-//! `--seeds` seeds each (parallel over seeds), the 20-way `xeon-20way`
-//! lane (the shipped L3 shape, CAT-masked), the `noninclusive-l3` lane
-//! (up-links going stale under live L2 copies), run the two-socket
-//! ping-pong/barrier lane (substrate differential + fast-lane budget
-//! invariance), lockstep the single-pass curve engine against the
-//! per-point reference-cache sweep over the same seed budget, then
+//! Default run: fuzz every lane of [`amem_conformance::fuzz::lanes`] —
+//! the geometries of [`amem_conformance::configs`], the 20-way
+//! `xeon-20way` lane (the shipped L3 shape, CAT-masked), the
+//! `noninclusive-l3` lane (up-links going stale under live L2 copies) and
+//! the two-socket ping-pong/barrier lane — for `--seeds` seeds each
+//! (parallel over seeds), holding the production engine to the reference
+//! machine through each lane's [`LaneCheck`] (the ping-pong lane at every
+//! fast-lane budget). Then lockstep the single-pass curve engine against
+//! the per-point reference-cache sweep over the same seed budget, and
 //! evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
 //! `--minimize`d first) to `target/conformance/` and the process exits
 //! non-zero.
 //!
-//! `--sabotage` swaps in the deliberately broken off-by-one reference
-//! (and, on the ping-pong lane, an engine whose fast lane overruns the
-//! quantum horizon by one cycle) — a self-test that the harness detects
-//! and shrinks real defects; in that mode divergences are *expected*
-//! and the exit code inverts.
+//! `--sabotage` is the harness's self-test: it runs the lanes once per
+//! planted fault — every [`RefFault`] in the reference machine, then an
+//! engine whose fast lane overruns the quantum horizon by one cycle —
+//! and reports each fault's divergences per lane. It succeeds only if
+//! every fault diverges on some lane, so in that mode the exit code
+//! inverts.
+
+// A `Divergence` carries the whole failing case: it is the reproducer
+// payload (see `amem_conformance::fuzz`).
+#![allow(clippy::result_large_err)]
 
 use std::process::ExitCode;
 
@@ -35,10 +42,10 @@ use amem_conformance::curves::{
     check_curve_case, check_wide_curve_case, gen_curve_case, CurveDivergence,
 };
 use amem_conformance::fuzz::{
-    check_case, check_pingpong_case, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
-    noninclusive_config, reproducer_dir, sabotage, write_reproducer, Divergence, TraceCase,
+    check_case_with, lanes, minimize, reproducer_dir, sabotage, write_reproducer, Divergence,
+    FuzzLane, LaneCheck, TraceCase,
 };
-use amem_conformance::{configs, ehr_oracle_pack, replay_file};
+use amem_conformance::{ehr_oracle_pack, replay_file, RefFault};
 use rayon::prelude::*;
 
 struct Args {
@@ -80,29 +87,32 @@ fn parse_args() -> Args {
     a
 }
 
-type Check = fn(&TraceCase) -> Result<(), Divergence>;
+type Check = dyn Fn(&TraceCase) -> Result<(), Divergence> + Sync;
 
 /// Fuzz one lane over the seed budget (parallel over seeds), report it,
-/// and write the first witness — `--minimize`d if asked — as a
-/// reproducer. Returns whether the lane diverged.
-fn run_lane(name: &str, args: &Args, gen: impl Fn(u64) -> TraceCase + Sync, check: Check) -> bool {
-    let divergences: Vec<Divergence> = (0..args.seeds)
+/// and return its first divergence.
+fn run_lane(lane: &FuzzLane, seeds: u64, check: &Check) -> Option<Divergence> {
+    let divergences: Vec<Divergence> = (0..seeds)
         .into_par_iter()
-        .map(|seed| check(&gen(seed)).err())
+        .map(|seed| check(&(lane.gen)(seed)).err())
         .collect::<Vec<Option<Divergence>>, _>()
         .into_iter()
         .flatten()
         .collect();
+    let first = match divergences.first() {
+        Some(d) => format!(", first at seed {}", d.case.seed),
+        None => String::new(),
+    };
     println!(
-        "{:<20} {} seeds, {} divergence(s)",
-        name,
-        args.seeds,
+        "{:<20} {seeds} seeds, {} divergence(s){first}",
+        lane.name,
         divergences.len()
     );
-    // One witness per lane is plenty; minimizing hundreds is noise.
-    let Some(d) = divergences.into_iter().next() else {
-        return false;
-    };
+    divergences.into_iter().next()
+}
+
+/// Write a witness — `--minimize`d if asked — as a reproducer.
+fn write_witness(d: Divergence, args: &Args, check: &Check) {
     let case = if args.minimize {
         let m = minimize(&d.case, |c| check(c).is_err());
         println!(
@@ -118,7 +128,36 @@ fn run_lane(name: &str, args: &Args, gen: impl Fn(u64) -> TraceCase + Sync, chec
         Ok(p) => println!("  reproducer: {}", p.display()),
         Err(e) => eprintln!("  failed to write reproducer: {e}"),
     }
-    true
+}
+
+/// Run every lane under each planted fault; true iff every fault
+/// diverged somewhere. One witness per fault is written.
+fn sabotage(args: &Args, lanes: &[FuzzLane]) -> bool {
+    let mut faults: Vec<(&str, Box<Check>)> = RefFault::ALL
+        .iter()
+        .map(|&f| {
+            let check = move |c: &TraceCase| check_case_with(c, &[f]);
+            (f.name(), Box::new(check) as Box<Check>)
+        })
+        .collect();
+    faults.push(("horizon-leak", Box::new(sabotage::check_case_horizon_leaky)));
+    let mut all_caught = true;
+    for (name, check) in &faults {
+        println!("\n{name}:");
+        let mut witness = None;
+        for lane in lanes {
+            let d = run_lane(lane, args.seeds, check.as_ref());
+            witness = witness.or(d);
+        }
+        match witness {
+            Some(d) => write_witness(d, args, check.as_ref()),
+            None => {
+                println!("  NOT detected");
+                all_caught = false;
+            }
+        }
+    }
+    all_caught
 }
 
 fn main() -> ExitCode {
@@ -126,12 +165,12 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.replay {
         return match replay_file(path) {
-            Ok(Ok(())) => {
-                println!("replay {path}: substrates agree");
+            Ok((check, Ok(()))) => {
+                println!("replay {path} ({check:?}): engine and reference agree");
                 ExitCode::SUCCESS
             }
-            Ok(Err(d)) => {
-                println!("replay {path}: DIVERGED — {}", d.describe());
+            Ok((check, Err(d))) => {
+                println!("replay {path} ({check:?}): DIVERGED — {}", d.describe());
                 ExitCode::FAILURE
             }
             Err(e) => {
@@ -141,57 +180,36 @@ fn main() -> ExitCode {
         };
     }
 
-    let check: Check = if args.sabotage {
-        sabotage::check_case_sabotaged
-    } else {
-        check_case
-    };
     let wanted = |name: &str| args.config.as_deref().is_none_or(|only| only == name);
+    let mut lanes = lanes(args.ops);
+    lanes.retain(|l| wanted(l.name));
+
+    if args.sabotage {
+        return if sabotage(&args, &lanes) {
+            println!("\nsabotage detected as expected: every planted fault diverged");
+            ExitCode::SUCCESS
+        } else {
+            println!("\nsabotage NOT detected — harness is blind");
+            ExitCode::FAILURE
+        };
+    }
 
     let mut total_div = 0usize;
-    for cfg in configs() {
-        if wanted(cfg.name) {
-            let gen = |seed| gen_case(&cfg, seed, args.ops);
-            total_div += run_lane(cfg.name, &args, gen, check) as usize;
+    for lane in &lanes {
+        let check = LaneCheck::of(lane.name);
+        let check = move |c: &TraceCase| check.run(c);
+        if let Some(d) = run_lane(lane, args.seeds, &check) {
+            total_div += 1;
+            // One witness per lane is plenty; minimizing hundreds is noise.
+            write_witness(d, &args, &check);
         }
-    }
-
-    // The shipped L3 shape (20-way, hashed, CAT masks across the set
-    // kernels' 8|8|4 seams) — a lane of its own, outside `configs()`.
-    if wanted("xeon-20way") {
-        let gen = |seed| gen_xeon20way_case(seed, args.ops);
-        total_div += run_lane("xeon-20way", &args, gen, check) as usize;
-    }
-
-    // The non-inclusive L3: the one setting where an L2 entry's up-link
-    // goes stale while the L2 copy lives. Also outside `configs()`.
-    if wanted("noninclusive-l3") {
-        let cfg = noninclusive_config();
-        let gen = |seed| gen_case(&cfg, seed, args.ops);
-        total_div += run_lane(cfg.name, &args, gen, check) as usize;
-    }
-
-    // Ping-pong lane: shared-line / barrier-heavy traces across two
-    // sockets, checked both against the reference substrate and for
-    // fast-lane budget invariance (lockstep vs default vs seed-varied).
-    // Under --sabotage it instead runs the engine with a planted
-    // one-cycle horizon overrun and must see it diverge.
-    if wanted("pingpong-2s") {
-        let pp_check: Check = if args.sabotage {
-            sabotage::check_case_horizon_leaky
-        } else {
-            check_pingpong_case
-        };
-        let gen = |seed| gen_pingpong_case(seed, args.ops);
-        total_div += run_lane("pingpong-2s", &args, gen, pp_check) as usize;
     }
 
     // Curve lockstep: the single-pass stack-distance engine vs a naive
     // per-point reference-cache sweep, over the same seed budget as the
-    // substrate fuzzing (skipped under --sabotage and --config, which
-    // scope the run to the substrate geometries).
+    // lanes (skipped under --config, which scopes the run to one lane).
     let mut curve_div = 0usize;
-    if !args.sabotage && args.config.is_none() {
+    if args.config.is_none() {
         let divergences: Vec<CurveDivergence> = (0..args.seeds)
             .into_par_iter()
             .map(|seed| check_curve_case(seed, &gen_curve_case(seed, args.ops)).err())
@@ -214,7 +232,7 @@ fn main() -> ExitCode {
     }
 
     let mut oracle_fail = false;
-    if args.oracles && !args.sabotage {
+    if args.oracles {
         println!("\nEq. 4 oracles (fully-associative, Table II families):");
         for o in ehr_oracle_pack() {
             println!("  {}", o.describe());
@@ -222,19 +240,10 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.sabotage {
-        // Self-test mode: the harness must have caught the planted bug.
-        if total_div > 0 {
-            println!("\nsabotage detected as expected");
-            ExitCode::SUCCESS
-        } else {
-            println!("\nsabotage NOT detected — harness is blind");
-            ExitCode::FAILURE
-        }
-    } else if total_div > 0 || curve_div > 0 || oracle_fail {
+    if total_div > 0 || curve_div > 0 || oracle_fail {
         ExitCode::FAILURE
     } else {
-        println!("\nall substrates agree; oracles hold");
+        println!("\nengine and reference machine agree; oracles hold");
         ExitCode::SUCCESS
     }
 }

@@ -1,5 +1,5 @@
-//! Differential trace fuzzing: production substrate vs reference, event
-//! for event.
+//! Differential trace fuzzing: the production engine vs the reference
+//! machine, event for event.
 //!
 //! Each fuzz case is a seeded, fully deterministic bundle of per-core op
 //! lists (a [`TraceCase`]) generated to be adversarial for cache
@@ -7,20 +7,23 @@
 //! streaming runs that train the prefetcher, dirty-store storms that
 //! force writebacks, random churn over a shared region larger than the
 //! L3 (cross-core sharing and back-invalidation), CAT way-masked lanes,
-//! and BIP-probation lanes (`llc_insert_hint`). The case is executed
-//! twice through the *same* engine — once per substrate — and the two
-//! [`EventSignature`]s must be equal: every counter of every job, every
-//! mark snapshot, every socket's demand/prefetch/writeback/DMA traffic,
-//! and the wall-cycle count.
+//! and BIP-probation lanes (`llc_insert_hint`). The case runs through the
+//! production [`Engine`] and through [`refmachine::run`], a second,
+//! plainly written machine, and the two [`EventSignature`]s must be
+//! equal: every counter of every job, every mark snapshot, every
+//! socket's demand/prefetch/writeback/DMA traffic, and the wall-cycle
+//! count. So a fault anywhere in the engine — caches, scheduler, fast
+//! lane, coherence — shows up as a divergence.
 //!
 //! A failing case can be [`minimize`]d (greedy lane- then chunk-removal,
 //! ddmin style) and written to `target/conformance/` as a JSON
-//! reproducer that [`replay_file`] re-executes verbatim.
+//! reproducer that [`replay_file`] re-executes verbatim, through the
+//! check of the lane it came from ([`LaneCheck`]).
 //!
-//! The [`sabotage`] module wires a deliberate off-by-one into the
-//! reference way scan; the test suite uses it to prove the harness
-//! *fails when it should* and that minimization shrinks the witness to a
-//! handful of accesses.
+//! [`check_case_with`] plants [`RefFault`]s in the reference machine;
+//! the test suite and `conformance --sabotage` use them to prove the
+//! harness *fails when it should* and that minimization shrinks the
+//! witness to a handful of accesses.
 
 // A `Divergence` deliberately carries the whole failing case plus both
 // event signatures: it *is* the reproducer payload, and the Err path is
@@ -31,15 +34,13 @@ use std::path::{Path, PathBuf};
 
 use amem_sim::cache::InsertPolicy;
 use amem_sim::config::{CacheConfig, CoreId, MachineConfig};
-use amem_sim::engine::{EngineWith, EventSignature, Job, RunLimit, DEFAULT_RUN_AHEAD};
-use amem_sim::machine::Machine;
-use amem_sim::model::{SoaSubstrate, Substrate};
+use amem_sim::engine::{Engine, EventSignature, Job, RunLimit, DEFAULT_RUN_AHEAD};
 use amem_sim::rng::Xoshiro256;
 use amem_sim::stream::{AccessStream, Op};
 use amem_sim::tlb::TlbConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::reference::RefSubstrate;
+use crate::refmachine::{self, RefFault};
 
 /// One named cache geometry the fuzzer sweeps.
 #[derive(Debug, Clone)]
@@ -86,13 +87,14 @@ impl TraceCase {
     }
 }
 
-/// A detected behavioural divergence between the two substrates.
+/// A detected behavioural divergence between the engine and the
+/// reference machine.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     pub case: TraceCase,
-    /// Signature from the production (SoA) substrate.
+    /// Signature from the production engine.
     pub production: EventSignature,
-    /// Signature from the substrate under test (normally the reference).
+    /// Signature from the reference machine.
     pub reference: EventSignature,
 }
 
@@ -398,40 +400,51 @@ fn case_jobs(case: &TraceCase) -> Vec<Job> {
         .collect()
 }
 
-/// Execute a case through one substrate and flatten it to its signature.
-pub fn run_case<S: Substrate>(case: &TraceCase) -> EventSignature {
-    let mut m = Machine::new(case.machine.clone());
-    m.run_with::<S>(case_jobs(case), RunLimit::default())
-        .event_signature()
+/// Execute a case through the production engine and flatten it to its
+/// signature.
+pub fn run_case(case: &TraceCase) -> EventSignature {
+    run_case_at(case, DEFAULT_RUN_AHEAD)
 }
 
 /// Like [`run_case`], but pinning the engine's fast-lane burst budget.
-pub fn run_case_at<S: Substrate>(case: &TraceCase, run_ahead: u32) -> EventSignature {
-    EngineWith::<S>::new(&case.machine, case_jobs(case))
+pub fn run_case_at(case: &TraceCase, run_ahead: u32) -> EventSignature {
+    Engine::new(&case.machine, case_jobs(case))
         .with_run_ahead(run_ahead)
         .run(&RunLimit::default())
         .event_signature()
 }
 
-/// Run a case through the production substrate and through `S`,
-/// demanding event-for-event equality.
-pub fn check_case_against<S: Substrate>(case: &TraceCase) -> Result<(), Divergence> {
-    let production = run_case::<SoaSubstrate>(case);
-    let reference = run_case::<S>(case);
-    if production == reference {
+/// Execute a case through the reference machine with `faults` planted.
+fn run_reference(case: &TraceCase, faults: &[RefFault]) -> EventSignature {
+    refmachine::run_faulted(&case.machine, case_jobs(case), &RunLimit::default(), faults)
+        .event_signature()
+}
+
+fn compare(
+    case: &TraceCase,
+    production: EventSignature,
+    reference: &EventSignature,
+) -> Result<(), Divergence> {
+    if production == *reference {
         Ok(())
     } else {
         Err(Divergence {
             case: case.clone(),
             production,
-            reference,
+            reference: reference.clone(),
         })
     }
 }
 
-/// Production vs the honest reference.
+/// The engine vs the reference machine with `faults` planted, demanding
+/// event-for-event equality.
+pub fn check_case_with(case: &TraceCase, faults: &[RefFault]) -> Result<(), Divergence> {
+    compare(case, run_case(case), &run_reference(case, faults))
+}
+
+/// The engine vs the honest reference machine.
 pub fn check_case(case: &TraceCase) -> Result<(), Divergence> {
-    check_case_against::<RefSubstrate>(case)
+    check_case_with(case, &[])
 }
 
 /// Geometry for the ping-pong lane: two sockets × two cores, a small
@@ -439,7 +452,7 @@ pub fn check_case(case: &TraceCase) -> Result<(), Divergence> {
 /// sharing, per-socket back-invalidation, four barrier participants).
 pub fn pingpong_config() -> FuzzCfg {
     let mut m = tiny_machine(
-        "pingpong-2s",
+        PINGPONG,
         l3(
             64,
             8,
@@ -450,10 +463,12 @@ pub fn pingpong_config() -> FuzzCfg {
     );
     m.sockets = 2;
     FuzzCfg {
-        name: "pingpong-2s",
+        name: PINGPONG,
         machine: m,
     }
 }
+
+const PINGPONG: &str = "pingpong-2s";
 
 /// Generate a shared-line ping-pong / barrier-heavy case: every lane
 /// hammers the same handful of hot lines (loads and invalidating
@@ -538,25 +553,78 @@ pub fn gen_pingpong_case(seed: u64, ops_per_lane: usize) -> TraceCase {
     }
 }
 
-/// Full ping-pong check: the production/reference substrate differential
-/// plus fast-lane budget invariance — per-op lockstep (budget 1), the
-/// default budget, and a seed-varied budget must all yield one event
-/// signature. A budget mismatch is reported with the lockstep run as
-/// `reference`.
+/// Full ping-pong check: the engine must equal the reference machine at
+/// every fast-lane burst budget — per-op lockstep (1), the default, and
+/// a seed-varied one.
 pub fn check_pingpong_case(case: &TraceCase) -> Result<(), Divergence> {
-    check_case(case)?;
-    let lockstep = run_case_at::<SoaSubstrate>(case, 1);
-    for budget in [DEFAULT_RUN_AHEAD, 2 + (case.seed % 97) as u32] {
-        let budgeted = run_case_at::<SoaSubstrate>(case, budget);
-        if budgeted != lockstep {
-            return Err(Divergence {
-                case: case.clone(),
-                production: budgeted,
-                reference: lockstep,
-            });
-        }
+    let reference = run_reference(case, &[]);
+    for budget in [1, DEFAULT_RUN_AHEAD, 2 + (case.seed % 97) as u32] {
+        compare(case, run_case_at(case, budget), &reference)?;
     }
     Ok(())
+}
+
+/// What the cases of a lane must pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneCheck {
+    /// [`check_case`]: the engine equals the reference machine.
+    Reference,
+    /// [`check_pingpong_case`]: the same at every fast-lane budget.
+    EveryBudget,
+}
+
+impl LaneCheck {
+    /// The check of the lane named `config` — the one table the
+    /// `conformance` binary and [`replay_file`] both read, so a
+    /// reproducer replays through the check that found it.
+    pub fn of(config: &str) -> Self {
+        if config == PINGPONG {
+            LaneCheck::EveryBudget
+        } else {
+            LaneCheck::Reference
+        }
+    }
+
+    pub fn run(self, case: &TraceCase) -> Result<(), Divergence> {
+        match self {
+            LaneCheck::Reference => check_case(case),
+            LaneCheck::EveryBudget => check_pingpong_case(case),
+        }
+    }
+}
+
+/// A named fuzz lane: a seeded case generator.
+pub struct FuzzLane {
+    pub name: &'static str,
+    pub gen: Box<dyn Fn(u64) -> TraceCase + Sync>,
+}
+
+/// Every lane `conformance` fuzzes, at `ops_per_lane` ops per core: the
+/// [`configs`] panel, `xeon-20way`, `noninclusive-l3` and `pingpong-2s`.
+pub fn lanes(ops_per_lane: usize) -> Vec<FuzzLane> {
+    let mut v: Vec<FuzzLane> = configs()
+        .into_iter()
+        .map(|cfg| FuzzLane {
+            name: cfg.name,
+            gen: Box::new(move |seed| gen_case(&cfg, seed, ops_per_lane)),
+        })
+        .collect();
+    let noninclusive = noninclusive_config();
+    v.extend([
+        FuzzLane {
+            name: "xeon-20way",
+            gen: Box::new(move |seed| gen_xeon20way_case(seed, ops_per_lane)),
+        },
+        FuzzLane {
+            name: noninclusive.name,
+            gen: Box::new(move |seed| gen_case(&noninclusive, seed, ops_per_lane)),
+        },
+        FuzzLane {
+            name: PINGPONG,
+            gen: Box::new(move |seed| gen_pingpong_case(seed, ops_per_lane)),
+        },
+    ]);
+    v
 }
 
 /// Outcome of a seed sweep on one config.
@@ -650,130 +718,44 @@ pub fn write_reproducer(case: &TraceCase, dir: impl AsRef<Path>) -> std::io::Res
     Ok(path)
 }
 
-/// Load a reproducer file and re-check it against the honest reference.
-pub fn replay_file(path: impl AsRef<Path>) -> std::io::Result<Result<(), Divergence>> {
+/// Load a reproducer file and re-check it against the honest reference
+/// machine through its lane's check, which it returns with the outcome.
+pub fn replay_file(path: impl AsRef<Path>) -> std::io::Result<(LaneCheck, Result<(), Divergence>)> {
     let json = std::fs::read_to_string(path)?;
     let case: TraceCase = serde_json::from_str(&json)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(check_case(&case))
+    let check = LaneCheck::of(&case.config);
+    Ok((check, check.run(&case)))
 }
 
-/// A reference substrate with a deliberately broken cache, used to prove
-/// the harness detects and minimizes real defects. Not part of the
-/// conformance claim itself.
+/// Planted faults, to prove the harness detects and minimizes real
+/// defects. Not part of the conformance claim itself.
 #[doc(hidden)]
 pub mod sabotage {
-    use amem_sim::cache::{Eviction, InsertPolicy};
-    use amem_sim::config::CacheConfig;
-    use amem_sim::model::{CacheModel, Substrate};
+    use amem_sim::engine::{Engine, RunLimit};
 
-    use crate::reference::{RefCache, RefPrefetcher, RefTlb};
+    use super::{Divergence, TraceCase};
+    use crate::refmachine::RefFault;
 
-    /// [`RefCache`] with the classic way-scan off-by-one: lookups scan
-    /// only `ways - 1` ways, so a line resident in the last way is
-    /// reported as a miss (and its recency is never touched).
-    pub struct OffByOneCache {
-        inner: RefCache,
-        scan_ways: usize,
+    /// Check a case against the reference machine with the way-scan
+    /// off-by-one planted (expected to fail for any trace that ever hits
+    /// a last way).
+    pub fn check_case_sabotaged(case: &TraceCase) -> Result<(), Divergence> {
+        super::check_case_with(case, &[RefFault::WayScanOffByOne])
     }
 
-    impl CacheModel for OffByOneCache {
-        fn build(cfg: &CacheConfig) -> Self {
-            Self {
-                inner: RefCache::new(cfg),
-                scan_ways: cfg.ways.saturating_sub(1) as usize,
-            }
-        }
-        fn without_ownership(self) -> Self {
-            Self {
-                inner: self.inner.without_ownership(),
-                scan_ways: self.scan_ways,
-            }
-        }
-        fn lookup(&mut self, line: u64, store: bool) -> bool {
-            self.inner.lookup_scanning(line, store, self.scan_ways)
-        }
-        fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
-            self.inner.fill(line, dirty)
-        }
-        fn fill_masked(
-            &mut self,
-            line: u64,
-            dirty: bool,
-            insert_override: Option<InsertPolicy>,
-            way_mask: u32,
-        ) -> Option<Eviction> {
-            self.inner
-                .fill_masked(line, dirty, insert_override, way_mask)
-        }
-        fn invalidate(&mut self, line: u64) -> Option<bool> {
-            self.inner.invalidate(line)
-        }
-        fn mark_dirty(&mut self, line: u64) -> bool {
-            self.inner.mark_dirty(line)
-        }
-        fn contains(&self, line: u64) -> bool {
-            self.inner.contains(line)
-        }
-        fn add_sharer(&mut self, line: u64, core: u32) {
-            self.inner.add_sharer(line, core)
-        }
-        fn sharers(&self, line: u64) -> u32 {
-            self.inner.sharers(line)
-        }
-        fn set_exclusive(&mut self, line: u64, core: u32) {
-            self.inner.set_exclusive(line, core)
-        }
-        fn note_present(&mut self, line: u64, core: u32) {
-            self.inner.note_present(line, core)
-        }
-        fn occupancy(&self) -> u64 {
-            self.inner.occupancy()
-        }
-        fn occupancy_in(&self, lo: u64, hi: u64) -> u64 {
-            self.inner.occupancy_in(lo, hi)
-        }
-    }
-
-    /// The sabotaged substrate: broken cache, honest TLB and prefetcher.
-    pub struct OffByOneSubstrate;
-
-    impl Substrate for OffByOneSubstrate {
-        type Cache = OffByOneCache;
-        type Tlb = RefTlb;
-        type Pf = RefPrefetcher;
-    }
-
-    /// Check a case against the sabotaged substrate (expected to fail
-    /// for any trace that ever hits a last way).
-    pub fn check_case_sabotaged(case: &super::TraceCase) -> Result<(), super::Divergence> {
-        super::check_case_against::<OffByOneSubstrate>(case)
-    }
-
-    /// Planted scheduler bug: run the case through the production
-    /// substrate with the engine's fast lane allowed one cycle past the
-    /// quantum horizon (`EngineWith::with_horizon_leak`), and compare
-    /// against the honest per-op lockstep run. A shared access leaking
+    /// Planted scheduler bug in the engine itself: its fast lane may run
+    /// one cycle past the quantum horizon (`Engine::with_horizon_leak`).
+    /// Compared against the reference machine, a shared access leaking
     /// across the horizon shifts the coherence interleaving, so the
     /// ping-pong lane must flag it (on some seed within a small sweep —
     /// the leak only bites when a burst actually straddles a horizon).
-    pub fn check_case_horizon_leaky(case: &super::TraceCase) -> Result<(), super::Divergence> {
-        use amem_sim::engine::{EngineWith, RunLimit};
-        use amem_sim::model::SoaSubstrate;
-        let leaky = EngineWith::<SoaSubstrate>::new(&case.machine, super::case_jobs(case))
+    pub fn check_case_horizon_leaky(case: &TraceCase) -> Result<(), Divergence> {
+        let leaky = Engine::new(&case.machine, super::case_jobs(case))
             .with_horizon_leak()
             .run(&RunLimit::default())
             .event_signature();
-        let honest = super::run_case_at::<SoaSubstrate>(case, 1);
-        if leaky == honest {
-            Ok(())
-        } else {
-            Err(super::Divergence {
-                case: case.clone(),
-                production: leaky,
-                reference: honest,
-            })
-        }
+        super::compare(case, leaky, &super::run_reference(case, &[]))
     }
 }
 
@@ -827,6 +809,64 @@ mod tests {
         assert!(sabotage::check_case_sabotaged(&min).is_err());
     }
 
+    /// Seeds of `lane` run, in order from seed 0, until `check` first
+    /// diverges (`None`: not within `max` seeds).
+    fn seeds_to_detection(
+        lane: &FuzzLane,
+        max: u64,
+        check: impl Fn(&TraceCase) -> Result<(), Divergence>,
+    ) -> Option<(u64, Divergence)> {
+        (0..max).find_map(|seed| check(&(lane.gen)(seed)).err().map(|d| (seed + 1, d)))
+    }
+
+    #[test]
+    fn engine_class_faults_are_caught_on_their_lanes_and_minimize_small() {
+        // Faults the old same-engine differential could not see (it ran
+        // both substrates through one engine): each planted in the
+        // reference machine must diverge on its lane after exactly the
+        // recorded number of seeds (EXPERIMENTS.md has the whole
+        // fault × lane table) and shrink to a small witness.
+        let table = [
+            (RefFault::L1BackInvalidateSkipped, "two-socket", 1),
+            (RefFault::BarrierReleaserRunsOn, "pingpong-2s", 1),
+            (RefFault::L2HitStoreCoherent, "two-socket", 3),
+        ];
+        let lanes = lanes(1500);
+        for (fault, name, expected) in table {
+            let lane = lanes.iter().find(|l| l.name == name).expect("known lane");
+            let check = |c: &TraceCase| check_case_with(c, &[fault]);
+            let (seeds, d) = seeds_to_detection(lane, 16, check)
+                .unwrap_or_else(|| panic!("{} not caught on {name}", fault.name()));
+            assert_eq!(seeds, expected, "{} on {name}", fault.name());
+            assert_eq!(d.case.config, name);
+            let min = minimize(&d.case, |c| check(c).is_err());
+            assert!(
+                min.total_accesses() <= 50,
+                "{}: minimized witness too large: {} accesses",
+                fault.name(),
+                min.total_accesses()
+            );
+        }
+    }
+
+    #[test]
+    fn pingpong_reproducer_replays_through_its_lanes_check() {
+        // A ping-pong witness may be a budget divergence, which only the
+        // every-budget check can see: replay must run that check, not the
+        // default-budget one.
+        let case = gen_pingpong_case(5, 600);
+        let dir = std::env::temp_dir().join("amem-conformance-pingpong");
+        let path = write_reproducer(&case, &dir).unwrap();
+        let (check, replay) = replay_file(&path).unwrap();
+        assert_eq!(check, LaneCheck::EveryBudget);
+        assert!(replay.is_ok(), "honest replay must pass");
+        std::fs::remove_file(path).ok();
+        for lane in lanes(100) {
+            let every_budget = LaneCheck::of(lane.name) == LaneCheck::EveryBudget;
+            assert_eq!(every_budget, lane.name == "pingpong-2s", "{}", lane.name);
+        }
+    }
+
     #[test]
     fn pingpong_lane_agrees_and_is_budget_invariant() {
         for seed in 0..3 {
@@ -865,7 +905,8 @@ mod tests {
         let case = gen_case(cfg, 3, 400);
         let dir = std::env::temp_dir().join("amem-conformance-test");
         let path = write_reproducer(&case, &dir).unwrap();
-        let replay = replay_file(&path).unwrap();
+        let (check, replay) = replay_file(&path).unwrap();
+        assert_eq!(check, LaneCheck::Reference);
         assert!(replay.is_ok(), "honest replay must pass");
         std::fs::remove_file(path).ok();
     }

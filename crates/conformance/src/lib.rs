@@ -1,27 +1,32 @@
 #![forbid(unsafe_code)]
 //! # amem-conformance — does the fast simulator still implement the model?
 //!
-//! The simulator's hot structures ([`amem_sim::cache::Cache`] and friends)
-//! have accumulated layers of performance machinery: structure-of-arrays
-//! layouts, movemask set scans, lookup→fill miss memos, probation flags
-//! folded into recency stamps. Each was justified by an unchanged figure
-//! CSV at the time — but CSVs rot, and behavioural equivalence deserves a
-//! *living* proof. This crate supplies one, in three parts:
+//! The simulator's hot paths have accumulated layers of performance
+//! machinery: in the caches ([`amem_sim::cache::Cache`] and friends)
+//! structure-of-arrays layouts, movemask set scans, lookup→fill miss
+//! memos and probation flags folded into recency stamps; in the engine a
+//! fast lane, up-links between levels and inclusion-derived probe skips.
+//! Each was justified by an unchanged figure CSV at the time — but CSVs
+//! rot, and behavioural equivalence deserves a *living* proof. This crate
+//! supplies one, in four parts:
 //!
-//! 1. **A reference interpreter** ([`mod@reference`]): array-of-structs,
-//!    scalar, memo-free re-implementations of the cache, TLB and stride
-//!    prefetcher, written for obviousness rather than speed, and plugged
-//!    into the production engine through [`amem_sim::model::Substrate`].
-//!    Timing, scheduling, DRAM and coherence are shared engine code, so
-//!    the two substrates must agree **event for event** — counters,
-//!    writebacks, invalidations, even wall cycles.
+//! 1. **A reference machine** ([`refmachine`]): the whole simulated node
+//!    — scheduler, caches, coherence, prefetching, DRAM timing — written
+//!    plainly from the model's description, one op at a time, over
+//!    array-of-structs, scalar, memo-free re-implementations of the
+//!    cache, TLB and stride prefetcher ([`mod@reference`]). It shares
+//!    only the op and report types and the leaf DRAM channel with the
+//!    production [`amem_sim::engine::Engine`], which must agree with it
+//!    **event for event** — counters, writebacks, invalidations, even
+//!    wall cycles. Planted [`RefFault`]s prove the check sees faults in
+//!    the engine's scheduler and coherence, not only in its caches.
 //! 2. **A differential trace fuzzer** ([`fuzz`]): seeded, deterministic
 //!    generation of adversarial access streams (set-conflict churn,
-//!    probation storms, dirty writeback pressure, cross-core sharing)
-//!    replayed through both substrates over a panel of cache geometries
-//!    (power-of-two and not, up to >64-way fully-associative). Any
-//!    divergence is shrunk to a minimal reproducer and written to
-//!    `target/conformance/` for replay.
+//!    probation storms, dirty writeback pressure, cross-core sharing,
+//!    barrier-separated ping-pong) replayed through both machines over a
+//!    panel of cache geometries (power-of-two and not, up to >64-way
+//!    fully-associative). Any divergence is shrunk to a minimal
+//!    reproducer and written to `target/conformance/` for replay.
 //! 3. **Analytic oracles** ([`oracle`]): the paper's Eq. 4
 //!    (`EHR = C · Σᵢ f(i)²`) evaluated in closed form for the Table II
 //!    distribution families and compared against the simulated hit rate
@@ -35,7 +40,7 @@
 //!    adversarial traces — exact agreement at every capacity, no
 //!    tolerance.
 //!
-//! [`platform::ReferencePlatform`] packages the reference substrate
+//! [`platform::ReferencePlatform`] packages the reference machine
 //! behind the ordinary [`amem_core::platform::Platform`] trait so whole
 //! measurements (workload + interference mix + aggregation) can be
 //! cross-checked; its [`cache_salt`](amem_core::platform::Platform::cache_salt)
@@ -48,6 +53,7 @@ pub mod oracle;
 pub mod platform;
 pub mod qos;
 pub mod reference;
+pub mod refmachine;
 
 pub use curves::{check_curve_case, gen_curve_case, reference_miss_rate, CurveDivergence};
 pub use fuzz::{configs, fuzz_config, minimize, replay_file, write_reproducer, Divergence};
@@ -56,4 +62,5 @@ pub use platform::ReferencePlatform;
 pub use qos::{
     check_qos_case, check_qos_sabotage_caught, gen_qos_case, qos_seed_sweep, QosDivergence,
 };
-pub use reference::{RefCache, RefPrefetcher, RefSubstrate, RefTlb};
+pub use reference::{RefCache, RefPrefetcher, RefTlb};
+pub use refmachine::RefFault;

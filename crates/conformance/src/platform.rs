@@ -1,10 +1,10 @@
-//! The reference hierarchy behind the ordinary [`Platform`] trait.
+//! The reference machine behind the ordinary [`Platform`] trait.
 //!
 //! Wrapping [`SimPlatform`] rather than reimplementing it means the whole
 //! measurement pipeline — rank mapping, feasibility checks, interference
-//! placement, post-`Mark` aggregation — is shared code; only the
-//! substrate differs. A conformance cross-check of a full measurement is
-//! then one platform swap away for any experiment driver.
+//! placement, post-`Mark` aggregation — is shared code; only the machine
+//! that simulates the placed jobs differs. A conformance cross-check of a
+//! full measurement is then one platform swap away in any experiment.
 
 use amem_core::error::AmemError;
 use amem_core::platform::{Measurement, Platform, SimPlatform, Workload};
@@ -12,7 +12,7 @@ use amem_interfere::InterferenceMix;
 use amem_sim::config::MachineConfig;
 use amem_sim::engine::RunLimit;
 
-use crate::reference::RefSubstrate;
+use crate::refmachine;
 
 /// Cache-key salt for reference measurements. Bump when the reference
 /// models change behaviour (they should only when the production contract
@@ -20,7 +20,9 @@ use crate::reference::RefSubstrate;
 const REFERENCE_SALT: &str = "reference-v1";
 
 /// A [`SimPlatform`] that executes every measurement through the
-/// reference (AoS, scalar) hierarchy models instead of the SoA ones.
+/// reference machine ([`refmachine::run`]) instead of the production
+/// engine. The reference records no telemetry, so sampling and tracing
+/// settings are ignored.
 #[derive(Debug, Clone)]
 pub struct ReferencePlatform {
     inner: SimPlatform,
@@ -61,7 +63,7 @@ impl Platform for ReferencePlatform {
         mix: InterferenceMix,
     ) -> Result<Measurement, AmemError> {
         self.inner
-            .run_with_substrate::<RefSubstrate>(workload, per_processor, mix)
+            .measure_with(workload, per_processor, mix, refmachine::run)
     }
 
     /// Reference measurements are deterministic (cacheable), but must
@@ -75,14 +77,44 @@ impl Platform for ReferencePlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amem_core::platform::ProbeWorkload;
+    use amem_core::platform::{LuleshWorkload, McbWorkload, ProbeWorkload};
+    use amem_miniapps::{LuleshCfg, McbCfg};
     use amem_probes::dist::AccessDist;
     use amem_probes::probe::ProbeCfg;
 
+    /// One measurement through both platforms: every bit the
+    /// measurement reports and the whole event signature must be equal.
+    fn assert_same_measurement(
+        cfg: &MachineConfig,
+        workload: &dyn Workload,
+        per_processor: usize,
+        mix: InterferenceMix,
+    ) -> Measurement {
+        let prod = SimPlatform::new(cfg.clone());
+        let refp = ReferencePlatform::new(cfg.clone());
+        let a = prod.run(workload, per_processor, mix).unwrap();
+        let b = refp.run(workload, per_processor, mix).unwrap();
+        let name = workload.name();
+        assert_eq!(a.report.wall_cycles, b.report.wall_cycles, "{name}");
+        assert_eq!(
+            a.report.event_signature(),
+            b.report.event_signature(),
+            "{name}"
+        );
+        assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "{name}");
+        assert_eq!(a.l3_miss_rate.to_bits(), b.l3_miss_rate.to_bits(), "{name}");
+        let (abw, bbw) = (a.app_bandwidth_gbs, b.app_bandwidth_gbs);
+        assert_eq!(abw.to_bits(), bbw.to_bits(), "{name}");
+        a
+    }
+
     #[test]
     fn reference_platform_measures_like_production() {
-        // A small probe must produce the *identical* measurement through
-        // both platforms — the platform-level statement of conformance.
+        // Whole measurements must be *identical* through both platforms —
+        // the platform-level statement of conformance — on a probe under
+        // a CSThr, and on the paper's two mini-apps at workload shapes:
+        // MCB under BWThrs and Lulesh under CSThrs, both with barriers
+        // and with ranks on a second node (remote transfers).
         let cfg = MachineConfig::xeon20mb().scaled(0.03125);
         let probe = ProbeWorkload(ProbeCfg::for_machine(
             &cfg,
@@ -90,14 +122,31 @@ mod tests {
             2.0,
             1,
         ));
-        let prod = SimPlatform::new(cfg.clone());
-        let refp = ReferencePlatform::new(cfg);
-        let a = prod.run(&probe, 1, InterferenceMix::storage(1)).unwrap();
-        let b = refp.run(&probe, 1, InterferenceMix::storage(1)).unwrap();
-        assert_eq!(a.report.wall_cycles, b.report.wall_cycles);
-        assert_eq!(a.report.event_signature(), b.report.event_signature());
-        assert_eq!(a.l3_miss_rate.to_bits(), b.l3_miss_rate.to_bits());
-        assert_eq!(a.app_bandwidth_gbs.to_bits(), b.app_bandwidth_gbs.to_bits());
+        assert_same_measurement(&cfg, &probe, 1, InterferenceMix::storage(1));
+
+        let mcb = McbWorkload(McbCfg {
+            ranks: 8,
+            steps: 3,
+            ..McbCfg::new(&cfg, 20_000)
+        });
+        let m = assert_same_measurement(&cfg, &mcb, 2, InterferenceMix::bandwidth(2));
+        assert_spans_nodes_with_barriers(&m);
+
+        let lulesh = LuleshWorkload(LuleshCfg {
+            ranks: 8,
+            steps: 3,
+            ..LuleshCfg::new(LuleshCfg::scaled_edge(&cfg, 22))
+        });
+        let m = assert_same_measurement(&cfg, &lulesh, 2, InterferenceMix::storage(2));
+        assert_spans_nodes_with_barriers(&m);
+    }
+
+    /// The mini-app inputs must reach the barrier and remote-transfer
+    /// paths, or the test above proves less than it says.
+    fn assert_spans_nodes_with_barriers(m: &Measurement) {
+        let c = m.report.primary_counters();
+        assert!(c.barrier_cycles > 0, "no barrier waited");
+        assert!(c.net_cycles > 0, "no remote transfer");
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //!   canonical-JSON decision logs *and* equal engine
 //!   [`EventSignature`]s.
 //! * **Sabotage self-test** — the engine's planted epoch off-by-one
-//!   ([`EngineWith::with_epoch_off_by_one`]) shifts every boundary one
+//!   ([`Engine::with_epoch_off_by_one`]) shifts every boundary one
 //!   epoch late; the lane must catch the resulting decision-log drift,
-//!   proving it *fails when it should* (the PR 5 / PR 8 pattern in
-//!   [`crate::fuzz`]).
+//!   proving it *fails when it should* (as [`crate::fuzz`]'s planted
+//!   faults do).
+//!
+//! The reference machine ([`crate::refmachine`]) has no controller, so
+//! this lane compares the engine with itself; the controller-free
+//! engine is the fuzz lanes' subject.
 //!
 //! Case generation is seeded and deterministic: victim kind, aggressor
 //! count and kinds, and the policy target all derive from the seed. The
@@ -24,9 +28,8 @@
 use amem_qos::scenario::App;
 use amem_qos::{QosController, QosCtlCfg, QosPolicy, Scenario};
 use amem_sim::config::CoreId;
-use amem_sim::engine::{EngineWith, EventSignature};
+use amem_sim::engine::{Engine, EventSignature};
 use amem_sim::machine::Machine;
-use amem_sim::model::SoaSubstrate;
 use amem_sim::{MachineConfig, RunLimit};
 
 /// One generated controller-determinism case.
@@ -98,8 +101,7 @@ fn run_once(case: &QosCase, off_by_one: bool) -> (String, EventSignature) {
         max_cycles: Some(case.scenario.max_cycles),
         ..RunLimit::default()
     };
-    let mut engine =
-        EngineWith::<SoaSubstrate>::new(&case.scenario.machine, jobs).with_controller(&mut ctl);
+    let mut engine = Engine::new(&case.scenario.machine, jobs).with_controller(&mut ctl);
     if off_by_one {
         engine = engine.with_epoch_off_by_one();
     }

@@ -1,4 +1,6 @@
-//! The reference hierarchy: obviously-correct twins of the SoA models.
+//! The reference hierarchy: obviously-correct twins of the SoA models,
+//! and the parts the reference machine ([`crate::refmachine`]) is built
+//! from.
 //!
 //! Everything here is written the way one would explain the hardware on a
 //! whiteboard: one struct per cache way, linear scans, no memos, no
@@ -24,7 +26,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use amem_sim::cache::{Eviction, InsertPolicy, Replacement, NO_LINK};
 use amem_sim::config::CacheConfig;
-use amem_sim::model::{CacheModel, PrefetchModel, Substrate, TlbModel};
 use amem_sim::prefetch::PrefetchRequests;
 use amem_sim::rng::SplitMix64;
 use amem_sim::tlb::TlbConfig;
@@ -65,6 +66,9 @@ impl Way {
 pub struct RefCache {
     sets: u32,
     ways: u32,
+    /// Ways a lookup scans: `ways`, or fewer with
+    /// [`RefFault::WayScanOffByOne`](crate::refmachine::RefFault) planted.
+    scan_ways: u32,
     hash_sets: bool,
     replacement: Replacement,
     insert: InsertPolicy,
@@ -103,6 +107,7 @@ impl RefCache {
         Self {
             sets,
             ways,
+            scan_ways: ways,
             hash_sets,
             replacement,
             insert,
@@ -119,6 +124,14 @@ impl RefCache {
 
     pub fn without_ownership(mut self) -> Self {
         self.track_ownership = false;
+        self
+    }
+
+    /// Make lookups scan only the first `ways` ways of a set — the
+    /// classic way-scan off-by-one when `ways` is one short. Fills,
+    /// invalidations and presence checks still see the whole set.
+    pub(crate) fn with_scan_ways(mut self, ways: u32) -> Self {
+        self.scan_ways = ways;
         self
     }
 
@@ -198,22 +211,11 @@ impl RefCache {
     }
 
     pub fn lookup(&mut self, line: u64, store: bool) -> bool {
-        self.lookup_scanning(line, store, self.ways as usize)
-    }
-
-    /// `lookup` with an explicit scan width. The conformance sabotage
-    /// check wraps this with `scan_ways = ways - 1` — the classic
-    /// off-by-one way-scan bug — to prove the differential fuzzer catches
-    /// and minimizes real defects. Production behaviour is
-    /// `scan_ways == ways`.
-    #[doc(hidden)]
-    pub fn lookup_scanning(&mut self, line: u64, store: bool, scan_ways: usize) -> bool {
         if self.ways == 0 {
             return false;
         }
         let base = self.base(self.set_of(line));
-        let hit =
-            (0..scan_ways.min(self.ways as usize)).find(|&w| self.entries[base + w].tag == line);
+        let hit = (0..self.scan_ways as usize).find(|&w| self.entries[base + w].tag == line);
         match hit {
             Some(w) => {
                 self.touch_entry(base, w);
@@ -286,8 +288,7 @@ impl RefCache {
                     line: e.tag,
                     dirty: e.dirty,
                     present: if self.track_ownership { e.present } else { 0 },
-                    // The reference keeps no up-links: every hinted
-                    // call the engine makes takes its unhinted default.
+                    // The reference keeps no up-links.
                     link: NO_LINK,
                 };
                 (w, Some(ev))
@@ -439,57 +440,6 @@ impl RefCache {
     }
 }
 
-impl CacheModel for RefCache {
-    fn build(cfg: &CacheConfig) -> Self {
-        RefCache::new(cfg)
-    }
-    fn without_ownership(self) -> Self {
-        RefCache::without_ownership(self)
-    }
-    fn lookup(&mut self, line: u64, store: bool) -> bool {
-        RefCache::lookup(self, line, store)
-    }
-    fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
-        RefCache::fill(self, line, dirty)
-    }
-    fn fill_masked(
-        &mut self,
-        line: u64,
-        dirty: bool,
-        insert_override: Option<InsertPolicy>,
-        way_mask: u32,
-    ) -> Option<Eviction> {
-        RefCache::fill_masked(self, line, dirty, insert_override, way_mask)
-    }
-    fn invalidate(&mut self, line: u64) -> Option<bool> {
-        RefCache::invalidate(self, line)
-    }
-    fn mark_dirty(&mut self, line: u64) -> bool {
-        RefCache::mark_dirty(self, line)
-    }
-    fn contains(&self, line: u64) -> bool {
-        RefCache::contains(self, line)
-    }
-    fn add_sharer(&mut self, line: u64, core: u32) {
-        RefCache::add_sharer(self, line, core)
-    }
-    fn sharers(&self, line: u64) -> u32 {
-        RefCache::sharers(self, line)
-    }
-    fn set_exclusive(&mut self, line: u64, core: u32) {
-        RefCache::set_exclusive(self, line, core)
-    }
-    fn note_present(&mut self, line: u64, core: u32) {
-        RefCache::note_present(self, line, core)
-    }
-    fn occupancy(&self) -> u64 {
-        RefCache::occupancy(self)
-    }
-    fn occupancy_in(&self, lo: u64, hi: u64) -> u64 {
-        RefCache::occupancy_in(self, lo, hi)
-    }
-}
-
 /// The reference TLB: fully associative, true LRU, a vector of
 /// (page, last-use) pairs.
 #[derive(Debug, Clone)]
@@ -535,15 +485,6 @@ impl RefTlb {
             self.entries[idx] = (page, self.tick);
         }
         self.cfg.walk_cycles
-    }
-}
-
-impl TlbModel for RefTlb {
-    fn build(cfg: TlbConfig) -> Self {
-        RefTlb::new(cfg)
-    }
-    fn access(&mut self, addr: u64) -> u32 {
-        RefTlb::access(self, addr)
     }
 }
 
@@ -660,25 +601,6 @@ impl RefPrefetcher {
         }
         out
     }
-}
-
-impl PrefetchModel for RefPrefetcher {
-    fn build(enabled: bool, degree: u32) -> Self {
-        RefPrefetcher::new(enabled, degree)
-    }
-    fn observe(&mut self, line: u64) -> PrefetchRequests {
-        RefPrefetcher::observe(self, line)
-    }
-}
-
-/// The reference substrate: plug the naive models into the shared engine.
-#[derive(Debug, Clone, Copy)]
-pub struct RefSubstrate;
-
-impl Substrate for RefSubstrate {
-    type Cache = RefCache;
-    type Tlb = RefTlb;
-    type Pf = RefPrefetcher;
 }
 
 #[cfg(test)]
@@ -838,19 +760,19 @@ mod tests {
 
     #[test]
     fn truncated_scan_misses_last_way() {
-        // The sabotage hook: a (ways-1)-wide lookup scan must miss a line
-        // that lives in the last way.
+        // The way-scan fault: a (ways-1)-wide lookup scan must miss a
+        // line that lives in the last way.
         let c = cfg(4, 4, Replacement::Lru, InsertPolicy::Mru);
         let mut r = RefCache::new(&c);
+        let mut short = RefCache::new(&c).with_scan_ways(3);
         for l in 0..4u64 {
             r.fill(l, false);
+            short.fill(l, false);
         }
         // Line 3 landed in way 3 (fills walk free ways in order).
         assert!(r.lookup(3, false));
-        assert!(
-            !r.lookup_scanning(3, false, 3),
-            "truncated scan must miss way 3"
-        );
+        assert!(!short.lookup(3, false), "truncated scan must miss way 3");
+        assert!(short.lookup(2, false) && short.contains(3));
     }
 
     #[test]

@@ -15,9 +15,8 @@ use amem_miniapps::{lulesh, mcb, LuleshCfg, McbCfg};
 use amem_probes::probe::{ProbeCfg, ProbeStream};
 use amem_sim::cluster::RankMap;
 use amem_sim::config::MachineConfig;
-use amem_sim::engine::{Job, RunLimit, RunReport};
+use amem_sim::engine::{Engine, Job, RunLimit, RunReport};
 use amem_sim::machine::Machine;
-use amem_sim::model::{SoaSubstrate, Substrate};
 use serde::{Deserialize, Serialize};
 
 use crate::error::AmemError;
@@ -273,16 +272,17 @@ impl SimPlatform {
         self
     }
 
-    /// Run a workload over an explicit hierarchy [`Substrate`]. This is
-    /// the whole body of [`Platform::run`], parameterised so the
-    /// conformance layer can execute identical measurements through the
-    /// reference models; production callers go through the trait method
-    /// (equivalent to `S = SoaSubstrate`).
-    pub fn run_with_substrate<S: Substrate>(
+    /// Run a workload through `simulate`, the function that executes the
+    /// placed jobs over a cold hierarchy. This is the whole body of
+    /// [`Platform::run`], which passes the production [`Engine`]; the
+    /// conformance layer passes its reference machine, so identical
+    /// measurements run through both.
+    pub fn measure_with(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
         mix: InterferenceMix,
+        simulate: fn(&MachineConfig, Vec<Job>, &RunLimit) -> RunReport,
     ) -> Result<Measurement, AmemError> {
         let map = validate_mapping(&self.cfg, workload, per_processor)?;
         check_feasible(&map, mix.threads())?;
@@ -304,7 +304,7 @@ impl SimPlatform {
         };
         let report = {
             let _p = amem_metrics::phase("simulation");
-            machine.run_with::<S>(jobs, self.limit.clone())
+            simulate(&self.cfg, jobs, &self.limit)
         };
         let _p = amem_metrics::phase("aggregation");
         // Measure the steady-state (post-Mark) phase: warm-up transients
@@ -344,7 +344,9 @@ impl Platform for SimPlatform {
         per_processor: usize,
         mix: InterferenceMix,
     ) -> Result<Measurement, AmemError> {
-        self.run_with_substrate::<SoaSubstrate>(workload, per_processor, mix)
+        self.measure_with(workload, per_processor, mix, |cfg, jobs, limit| {
+            Engine::new(cfg, jobs).run(limit)
+        })
     }
 }
 

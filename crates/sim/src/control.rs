@@ -24,7 +24,7 @@
 //! Both are execution-time knobs, deliberately excluded from
 //! [`crate::engine::RunLimit`] and therefore from every content-addressed
 //! cache key — the same design rule as the fast lane's burst budget
-//! ([`crate::engine::EngineWith::with_run_ahead`]).
+//! ([`crate::engine::Engine::with_run_ahead`]).
 
 use serde::{Deserialize, Serialize};
 

@@ -40,14 +40,15 @@
 //! written back. L1 ⊆ L2 is maintained the same way. Dirty evictions charge
 //! write-back occupancy on the channel.
 
-use crate::cache::{Eviction, NO_LINK};
+use crate::cache::{Cache, Eviction, NO_LINK};
 use crate::config::{CoreId, MachineConfig};
 use crate::control::{Actuation, CoreView, EpochController, Knob};
 use crate::counters::CoreCounters;
 use crate::dram::{DramChannel, DramStats, LineThrottle};
-use crate::model::{CacheModel, PrefetchModel, SoaSubstrate, Substrate, TlbModel};
+use crate::prefetch::Prefetcher;
 use crate::stream::{AccessStream, Op, OP_BATCH};
 use crate::telemetry::{CycleHistogram, EventRing, Sampler, SpanEvent, Telemetry};
+use crate::tlb::Tlb;
 
 /// Fast-lane burst budget: how many consecutive ops one core may commit
 /// through the inlined dispatch loop before the engine re-checks
@@ -98,7 +99,7 @@ impl Job {
 
     /// Restrict this job's L3 allocations to the given ways (CAT). The
     /// mask must select at least one way of the machine's L3;
-    /// [`EngineWith::new`] checks that against the config.
+    /// [`Engine::new`] checks that against the config.
     pub fn with_l3_ways(mut self, mask: u32) -> Self {
         assert!(mask != 0, "way mask must allow at least one way");
         self.l3_way_mask = mask;
@@ -254,10 +255,10 @@ impl RunReport {
         agg
     }
 
-    /// Flatten this run into its comparable event identity. Two
-    /// substrates implementing the same replacement contract must
-    /// produce equal signatures for the same jobs — the property the
-    /// conformance differential fuzzer asserts.
+    /// Flatten this run into its comparable event identity. The engine
+    /// and the conformance crate's reference machine must produce equal
+    /// signatures for the same jobs — the property its differential
+    /// fuzzer asserts.
     pub fn event_signature(&self) -> EventSignature {
         EventSignature {
             wall_cycles: self.wall_cycles,
@@ -380,7 +381,7 @@ impl Outstanding {
     }
 }
 
-struct CoreState<S: Substrate> {
+struct CoreState {
     time: u64,
     out: Outstanding,
     mlp: usize,
@@ -412,26 +413,22 @@ struct CoreState<S: Substrate> {
     /// same dispatch would book the shared DRAM channel at a future time
     /// and convoy cores whose clocks are still behind the booking.
     pending: Option<Op>,
-    tlb: S::Tlb,
-    l1: S::Cache,
-    l2: S::Cache,
-    pf: S::Pf,
+    tlb: Tlb,
+    l1: Cache,
+    l2: Cache,
+    pf: Prefetcher,
 }
 
-struct SocketState<S: Substrate> {
-    l3: S::Cache,
+struct SocketState {
+    l3: Cache,
     dram: DramChannel,
 }
 
-/// One run of a set of jobs over a fresh (cold) memory hierarchy, with
-/// the hierarchy models supplied by a [`Substrate`]. Production code uses
-/// the [`Engine`] alias (the SoA substrate); the conformance layer
-/// instantiates the same engine over its reference substrate so both see
-/// bit-identical scheduling, timing and coherence logic.
-pub struct EngineWith<'a, S: Substrate = SoaSubstrate> {
+/// One run of a set of jobs over a fresh (cold) memory hierarchy.
+pub struct Engine<'a> {
     cfg: &'a MachineConfig,
-    cores: Vec<CoreState<S>>,
-    sockets: Vec<SocketState<S>>,
+    cores: Vec<CoreState>,
+    sockets: Vec<SocketState>,
     streams: Vec<Option<Box<dyn AccessStream>>>,
     bufs: Vec<OpBuf>,
     /// Hoisted `cfg.tlb.is_enabled()`: skips the per-access translation
@@ -468,9 +465,6 @@ pub struct EngineWith<'a, S: Substrate = SoaSubstrate> {
     demand_hist: Vec<CycleHistogram>,
 }
 
-/// The production engine: [`EngineWith`] over the SoA substrate.
-pub type Engine<'a> = EngineWith<'a, SoaSubstrate>;
-
 /// Reject a CAT mask that selects none of the L3's ways where it first
 /// meets the machine config — a full set would otherwise have no victim
 /// to offer, many cycles into the run.
@@ -482,14 +476,14 @@ fn check_l3_way_mask(cfg: &MachineConfig, core: usize, mask: u32) {
     );
 }
 
-impl<'a, S: Substrate> EngineWith<'a, S> {
+impl<'a> Engine<'a> {
     pub fn new(cfg: &'a MachineConfig, jobs: Vec<Job>) -> Self {
         let n = cfg.total_cores();
         assert!(
             cfg.cores_per_socket <= 32,
             "sharer/presence masks hold at most 32 cores per socket"
         );
-        let mut cores: Vec<CoreState<S>> = (0..n)
+        let mut cores: Vec<CoreState> = (0..n)
             .map(|i| CoreState {
                 time: 0,
                 out: Outstanding::new(),
@@ -509,15 +503,15 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
                 l3_way_mask: u32::MAX,
                 throttle: None,
                 pending: None,
-                tlb: S::Tlb::build(cfg.tlb),
-                l1: S::Cache::build(&cfg.l1).without_ownership(),
-                l2: S::Cache::build(&cfg.l2).without_ownership(),
-                pf: S::Pf::build(cfg.prefetch, cfg.prefetch_degree),
+                tlb: Tlb::new(cfg.tlb),
+                l1: Cache::new(&cfg.l1).without_ownership(),
+                l2: Cache::new(&cfg.l2).without_ownership(),
+                pf: Prefetcher::new(cfg.prefetch, cfg.prefetch_degree),
             })
             .collect();
-        let sockets: Vec<SocketState<S>> = (0..cfg.sockets)
+        let sockets: Vec<SocketState> = (0..cfg.sockets)
             .map(|_| SocketState {
-                l3: S::Cache::build(&cfg.l3),
+                l3: Cache::new(&cfg.l3),
                 dram: DramChannel::new(cfg.dram_bytes_per_cycle, cfg.l3.line_bytes),
             })
             .collect();
@@ -1182,7 +1176,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
     /// [`Self::mem_access`] continued past a recorded L1 miss — split out
     /// so the fast lane can probe the L1 inline and only pay a call on
     /// the miss path, without double-probing. It is the one compiled body
-    /// of the miss walk: the helpers below and the substrate calls of the
+    /// of the miss walk: the helpers below and the cache calls of the
     /// walk are `#[inline(always)]` into it, and it is deliberately not,
     /// so `step` and `fast_burst` share one copy (DESIGN.md §9, "One
     /// compiled demand walk").
@@ -1317,7 +1311,7 @@ impl<'a, S: Substrate> EngineWith<'a, S> {
         }
     }
 
-    /// Demand-miss L3 install: one fused substrate call writes the line,
+    /// Demand-miss L3 install: one fused cache call writes the line,
     /// the requester's presence bit and its sharer (load) or exclusive
     /// (store) bit at the entry the fill just placed; inclusive
     /// back-invalidation then runs off the returned eviction, exactly as
@@ -2040,7 +2034,7 @@ mod coherence_tests {
     #[test]
     fn store_that_hits_in_l2_claims_no_ownership_and_invalidates_no_sharer() {
         // Pins a known gap, it does not endorse it (DESIGN.md §6, ROADMAP
-        // item 4(c)): `mem_access_after_l1`'s L2-hit arm fills the L1
+        // item 5): `mem_access_after_l1`'s L2-hit arm fills the L1
         // dirty and returns without `coherence_store`, so a store whose
         // line has left the L1 but not the L2 neither claims exclusivity
         // in the L3 nor invalidates the other sharer, whose stale copy

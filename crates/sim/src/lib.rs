@@ -63,7 +63,6 @@ pub mod energy;
 pub mod engine;
 pub mod fingerprint;
 pub mod machine;
-pub mod model;
 pub mod prefetch;
 pub mod rng;
 mod setscan;

@@ -9,8 +9,7 @@
 
 use crate::alloc::AddrAlloc;
 use crate::config::MachineConfig;
-use crate::engine::{EngineWith, Job, RunLimit, RunReport};
-use crate::model::{SoaSubstrate, Substrate};
+use crate::engine::{Engine, Job, RunLimit, RunReport};
 
 /// A simulated node.
 #[derive(Debug, Clone)]
@@ -46,14 +45,7 @@ impl Machine {
 
     /// Run jobs to completion over a cold hierarchy.
     pub fn run(&mut self, jobs: Vec<Job>, limit: RunLimit) -> RunReport {
-        self.run_with::<SoaSubstrate>(jobs, limit)
-    }
-
-    /// Like [`Machine::run`], but over an explicit hierarchy [`Substrate`]
-    /// — the entry point the conformance layer uses to run the same jobs
-    /// through the production and reference models.
-    pub fn run_with<S: Substrate>(&mut self, jobs: Vec<Job>, limit: RunLimit) -> RunReport {
-        EngineWith::<S>::new(&self.cfg, jobs).run(&limit)
+        Engine::new(&self.cfg, jobs).run(&limit)
     }
 
     /// Like [`Machine::run`], with an epoch-boundary resource controller
@@ -66,7 +58,7 @@ impl Machine {
         limit: RunLimit,
         controller: &mut dyn crate::control::EpochController,
     ) -> RunReport {
-        EngineWith::<SoaSubstrate>::new(&self.cfg, jobs)
+        Engine::new(&self.cfg, jobs)
             .with_controller(controller)
             .run(&limit)
     }

@@ -21,11 +21,10 @@ use std::path::PathBuf;
 
 use active_mem::conformance::fuzz::{
     check_case, configs, fuzz_config, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
-    noninclusive_config, run_case, sabotage, write_reproducer,
+    noninclusive_config, run_case, sabotage, write_reproducer, LaneCheck,
 };
 use active_mem::conformance::{ehr_oracle_pack, orthogonality_pack, replay_file};
 use active_mem::sim::engine::EventSignature;
-use active_mem::sim::model::SoaSubstrate;
 
 // ---------------------------------------------------------------- fuzzing
 
@@ -128,7 +127,9 @@ fn planted_off_by_one_is_caught_and_minimized() {
     // trace).
     let dir = std::env::temp_dir().join("amem-conformance-it");
     let path = write_reproducer(&min, &dir).expect("write reproducer");
-    assert!(replay_file(&path).expect("read reproducer").is_ok());
+    let (check, replay) = replay_file(&path).expect("read reproducer");
+    assert_eq!(check, LaneCheck::Reference);
+    assert!(replay.is_ok());
     std::fs::remove_file(path).ok();
 }
 
@@ -173,7 +174,7 @@ fn golden_trace_signatures_are_stable() {
     for (name, seed) in golden_cases() {
         let cfg = cfgs.iter().find(|c| c.name == name).expect("known config");
         let case = gen_case(cfg, seed, 800);
-        let sig = run_case::<SoaSubstrate>(&case);
+        let sig = run_case(&case);
         let path = golden_dir().join(format!("golden_{name}_seed{seed}.json"));
         if update {
             std::fs::create_dir_all(golden_dir()).unwrap();
@@ -212,7 +213,7 @@ fn golden_pingpong_signature_is_stable() {
     let update = std::env::var("AMEM_UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let seed = 1u64;
     let case = gen_pingpong_case(seed, 1200);
-    let sig = run_case::<SoaSubstrate>(&case);
+    let sig = run_case(&case);
     let path = golden_dir().join(format!("golden_pingpong-2s_seed{seed}.json"));
     if update {
         std::fs::create_dir_all(golden_dir()).unwrap();
