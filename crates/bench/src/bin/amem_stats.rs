@@ -1,15 +1,17 @@
 #![forbid(unsafe_code)]
 //! `amem-stats` — cost attribution for the reproduction harness itself.
 //!
-//! * `--attribution <fig1|fig6>` runs the named figure binary cold
-//!   (`--no-cache --metrics`, progress silenced, rayon pinned to one
-//!   worker so phase time sums to wall time), then renders where the wall
-//!   clock went: the leaf phases (op generation, cache lookup, simulation,
-//!   aggregation) that partition the run, and the `grid/...` phases that
-//!   split the same time by probe-grid level — the evidence for which
-//!   CSThr levels dominate the cold fig6 wall (ROADMAP item 1). Use
-//!   `--parallel` to keep the default rayon pool (phases then overlap and
-//!   leaf coverage is reported per worker-second).
+//! * `--attribution <fig1|fig6>` runs the named experiment cold through
+//!   the sibling `repro` binary (`--no-cache --metrics`, progress
+//!   silenced, rayon pinned to one worker so phase time sums to wall
+//!   time), then renders where the wall clock went: the leaf phases (op
+//!   generation, cache lookup, simulation, aggregation) that partition
+//!   the run, and the `grid/...` phases that split the same time by
+//!   probe-grid level — the evidence for which CSThr levels dominate the
+//!   cold fig6 wall. It exits non-zero when the leaf phases cover less
+//!   than 95% or more than 100.5% of the wall. Use `--parallel` to keep
+//!   the default rayon pool (phases then overlap, leaf coverage is
+//!   reported per worker-second and not checked).
 //! * `--overhead <fig>` times a figure with the metrics gate off and on
 //!   (both cold) and prints the relative cost of instrumentation.
 //!
@@ -19,7 +21,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::process::ExitCode;
 
 use amem_core::manifest::RunManifest;
 use amem_core::report::Table;
@@ -52,23 +54,17 @@ fn parse_cli() -> Cli {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut value = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
         match a.as_str() {
-            "--attribution" => {
-                cli.attribution = Some(it.next().expect("--attribution needs a figure name"));
-            }
-            "--overhead" => {
-                cli.overhead = Some(it.next().expect("--overhead needs a figure name"));
-            }
+            "--attribution" => cli.attribution = Some(value()),
+            "--overhead" => cli.overhead = Some(value()),
             "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                cli.scale = v.parse().expect("--scale must be a float");
+                cli.scale = value().parse().expect("--scale must be a float");
                 assert!(cli.scale > 0.0 && cli.scale <= 1.0, "scale in (0,1]");
             }
             "--parallel" => cli.parallel = true,
-            "--out" => cli.out = Some(PathBuf::from(it.next().expect("--out needs a dir"))),
-            "--report" => {
-                cli.report = Some(PathBuf::from(it.next().expect("--report needs a file")));
-            }
+            "--out" => cli.out = Some(PathBuf::from(value())),
+            "--report" => cli.report = Some(PathBuf::from(value())),
             other => panic!(
                 "unknown argument: {other} (expected --attribution/--overhead/\
                  --scale/--parallel/--out/--report)"
@@ -81,17 +77,21 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// Run a sibling figure binary cold and return (its manifest, the parent's
-/// wall time around the child). `metrics` turns the child's gate on.
-fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> (RunManifest, f64) {
-    let exe_dir = std::env::current_exe()
+/// Leaf-phase coverage of the wall, in percent, that a single-worker run
+/// must reach: phases partition the run, so anything outside this band
+/// is unattributed time or double counting.
+const COVERAGE_PCT: std::ops::RangeInclusive<f64> = 95.0..=100.5;
+
+/// Run `repro <fig>` cold and return its manifest. `metrics` turns the
+/// child's gate on.
+fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> RunManifest {
+    let repro = std::env::current_exe()
         .expect("current_exe")
-        .parent()
-        .expect("exe dir")
-        .to_path_buf();
+        .with_file_name(format!("repro{}", std::env::consts::EXE_SUFFIX));
     let _ = std::fs::create_dir_all(out_dir);
-    let mut cmd = std::process::Command::new(exe_dir.join(fig));
-    cmd.args(["--scale", &cli.scale.to_string(), "--no-cache", "--out"])
+    let mut cmd = std::process::Command::new(&repro);
+    cmd.arg(fig)
+        .args(["--scale", &cli.scale.to_string(), "--no-cache", "--out"])
         .arg(out_dir)
         .env("AMEM_PROGRESS", "0")
         .stdout(std::process::Stdio::null());
@@ -103,23 +103,22 @@ fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> (RunMani
         // the coverage check below is meaningful.
         cmd.env("RAYON_NUM_THREADS", "1");
     }
-    let t0 = Instant::now();
     let status = cmd
         .status()
-        .unwrap_or_else(|e| panic!("failed to spawn {fig}: {e}"));
-    let wall = t0.elapsed().as_secs_f64();
+        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", repro.display()));
     assert!(status.success(), "{fig} failed with {status}");
-    let manifest = RunManifest::load(out_dir.join(format!("{fig}.manifest.json")))
-        .unwrap_or_else(|e| panic!("cannot load {fig} manifest: {e}"));
-    (manifest, wall)
+    RunManifest::load(out_dir.join(format!("{fig}.manifest.json")))
+        .unwrap_or_else(|e| panic!("cannot load {fig} manifest: {e}"))
 }
 
-fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) {
+/// Render the attribution report into `doc`; returns the leaf phases'
+/// coverage of the wall in percent.
+fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) -> f64 {
     let out_dir = cli
         .out
         .clone()
         .unwrap_or_else(|| std::env::temp_dir().join(format!("amem_stats_{fig}")));
-    let (manifest, _) = run_child(fig, cli, &out_dir, true);
+    let manifest = run_child(fig, cli, &out_dir, true);
     let snap = manifest
         .metrics
         .as_ref()
@@ -152,7 +151,7 @@ fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) {
         if cli.parallel {
             " (per worker-second: --parallel overlaps phases)"
         } else {
-            " (target >= 95%)"
+            " (target 95-100.5%)"
         }
     )
     .unwrap();
@@ -190,6 +189,7 @@ fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) {
         requests_with(snap, "sim") + requests_with(snap, "uncached_sim"),
     )
     .unwrap();
+    coverage
 }
 
 fn requests_with(snap: &Snapshot, outcome: &str) -> u64 {
@@ -210,8 +210,8 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
     // host drift lands on both sides instead of masquerading as overhead.
     let (mut off, mut on) = (f64::MAX, f64::MAX);
     for _ in 0..REPS {
-        off = off.min(run_child(fig, cli, &base_dir, false).0.wall_seconds);
-        on = on.min(run_child(fig, cli, &inst_dir, true).0.wall_seconds);
+        off = off.min(run_child(fig, cli, &base_dir, false).wall_seconds);
+        on = on.min(run_child(fig, cli, &inst_dir, true).wall_seconds);
     }
     let pct = 100.0 * (on - off) / off.max(1e-9);
     writeln!(
@@ -224,11 +224,13 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
     let _ = std::fs::remove_dir_all(&inst_dir);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let cli = parse_cli();
     let mut doc = String::new();
+    let mut ok = true;
     if let Some(fig) = &cli.attribution {
-        attribution_report(fig, &cli, &mut doc);
+        let coverage = attribution_report(fig, &cli, &mut doc);
+        ok = cli.parallel || COVERAGE_PCT.contains(&coverage);
     }
     if let Some(fig) = &cli.overhead {
         overhead_report(fig, &cli, &mut doc);
@@ -242,5 +244,15 @@ fn main() {
             Ok(()) => println!("[report] {}", path.display()),
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "error: leaf phases fall outside {}-{}% of the wall",
+            COVERAGE_PCT.start(),
+            COVERAGE_PCT.end()
+        );
+        ExitCode::FAILURE
     }
 }

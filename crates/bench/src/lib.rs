@@ -1,41 +1,21 @@
 #![forbid(unsafe_code)]
 //! # amem-bench — the reproduction harness
 //!
-//! One binary per table/figure of the paper (run them with
-//! `cargo run --release -p amem-bench --bin <name>`):
+//! Every table and figure of the paper, and the extensions that make its
+//! related work runnable, is one entry of [`repro::EXPERIMENTS`], the
+//! only list of them. Run one with
+//! `cargo run --release -p amem-bench --bin repro -- <name>`, or all of
+//! them with `repro all`; a bare `repro` prints the table. The crate's
+//! other binaries are tools: `conformance` (the differential fuzzer),
+//! `qos` (the enforcement experiment) and `amem-stats` (cost
+//! attribution of a `repro` run).
 //!
-//! | binary       | reproduces                                            |
-//! |--------------|-------------------------------------------------------|
-//! | `table1`     | Table I — Xeon20MB memory hierarchy                   |
-//! | `table2`     | Table II — the ten access distributions               |
-//! | `stream_cal` | §II/§III — STREAM bandwidth (the 17 GB/s figure)      |
-//! | `bw_cal`     | §III-A — per-BWThr bandwidth and channel saturation   |
-//! | `fig5`       | Fig. 5 — analytic model vs measured miss rates        |
-//! | `fig6`       | Fig. 6 — effective capacity under 0–5 CSThrs          |
-//! | `fig7`       | Fig. 7 — BWThr is immune to CSThrs                    |
-//! | `fig8`       | Fig. 8 — CSThr vs 0–5 BWThrs (orthogonality limit)    |
-//! | `fig9`       | Fig. 9 — MCB degradation (mappings & particle sweep)  |
-//! | `fig10`      | Fig. 10 — MCB per-process resource use                |
-//! | `fig11`      | Fig. 11 — Lulesh degradation (mappings & size sweep)  |
-//! | `fig12`      | Fig. 12 — Lulesh per-process resource use             |
-//! | `predict`    | §I/§VI — constrained-machine performance prediction   |
-//! | `fig1`       | Fig. 1 — the concept figure, reenacted with real data |
-//! | `repro_all`  | everything above, in sequence                         |
-//!
-//! Extensions beyond the paper (related work it cites, made runnable):
-//!
-//! | binary         | shows                                                  |
-//! |----------------|--------------------------------------------------------|
-//! | `xray`         | hierarchy discovery by pointer chase (refs \[23\]\[24\])   |
-//! | `mrc`          | miss-ratio curves + Hartstein's power law (ref \[9\])    |
-//! | `noise_amp`    | barrier amplification of jitter (refs \[11\]\[18\])        |
-//! | `latency_load` | loaded memory latency vs interference level            |
-//!
-//! All binaries accept `--scale <f>` (default 0.125): the machine's caches
-//! and every working set shrink together, preserving the figures' shapes
-//! while cutting simulation cost (use `--scale 1` for the full-size
-//! Xeon20MB). `--full` widens fig5/fig6 to the paper's complete grid.
-//! Tables print to stdout and are mirrored as CSV under `target/repro/`.
+//! Every experiment accepts `--scale <f>` (default 0.125): the machine's
+//! caches and every working set shrink together, preserving the figures'
+//! shapes while cutting simulation cost (use `--scale 1` for the
+//! full-size Xeon20MB). `--full` widens fig5/fig6 to the paper's complete
+//! grid. Tables print to stdout and are mirrored as CSV under
+//! `target/repro/`.
 //!
 //! Measurements flow through the [`amem_core::Executor`]: identical
 //! points (baselines above all) are simulated once and served from a
@@ -48,11 +28,11 @@
 //! to a plain run): `--trials <n>` repeats every measurement n times and
 //! reports the MAD-screened representative, `--retries <n>` retransmits
 //! transient failures, `--timeout <secs>` bounds each platform run,
-//! `--ci` appends per-point trial/CI columns to figure tables, and
-//! `--fault <spec>` (or `$AMEM_FAULT_INJECT`) wraps the platform in a
-//! deterministic fault injector for robustness drills. Runs that used
-//! any of this print a `[quality]` summary line and record the counters
-//! in the manifest.
+//! `--ci` appends per-point trial/CI columns to the degradation tables
+//! of Figs. 9 and 11, and `--fault <spec>` (or `$AMEM_FAULT_INJECT`)
+//! wraps the platform in a deterministic fault injector for robustness
+//! drills. Runs that used any of this print a `[quality]` summary line
+//! and record the counters in the manifest.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -60,10 +40,12 @@ use std::time::Instant;
 
 use amem_core::manifest::RunManifest;
 use amem_core::platform::{Measurement, Platform, SimPlatform};
-use amem_core::{Executor, FaultSpec, FaultyPlatform, TrialPolicy};
+use amem_core::{CacheStats, Executor, FaultSpec, FaultyPlatform, QualityStats, TrialPolicy};
 use amem_sim::config::MachineConfig;
 use amem_sim::engine::RunReport;
 use amem_sim::CoreCounters;
+
+pub mod repro;
 
 /// Parsed common CLI arguments.
 #[derive(Debug, Clone)]
@@ -83,7 +65,7 @@ pub struct Args {
     /// Explicit on-disk cache directory (`--cache-dir`); defaults to
     /// `$AMEM_CACHE_DIR` or `target/amem-cache`.
     pub cache_dir: Option<PathBuf>,
-    /// Concurrent child experiments for `repro_all` (`--jobs`).
+    /// Concurrent child experiments for `repro all` (`--jobs`).
     pub jobs: Option<usize>,
     /// Print a per-component cycle/time breakdown for every recorded
     /// measurement (`--profile`).
@@ -94,7 +76,8 @@ pub struct Args {
     pub retries: usize,
     /// Wall-clock budget per platform run in seconds (`--timeout`).
     pub timeout_secs: Option<f64>,
-    /// Append per-point trial-count/CI columns to figure tables (`--ci`).
+    /// Append per-point trial-count/CI columns to the degradation tables
+    /// of Figs. 9 and 11 (`--ci`).
     pub ci: bool,
     /// Fault-injection spec (`--fault <spec>`; falls back to
     /// `$AMEM_FAULT_INJECT`). See [`amem_core::FaultSpec::parse`].
@@ -140,75 +123,48 @@ impl Args {
     /// `--timeout <secs>`, `--ci`, `--fault <spec>` and
     /// `--curve-mode <mode>` from the process args.
     pub fn parse() -> Self {
+        Self::parse_from(std::env::args().skip(1))
+    }
+
+    /// [`Args::parse`] over explicit arguments (those after the
+    /// experiment name, for `repro`).
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
         let mut out = Self::default();
-        let mut it = std::env::args().skip(1);
+        let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            let mut value = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
             match a.as_str() {
                 "--scale" => {
-                    let v = it.next().expect("--scale needs a value");
-                    out.scale = v.parse().expect("--scale must be a float");
+                    out.scale = parsed(&a, value());
                     assert!(out.scale > 0.0 && out.scale <= 1.0, "scale in (0,1]");
                 }
                 "--full" => out.full = true,
-                "--out" => {
-                    out.out = PathBuf::from(it.next().expect("--out needs a value"));
-                }
-                "--sample" => {
-                    let v = it.next().expect("--sample needs a cycle interval");
-                    let n: u64 = v.parse().expect("--sample must be an integer");
-                    assert!(n > 0, "--sample must be positive");
-                    out.sample = Some(n);
-                }
-                "--trace" => {
-                    let v = it.next().expect("--trace needs an event capacity");
-                    let n: usize = v.parse().expect("--trace must be an integer");
-                    assert!(n > 0, "--trace must be positive");
-                    out.trace = Some(n);
-                }
+                "--out" => out.out = PathBuf::from(value()),
+                "--sample" => out.sample = Some(positive(&a, value())),
+                "--trace" => out.trace = Some(positive(&a, value())),
                 "--no-cache" => out.no_cache = true,
-                "--cache-dir" => {
-                    out.cache_dir =
-                        Some(PathBuf::from(it.next().expect("--cache-dir needs a dir")));
-                }
-                "--jobs" => {
-                    let v = it.next().expect("--jobs needs a count");
-                    let n: usize = v.parse().expect("--jobs must be an integer");
-                    assert!(n > 0, "--jobs must be positive");
-                    out.jobs = Some(n);
-                }
+                "--cache-dir" => out.cache_dir = Some(PathBuf::from(value())),
+                "--jobs" => out.jobs = Some(positive(&a, value())),
                 "--profile" => out.profile = true,
-                "--trials" => {
-                    let v = it.next().expect("--trials needs a count");
-                    let n: usize = v.parse().expect("--trials must be an integer");
-                    assert!(n > 0, "--trials must be positive");
-                    out.trials = n;
-                }
-                "--retries" => {
-                    let v = it.next().expect("--retries needs a count");
-                    out.retries = v.parse().expect("--retries must be an integer");
-                }
+                "--trials" => out.trials = positive(&a, value()),
+                "--retries" => out.retries = parsed(&a, value()),
                 "--timeout" => {
-                    let v = it.next().expect("--timeout needs seconds");
-                    let s: f64 = v.parse().expect("--timeout must be a float");
+                    let s: f64 = parsed(&a, value());
                     assert!(s > 0.0 && s.is_finite(), "--timeout must be positive");
                     out.timeout_secs = Some(s);
                 }
                 "--ci" => out.ci = true,
                 "--fault" => {
-                    let v = it.next().expect("--fault needs a spec");
+                    let v = value();
                     // Validate now so a typo fails before any simulation.
                     FaultSpec::parse(&v).expect("invalid --fault spec");
                     out.fault = Some(v);
                 }
                 "--metrics" => out.metrics = true,
-                "--metrics-out" => {
-                    out.metrics_out = Some(PathBuf::from(
-                        it.next().expect("--metrics-out needs a path"),
-                    ));
-                }
+                "--metrics-out" => out.metrics_out = Some(PathBuf::from(value())),
                 "--curve-mode" => {
-                    let v = it.next().expect("--curve-mode needs exact|sampled[:rate]");
-                    out.curve_mode = amem_core::CurveMode::parse(&v).expect("invalid --curve-mode");
+                    out.curve_mode =
+                        amem_core::CurveMode::parse(&value()).expect("invalid --curve-mode");
                 }
                 other => panic!(
                     "unknown argument: {other} (expected --scale/--full/--out/--sample/--trace/\
@@ -297,7 +253,20 @@ impl Args {
     }
 }
 
-/// Resolve the child-process parallelism for `repro_all`-style fan-out.
+/// A flag's value parsed as `T`; a bad value panics naming the flag.
+fn parsed<T: std::str::FromStr>(flag: &str, v: String) -> T {
+    v.parse()
+        .unwrap_or_else(|_| panic!("{flag} must be a number, got {v:?}"))
+}
+
+/// [`parsed`], refusing zero.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: String) -> T {
+    let n: T = parsed(flag, v);
+    assert!(n > T::default(), "{flag} must be positive");
+    n
+}
+
+/// Resolve the child-process parallelism of `repro all`.
 ///
 /// Priority: an explicit `--jobs` value, then the `AMEM_JOBS` environment
 /// variable, then the default of half the available cores capped at 4
@@ -348,7 +317,7 @@ impl Harness {
         Self::with_args(name, Args::parse())
     }
 
-    /// Like [`Harness::new`] with explicit arguments (for tests).
+    /// Like [`Harness::new`] with explicit arguments (`repro`, tests).
     pub fn with_args(name: &str, args: Args) -> Self {
         if args.metrics {
             amem_metrics::set_enabled(true);
@@ -368,10 +337,6 @@ impl Harness {
             start: Instant::now(),
             failed_writes: Vec::new(),
         }
-    }
-
-    pub fn args(&self) -> &Args {
-        &self.args
     }
 
     /// The measurement executor every experiment point goes through.
@@ -408,11 +373,6 @@ impl Harness {
     /// Record the RNG seed the experiment used.
     pub fn set_seed(&mut self, seed: u64) {
         self.manifest.seed = Some(seed);
-    }
-
-    /// Record a human-readable interference description.
-    pub fn set_interference(&mut self, desc: impl Into<String>) {
-        self.manifest.interference = Some(desc.into());
     }
 
     /// Append a free-form note to the manifest.
@@ -467,11 +427,6 @@ impl Harness {
         }
     }
 
-    /// Read-only view of the manifest built so far.
-    pub fn manifest(&self) -> &RunManifest {
-        &self.manifest
-    }
-
     /// Stamp the wall time, record the cache counters and write the
     /// manifest. Returns its path. Exits non-zero if any output of the run
     /// (CSV, telemetry, metrics, manifest) could not be written — each is
@@ -490,43 +445,10 @@ impl Harness {
     fn write_outputs(mut self) -> (PathBuf, Vec<PathBuf>) {
         self.manifest.wall_seconds = self.start.elapsed().as_secs_f64();
         let stats = self.exec.stats();
-        if stats.lookups() > 0 {
-            println!(
-                "[cache] {}/{} from cache ({} sim, {} mem, {} disk, {} dedup)",
-                stats.hits(),
-                stats.lookups(),
-                stats.sim_runs,
-                stats.mem_hits,
-                stats.disk_hits,
-                stats.dedup_hits
-            );
-        }
-        let cs = stats.curves();
-        if cs.lookups() > 0 {
-            println!(
-                "[curve] {}/{} from cache ({} passes, {} mem, {} disk, {} dedup)",
-                cs.hits(),
-                cs.lookups(),
-                cs.runs,
-                cs.mem_hits,
-                cs.disk_hits,
-                cs.dedup_hits
-            );
-        }
-        self.manifest.cache = Some(stats);
         let rs = self.exec.robust_stats();
+        print_counters("", &stats, &rs);
+        self.manifest.cache = Some(stats);
         if !rs.is_empty() {
-            println!(
-                "[quality] {} trials, {} retries, {} timeouts, {} faults, {} non-finite, \
-                 {} outliers rejected, {} degraded points",
-                rs.trials,
-                rs.retries,
-                rs.timeouts,
-                rs.faults,
-                rs.non_finite,
-                rs.outliers_rejected,
-                rs.degraded_points
-            );
             self.manifest.quality = Some(rs);
         }
         if amem_metrics::enabled() {
@@ -557,6 +479,48 @@ impl Harness {
             println!("[manifest] {}", path.display());
         }
         (path, self.failed_writes)
+    }
+}
+
+/// Print the `[cache]`, `[curve]` and `[quality]` lines of one run
+/// (`scope` empty) or of a whole suite (`scope` "suite total: "),
+/// leaving out a line with nothing to count.
+fn print_counters(scope: &str, stats: &CacheStats, rs: &QualityStats) {
+    if stats.lookups() > 0 {
+        println!(
+            "[cache] {scope}{}/{} from cache ({} sim, {} mem, {} disk, {} dedup)",
+            stats.hits(),
+            stats.lookups(),
+            stats.sim_runs,
+            stats.mem_hits,
+            stats.disk_hits,
+            stats.dedup_hits
+        );
+    }
+    let cs = stats.curves();
+    if cs.lookups() > 0 {
+        println!(
+            "[curve] {scope}{}/{} from cache ({} passes, {} mem, {} disk, {} dedup)",
+            cs.hits(),
+            cs.lookups(),
+            cs.runs,
+            cs.mem_hits,
+            cs.disk_hits,
+            cs.dedup_hits
+        );
+    }
+    if !rs.is_empty() {
+        println!(
+            "[quality] {scope}{} trials, {} retries, {} timeouts, {} faults, {} non-finite, \
+             {} outliers rejected, {} degraded points",
+            rs.trials,
+            rs.retries,
+            rs.timeouts,
+            rs.faults,
+            rs.non_finite,
+            rs.outliers_rejected,
+            rs.degraded_points
+        );
     }
 }
 

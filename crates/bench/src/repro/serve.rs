@@ -1,21 +1,5 @@
-#![forbid(unsafe_code)]
-//! Serve-vs-library round trip: prove the daemon changes *nothing* about
-//! the results while deduplicating work across connections.
-//!
-//! Phase A — four concurrent clients submit the identical fig1 sweep to
-//! an in-process daemon. Asserts: every response is byte-identical to a
-//! local library run of the same sweep (same JSON, same fig1 CSV), and
-//! the executor simulated each unique point exactly once (the other 18
-//! lookups were cache/dedup hits).
-//!
-//! Phase B — a *library* executor populates a cache directory, then a
-//! fresh daemon is pointed at it. The daemon's sweep must be served
-//! entirely from disk (0 simulations): daemon and library compute the
-//! same content-addressed keys, byte for byte.
+//! The daemon against the library it serves.
 
-use std::sync::Arc;
-
-use amem_bench::Harness;
 use amem_core::figures::{fig1_probe, fig1_table, FIG1_MAX_COUNT, FIG1_PER_PROCESSOR};
 use amem_core::platform::{ProbeWorkload, SimPlatform};
 use amem_core::report::Table;
@@ -26,10 +10,24 @@ use amem_serve::protocol::{JobSpec, WorkloadSpec};
 use amem_serve::server::{ServeConfig, Server};
 use amem_serve::Client;
 
+use crate::Harness;
+
 const CLIENTS: usize = 4;
 
-fn main() {
-    let mut h = Harness::new("serve");
+/// Serve-vs-library round trip: prove the daemon changes *nothing* about
+/// the results while deduplicating work across connections.
+///
+/// Phase A — four concurrent clients submit the identical fig1 sweep to
+/// an in-process daemon. Asserts: every response is byte-identical to a
+/// local library run of the same sweep (same JSON, same fig1 CSV), and
+/// the executor simulated each unique point exactly once (the other 18
+/// lookups were cache/dedup hits).
+///
+/// Phase B — a *library* executor populates a cache directory, then a
+/// fresh daemon is pointed at it. The daemon's sweep must be served
+/// entirely from disk (0 simulations): daemon and library compute the
+/// same content-addressed keys, byte for byte.
+pub fn serve(h: &mut Harness) {
     let machine = h.machine();
     let sweep_spec = || JobSpec::Sweep {
         machine: machine.clone(),
@@ -39,16 +37,14 @@ fn main() {
         max_count: FIG1_MAX_COUNT,
     };
 
-    // The library reference: same sweep, straight through an executor.
-    let lib_exec = Arc::new(Executor::memory_only(SimPlatform::new(machine.clone())));
-    let lib_sweep = run_sweep(
-        &lib_exec,
-        &ProbeWorkload(fig1_probe(&machine)),
-        FIG1_PER_PROCESSOR,
-        InterferenceKind::Storage,
-        FIG1_MAX_COUNT,
-    )
-    .expect("library sweep");
+    // The same sweep straight through a library executor.
+    let lib_run = |exec: &Executor| {
+        let w = ProbeWorkload(fig1_probe(&machine));
+        let kind = InterferenceKind::Storage;
+        run_sweep(exec, &w, FIG1_PER_PROCESSOR, kind, FIG1_MAX_COUNT).expect("library sweep")
+    };
+    let platform = || SimPlatform::new(machine.clone());
+    let lib_sweep = lib_run(&Executor::memory_only(platform()));
     let lib_json = serde_json::to_string(&lib_sweep).expect("serialize library sweep");
     let lib_csv = fig1_table(&machine, &lib_sweep).to_csv();
 
@@ -91,7 +87,7 @@ fn main() {
         );
     }
     // Re-parse a served response the way a remote client would, then
-    // render: the CSV a client writes matches the fig1 binary's bytes.
+    // render: the CSV a client writes matches `repro fig1`'s bytes.
     let served_sweep: amem_core::Sweep =
         serde_json::from_str(&sweeps[0]).expect("parse served sweep");
     let served_csv = fig1_table(&machine, &served_sweep).to_csv();
@@ -121,17 +117,9 @@ fn main() {
     );
 
     // ---- Phase B: library-written cache, daemon-read ------------------
-    let cache_dir = h.args().out.join("serve_cache");
+    let cache_dir = h.out.join("serve_cache");
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let lib_disk = Executor::with_cache_dir(SimPlatform::new(machine.clone()), cache_dir.clone());
-    run_sweep(
-        &lib_disk,
-        &ProbeWorkload(fig1_probe(&machine)),
-        FIG1_PER_PROCESSOR,
-        InterferenceKind::Storage,
-        FIG1_MAX_COUNT,
-    )
-    .expect("library sweep populating the shared cache");
+    lib_run(&Executor::with_cache_dir(platform(), cache_dir.clone()));
 
     let server = Server::start(ServeConfig {
         workers: 1,
@@ -168,22 +156,19 @@ fn main() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     let mut t = Table::new("serve round-trip", &["check", "result"]);
-    t.row(vec![
-        "byte identity (4 clients vs library)".into(),
-        "identical".into(),
-    ]);
-    t.row(vec![
-        "cross-connection dedup".into(),
-        format!("{}/{} sims", stats_a.cache.sim_runs, lookups),
-    ]);
-    t.row(vec![
-        "cache-key parity (library-written disk)".into(),
-        format!("{}/{points} disk hits, 0 sims", stats_b.cache.disk_hits),
-    ]);
-    t.row(vec![
-        "drain on shutdown".into(),
-        format!("{drained} jobs completed"),
-    ]);
+    for (check, result) in [
+        ("byte identity (4 clients vs library)", "identical".into()),
+        (
+            "cross-connection dedup",
+            format!("{}/{lookups} sims", stats_a.cache.sim_runs),
+        ),
+        (
+            "cache-key parity (library-written disk)",
+            format!("{}/{points} disk hits, 0 sims", stats_b.cache.disk_hits),
+        ),
+        ("drain on shutdown", format!("{drained} jobs completed")),
+    ] {
+        t.row(vec![check.into(), result]);
+    }
     h.emit("serve", &t);
-    h.finish();
 }

@@ -1,8 +1,8 @@
 //! Shared figure-shaped request definitions.
 //!
 //! Fig. 1's workload and table rendering used to live only inside the
-//! `fig1` bench binary. The serve path must reproduce the same CSV byte
-//! for byte (`amem-client sweep --csv` vs a library run, asserted in
+//! `fig1` experiment of amem-bench. The serve path must reproduce the
+//! same CSV byte for byte (`amem-client sweep --csv` vs a library run, asserted in
 //! CI's serve-smoke job), so the shape lives here and both callers use
 //! it — they cannot drift.
 

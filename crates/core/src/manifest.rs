@@ -4,7 +4,7 @@
 //! `target/repro/<name>.manifest.json` capturing *everything needed to
 //! re-run and compare*: the machine configuration, scale, seed,
 //! interference spec, host wall time, simulated time, final aggregate
-//! counters and the derived result tables. `repro_all` then loads every
+//! counters and the derived result tables. `repro all` then loads every
 //! manifest in the directory and renders a cross-experiment comparison
 //! report.
 //!
@@ -162,7 +162,7 @@ pub fn load_dir(dir: impl AsRef<Path>) -> (Vec<RunManifest>, Vec<String>) {
     (manifests, errors)
 }
 
-/// One row per run: the cross-experiment comparison `repro_all` prints.
+/// One row per run: the cross-experiment comparison `repro all` prints.
 pub fn comparison_table(manifests: &[RunManifest]) -> Table {
     let mut t = Table::new(
         "Reproduction manifests",

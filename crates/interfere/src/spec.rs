@@ -115,7 +115,7 @@ impl InterferenceSpec {
 /// Simultaneous storage *and* bandwidth interference: `storage` CSThrs
 /// plus `bandwidth` BWThrs per socket. The paper measures one resource at
 /// a time and composes degradations; a mixed run tests that composition
-/// directly (see `amem-bench --bin combined`).
+/// directly (see `repro combined` in amem-bench).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InterferenceMix {
     pub storage: usize,

@@ -95,7 +95,7 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
 }
 
 /// One JSON object per series per line — trivially ingestible with jq or
-/// pandas, and the shape `repro_all` aggregates.
+/// pandas, and the shape `repro all` aggregates.
 pub fn to_jsonl(snap: &Snapshot) -> String {
     let mut out = String::new();
     for s in &snap.series {

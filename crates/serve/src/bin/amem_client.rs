@@ -14,7 +14,7 @@
 //!   sweep [--scale F] [--csv P] [--local]
 //!                                run the fig1-shaped sweep and render
 //!                                the paper's table (byte-identical to
-//!                                `cargo run --bin fig1`)
+//!                                `repro fig1`)
 //!   measure [--scale F]          one fig1 probe point, no interference
 //! ```
 //!

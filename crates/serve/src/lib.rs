@@ -25,7 +25,7 @@
 //! Results are byte-identical to library calls: the daemon runs the same
 //! `Executor` code against the same cache keys and serializes the very
 //! structs it returns, and the vendored JSON writer reprints parsed
-//! floats exactly. `cargo run --bin serve` (amem-bench) and the CI
+//! floats exactly. `repro serve` (amem-bench) and the CI
 //! serve-smoke job both assert this end to end.
 //!
 //! Everything here is std-only networking — `TcpListener`, threads,
