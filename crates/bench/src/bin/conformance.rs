@@ -18,8 +18,7 @@
 //! `noninclusive-l3` lane (up-links going stale under live L2 copies) and
 //! the two-socket ping-pong/barrier lane — for `--seeds` seeds each
 //! (parallel over seeds), holding the production engine to the reference
-//! machine through each lane's [`LaneCheck`] (the ping-pong lane at every
-//! fast-lane budget). Then lockstep the single-pass curve engine against
+//! machine event for event. Then lockstep the single-pass curve engine against
 //! the per-point reference-cache sweep over the same seed budget, and
 //! evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
 //! `--minimize`d first) to `target/conformance/` and the process exits
@@ -27,7 +26,7 @@
 //!
 //! `--sabotage` is the harness's self-test: it runs the lanes once per
 //! planted fault — every [`RefFault`] in the reference machine, then an
-//! engine whose fast lane overruns the quantum horizon by one cycle —
+//! engine whose dispatch overruns the quantum horizon by one cycle —
 //! and reports each fault's divergences per lane. It succeeds only if
 //! every fault diverges on some lane, so in that mode the exit code
 //! inverts.
@@ -42,8 +41,8 @@ use amem_conformance::curves::{
     check_curve_case, check_wide_curve_case, gen_curve_case, CurveDivergence,
 };
 use amem_conformance::fuzz::{
-    check_case_with, lanes, minimize, reproducer_dir, sabotage, write_reproducer, Divergence,
-    FuzzLane, LaneCheck, TraceCase,
+    check_case, check_case_with, lanes, minimize, reproducer_dir, sabotage, write_reproducer,
+    Divergence, FuzzLane, TraceCase,
 };
 use amem_conformance::{ehr_oracle_pack, replay_file, RefFault};
 use rayon::prelude::*;
@@ -165,12 +164,12 @@ fn main() -> ExitCode {
 
     if let Some(path) = &args.replay {
         return match replay_file(path) {
-            Ok((check, Ok(()))) => {
-                println!("replay {path} ({check:?}): engine and reference agree");
+            Ok(Ok(())) => {
+                println!("replay {path}: engine and reference agree");
                 ExitCode::SUCCESS
             }
-            Ok((check, Err(d))) => {
-                println!("replay {path} ({check:?}): DIVERGED — {}", d.describe());
+            Ok(Err(d)) => {
+                println!("replay {path}: DIVERGED — {}", d.describe());
                 ExitCode::FAILURE
             }
             Err(e) => {
@@ -196,12 +195,10 @@ fn main() -> ExitCode {
 
     let mut total_div = 0usize;
     for lane in &lanes {
-        let check = LaneCheck::of(lane.name);
-        let check = move |c: &TraceCase| check.run(c);
-        if let Some(d) = run_lane(lane, args.seeds, &check) {
+        if let Some(d) = run_lane(lane, args.seeds, &check_case) {
             total_div += 1;
             // One witness per lane is plenty; minimizing hundreds is noise.
-            write_witness(d, &args, &check);
+            write_witness(d, &args, &check_case);
         }
     }
 

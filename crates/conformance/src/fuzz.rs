@@ -12,13 +12,12 @@
 //! plainly written machine, and the two [`EventSignature`]s must be
 //! equal: every counter of every job, every mark snapshot, every
 //! socket's demand/prefetch/writeback/DMA traffic, and the wall-cycle
-//! count. So a fault anywhere in the engine — caches, scheduler, fast
-//! lane, coherence — shows up as a divergence.
+//! count. So a fault anywhere in the engine — caches, scheduler,
+//! dispatch loop, coherence — shows up as a divergence.
 //!
 //! A failing case can be [`minimize`]d (greedy lane- then chunk-removal,
 //! ddmin style) and written to `target/conformance/` as a JSON
-//! reproducer that [`replay_file`] re-executes verbatim, through the
-//! check of the lane it came from ([`LaneCheck`]).
+//! reproducer that [`replay_file`] re-executes verbatim.
 //!
 //! [`check_case_with`] plants [`RefFault`]s in the reference machine;
 //! the test suite and `conformance --sabotage` use them to prove the
@@ -34,7 +33,7 @@ use std::path::{Path, PathBuf};
 
 use amem_sim::cache::InsertPolicy;
 use amem_sim::config::{CacheConfig, CoreId, MachineConfig};
-use amem_sim::engine::{Engine, EventSignature, Job, RunLimit, DEFAULT_RUN_AHEAD};
+use amem_sim::engine::{Engine, EventSignature, Job, RunLimit};
 use amem_sim::rng::Xoshiro256;
 use amem_sim::stream::{AccessStream, Op};
 use amem_sim::tlb::TlbConfig;
@@ -403,13 +402,7 @@ fn case_jobs(case: &TraceCase) -> Vec<Job> {
 /// Execute a case through the production engine and flatten it to its
 /// signature.
 pub fn run_case(case: &TraceCase) -> EventSignature {
-    run_case_at(case, DEFAULT_RUN_AHEAD)
-}
-
-/// Like [`run_case`], but pinning the engine's fast-lane burst budget.
-pub fn run_case_at(case: &TraceCase, run_ahead: u32) -> EventSignature {
     Engine::new(&case.machine, case_jobs(case))
-        .with_run_ahead(run_ahead)
         .run(&RunLimit::default())
         .event_signature()
 }
@@ -475,7 +468,8 @@ const PINGPONG: &str = "pingpong-2s";
 /// stores), interleaved with short private runs and compute jitter, in
 /// barrier-separated rounds. This is the trace family whose event order
 /// is most sensitive to a scheduler that lets a core run past its
-/// quantum horizon — the fast lane's one failure mode (DESIGN.md §14).
+/// quantum horizon — the dispatch loop's one failure mode (DESIGN.md
+/// §14).
 pub fn gen_pingpong_case(seed: u64, ops_per_lane: usize) -> TraceCase {
     let cfg = pingpong_config();
     let m = &cfg.machine;
@@ -513,7 +507,7 @@ pub fn gen_pingpong_case(seed: u64, ops_per_lane: usize) -> TraceCase {
                                 emitted += 1;
                             }
                         }
-                        // Short private run: keeps the fast lane busy
+                        // Short private run: keeps the dispatch loop busy
                         // and the prefetcher trained between exchanges.
                         5 | 6 => {
                             for _ in 0..4 + rng.below(12) {
@@ -550,46 +544,6 @@ pub fn gen_pingpong_case(seed: u64, ops_per_lane: usize) -> TraceCase {
         seed,
         machine: m.clone(),
         lanes,
-    }
-}
-
-/// Full ping-pong check: the engine must equal the reference machine at
-/// every fast-lane burst budget — per-op lockstep (1), the default, and
-/// a seed-varied one.
-pub fn check_pingpong_case(case: &TraceCase) -> Result<(), Divergence> {
-    let reference = run_reference(case, &[]);
-    for budget in [1, DEFAULT_RUN_AHEAD, 2 + (case.seed % 97) as u32] {
-        compare(case, run_case_at(case, budget), &reference)?;
-    }
-    Ok(())
-}
-
-/// What the cases of a lane must pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneCheck {
-    /// [`check_case`]: the engine equals the reference machine.
-    Reference,
-    /// [`check_pingpong_case`]: the same at every fast-lane budget.
-    EveryBudget,
-}
-
-impl LaneCheck {
-    /// The check of the lane named `config` — the one table the
-    /// `conformance` binary and [`replay_file`] both read, so a
-    /// reproducer replays through the check that found it.
-    pub fn of(config: &str) -> Self {
-        if config == PINGPONG {
-            LaneCheck::EveryBudget
-        } else {
-            LaneCheck::Reference
-        }
-    }
-
-    pub fn run(self, case: &TraceCase) -> Result<(), Divergence> {
-        match self {
-            LaneCheck::Reference => check_case(case),
-            LaneCheck::EveryBudget => check_pingpong_case(case),
-        }
     }
 }
 
@@ -719,13 +673,12 @@ pub fn write_reproducer(case: &TraceCase, dir: impl AsRef<Path>) -> std::io::Res
 }
 
 /// Load a reproducer file and re-check it against the honest reference
-/// machine through its lane's check, which it returns with the outcome.
-pub fn replay_file(path: impl AsRef<Path>) -> std::io::Result<(LaneCheck, Result<(), Divergence>)> {
+/// machine.
+pub fn replay_file(path: impl AsRef<Path>) -> std::io::Result<Result<(), Divergence>> {
     let json = std::fs::read_to_string(path)?;
     let case: TraceCase = serde_json::from_str(&json)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let check = LaneCheck::of(&case.config);
-    Ok((check, check.run(&case)))
+    Ok(check_case(&case))
 }
 
 /// Planted faults, to prove the harness detects and minimizes real
@@ -744,12 +697,11 @@ pub mod sabotage {
         super::check_case_with(case, &[RefFault::WayScanOffByOne])
     }
 
-    /// Planted scheduler bug in the engine itself: its fast lane may run
+    /// Planted scheduler bug in the engine itself: every dispatch may run
     /// one cycle past the quantum horizon (`Engine::with_horizon_leak`).
-    /// Compared against the reference machine, a shared access leaking
-    /// across the horizon shifts the coherence interleaving, so the
-    /// ping-pong lane must flag it (on some seed within a small sweep —
-    /// the leak only bites when a burst actually straddles a horizon).
+    /// Compared against the reference machine, an access leaking across
+    /// the horizon shifts the interleaving on the shared L3, channel and
+    /// sharer words, so the fuzz lanes must flag it.
     pub fn check_case_horizon_leaky(case: &TraceCase) -> Result<(), Divergence> {
         let leaky = Engine::new(&case.machine, super::case_jobs(case))
             .with_horizon_leak()
@@ -850,38 +802,17 @@ mod tests {
     }
 
     #[test]
-    fn pingpong_reproducer_replays_through_its_lanes_check() {
-        // A ping-pong witness may be a budget divergence, which only the
-        // every-budget check can see: replay must run that check, not the
-        // default-budget one.
-        let case = gen_pingpong_case(5, 600);
-        let dir = std::env::temp_dir().join("amem-conformance-pingpong");
-        let path = write_reproducer(&case, &dir).unwrap();
-        let (check, replay) = replay_file(&path).unwrap();
-        assert_eq!(check, LaneCheck::EveryBudget);
-        assert!(replay.is_ok(), "honest replay must pass");
-        std::fs::remove_file(path).ok();
-        for lane in lanes(100) {
-            let every_budget = LaneCheck::of(lane.name) == LaneCheck::EveryBudget;
-            assert_eq!(every_budget, lane.name == "pingpong-2s", "{}", lane.name);
-        }
-    }
-
-    #[test]
-    fn pingpong_lane_agrees_and_is_budget_invariant() {
+    fn pingpong_lane_agrees() {
         for seed in 0..3 {
             let case = gen_pingpong_case(seed, 1200);
-            assert!(
-                check_pingpong_case(&case).is_ok(),
-                "pingpong seed {seed} diverged"
-            );
+            assert!(check_case(&case).is_ok(), "pingpong seed {seed} diverged");
         }
     }
 
     #[test]
     fn horizon_leak_is_caught_and_minimizes_small() {
         // The planted one-cycle horizon overrun only bites on seeds
-        // where a fast burst straddles a quantum boundary mid-exchange;
+        // where a dispatch straddles a quantum boundary mid-exchange;
         // it must be caught within a small deterministic sweep.
         let caught = (0..32u64).find_map(|seed| {
             let case = gen_pingpong_case(seed, 1200);
@@ -901,13 +832,14 @@ mod tests {
 
     #[test]
     fn reproducers_round_trip() {
-        let cfg = &configs()[1];
-        let case = gen_case(cfg, 3, 400);
         let dir = std::env::temp_dir().join("amem-conformance-test");
-        let path = write_reproducer(&case, &dir).unwrap();
-        let (check, replay) = replay_file(&path).unwrap();
-        assert_eq!(check, LaneCheck::Reference);
-        assert!(replay.is_ok(), "honest replay must pass");
-        std::fs::remove_file(path).ok();
+        for case in [gen_case(&configs()[1], 3, 400), gen_pingpong_case(5, 600)] {
+            let path = write_reproducer(&case, &dir).unwrap();
+            assert!(
+                replay_file(&path).unwrap().is_ok(),
+                "honest replay must pass"
+            );
+            std::fs::remove_file(path).ok();
+        }
     }
 }

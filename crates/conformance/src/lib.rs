@@ -4,8 +4,9 @@
 //! The simulator's hot paths have accumulated layers of performance
 //! machinery: in the caches ([`amem_sim::cache::Cache`] and friends)
 //! structure-of-arrays layouts, movemask set scans, lookup→fill miss
-//! memos and probation flags folded into recency stamps; in the engine a
-//! fast lane, up-links between levels and inclusion-derived probe skips.
+//! memos and probation flags folded into recency stamps; in the engine an
+//! inlined dispatch loop, up-links between levels and inclusion-derived
+//! probe skips.
 //! Each was justified by an unchanged figure CSV at the time — but CSVs
 //! rot, and behavioural equivalence deserves a *living* proof. This crate
 //! supplies one, in four parts:

@@ -22,8 +22,8 @@
 //!
 //! The production [`Engine`](amem_sim::engine::Engine) must produce the
 //! same [`EventSignature`](amem_sim::EventSignature) for the same jobs.
-//! Every shortcut the engine takes — the fast lane and its burst budget,
-//! the cache memos and up-links, fused demand fills, the presence-bit
+//! Every shortcut the engine takes — its inlined dispatch loop, the
+//! cache memos and up-links, fused demand fills, the presence-bit
 //! probe skip, the inclusion-derived L1 skip — is therefore checked by
 //! equality against code that takes none of them. The machine holds the
 //! naive [`RefCache`], [`RefTlb`] and [`RefPrefetcher`] and reuses only

@@ -23,7 +23,7 @@
 //!
 //! Controller and throttle are execution-time knobs, excluded from every
 //! content-addressed cache key by construction (they ride on the engine
-//! builder, never on `RunLimit`) — the same rule as the burst budget.
+//! builder, never on `RunLimit`).
 
 pub mod controller;
 pub mod estimate;

@@ -12,8 +12,8 @@
 //!   must reproduce from inside a single shared run.
 //!
 //! All runs go through [`amem_sim::machine::Machine`] directly — never
-//! the executor cache — because controller state (like the engine's
-//! burst budget) is deliberately not part of any cache key.
+//! the executor cache — because controller state is deliberately not
+//! part of any cache key.
 
 use amem_interfere::{BwThread, BwThreadCfg, CsThread, CsThreadCfg};
 use amem_sim::config::CoreId;

@@ -23,8 +23,8 @@
 //!
 //! Both are execution-time knobs, deliberately excluded from
 //! [`crate::engine::RunLimit`] and therefore from every content-addressed
-//! cache key — the same design rule as the fast lane's burst budget
-//! ([`crate::engine::Engine::with_run_ahead`]).
+//! cache key: a controller rides on the engine builder
+//! ([`crate::engine::Engine::with_controller`]), never on the request.
 
 use serde::{Deserialize, Serialize};
 

@@ -147,8 +147,8 @@ impl DramChannel {
 /// Bandwidth-throttle setting for one core: a token bucket on DRAM lines.
 ///
 /// `lines_per_kilocycle` is the sustained refill rate; `burst_lines` is
-/// the bucket depth. Like the engine's burst budget, the throttle is an
-/// execution-time knob only — it never appears in [`crate::canonical_json`]
+/// the bucket depth. Like the engine's resource controller, the throttle
+/// is an execution-time knob only — it never appears in [`crate::canonical_json`]
 /// cache keys, because results obtained under a throttle are not
 /// substitutable for unthrottled ones and the executor is never asked to
 /// cache them (QoS runs go through [`crate::machine::Machine`] directly).

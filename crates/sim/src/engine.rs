@@ -7,13 +7,12 @@
 //! core, ties to the lowest index — core counts are ≤32, where a
 //! branch-predictable scan beats a priority queue), in batches bounded
 //! by a small quantum so cross-core interleaving through the shared L3
-//! and DRAM channel stays causally accurate. Within a batch, a fast lane
-//! commits runs of simple ops (loads, stores, compute, marks) through an
-//! inlined dispatch loop; it never crosses the scheduling horizon, so
-//! results are event-for-event identical to the one-op-at-a-time path
-//! (see DESIGN.md §14). The engine spawns no threads and reads no
-//! environment: each core's ops are generated inline, on the thread that
-//! calls `run` (DESIGN.md §9).
+//! and DRAM channel stays causally accurate. A batch is one call of the
+//! dispatch loop, which retires the core's ops until its clock reaches
+//! the horizon: loads, stores and compute in the loop itself, buffer
+//! refills and the rare ops out of line (see DESIGN.md §14). The engine
+//! spawns no threads and reads no environment: each core's ops are
+//! generated inline, on the thread that calls `run` (DESIGN.md §9).
 //!
 //! ## Timing model
 //!
@@ -49,14 +48,6 @@ use crate::prefetch::Prefetcher;
 use crate::stream::{AccessStream, Op, OP_BATCH};
 use crate::telemetry::{CycleHistogram, EventRing, Sampler, SpanEvent, Telemetry};
 use crate::tlb::Tlb;
-
-/// Fast-lane burst budget: how many consecutive ops one core may commit
-/// through the inlined dispatch loop before the engine re-checks
-/// scheduling state. It is intentionally *not* part of [`RunLimit`]: the
-/// fast lane never crosses the scheduling horizon, so the value cannot
-/// change simulated results (the horizon-determinism test asserts this)
-/// and must not enter the executor's cache key.
-pub const DEFAULT_RUN_AHEAD: u32 = 256;
 
 /// One core's buffered window of upcoming ops.
 struct OpBuf {
@@ -320,14 +311,6 @@ pub struct EventSignature {
     pub sockets: Vec<SocketEvents>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HitLevel {
-    L1,
-    L2,
-    L3,
-    Dram,
-}
-
 /// In-flight load completion times for one core (bounded by MLP).
 #[derive(Debug, Clone)]
 struct Outstanding {
@@ -407,12 +390,6 @@ struct CoreState {
     /// actuation; `None` (the default and the only state reachable without
     /// a controller) adds a single branch on the demand-miss path.
     throttle: Option<LineThrottle>,
-    /// A load consumed from the lane but deferred to the next dispatch.
-    /// Set only on the controller path, when an MLP stall jumps this
-    /// core's clock past other runnable cores: issuing the access in the
-    /// same dispatch would book the shared DRAM channel at a future time
-    /// and convoy cores whose clocks are still behind the booking.
-    pending: Option<Op>,
     tlb: Tlb,
     l1: Cache,
     l2: Cache,
@@ -434,13 +411,9 @@ pub struct Engine<'a> {
     /// Hoisted `cfg.tlb.is_enabled()`: skips the per-access translation
     /// call entirely on the (default) disabled configuration.
     tlb_on: bool,
-    /// Fast-lane burst budget ([`DEFAULT_RUN_AHEAD`], or a
-    /// [`with_run_ahead`](Self::with_run_ahead) override); `1` disables
-    /// the inlined dispatch loop entirely.
-    run_ahead: u32,
-    /// Cycles the fast lane is (wrongly) allowed past the quantum
+    /// Cycles a dispatch is (wrongly) allowed past the quantum
     /// horizon. Always `0` in production; the conformance self-test
-    /// plants `1` to prove the ping-pong fuzz lane catches exactly this
+    /// plants `1` to prove the differential fuzzer catches exactly this
     /// class of bug (a shared access leaking across the horizon).
     horizon_leak: u64,
     /// Epoch-boundary resource controller (QoS). `None` — the default —
@@ -450,10 +423,6 @@ pub struct Engine<'a> {
     /// boundary lands one whole epoch late (the classic `epoch` vs
     /// `epoch + 1` indexing slip). Always `false` in production.
     epoch_off_by_one: bool,
-    /// Horizon of the dispatch currently executing. Consulted on the
-    /// controller path to defer loads whose MLP stall jumped past it
-    /// (see [`CoreState::pending`]).
-    dispatch_cap: u64,
 
     labels: Vec<String>,
     job_meta: Vec<(CoreId, bool)>,
@@ -483,6 +452,24 @@ impl<'a> Engine<'a> {
             cfg.cores_per_socket <= 32,
             "sharer/presence masks hold at most 32 cores per socket"
         );
+        // The engine and the reference machine take `addr >> 6` as the
+        // line; any other line size would silently change the set count.
+        for (level, c) in [("L1", &cfg.l1), ("L2", &cfg.l2), ("L3", &cfg.l3)] {
+            assert!(
+                c.line_bytes == 64,
+                "{level}: {}-byte lines; the engine simulates 64-byte lines only",
+                c.line_bytes
+            );
+        }
+        for (what, bw) in [
+            ("DRAM", cfg.dram_bytes_per_cycle),
+            ("network", cfg.net.bytes_per_cycle),
+        ] {
+            assert!(
+                bw.is_finite() && bw > 0.0,
+                "{what} bandwidth must be finite and positive, got {bw} bytes/cycle"
+            );
+        }
         let mut cores: Vec<CoreState> = (0..n)
             .map(|i| CoreState {
                 time: 0,
@@ -502,7 +489,6 @@ impl<'a> Engine<'a> {
                 llc_hint: None,
                 l3_way_mask: u32::MAX,
                 throttle: None,
-                pending: None,
                 tlb: Tlb::new(cfg.tlb),
                 l1: Cache::new(&cfg.l1).without_ownership(),
                 l2: Cache::new(&cfg.l2).without_ownership(),
@@ -549,11 +535,9 @@ impl<'a> Engine<'a> {
                 })
                 .collect(),
             tlb_on: cfg.tlb.is_enabled(),
-            run_ahead: DEFAULT_RUN_AHEAD,
             horizon_leak: 0,
             controller: None,
             epoch_off_by_one: false,
-            dispatch_cap: u64::MAX,
 
             labels,
             job_meta,
@@ -564,19 +548,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Override the fast-lane burst budget (ops per uninterrupted inline
-    /// span; `1` forces the legacy one-op dispatch path). Results are
-    /// identical for every value — this exists so tests and the
-    /// conformance fuzzer can sweep budgets.
-    pub fn with_run_ahead(mut self, ops: u32) -> Self {
-        self.run_ahead = ops.max(1);
-        self
-    }
-
-    /// Sabotage for the conformance self-test: let every fast-lane burst
-    /// overrun the quantum horizon by one cycle — the off-by-one that
+    /// Sabotage for the conformance self-test: let every dispatch overrun
+    /// the quantum horizon by one cycle — the off-by-one that
     /// would leak a shared access past the conservative boundary. The
-    /// ping-pong fuzz lane must detect the resulting interleaving drift.
+    /// differential fuzzer must detect the resulting interleaving drift.
     #[doc(hidden)]
     pub fn with_horizon_leak(mut self) -> Self {
         self.horizon_leak = 1;
@@ -589,8 +564,8 @@ impl<'a> Engine<'a> {
     /// the next dispatch; the caller keeps the (mutably borrowed)
     /// controller, so estimator state and decision logs survive the run.
     ///
-    /// Like the burst budget, the controller is execution-time state only:
-    /// it is not part of [`RunLimit`] and never enters a cache key.
+    /// The controller is execution-time state only: it is not part of
+    /// [`RunLimit`] and never enters a cache key.
     pub fn with_controller(mut self, controller: &'a mut dyn EpochController) -> Self {
         self.controller = Some(controller);
         self
@@ -605,28 +580,6 @@ impl<'a> Engine<'a> {
     pub fn with_epoch_off_by_one(mut self) -> Self {
         self.epoch_off_by_one = true;
         self
-    }
-
-    /// Pull the next op from the core's buffered lane, refilling from
-    /// the core's own stream as needed.
-    #[inline]
-    fn next_lane_op(&mut self, ci: usize) -> Op {
-        loop {
-            let buf = &mut self.bufs[ci];
-            if let Some(&op) = buf.ops.get(buf.pos) {
-                buf.pos += 1;
-                return op;
-            }
-            buf.pos = 0;
-            buf.ops.clear();
-            self.streams[ci]
-                .as_mut()
-                .expect("active core must have a stream")
-                .next_batch(&mut buf.ops, OP_BATCH);
-            if buf.ops.is_empty() {
-                return Op::Done;
-            }
-        }
     }
 
     /// Execute until every primary stream is done (or limits trip).
@@ -663,13 +616,6 @@ impl<'a> Engine<'a> {
             .map(|c| if c.done { u64::MAX } else { 0 })
             .collect();
         let max_cycles = limit.max_cycles.unwrap_or(u64::MAX);
-        // Telemetry observes per-op state between steps, so it forces the
-        // one-op legacy dispatch path (equivalent, just slower).
-        let run_ahead = if limit.telemetry_enabled() {
-            1
-        } else {
-            self.run_ahead
-        };
         // Epoch boundaries for the (optional) resource controller. The
         // first boundary is one epoch in; the sabotage hook shifts it one
         // epoch further to emulate the indexing off-by-one.
@@ -737,43 +683,16 @@ impl<'a> Engine<'a> {
             // the run (`next_epoch` is u64::MAX without a controller, so
             // the default path is untouched).
             let horizon = t_next.saturating_add(limit.quantum).min(next_epoch);
-            self.dispatch_cap = horizon;
-            let cap = horizon.min(max_cycles);
-            let burst_cap = cap.saturating_add(self.horizon_leak);
-            loop {
-                if run_ahead > 1 {
-                    match self.fast_burst(ci, burst_cap, run_ahead) {
-                        BurstEnd::Horizon => break,
-                        BurstEnd::Budget => continue,
-                        BurstEnd::Unhandled => {}
+            let cap = horizon.min(max_cycles).saturating_add(self.horizon_leak);
+            match self.dispatch(ci, cap, horizon) {
+                StepOutcome::Running => {}
+                StepOutcome::Finished => {
+                    if self.cores[ci].primary {
+                        primaries_left -= 1;
                     }
+                    self.try_release_barrier(&mut clock, limit);
                 }
-                let state = self.step(ci);
-                if let Some(sm) = self.sampler.as_mut() {
-                    let c = &self.cores[ci];
-                    if sm.due(ci, c.time) {
-                        sm.sample(ci, c.time, &c.counters);
-                    }
-                }
-                match state {
-                    StepOutcome::Running => {
-                        let now = self.cores[ci].time;
-                        if now >= horizon || now >= max_cycles {
-                            break;
-                        }
-                    }
-                    StepOutcome::Finished => {
-                        if self.cores[ci].primary {
-                            primaries_left -= 1;
-                        }
-                        self.try_release_barrier(&mut clock, limit);
-                        break;
-                    }
-                    StepOutcome::Parked => {
-                        self.try_release_barrier(&mut clock, limit);
-                        break;
-                    }
-                }
+                StepOutcome::Parked => self.try_release_barrier(&mut clock, limit),
             }
             // Re-arm the core at its new clock. This also covers a core
             // that released the barrier it just parked at: its clock is
@@ -874,61 +793,146 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Execute one op on core `ci`.
-    fn step(&mut self, ci: usize) -> StepOutcome {
-        let op = match self.cores[ci].pending.take() {
-            Some(op) => op,
-            None => self.next_lane_op(ci),
-        };
-        match op {
-            Op::Load(addr) => {
-                let line = addr >> 6;
-                if self.cores[ci].out.len >= self.cores[ci].mlp {
-                    let controlled = self.controller.is_some();
-                    let cap = self.dispatch_cap;
-                    let free_at = self.cores[ci].out.pop_min();
+    /// Run core `ci` until its clock reaches `cap`, it parks at a
+    /// barrier, or its stream ends. Loads, stores and compute — nearly
+    /// every op of the paper's `buf[i]++` threads — are arms of the loop:
+    /// a load probes the L1 here and walks a miss through the one
+    /// out-of-line [`Self::mem_access_after_l1`]; a store goes through
+    /// [`Self::retire_store`]. Buffer refills and the rare ops go through
+    /// [`Self::slow_op`]. The sampler is checked after every op only when
+    /// sampling is on.
+    ///
+    /// With a controller attached, a load whose MLP stall jumps the clock
+    /// past `horizon` stays at the buffer cursor and issues in a later
+    /// dispatch: issuing it now would book the shared DRAM channel at a
+    /// future time and convoy cores whose clocks are still behind the
+    /// booking. The jump is past `cap` too, so the turn ends there.
+    fn dispatch(&mut self, ci: usize, cap: u64, horizon: u64) -> StepOutcome {
+        let controlled = self.controller.is_some();
+        let sampling = self.sampler.is_some();
+        loop {
+            let buf = &self.bufs[ci];
+            match buf.ops.get(buf.pos) {
+                Some(&Op::Load(addr)) => {
                     let c = &mut self.cores[ci];
-                    if free_at > c.time {
-                        c.counters.stall_cycles += free_at - c.time;
-                        c.time = free_at;
-                        if controlled && c.time > cap {
-                            // The stall jumped past the dispatch horizon:
-                            // defer the issue to the next dispatch so the
-                            // other cores catch up before this access
-                            // books the shared DRAM channel.
-                            c.pending = Some(op);
-                            return StepOutcome::Running;
+                    if c.out.len >= c.mlp {
+                        let free_at = c.out.pop_min();
+                        if free_at > c.time {
+                            c.counters.stall_cycles += free_at - c.time;
+                            c.time = free_at;
                         }
                     }
+                    if !(controlled && c.time > horizon) {
+                        let now = c.time;
+                        let line = addr >> 6;
+                        let walk = if self.tlb_on {
+                            self.tlb_access(ci, addr)
+                        } else {
+                            0
+                        };
+                        let lat = if self.cores[ci].l1.lookup(line, false) {
+                            self.cores[ci].counters.l1_hits += 1;
+                            self.cfg.l1.latency
+                        } else {
+                            self.cores[ci].counters.l1_misses += 1;
+                            self.mem_access_after_l1(ci, line, false, now)
+                        };
+                        let c = &mut self.cores[ci];
+                        c.out.push(now + walk as u64 + lat as u64);
+                        c.time += 1;
+                        c.counters.loads += 1;
+                        self.bufs[ci].pos += 1;
+                    }
                 }
-                let now = self.cores[ci].time;
-                let walk = if self.tlb_on {
-                    self.tlb_access(ci, addr)
-                } else {
-                    0
-                };
-                let (lat, _lvl) = self.mem_access(ci, line, false, now);
-                let c = &mut self.cores[ci];
-                c.out.push(now + walk as u64 + lat as u64);
-                c.time += 1;
-                c.counters.loads += 1;
-                StepOutcome::Running
+                Some(&Op::Store(addr)) => {
+                    self.retire_store(ci, addr);
+                    self.bufs[ci].pos += 1;
+                }
+                Some(&Op::Compute(cy)) => {
+                    self.drain(ci);
+                    let c = &mut self.cores[ci];
+                    c.time += cy as u64;
+                    c.counters.compute_cycles += cy as u64;
+                    self.bufs[ci].pos += 1;
+                }
+                _ => match self.slow_op(ci) {
+                    None => continue,
+                    Some(StepOutcome::Running) => {}
+                    Some(end) => {
+                        if sampling {
+                            self.sample_if_due(ci);
+                        }
+                        return end;
+                    }
+                },
             }
-            Op::Store(addr) => {
-                self.retire_store(ci, addr);
-                StepOutcome::Running
+            if sampling {
+                self.sample_if_due(ci);
             }
-            Op::Compute(cy) => {
-                self.drain(ci);
-                let c = &mut self.cores[ci];
-                c.time += cy as u64;
-                c.counters.compute_cycles += cy as u64;
-                StepOutcome::Running
+            if self.cores[ci].time >= cap {
+                return StepOutcome::Running;
             }
+        }
+    }
+
+    /// A store retires through the store buffer: the hierarchy and the
+    /// channel see it (with the coherence it triggers), the core moves
+    /// on after one issue cycle. Kept out of line: the dispatch loop with
+    /// the store's L1 probe and coherence inlined ran slower (DESIGN.md
+    /// §14).
+    #[inline(never)]
+    fn retire_store(&mut self, ci: usize, addr: u64) {
+        let now = self.cores[ci].time;
+        let line = addr >> 6;
+        if self.tlb_on {
+            self.tlb_access(ci, addr);
+        }
+        if self.cores[ci].l1.lookup(line, true) {
+            self.cores[ci].counters.l1_hits += 1;
+            // The hit left the L1's memo on the line: follow its up-links
+            // L1 → L2 → L3 to the sharer word.
+            let c = &self.cores[ci];
+            let at = c.l2.up_link(c.l1.up_link(c.l1.memo(), line), line);
+            self.coherence_store(ci, c.sock, line, at);
+        } else {
+            self.cores[ci].counters.l1_misses += 1;
+            self.mem_access_after_l1(ci, line, true, now);
+        }
+        let c = &mut self.cores[ci];
+        c.time += 1;
+        c.counters.stores += 1;
+    }
+
+    /// The rare half of [`Self::dispatch`]: refill an exhausted op buffer
+    /// from the core's own stream (`None`: it holds ops again; an empty
+    /// refill ends the stream), or retire the remote transfer, mark,
+    /// barrier or end at the cursor.
+    #[inline(never)]
+    fn slow_op(&mut self, ci: usize) -> Option<StepOutcome> {
+        let buf = &mut self.bufs[ci];
+        let op = match buf.ops.get(buf.pos) {
+            Some(&op) => {
+                buf.pos += 1;
+                op
+            }
+            None => {
+                buf.pos = 0;
+                buf.ops.clear();
+                self.streams[ci]
+                    .as_mut()
+                    .expect("active core must have a stream")
+                    .next_batch(&mut buf.ops, OP_BATCH);
+                if !buf.ops.is_empty() {
+                    return None;
+                }
+                Op::Done
+            }
+        };
+        self.drain(ci);
+        let c = &mut self.cores[ci];
+        match op {
             Op::RemoteXfer(bytes) => {
-                self.drain(ci);
-                let now = self.cores[ci].time;
-                let s = self.cores[ci].sock;
+                let (now, s) = (c.time, c.sock);
                 // NIC DMA occupies the local memory channel.
                 let dma = self.sockets[s].dram.dma(now, bytes as u64);
                 let wire = (bytes as f64 / self.cfg.net.bytes_per_cycle) as u64;
@@ -936,39 +940,27 @@ impl<'a> Engine<'a> {
                 let c = &mut self.cores[ci];
                 c.time += d;
                 c.counters.net_cycles += d;
-                StepOutcome::Running
             }
             Op::Mark => {
-                self.drain(ci);
-                let c = &mut self.cores[ci];
                 let mut snap = c.counters;
                 snap.cycles = c.time;
                 c.marks.push(snap);
-                let at = c.time;
                 if let Some(r) = self.ring.as_mut() {
-                    r.push(SpanEvent::instant("mark", ci, at));
+                    r.push(SpanEvent::instant("mark", ci, snap.cycles));
                 }
-                StepOutcome::Running
             }
+            // Background streams must not barrier; treat as no-op to
+            // keep runs deadlock-free.
+            Op::Barrier if !c.primary => {}
             Op::Barrier => {
-                self.drain(ci);
-                let c = &mut self.cores[ci];
-                if !c.primary {
-                    // Background streams must not barrier; treat as no-op
-                    // to keep runs deadlock-free.
-                    return StepOutcome::Running;
-                }
                 c.parked = true;
                 c.barrier_arrival = c.time;
-                let (start, end) = (c.phase_start, c.time);
                 if let Some(r) = self.ring.as_mut() {
-                    r.push(SpanEvent::span("phase", ci, start, end));
+                    r.push(SpanEvent::span("phase", ci, c.phase_start, c.time));
                 }
-                StepOutcome::Parked
+                return Some(StepOutcome::Parked);
             }
             Op::Done => {
-                self.drain(ci);
-                let c = &mut self.cores[ci];
                 c.done = true;
                 c.finished = true;
                 c.counters.cycles = c.time;
@@ -979,111 +971,20 @@ impl<'a> Engine<'a> {
                     }
                     r.push(SpanEvent::instant("done", ci, end));
                 }
-                StepOutcome::Finished
+                return Some(StepOutcome::Finished);
             }
+            Op::Load(_) | Op::Store(_) | Op::Compute(_) => unreachable!("dispatched inline"),
         }
+        Some(StepOutcome::Running)
     }
 
-    /// A store retires through the store buffer: the hierarchy and the
-    /// channel see it (with the coherence it triggers), the core moves on
-    /// after one issue cycle. The one body behind `step` and the fast
-    /// lane.
-    #[inline]
-    fn retire_store(&mut self, ci: usize, addr: u64) {
-        let now = self.cores[ci].time;
-        if self.tlb_on {
-            self.tlb_access(ci, addr);
-        }
-        self.mem_access(ci, addr >> 6, true, now);
-        let c = &mut self.cores[ci];
-        c.time += 1;
-        c.counters.stores += 1;
-    }
-
-    /// Fast lane: commit up to `budget` consecutive simple ops (loads,
-    /// stores, compute, marks) for core `ci` through a flat, inlined
-    /// dispatch loop, stopping at the scheduling horizon `cap` exactly
-    /// where the general loop would. A store's coherence is applied by
-    /// the core that runs it, below the horizon, like every other
-    /// cross-core effect — so it is as safe here as in `step` (the
-    /// paper's BWThr and CSThr are `buf[i]++` loops: half their ops).
-    /// Ops it cannot retire inline — barriers, remote transfers, stream
-    /// end, or an empty op buffer — are left at the buffer cursor for
-    /// the general dispatcher. Only runs when telemetry is off, so the
-    /// per-op sampler and ring checks of the legacy path are vacuous.
-    fn fast_burst(&mut self, ci: usize, cap: u64, budget: u32) -> BurstEnd {
-        // A deferred load must retire (via `step`) before any buffered op.
-        if self.cores[ci].pending.is_some() {
-            return BurstEnd::Unhandled;
-        }
-        let mut left = budget;
-        loop {
-            if left == 0 {
-                return BurstEnd::Budget;
-            }
-            let buf = &self.bufs[ci];
-            let Some(&op) = buf.ops.get(buf.pos) else {
-                return BurstEnd::Unhandled;
-            };
-            match op {
-                Op::Load(addr) => {
-                    let line = addr >> 6;
-                    {
-                        let c = &mut self.cores[ci];
-                        if c.out.len >= c.mlp {
-                            let free_at = c.out.pop_min();
-                            if free_at > c.time {
-                                c.counters.stall_cycles += free_at - c.time;
-                                c.time = free_at;
-                            }
-                        }
-                    }
-                    if self.controller.is_some() && self.cores[ci].time > self.dispatch_cap {
-                        // The stall jumped past the dispatch horizon: leave
-                        // the load at the cursor so it issues only once the
-                        // other cores catch up (see the same rule in `step`).
-                        return BurstEnd::Horizon;
-                    }
-                    let now = self.cores[ci].time;
-                    let walk = if self.tlb_on {
-                        self.tlb_access(ci, addr)
-                    } else {
-                        0
-                    };
-                    let lat = if self.cores[ci].l1.lookup(line, false) {
-                        self.cores[ci].counters.l1_hits += 1;
-                        self.cfg.l1.latency
-                    } else {
-                        self.cores[ci].counters.l1_misses += 1;
-                        self.mem_access_after_l1(ci, line, false, now).0
-                    };
-                    let c = &mut self.cores[ci];
-                    c.out.push(now + walk as u64 + lat as u64);
-                    c.time += 1;
-                    c.counters.loads += 1;
-                }
-                Op::Store(addr) => self.retire_store(ci, addr),
-                Op::Compute(cy) => {
-                    self.drain(ci);
-                    let c = &mut self.cores[ci];
-                    c.time += cy as u64;
-                    c.counters.compute_cycles += cy as u64;
-                }
-                Op::Mark => {
-                    self.drain(ci);
-                    let c = &mut self.cores[ci];
-                    let mut snap = c.counters;
-                    snap.cycles = c.time;
-                    c.marks.push(snap);
-                    // The event ring is always absent here (telemetry
-                    // forces the legacy path), so no instant is recorded.
-                }
-                _ => return BurstEnd::Unhandled,
-            }
-            self.bufs[ci].pos += 1;
-            left -= 1;
-            if self.cores[ci].time >= cap {
-                return BurstEnd::Horizon;
+    /// Take core `ci`'s next counter sample if its clock crossed an
+    /// interval boundary.
+    fn sample_if_due(&mut self, ci: usize) {
+        if let Some(sm) = self.sampler.as_mut() {
+            let c = &self.cores[ci];
+            if sm.due(ci, c.time) {
+                sm.sample(ci, c.time, &c.counters);
             }
         }
     }
@@ -1152,47 +1053,20 @@ impl<'a> Engine<'a> {
         self.cfg.l3.latency
     }
 
-    /// Probe the hierarchy for `line`; update caches, counters, channel.
-    /// Returns (latency, serving level).
-    #[inline]
-    fn mem_access(&mut self, ci: usize, line: u64, store: bool, now: u64) -> (u32, HitLevel) {
-        // L1
-        if self.cores[ci].l1.lookup(line, store) {
-            self.cores[ci].counters.l1_hits += 1;
-            let mut lat = self.cfg.l1.latency;
-            if store {
-                // The hit left the L1's memo on the line: follow its
-                // up-links L1 → L2 → L3 to the sharer word.
-                let c = &self.cores[ci];
-                let at = c.l2.up_link(c.l1.up_link(c.l1.memo(), line), line);
-                lat += self.coherence_store(ci, c.sock, line, at);
-            }
-            return (lat, HitLevel::L1);
-        }
-        self.cores[ci].counters.l1_misses += 1;
-        self.mem_access_after_l1(ci, line, store, now)
-    }
-
-    /// [`Self::mem_access`] continued past a recorded L1 miss — split out
-    /// so the fast lane can probe the L1 inline and only pay a call on
-    /// the miss path, without double-probing. It is the one compiled body
-    /// of the miss walk: the helpers below and the cache calls of the
-    /// walk are `#[inline(always)]` into it, and it is deliberately not,
-    /// so `step` and `fast_burst` share one copy (DESIGN.md §9, "One
-    /// compiled demand walk").
-    fn mem_access_after_l1(
-        &mut self,
-        ci: usize,
-        line: u64,
-        store: bool,
-        now: u64,
-    ) -> (u32, HitLevel) {
+    /// A load's or store's walk of the hierarchy past a recorded L1 miss
+    /// (the dispatch loop probes the L1 inline); updates caches,
+    /// counters and the channel, and returns the latency. It is the one
+    /// compiled body of the miss walk: the helpers below and the cache
+    /// calls of the walk are `#[inline(always)]` into it, and it is
+    /// deliberately not, so loads and stores share one copy (DESIGN.md
+    /// §9, "One compiled demand walk").
+    fn mem_access_after_l1(&mut self, ci: usize, line: u64, store: bool, now: u64) -> u32 {
         let s = self.cores[ci].sock;
         // L2
         if self.cores[ci].l2.lookup(line, false) {
             self.cores[ci].counters.l2_hits += 1;
             self.fill_l1(ci, line, store, now);
-            return (self.cfg.l2.latency, HitLevel::L2);
+            return self.cfg.l2.latency;
         }
         self.cores[ci].counters.l2_misses += 1;
         // Train the prefetcher on demand L2 misses.
@@ -1210,7 +1084,7 @@ impl<'a> Engine<'a> {
             } else {
                 self.sockets[s].l3.add_sharer(line, me);
             }
-            (lat, HitLevel::L3)
+            lat
         } else {
             self.cores[ci].counters.l3_misses += 1;
             self.cores[ci].counters.dram_demand_lines += 1;
@@ -1241,7 +1115,7 @@ impl<'a> Engine<'a> {
             if let Some(h) = self.demand_hist.get_mut(s) {
                 h.record(lat as u64);
             }
-            (lat, HitLevel::Dram)
+            lat
         };
         for i in 0..reqs.n {
             self.issue_prefetch(ci, s, reqs.lines[i], now);
@@ -1505,19 +1379,6 @@ enum StepOutcome {
     Running,
     Finished,
     Parked,
-}
-
-/// Why a fast-lane burst handed control back to the scheduler loop.
-enum BurstEnd {
-    /// Committed an op that reached the scheduling horizon (or the stop
-    /// limit): the core's quantum is over.
-    Horizon,
-    /// Budget exhausted mid-quantum: re-enter with a fresh budget (the
-    /// horizon, not the budget, is the semantic boundary).
-    Budget,
-    /// The op at the buffer cursor needs the general dispatcher (or the
-    /// buffer needs a refill).
-    Unhandled,
 }
 
 #[cfg(test)]
@@ -1911,6 +1772,30 @@ mod tests {
         let job = Job::primary(Box::new(ScriptStream::new(vec![])), CoreId::new(0, 1))
             .with_l3_ways(0xfff0_0000);
         let _ = Engine::new(&m, vec![job]);
+    }
+
+    #[test]
+    #[should_panic(expected = "L3: 128-byte lines; the engine simulates 64-byte lines only")]
+    fn non_64_byte_lines_are_rejected_at_construction() {
+        let mut m = cfg();
+        m.l3.line_bytes = 128;
+        let _ = Engine::new(&m, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "network bandwidth must be finite and positive, got 0 bytes/cycle")]
+    fn zero_network_bandwidth_is_rejected_at_construction() {
+        let mut m = cfg();
+        m.net.bytes_per_cycle = 0.0;
+        let _ = Engine::new(&m, vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM bandwidth must be finite and positive, got NaN bytes/cycle")]
+    fn nan_dram_bandwidth_is_rejected_at_construction() {
+        let mut m = cfg();
+        m.dram_bytes_per_cycle = f64::NAN;
+        let _ = Engine::new(&m, vec![]);
     }
 
     #[test]

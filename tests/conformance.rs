@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use active_mem::conformance::fuzz::{
     check_case, configs, fuzz_config, gen_case, gen_pingpong_case, gen_xeon20way_case, minimize,
-    noninclusive_config, run_case, sabotage, write_reproducer, LaneCheck,
+    noninclusive_config, run_case, sabotage, write_reproducer,
 };
 use active_mem::conformance::{ehr_oracle_pack, orthogonality_pack, replay_file};
 use active_mem::sim::engine::EventSignature;
@@ -127,9 +127,7 @@ fn planted_off_by_one_is_caught_and_minimized() {
     // trace).
     let dir = std::env::temp_dir().join("amem-conformance-it");
     let path = write_reproducer(&min, &dir).expect("write reproducer");
-    let (check, replay) = replay_file(&path).expect("read reproducer");
-    assert_eq!(check, LaneCheck::Reference);
-    assert!(replay.is_ok());
+    assert!(replay_file(&path).expect("read reproducer").is_ok());
     std::fs::remove_file(path).ok();
 }
 
@@ -193,7 +191,7 @@ fn golden_trace_signatures_are_stable() {
             "{name} seed {seed}: counters moved vs committed golden {}; if intended, regenerate with AMEM_UPDATE_GOLDEN=1",
             path.display()
         );
-        // And the reference substrate agrees with the golden too.
+        // And the reference machine agrees with the golden too.
         assert!(
             check_case(&case).is_ok(),
             "{name} seed {seed}: reference diverges on a golden trace"

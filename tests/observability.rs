@@ -2,8 +2,13 @@
 //! sampling, span tracing, and the zero-perturbation guarantee (enabling
 //! telemetry must not change a single counter or cycle).
 
+mod common;
+
+use amem_sim::engine::Engine;
 use amem_sim::prelude::*;
 use amem_sim::stream::ScriptStream;
+
+use common::horizon_script_jobs;
 
 /// A two-phase streaming workload: warm-up, Mark, then `rounds` BSP
 /// supersteps of a strided read over `lines` cache lines.
@@ -122,27 +127,38 @@ fn chrome_trace_round_trips_through_serde_json() {
 
 #[test]
 fn telemetry_is_zero_perturbation() {
-    // Same workload, run plain and fully instrumented: every counter of
-    // every job must be byte-identical, and the wall clock untouched.
-    let mut m1 = machine();
-    let jobs1 = two_core_jobs(&mut m1);
-    let plain = m1.run(jobs1, RunLimit::default());
-
-    let mut m2 = machine();
-    let jobs2 = two_core_jobs(&mut m2);
-    let instrumented = m2.run(
-        jobs2,
-        RunLimit::default().with_sampling(10_000).with_tracing(4096),
-    );
-
-    assert!(plain.telemetry.is_none());
-    assert!(instrumented.telemetry.is_some());
-    assert_eq!(plain.wall_cycles, instrumented.wall_cycles);
-    assert_eq!(plain.jobs.len(), instrumented.jobs.len());
-    for (a, b) in plain.jobs.iter().zip(instrumented.jobs.iter()) {
-        let ja = serde_json::to_string(&a.counters).unwrap();
-        let jb = serde_json::to_string(&b.counters).unwrap();
-        assert_eq!(ja, jb, "sampling perturbed the counters");
-        assert_eq!(a.done, b.done);
+    // Same jobs, run plain and fully instrumented: the whole event
+    // signature — every counter and mark of every job, every socket's
+    // traffic, the wall clock — must be identical. Telemetry runs its
+    // per-op checks inside the one dispatch loop, so both inputs go
+    // through the same code with and without them: the streaming
+    // walkers, and the horizon script's barriers, marks, background job
+    // and shared-line stores.
+    let instrumented = RunLimit::default().with_sampling(10_000).with_tracing(4096);
+    let cfg = MachineConfig::xeon20mb().scaled(0.0625);
+    let walkers = |limit: &RunLimit| {
+        let mut m = machine();
+        let jobs = two_core_jobs(&mut m);
+        m.run(jobs, limit.clone())
+    };
+    let script = |limit: &RunLimit| Engine::new(&cfg, horizon_script_jobs()).run(limit);
+    for (name, run) in [
+        ("walkers", &walkers as &dyn Fn(&RunLimit) -> RunReport),
+        ("horizon script", &script),
+    ] {
+        let plain = run(&RunLimit::default());
+        let traced = run(&instrumented);
+        assert!(plain.telemetry.is_none());
+        let tel = traced.telemetry.as_ref().expect("telemetry was enabled");
+        assert!(!tel.samples.is_empty(), "{name}: no samples taken");
+        assert!(
+            tel.events.iter().any(|e| e.name == "mark"),
+            "{name}: no marks traced"
+        );
+        assert_eq!(
+            plain.event_signature(),
+            traced.event_signature(),
+            "{name}: telemetry perturbed the run"
+        );
     }
 }
