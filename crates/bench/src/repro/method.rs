@@ -2,15 +2,16 @@
 //! validation, the CSThr capacity ladder and the two halves of the
 //! orthogonality test.
 
+use amem_core::capacity::{capacity_grid, GridCell};
 use amem_core::figures::{fig1_probe, fig1_table, FIG1_MAX_COUNT, FIG1_PER_PROCESSOR};
 use amem_core::platform::ProbeWorkload;
 use amem_core::report::Table;
 use amem_core::sweep::run_sweep;
-use amem_core::{CapacityMap, CurveRequest};
+use amem_core::CapacityMap;
 use amem_interfere::{
     BwThread, BwThreadCfg, CsThread, CsThreadCfg, InterferenceKind, InterferenceSpec,
 };
-use amem_probes::dist::table2;
+use amem_probes::dist::{table2, AccessDist};
 use amem_probes::ehr;
 use amem_probes::probe::{run_probe, ProbeCfg};
 use amem_sim::prelude::*;
@@ -112,14 +113,15 @@ pub fn fig5(h: &mut Harness) {
 /// across distributions grows with access frequency and interference.
 ///
 /// Since the single-pass curve engine this runs one stack-distance pass
-/// per (distribution, ratio) cell — [`amem_core::Executor::run_curve`]
-/// reads the miss rate at every CSThr level's effective capacity off one
+/// per (distribution, ratio) cell — [`amem_core::capacity::capacity_grid`],
+/// the grid [`CapacityMap::calibrate`] reads too, takes the miss rate at
+/// every CSThr level's effective capacity off one
 /// [`amem_core::MissRatioCurve`] — instead of re-simulating each
-/// (intensity, level, cell) grid point. The probe's line-address trace
-/// does not depend on the compute intensity, so the adds/load rows are
-/// identical by construction. `--curve-mode sampled[:rate]` switches the
-/// pass to SHARDS-style spatial sampling and reports the curve error
-/// bound.
+/// (intensity, level, cell) grid point; in exact mode a distribution's
+/// cells share one draw sequence. The probe's line-address trace does not depend on the
+/// compute intensity, so the adds/load rows are identical by
+/// construction. `--curve-mode sampled[:rate]` switches the pass to
+/// SHARDS-style spatial sampling and reports the curve error bound.
 pub fn fig6(h: &mut Harness) {
     let m = h.machine();
     let exec = h.executor();
@@ -128,47 +130,27 @@ pub fn fig6(h: &mut Harness) {
     } else {
         (vec![1.8, 2.5, 3.2], 3)
     };
-    let dists: Vec<_> = table2().into_iter().step_by(dist_step).collect();
+    let dists: Vec<AccessDist> = table2()
+        .into_iter()
+        .step_by(dist_step)
+        .map(|nd| nd.dist)
+        .collect();
     let intensities = [1u32, 10, 100];
     let max_cs = 5usize;
 
-    let line_bytes = m.l3.line_bytes as u64;
     let ladder = CapacityMap::level_ladder(&m, max_cs);
-    let cells: Vec<(usize, usize)> = (0..ratios.len())
-        .flat_map(|ri| (0..dists.len()).map(move |di| (ri, di)))
-        .collect();
+    let cells = ratios.len() * dists.len();
     eprintln!(
-        "fig6: {} curve passes (replacing {} grid simulations)",
-        cells.len(),
-        cells.len() * intensities.len() * (max_cs + 1)
+        "fig6: {cells} curve passes (replacing {} grid simulations)",
+        cells * intensities.len() * (max_cs + 1)
     );
-    let curve_mode = h.curve_mode;
-    // Per cell: the effective capacity at each CSThr level, and the
-    // curve's CI95 (0 in exact mode).
-    let per_cell: Vec<(Vec<f64>, f64)> = cells
-        .par_iter()
-        .map(|&(ri, di)| {
-            let _cell = amem_metrics::phase("grid/fig6 curve");
-            let dist = dists[di].dist;
-            // The line trace is intensity-independent: one probe cfg
-            // (adds/load = 1) covers all three intensity rows.
-            let p = ProbeCfg::for_machine(&m, dist, ratios[ri], 1);
-            let req = CurveRequest::from_probe(&p, line_bytes, ladder.clone(), curve_mode);
-            let curve = exec
-                .run_curve(&req)
-                .expect("curve pass over the probe trace");
-            let ssq = exec.sum_sq_line_mass(&dist, p.buffer_bytes, line_bytes);
-            let level_caps = ladder
-                .iter()
-                .map(|&c| {
-                    let mr = curve.miss_rate_at((c * line_bytes) as f64);
-                    ehr::effective_cache_bytes(mr, ssq, line_bytes)
-                })
-                .collect();
-            (level_caps, curve.quality.map(|q| q.max_ci95).unwrap_or(0.0))
-        })
+    let grid = capacity_grid(&exec, &dists, &ratios, &ladder, h.curve_mode)
+        .expect("curve pass over the probe trace");
+    // Ratio-major, the order the rows' float sums have always read.
+    let per_cell: Vec<&GridCell> = (0..ratios.len())
+        .flat_map(|ri| grid.iter().skip(ri).step_by(ratios.len()))
         .collect();
-    let worst_ci95 = per_cell.iter().map(|c| c.1).fold(0.0, f64::max);
+    let worst_ci95 = per_cell.iter().map(|c| c.max_ci95).fold(0.0, f64::max);
 
     let l3_mb = m.l3.size_bytes as f64 / (1 << 20) as f64;
     let mut t = Table::new(
@@ -187,7 +169,7 @@ pub fn fig6(h: &mut Harness) {
         for k in 0..=max_cs {
             let vals: Vec<f64> = per_cell
                 .iter()
-                .map(|(caps, _)| caps[k] / (1 << 20) as f64)
+                .map(|cell| cell.caps[k] / (1 << 20) as f64)
                 .collect();
             let (mean, sd) = mean_sd(&vals);
             t.row(vec![

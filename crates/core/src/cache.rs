@@ -190,70 +190,113 @@ impl<T: Payload> TieredCache<T> {
     /// The value for `key`: from memory, from the thread already
     /// computing it, from disk, or from `compute` — which then runs
     /// exactly once however many threads ask. `None` is a request that
-    /// must not be cached: it always computes.
+    /// must not be cached: it always computes. The one-key case of
+    /// [`TieredCache::get_or_compute_many`].
     pub fn get_or_compute(
         &self,
         key: Option<String>,
         compute: impl FnOnce() -> Result<T, AmemError>,
     ) -> Shared<T> {
-        let Some(key) = key else {
-            count(&self.computed, T::OUTCOMES.uncached);
-            return compute().map(Arc::new);
-        };
+        self.get_or_compute_many(vec![key], |fresh| {
+            debug_assert_eq!(fresh.len(), 1);
+            vec![compute()]
+        })
+        .pop()
+        .expect("one result per key")
+    }
 
-        // Fast path + in-flight claim under one lock.
-        let cell = {
+    /// The value for each of `keys`, in order, each key answered as
+    /// [`TieredCache::get_or_compute`] answers it. The keys this call
+    /// must compute — its own claims that missed the disk, and every
+    /// `None` — go to one `compute(fresh)` call, `fresh` being their
+    /// indices into `keys` in order; it returns one result per index.
+    /// So a caller can share work across a batch while every key is
+    /// still claimed, computed, stored and counted once. A key repeated
+    /// in `keys` joins its own first claim. No claim is held while
+    /// waiting on another thread's: joins are waited on after this
+    /// call's claims are published, so two overlapping batches cannot
+    /// wait on each other.
+    pub fn get_or_compute_many(
+        &self,
+        keys: Vec<Option<String>>,
+        compute: impl FnOnce(&[usize]) -> Vec<Result<T, AmemError>>,
+    ) -> Vec<Shared<T>> {
+        let mut results: Vec<Option<Shared<T>>> = (0..keys.len()).map(|_| None).collect();
+        let mut claims: Vec<(usize, Claim<'_, T>)> = Vec::new();
+        let mut joins: Vec<(usize, Arc<Inflight<T>>)> = Vec::new();
+        let mut fresh: Vec<usize> = Vec::new();
+
+        // Memory hits, joins and claims under one lock.
+        {
             let mut state = self.lock_state();
-            if let Some(value) = state.mem.get(&key) {
-                count(&self.mem_hits, T::OUTCOMES.mem_hit);
-                return Ok(Arc::clone(value));
-            }
-            if let Some(cell) = state.inflight.get(&key) {
-                let cell = Arc::clone(cell);
-                drop(state);
-                count(&self.dedup_hits, T::OUTCOMES.dedup_join);
-                if !amem_metrics::enabled() {
-                    return cell.wait();
+            for (i, key) in keys.iter().enumerate() {
+                let Some(key) = key else {
+                    count(&self.computed, T::OUTCOMES.uncached);
+                    fresh.push(i);
+                    continue;
+                };
+                if let Some(value) = state.mem.get(key) {
+                    count(&self.mem_hits, T::OUTCOMES.mem_hit);
+                    results[i] = Some(Ok(Arc::clone(value)));
+                } else if let Some(cell) = state.inflight.get(key) {
+                    count(&self.dedup_hits, T::OUTCOMES.dedup_join);
+                    joins.push((i, Arc::clone(cell)));
+                } else {
+                    let cell = Arc::new(Inflight {
+                        done: Mutex::new(None),
+                        cv: Condvar::new(),
+                    });
+                    state.inflight.insert(key.clone(), Arc::clone(&cell));
+                    let claim = Claim {
+                        cache: self,
+                        key,
+                        cell,
+                        result: None,
+                    };
+                    claims.push((i, claim));
                 }
-                // Time spent blocked on the owner.
-                let waited = Instant::now();
-                let result = cell.wait();
-                amem_metrics::global()
-                    .histogram("amem_executor_dedup_wait_ns", &[])
-                    .record(u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                return result;
             }
-            let cell = Arc::new(Inflight {
-                done: Mutex::new(None),
-                cv: Condvar::new(),
-            });
-            state.inflight.insert(key.clone(), Arc::clone(&cell));
-            cell
-        };
-        let mut claim = Claim {
-            cache: self,
-            key: &key,
-            cell,
-            result: None,
-        };
+        }
 
-        // We own this key: disk lookup, then a fresh computation.
-        let result = match self.load(&key) {
-            Some(value) => {
+        // We own the claimed keys: disk lookups, then one fresh
+        // computation for every key still missing.
+        for (i, claim) in &mut claims {
+            if let Some(value) = self.load(claim.key) {
                 count(&self.disk_hits, T::OUTCOMES.disk_hit);
-                Ok(Arc::new(value))
-            }
-            None => {
+                let value = Ok(Arc::new(value));
+                claim.result = Some(value.clone());
+                results[*i] = Some(value);
+            } else {
                 count(&self.computed, T::OUTCOMES.computed);
-                let result = compute().map(Arc::new);
-                if let Ok(value) = &result {
-                    self.store(&key, value);
-                }
-                result
+                fresh.push(*i);
             }
-        };
-        claim.result = Some(result.clone());
-        result
+        }
+        if !fresh.is_empty() {
+            fresh.sort_unstable();
+            let computed = compute(&fresh);
+            assert_eq!(computed.len(), fresh.len(), "one result per fresh key");
+            for (&i, result) in fresh.iter().zip(computed) {
+                let result = result.map(Arc::new);
+                if let (Some(key), Ok(value)) = (&keys[i], &result) {
+                    self.store(key, value);
+                }
+                if let Some((_, claim)) = claims.iter_mut().find(|(c, _)| *c == i) {
+                    claim.result = Some(result.clone());
+                }
+                results[i] = Some(result);
+            }
+        }
+        // Publish before waiting on anyone: a batch that waited while
+        // holding claims could wait on a batch that waits on it.
+        drop(claims);
+
+        for (i, cell) in joins {
+            results[i] = Some(wait_timed(&cell));
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every key is answered"))
+            .collect()
     }
 
     /// On-disk path of a key: the FNV-1a fingerprint names the file.
@@ -320,6 +363,20 @@ impl<T: Payload> TieredCache<T> {
         let state = self.lock_state();
         state.mem.is_empty() && state.inflight.is_empty()
     }
+}
+
+/// Wait on another claim's result, timing the wait when metrics are on.
+fn wait_timed<T>(cell: &Inflight<T>) -> Shared<T> {
+    if !amem_metrics::enabled() {
+        return cell.wait();
+    }
+    // Time spent blocked on the owner.
+    let waited = Instant::now();
+    let result = cell.wait();
+    amem_metrics::global()
+        .histogram("amem_executor_dedup_wait_ns", &[])
+        .record(u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    result
 }
 
 /// Count one request outcome, mirrored into the metrics registry.
@@ -522,6 +579,37 @@ mod tests {
         assert_eq!(computes.load(Ordering::SeqCst), 1);
         assert_eq!(cache.counters(), counters(1, 0, 0, N - 1, 0));
         assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
+    }
+
+    #[test]
+    fn crossed_batches_publish_before_they_wait() {
+        // Two batches claim the same two keys in opposite orders. Each
+        // compute starts only once both keys have an owner and a joiner —
+        // the state in which holding a claim while waiting would
+        // deadlock — and every key is still computed once.
+        let keys = |order: [&str; 2]| order.map(|k| Some(k.to_string())).to_vec();
+        for _ in 0..50 {
+            let cache = TieredCache::<Toy>::new(None);
+            let batch = |order: [&str; 2]| {
+                cache.get_or_compute_many(keys(order), |fresh| {
+                    while cache.counters().dedup_hits < 2 {
+                        std::thread::yield_now();
+                    }
+                    let n = |i: usize| if order[i] == "a" { 1 } else { 2 };
+                    fresh.iter().map(|&i| Ok(Toy { n: n(i) })).collect()
+                })
+            };
+            let (ab, ba) = std::thread::scope(|s| {
+                let ab = s.spawn(|| batch(["a", "b"]));
+                let ba = s.spawn(|| batch(["b", "a"]));
+                (ab.join().unwrap(), ba.join().unwrap())
+            });
+            let [a, b] = [&ab[0], &ab[1]].map(|r| Arc::clone(r.as_ref().unwrap()));
+            assert_eq!((a.n, b.n), (1, 2));
+            assert!(Arc::ptr_eq(&a, ba[1].as_ref().unwrap()));
+            assert!(Arc::ptr_eq(&b, ba[0].as_ref().unwrap()));
+            assert_eq!(cache.counters(), counters(2, 0, 0, 2, 0));
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! also be constructed from the paper's published fractions
 //! ([`CapacityMap::paper_xeon20mb`]) when the machine *is* the paper's.
 
-use amem_probes::dist::table2;
+use amem_probes::dist::{table2, AccessDist};
 use amem_probes::ehr;
 use amem_probes::probe::ProbeCfg;
 use amem_sim::config::MachineConfig;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::curve::{CurveOpts, CurveRequest};
+use crate::curve::{CurveMode, CurveOpts, CurveRequest};
 use crate::error::AmemError;
 use crate::executor::Executor;
 
@@ -54,45 +54,37 @@ impl CapacityMap {
             .collect()
     }
 
-    /// Calibrate via the single-pass curve engine: one
-    /// [`Executor::run_curve`] per (distribution, buffer-ratio) cell
-    /// yields the miss rate at *every* CSThr level's effective capacity
-    /// at once — where the probe grid it replaced re-simulated each
-    /// (cell, level) pair. fig6, calibration and prediction all go
-    /// through this one entry point.
+    /// Calibrate via the single-pass curve engine: [`capacity_grid`]
+    /// over every `dist_step`-th Table II distribution and `opts.ratios`
+    /// yields, per cell, the miss rate at *every* CSThr level's effective
+    /// capacity at once — where the probe grid it replaced re-simulated
+    /// each (cell, level) pair — and the ladder is the mean and spread
+    /// over cells, distribution-major. Calibration and prediction go
+    /// through this one entry point, fig6 through the same grid.
+    ///
+    /// Refused before any work, naming the field: a `max_cs` whose
+    /// CSThrs cannot all sit beside the probe on one socket (the rule
+    /// simulated mixes are held to), and the ratios [`capacity_grid`]
+    /// refuses.
     pub fn calibrate(exec: &Executor, opts: &CalibrateOpts) -> Result<Self, AmemError> {
-        let cfg = exec.platform().cfg().clone();
-        let line_bytes = cfg.l3.line_bytes as u64;
-        let ladder = Self::level_ladder(&cfg, opts.max_cs);
-        let dists: Vec<_> = table2()
+        let cfg = exec.platform().cfg();
+        let beside_probe = (cfg.cores_per_socket as usize).saturating_sub(1);
+        if opts.max_cs > beside_probe {
+            return Err(AmemError::Unsupported(format!(
+                "calibrate: max_cs {} exceeds the {beside_probe} cores a socket has beside the probe",
+                opts.max_cs
+            )));
+        }
+        let ladder = Self::level_ladder(cfg, opts.max_cs);
+        let dists: Vec<AccessDist> = table2()
             .into_iter()
             .step_by(opts.dist_step.max(1))
+            .map(|nd| nd.dist)
             .collect();
-        let cells: Vec<(usize, usize)> = (0..dists.len())
-            .flat_map(|di| (0..opts.ratios.len()).map(move |ri| (di, ri)))
-            .collect();
-        let per_cell: Vec<Result<Vec<f64>, AmemError>> = cells
-            .par_iter()
-            .map(|&(di, ri)| {
-                let _cell = amem_metrics::phase("grid/calibrate curve");
-                let dist = dists[di].dist;
-                let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
-                let req = CurveRequest::from_probe(&p, line_bytes, ladder.clone(), opts.mode);
-                let curve = exec.run_curve(&req)?;
-                let ssq = exec.sum_sq_line_mass(&dist, p.buffer_bytes, line_bytes);
-                Ok(ladder
-                    .iter()
-                    .map(|&c| {
-                        let mr = curve.miss_rate_at((c * line_bytes) as f64);
-                        ehr::effective_cache_bytes(mr, ssq, line_bytes)
-                    })
-                    .collect::<Vec<f64>>())
-            })
-            .collect();
-        let per_cell: Vec<Vec<f64>> = per_cell.into_iter().collect::<Result<_, _>>()?;
+        let cells = capacity_grid(exec, &dists, &opts.ratios, &ladder, opts.mode)?;
         let points = (0..=opts.max_cs)
             .map(|k| {
-                let vals: Vec<f64> = per_cell.iter().map(|caps| caps[k]).collect();
+                let vals: Vec<f64> = cells.iter().map(|cell| cell.caps[k]).collect();
                 let mean = vals.iter().sum::<f64>() / vals.len() as f64;
                 let var =
                     vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len() as f64;
@@ -141,6 +133,102 @@ impl CapacityMap {
     /// Highest calibrated level.
     pub fn max_level(&self) -> usize {
         self.points.last().map(|p| p.cs_threads).unwrap_or(0)
+    }
+}
+
+/// One (distribution, buffer ratio) cell of a capacity grid.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridCell {
+    /// Eq. 4's effective capacity, in bytes, at each rung of the ladder.
+    pub caps: Vec<f64>,
+    /// The curve's worst per-point miss-rate CI95; 0 for an exact curve.
+    pub max_ci95: f64,
+}
+
+/// The cells of a capacity grid, distribution-major (`dists.len()` runs
+/// of `ratios.len()` cells): per cell, the probe's curve at the
+/// `ladder`'s capacities (in lines) and Eq. 4's inversion at every rung,
+/// with the cell's `Σg²` from [`Executor::sum_sq_line_mass`]. In exact
+/// mode a distribution's buffer sizes share one draw sequence, so each
+/// distribution is one [`Executor::run_curves`] batch; sampled cells
+/// share nothing, so each is its own batch and they spread evenly over
+/// the workers. Batches run in parallel; callers fold the cells in their
+/// own order. Ratios are checked before any work
+/// ([`CapacityMap::calibrate`] documents the refusals).
+pub fn capacity_grid(
+    exec: &Executor,
+    dists: &[AccessDist],
+    ratios: &[f64],
+    ladder: &[u64],
+    mode: CurveMode,
+) -> Result<Vec<GridCell>, AmemError> {
+    check_ratios(ratios)?;
+    let cfg = exec.platform().cfg();
+    let line_bytes = cfg.l3.line_bytes as u64;
+    // Curves do not depend on the compute intensity: adds/load 1 stands
+    // for every intensity.
+    let probes: Vec<ProbeCfg> = dists
+        .iter()
+        .flat_map(|&dist| {
+            ratios
+                .iter()
+                .map(move |&r| ProbeCfg::for_machine(cfg, dist, r, 1))
+        })
+        .collect();
+    let per_batch = if mode == CurveMode::Exact {
+        ratios.len()
+    } else {
+        1
+    };
+    let batches: Vec<&[ProbeCfg]> = probes.chunks(per_batch).collect();
+    let cells: Vec<Result<Vec<GridCell>, AmemError>> = batches
+        .par_iter()
+        .map(|batch| {
+            let _batch = amem_metrics::phase("grid/capacity batch");
+            let reqs: Vec<CurveRequest> = batch
+                .iter()
+                .map(|p| CurveRequest::from_probe(p, line_bytes, ladder.to_vec(), mode))
+                .collect();
+            exec.run_curves(&reqs)
+                .into_iter()
+                .zip(*batch)
+                .map(|(curve, p)| {
+                    let curve = curve?;
+                    let ssq = exec.sum_sq_line_mass(&p.dist, p.buffer_bytes, line_bytes);
+                    let caps = ladder
+                        .iter()
+                        .map(|&c| {
+                            let mr = curve.miss_rate_at((c * line_bytes) as f64);
+                            ehr::effective_cache_bytes(mr, ssq, line_bytes)
+                        })
+                        .collect();
+                    Ok(GridCell {
+                        caps,
+                        max_ci95: curve.quality.map_or(0.0, |q| q.max_ci95),
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let mut grid = Vec::with_capacity(probes.len());
+    for batch in cells {
+        grid.extend(batch?);
+    }
+    Ok(grid)
+}
+
+/// A grid needs at least one buffer ratio, each finite and positive.
+fn check_ratios(ratios: &[f64]) -> Result<(), AmemError> {
+    if ratios.is_empty() {
+        return Err(AmemError::Unsupported(
+            "capacity grid: ratios is empty".into(),
+        ));
+    }
+    match ratios.iter().find(|r| !(r.is_finite() && **r > 0.0)) {
+        Some(r) => Err(AmemError::Unsupported(format!(
+            "capacity grid: ratios entry {r} is not finite and positive"
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -194,6 +282,51 @@ mod tests {
         let l3 = cfg().l3.size_bytes as f64;
         assert!(m.points[0].mean_bytes > 0.7 * l3);
         assert!(m.points[0].mean_bytes < 1.3 * l3);
+    }
+
+    /// `calibrate` with one option broken: the typed refusal, and proof
+    /// that it came before any curve work.
+    fn refusal(broken: CalibrateOpts) -> String {
+        let exec = Executor::memory_only(SimPlatform::new(cfg()));
+        let err = CapacityMap::calibrate(&exec, &broken).expect_err("a degenerate calibration");
+        assert_eq!(
+            exec.stats().curves().lookups(),
+            0,
+            "refused before any work"
+        );
+        match err {
+            AmemError::Unsupported(msg) => msg,
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_ratios_are_refused_typed() {
+        let msg = refusal(CalibrateOpts::default().with_ratios(vec![]));
+        assert!(msg.contains("ratios is empty"), "{msg}");
+    }
+
+    #[test]
+    fn a_ratio_that_is_not_finite_and_positive_is_refused_typed() {
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
+            let msg = refusal(CalibrateOpts::default().with_ratios(vec![2.0, bad]));
+            assert!(msg.contains(&format!("ratios entry {bad}")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn more_csthrs_than_fit_beside_the_probe_are_refused_typed() {
+        let beside = cfg().cores_per_socket as usize - 1;
+        for max_cs in [beside + 1, 1 << 40, usize::MAX] {
+            let msg = refusal(CalibrateOpts::default().with_max_cs(max_cs));
+            assert!(msg.contains(&format!("max_cs {max_cs}")), "{msg}");
+        }
+        let exec = Executor::memory_only(SimPlatform::new(cfg()));
+        let opts = CalibrateOpts::default()
+            .with_dist_step(9)
+            .with_max_cs(beside);
+        let m = CapacityMap::calibrate(&exec, &opts).expect("the fullest socket calibrates");
+        assert_eq!(m.max_level(), beside);
     }
 
     #[test]

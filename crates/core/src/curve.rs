@@ -204,34 +204,87 @@ impl CurveRequest {
         Ok(())
     }
 
-    /// Run the single-pass engine. Pure CPU work — no simulator machine
-    /// is built, so the result is independent of the execution platform —
-    /// and streaming: the probe's line sequence goes straight into the
-    /// stack-distance pass, no trace is held. Sampled mode falls back to
-    /// exact when the buffer is too small to sample (the quality block
-    /// then reports `rate_actual = 1.0`).
+    /// Whether `self` and `other` draw one sequence of positions: both
+    /// exact, equal in every field but `buffer_bytes` and
+    /// `capacities_lines`. The buffer only scales a draw into an
+    /// element, so such requests can share their draws.
+    fn shares_draws(&self, other: &CurveRequest) -> bool {
+        self.mode == CurveMode::Exact
+            && other.mode == CurveMode::Exact
+            && self.dist == other.dist
+            && self.warm_accesses == other.warm_accesses
+            && self.measure_accesses == other.measure_accesses
+            && self.seed == other.seed
+            && self.line_bytes == other.line_bytes
+    }
+
+    /// Run the single-pass engine: the batch computation behind
+    /// [`crate::Executor::run_curves`], for one request.
     pub fn compute(&self) -> Result<MissRatioCurve, AmemError> {
-        self.validate()?;
-        let _pass = amem_metrics::phase("curve_pass");
+        Self::compute_batch(&[self])
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Run the single-pass engine for each request, results in request
+    /// order. Pure CPU work — no simulator machine is built, so a result
+    /// is independent of the execution platform. Each request is
+    /// validated first; a malformed one is refused with its own error and
+    /// costs the others nothing. Exact requests equal in every field but
+    /// `buffer_bytes` and `capacities_lines` form one group whose
+    /// positions are drawn once ([`trace::exact_histograms`]); each member
+    /// still gets its own pass, and its curve is built before the next
+    /// pass starts. A lone request streams its lines into the pass and
+    /// holds no trace. Sampled mode falls back to exact when the buffer is
+    /// too small to sample (the quality block then reports
+    /// `rate_actual = 1.0`).
+    pub(crate) fn compute_batch(reqs: &[&CurveRequest]) -> Vec<Result<MissRatioCurve, AmemError>> {
+        let mut out: Vec<Option<Result<MissRatioCurve, AmemError>>> =
+            reqs.iter().map(|r| r.validate().err().map(Err)).collect();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, req) in reqs.iter().enumerate().filter(|&(i, _)| out[i].is_none()) {
+            match groups.iter_mut().find(|g| reqs[g[0]].shares_draws(req)) {
+                Some(group) => group.push(i),
+                None => groups.push(vec![i]),
+            }
+        }
+        for group in groups {
+            let _pass = amem_metrics::phase("curve_pass");
+            let head = reqs[group[0]];
+            if let CurveMode::Sampled { rate } = head.mode {
+                out[group[0]] = Some(Ok(head.sampled_curve(rate)));
+                continue;
+            }
+            let probes: Vec<ProbeCfg> = group.iter().map(|&i| reqs[i].probe_cfg()).collect();
+            trace::exact_histograms(&probes, head.line_bytes, |m, hist| {
+                let req = reqs[group[m]];
+                out[group[m]] = Some(Ok(MissRatioCurve::from_stack_distances(
+                    &hist,
+                    &req.capacities_lines,
+                    req.line_bytes,
+                )));
+            });
+        }
+        out.into_iter()
+            .map(|r| r.expect("every request is refused or computed"))
+            .collect()
+    }
+
+    /// The sampled pass at `rate_nominal`, with its quality block.
+    fn sampled_curve(&self, rate_nominal: f64) -> MissRatioCurve {
         let probe = self.probe_cfg();
-        let sampled = match self.mode {
-            CurveMode::Exact => None,
-            CurveMode::Sampled { rate } => trace::sampled_lines(&probe, self.line_bytes, rate),
-        };
-        let (stream, rate) =
-            sampled.unwrap_or_else(|| (trace::lines(&probe, self.line_bytes), 1.0));
+        let (stream, rate) = trace::sampled_lines(&probe, self.line_bytes, rate_nominal)
+            .unwrap_or_else(|| (trace::lines(&probe, self.line_bytes), 1.0));
         let hist = stream.histogram(rate);
         let mut curve =
             MissRatioCurve::from_stack_distances(&hist, &self.capacities_lines, self.line_bytes);
-        if let CurveMode::Sampled { rate: rate_nominal } = self.mode {
-            curve.quality = Some(CurveQuality {
-                rate_nominal,
-                rate_actual: rate,
-                sampled_accesses: hist.measured,
-                max_ci95: hist.max_ci95(),
-            });
-        }
-        Ok(curve)
+        curve.quality = Some(CurveQuality {
+            rate_nominal,
+            rate_actual: rate,
+            sampled_accesses: hist.measured,
+            max_ci95: hist.max_ci95(),
+        });
+        curve
     }
 }
 
@@ -356,7 +409,7 @@ mod tests {
 
     #[test]
     fn streaming_pass_equals_the_materialised_trace_route() {
-        // The curve path holds no trace; collecting the same stream and
+        // A lone curve holds no trace; collecting the same stream and
         // running the pass over the trace must give the same JSON.
         use amem_probes::trace::{line_trace, sampled_line_trace};
         use amem_sim::stackdist::StackDistHistogram;
@@ -382,6 +435,77 @@ mod tests {
                 serde_json::to_string(&want).unwrap(),
                 "{mode:?}"
             );
+        }
+    }
+
+    /// Exact requests of one distribution at `buffers`, as a group
+    /// shares them: equal in every field but buffer size and capacities.
+    fn group(dist: AccessDist, buffers: &[u64]) -> Vec<CurveRequest> {
+        buffers
+            .iter()
+            .map(|&buffer_bytes| {
+                let lines = buffer_bytes / 64;
+                CurveRequest {
+                    dist,
+                    buffer_bytes,
+                    warm_accesses: 9_000,
+                    measure_accesses: 11_000,
+                    seed: 0x009B_0BE5,
+                    line_bytes: 64,
+                    capacities_lines: vec![1, lines / 8, lines / 3, lines, 2 * lines],
+                    mode: CurveMode::Exact,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_draws_give_each_request_its_own_curve_bit_for_bit() {
+        // Groups of 1, 3, 8 and 22 buffer sizes per Table II
+        // distribution — the 8-group repeats a size, and sizes include
+        // partial lines and partial elements — against one lone,
+        // streamed `compute` per request.
+        let sizes: Vec<u64> = (0..22).map(|i| (96 << 10) + i * 37_001).collect();
+        let mut eight = sizes[..7].to_vec();
+        eight.push(sizes[2]);
+        for nd in amem_probes::dist::table2() {
+            for buffers in [&sizes[5..6], &sizes[..3], &eight[..], &sizes[..]] {
+                let reqs = group(nd.dist, buffers);
+                let refs: Vec<&CurveRequest> = reqs.iter().collect();
+                let shared = CurveRequest::compute_batch(&refs);
+                assert_eq!(shared.len(), reqs.len());
+                for (req, got) in reqs.iter().zip(shared) {
+                    let want = req.compute().unwrap();
+                    assert_eq!(
+                        got.unwrap(),
+                        want,
+                        "{} buffer {} in a group of {}",
+                        nd.name,
+                        req.buffer_bytes,
+                        buffers.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_refuses_the_malformed_and_computes_the_rest() {
+        // One bad member of a group costs the others nothing, and
+        // groups, sampled requests and refusals come back in order.
+        let mut reqs = group(AccessDist::Uniform, &[1 << 16, 3 << 16, 5 << 16]);
+        reqs[1].capacities_lines.clear();
+        reqs.push(request(CurveMode::Sampled { rate: 0.1 }));
+        reqs.push(request(CurveMode::Exact));
+        let refs: Vec<&CurveRequest> = reqs.iter().collect();
+        let got = CurveRequest::compute_batch(&refs);
+        for (i, (req, got)) in reqs.iter().zip(got).enumerate() {
+            match i {
+                1 => assert!(
+                    matches!(got, Err(AmemError::Unsupported(ref m)) if m.contains("capacities_lines"))
+                ),
+                _ => assert_eq!(got.unwrap(), req.compute().unwrap(), "request {i}"),
+            }
         }
     }
 

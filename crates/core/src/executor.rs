@@ -429,10 +429,26 @@ impl Executor {
     /// [`Platform::deterministic`]: the curve pass is a pure function of
     /// the request (no simulator machine is built), so it is cacheable
     /// even on platforms whose timing measurements are not. Only
-    /// `--no-cache` disables reuse.
+    /// `--no-cache` disables reuse. The one-request case of
+    /// [`Executor::run_curves`].
     pub fn run_curve(&self, req: &CurveRequest) -> Result<Arc<MissRatioCurve>, AmemError> {
-        self.curves
-            .get_or_compute(self.curve_request_key(req), || compute_curve_caught(req))
+        self.run_curves(std::slice::from_ref(req))
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// [`Executor::run_curve`] for each request, results in request
+    /// order. Every key is claimed, computed, stored and counted once,
+    /// as one `run_curve` each would; the requests this call computes go
+    /// to one `CurveRequest::compute_batch`, which draws the positions
+    /// of exact requests differing only in buffer size and capacities
+    /// once. A calibration submits one such group per distribution.
+    pub fn run_curves(&self, reqs: &[CurveRequest]) -> Vec<Result<Arc<MissRatioCurve>, AmemError>> {
+        let keys = reqs.iter().map(|r| self.curve_request_key(r)).collect();
+        self.curves.get_or_compute_many(keys, |fresh| {
+            let fresh: Vec<&CurveRequest> = fresh.iter().map(|&i| &reqs[i]).collect();
+            compute_curves_caught(&fresh)
+        })
     }
 
     /// The canonical cache key `run_curve` would use, or `None` when
@@ -726,18 +742,25 @@ impl Executor {
     }
 }
 
-/// Run the curve pass. A malformed request is refused typed by
-/// [`CurveRequest::compute`] itself; a panic past that check is a bug,
-/// converted here so it can never wedge deduplicated waiters.
-fn compute_curve_caught(req: &CurveRequest) -> Result<MissRatioCurve, AmemError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| req.compute())).unwrap_or_else(
-        |payload| {
-            Err(AmemError::Flaky {
-                attempts: 1,
-                last: format!("curve pass panicked: {}", panic_message(&payload)),
+/// Run the curve passes. A malformed request is refused typed by
+/// [`CurveRequest::compute_batch`] itself; a panic past that check is a
+/// bug, converted here — for every request of the batch — so it can
+/// never wedge deduplicated waiters.
+fn compute_curves_caught(reqs: &[&CurveRequest]) -> Vec<Result<MissRatioCurve, AmemError>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        CurveRequest::compute_batch(reqs)
+    }))
+    .unwrap_or_else(|payload| {
+        let last = format!("curve pass panicked: {}", panic_message(&payload));
+        reqs.iter()
+            .map(|_| {
+                Err(AmemError::Flaky {
+                    attempts: 1,
+                    last: last.clone(),
+                })
             })
-        },
-    )
+            .collect()
+    })
 }
 
 /// Reject a measurement whose headline statistic (execution time, the
@@ -1031,6 +1054,71 @@ mod tests {
         assert_eq!(s.curves().runs, 1);
         assert_eq!(s.curves().mem_hits, 1);
         assert_eq!(s.sim_runs, 0, "curves never touch measurement counters");
+    }
+
+    #[test]
+    fn a_curve_batch_computes_each_missing_key_once() {
+        use crate::curve::CurveMode;
+        // Two groups (Uniform, Exponential), a sampled request, a key
+        // already in memory (a member of the first group) and a
+        // duplicate key, in one batch over a disk-backed executor.
+        let at = |dist, buffer_bytes| CurveRequest {
+            dist,
+            buffer_bytes,
+            ..tiny_curve_req()
+        };
+        let exp = AccessDist::Exponential { rate: 6.0 };
+        let resident = at(AccessDist::Uniform, 3 << 15);
+        let sampled = CurveRequest {
+            mode: CurveMode::Sampled { rate: 0.25 },
+            ..at(exp, 1 << 17)
+        };
+        let batch = vec![
+            at(AccessDist::Uniform, 1 << 16),
+            at(exp, 1 << 16),
+            resident.clone(),
+            sampled,
+            at(AccessDist::Uniform, 5 << 15),
+            at(exp, 3 << 16),
+            at(AccessDist::Uniform, 1 << 16),
+        ];
+        let dir = std::env::temp_dir().join(format!("amem_curve_batch_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let exec = Executor::with_cache_dir(plat(), &dir);
+        let first = exec.run_curve(&resident).unwrap();
+        let got: Vec<Arc<MissRatioCurve>> = exec
+            .run_curves(&batch)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let c = exec.stats().curves();
+        assert_eq!(
+            (c.runs, c.stores),
+            (6, 6),
+            "5 missing keys + the resident one: {c:?}"
+        );
+        assert_eq!((c.mem_hits, c.dedup_hits, c.disk_hits), (1, 1, 0), "{c:?}");
+        assert!(
+            Arc::ptr_eq(&got[2], &first),
+            "the memory hit is its own Arc"
+        );
+        assert!(
+            Arc::ptr_eq(&got[6], &got[0]),
+            "a duplicate key shares its claim"
+        );
+        let lone = Executor::uncached(plat());
+        for (i, (req, curve)) in batch.iter().zip(&got).enumerate() {
+            assert_eq!(**curve, *lone.run_curve(req).unwrap(), "request {i}");
+        }
+        // A second executor over the same directory: every key is a disk
+        // hit, nothing computes.
+        let again = Executor::with_cache_dir(plat(), &dir);
+        for (req, result) in batch.iter().zip(again.run_curves(&batch)) {
+            assert_eq!(*result.unwrap(), *lone.run_curve(req).unwrap());
+        }
+        let c = again.stats().curves();
+        assert_eq!((c.runs, c.disk_hits, c.dedup_hits), (0, 6, 1), "{c:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

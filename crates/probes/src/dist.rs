@@ -226,8 +226,16 @@ impl Sampler {
     /// Sample a buffer index in `[0, n)`.
     #[inline]
     pub(crate) fn sample_index(&self, rng: &mut Xoshiro256, n: u64) -> u64 {
-        ((self.sample_frac(rng) * n as f64) as u64).min(n - 1)
+        frac_index(self.sample_frac(rng), n)
     }
+}
+
+/// The buffer index in `[0, n)` of a position drawn in `[0, 1)`: the
+/// one map from a draw to an element, whether the draw is fresh or read
+/// back from a shared buffer.
+#[inline]
+pub(crate) fn frac_index(frac: f64, n: u64) -> u64 {
+    ((frac * n as f64) as u64).min(n - 1)
 }
 
 /// [`AccessDist::cdf`] with `raw_cdf(0)` and `raw_cdf(1) − raw_cdf(0)`

@@ -19,16 +19,20 @@
 //!   evaluated at the edges of sampled lines only. The stream scales with
 //!   the rate; choosing the lines still hashes every line of the buffer.
 //!
-//! The curve path feeds a stream straight into the stack-distance engine
-//! ([`LineStream::histogram`]) and never holds a trace; [`line_trace`] and
-//! [`sampled_line_trace`] collect the same streams for callers that want
-//! the sequence itself.
+//! A lone curve feeds its stream straight into the stack-distance engine
+//! ([`LineStream::histogram`]) and holds no trace. Exact probes that
+//! differ only in buffer size draw the same positions in `[0, 1)` — the
+//! buffer only scales a draw into an element — so [`exact_histograms`]
+//! draws a group's positions once and holds them, 8 bytes per access,
+//! while each member's pass reads them back. [`line_trace`] and
+//! [`sampled_line_trace`] collect the streams for callers that want the
+//! sequence itself.
 
 use amem_sim::rng::Xoshiro256;
 use amem_sim::stackdist::{line_sampled, LineTrace, StackDist, StackDistHistogram};
 use amem_sim::stream::OP_BATCH;
 
-use crate::dist::Sampler;
+use crate::dist::{frac_index, Sampler};
 use crate::ehr;
 use crate::probe::ProbeCfg;
 
@@ -64,27 +68,9 @@ pub struct LineStream {
 impl LineStream {
     /// Drain the stream into the stack-distance engine. `rate` is the
     /// line-sampling rate the stream was built with (1.0 for [`lines`]).
-    pub fn histogram(mut self, rate: f64) -> StackDistHistogram {
-        let mut pass = StackDist::new();
-        let mut at = self.pos;
-        // In batches: the generator (float math, rejection loops) and the
-        // pass (dependent loads) each run tighter alone than interleaved
-        // access by access — 43 against 62 ns per access, end to end.
-        let mut batch = [0u64; OP_BATCH];
-        loop {
-            let mut n = 0;
-            for (slot, line) in batch.iter_mut().zip(self.by_ref()) {
-                *slot = line;
-                n += 1;
-            }
-            if n == 0 {
-                return pass.finish(rate);
-            }
-            for &line in &batch[..n] {
-                pass.access(line, at >= self.warm);
-                at += 1;
-            }
-        }
+    pub fn histogram(self, rate: f64) -> StackDistHistogram {
+        let warm = self.warm.saturating_sub(self.pos);
+        pass(self, warm, rate)
     }
 
     /// Collect the stream (from its start) into a trace.
@@ -130,19 +116,91 @@ impl Iterator for LineStream {
 /// [`crate::probe::ProbeStream`], so line ids here equal the stream's
 /// `(addr - base) >> log2(line_bytes)` exactly.
 pub fn lines(cfg: &ProbeCfg, line_bytes: u64) -> LineStream {
-    assert!(line_bytes.is_power_of_two() && line_bytes >= 4);
-    let elems = cfg.buffer_bytes / 4;
-    assert!(elems > 0, "buffer must hold at least one element");
+    let (elems, shift) = exact_geometry(cfg, line_bytes);
     LineStream {
         rng: Xoshiro256::seed_from_u64(cfg.seed),
         draw: Draw::Exact {
             sampler: cfg.dist.sampler(),
             elems,
-            shift: (line_bytes / 4).trailing_zeros(), // elems per line, log2
+            shift,
         },
         warm: cfg.warm_accesses,
         len: cfg.warm_accesses + cfg.measure_accesses,
         pos: 0,
+    }
+}
+
+/// An exact probe's elements, and log2 of its elements per line.
+fn exact_geometry(cfg: &ProbeCfg, line_bytes: u64) -> (u64, u32) {
+    assert!(line_bytes.is_power_of_two() && line_bytes >= 4);
+    let elems = cfg.buffer_bytes / 4;
+    assert!(elems > 0, "buffer must hold at least one element");
+    (elems, (line_bytes / 4).trailing_zeros())
+}
+
+/// Exact histograms of probes that share one draw sequence — the same
+/// `dist`, `seed` and phase lengths, any buffer sizes: `each(i, h)` with
+/// the histogram `h` of `lines(&cfgs[i], line_bytes)`, member by member,
+/// so each can be consumed before the next pass allocates its engine.
+///
+/// A lone probe is [`LineStream::histogram`] and holds nothing. A group
+/// draws its positions once into a buffer of `warm + measure` `f64`s;
+/// every member maps the same positions through its own element count,
+/// the map a fresh draw takes, so each histogram is bit-identical to its
+/// stream's.
+pub fn exact_histograms(
+    cfgs: &[ProbeCfg],
+    line_bytes: u64,
+    mut each: impl FnMut(usize, StackDistHistogram),
+) {
+    let [head, rest @ ..] = cfgs else {
+        return;
+    };
+    if rest.is_empty() {
+        each(0, lines(head, line_bytes).histogram(1.0));
+        return;
+    }
+    assert!(
+        rest.iter().all(|c| c.dist == head.dist
+            && c.seed == head.seed
+            && c.warm_accesses == head.warm_accesses
+            && c.measure_accesses == head.measure_accesses),
+        "a group of probes shares one draw sequence"
+    );
+    let sampler = head.dist.sampler();
+    let mut rng = Xoshiro256::seed_from_u64(head.seed);
+    let draws: Vec<f64> = (0..head.warm_accesses + head.measure_accesses)
+        .map(|_| sampler.sample_frac(&mut rng))
+        .collect();
+    for (i, cfg) in cfgs.iter().enumerate() {
+        let (elems, shift) = exact_geometry(cfg, line_bytes);
+        let lines = draws.iter().map(|&f| frac_index(f, elems) >> shift);
+        each(i, pass(lines, cfg.warm_accesses, 1.0));
+    }
+}
+
+/// The one exact-or-sampled stack-distance pass over a line sequence:
+/// the first `warm` lines warm the engine, the rest are measured.
+fn pass(mut lines: impl Iterator<Item = u64>, warm: u64, rate: f64) -> StackDistHistogram {
+    let mut pass = StackDist::new();
+    let mut at = 0u64;
+    // In batches: the generator (float math, rejection loops) and the
+    // pass (dependent loads) each run tighter alone than interleaved
+    // access by access — 43 against 62 ns per access, end to end.
+    let mut batch = [0u64; OP_BATCH];
+    loop {
+        let mut n = 0;
+        for (slot, line) in batch.iter_mut().zip(lines.by_ref()) {
+            *slot = line;
+            n += 1;
+        }
+        if n == 0 {
+            return pass.finish(rate);
+        }
+        for &line in &batch[..n] {
+            pass.access(line, at >= warm);
+            at += 1;
+        }
     }
 }
 

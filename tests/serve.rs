@@ -5,10 +5,11 @@
 
 use std::path::{Path, PathBuf};
 
+use active_mem::core::capacity::CalibrateOpts;
 use active_mem::core::figures::{fig1_probe, FIG1_MAX_COUNT, FIG1_PER_PROCESSOR};
 use active_mem::core::platform::{ProbeWorkload, SimPlatform};
 use active_mem::core::sweep::run_sweep;
-use active_mem::core::{CacheStats, Executor};
+use active_mem::core::{CacheStats, CapacityMap, Executor};
 use active_mem::interfere::{InterferenceKind, InterferenceMix};
 use active_mem::serve::protocol::{JobSpec, WorkloadSpec};
 use active_mem::serve::server::{ServeConfig, Server};
@@ -185,6 +186,51 @@ fn fault_specs_are_refused_unless_enabled() {
     c.fault = None;
     c.shutdown().unwrap();
     server.wait();
+}
+
+#[test]
+fn calibrate_jobs_match_the_library_and_degenerate_ones_are_refused() {
+    let m = machine();
+    let server = start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(server.addr()).unwrap();
+
+    // A level count no socket can host is a typed refusal — before the
+    // ladder would ask for an allocation no `catch_unwind` survives —
+    // and the daemon keeps serving.
+    let err = c
+        .calibrate(JobSpec::Calibrate {
+            machine: m.clone(),
+            max_cs: usize::MAX,
+        })
+        .expect_err("max_cs beyond the socket is refused");
+    assert!(err.to_string().contains("max_cs"), "{err}");
+    c.ping().expect("the daemon still answers");
+
+    let served = c
+        .calibrate(JobSpec::Calibrate {
+            machine: m.clone(),
+            max_cs: 5,
+        })
+        .unwrap();
+    let lib_exec = Executor::memory_only(SimPlatform::new(m.clone()));
+    let local =
+        CapacityMap::calibrate(&lib_exec, &CalibrateOpts::default().with_max_cs(5)).unwrap();
+    assert_eq!(
+        serde_json::to_string(&served).unwrap(),
+        serde_json::to_string(&local).unwrap(),
+        "daemon calibration must match the library byte for byte"
+    );
+
+    c.shutdown().unwrap();
+    let stats = server.wait();
+    assert_eq!(
+        (stats.jobs_failed, stats.jobs_completed),
+        (1, 1),
+        "{stats:?}"
+    );
 }
 
 #[test]
