@@ -3,14 +3,15 @@
 //!
 //! * `--attribution <fig1|fig6>` runs the named experiment cold through
 //!   the sibling `repro` binary (`--no-cache --metrics`, progress
-//!   silenced, rayon pinned to one worker so phase time sums to wall
-//!   time), then renders where the wall clock went: the leaf phases (op
-//!   generation, cache lookup, simulation, aggregation) that partition
-//!   the run, and the `grid/...` phases that split the same time by
-//!   probe-grid level — the evidence for which CSThr levels dominate the
-//!   cold fig6 wall. It exits non-zero when the leaf phases cover less
+//!   silenced, `RAYON_NUM_THREADS=1` so every `par_map` fan-out runs
+//!   inline and phase time sums to wall time), then renders where the
+//!   wall clock went: the leaf phases (op generation, cache lookup,
+//!   simulation, aggregation, curve passes, Eq. 4 line-mass walks) that
+//!   partition the run, and the `grid/...` phases that split the same
+//!   time by probe-grid level — the evidence for which CSThr levels
+//!   dominate the cold fig6 wall. It exits non-zero when the leaf phases cover less
 //!   than 95% or more than 100.5% of the wall. Use `--parallel` to keep
-//!   the default rayon pool (phases then overlap, leaf coverage is
+//!   the default worker count (phases then overlap, leaf coverage is
 //!   reported per worker-second and not checked).
 //! * `--overhead <fig>` times a figure with the metrics gate off and on
 //!   (both cold) and prints the relative cost of instrumentation.
@@ -99,8 +100,8 @@ fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> RunManif
         cmd.arg("--metrics");
     }
     if !cli.parallel {
-        // One rayon worker: leaf phase time then sums to wall time, so
-        // the coverage check below is meaningful.
+        // One `par_map` worker: leaf phase time then sums to wall time,
+        // so the coverage check below is meaningful.
         cmd.env("RAYON_NUM_THREADS", "1");
     }
     let status = cmd

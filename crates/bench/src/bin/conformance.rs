@@ -45,7 +45,7 @@ use amem_conformance::fuzz::{
     Divergence, FuzzLane, TraceCase,
 };
 use amem_conformance::{ehr_oracle_pack, replay_file, RefFault};
-use rayon::prelude::*;
+use amem_core::par_map;
 
 struct Args {
     seeds: u64,
@@ -91,10 +91,7 @@ type Check = dyn Fn(&TraceCase) -> Result<(), Divergence> + Sync;
 /// Fuzz one lane over the seed budget (parallel over seeds), report it,
 /// and return its first divergence.
 fn run_lane(lane: &FuzzLane, seeds: u64, check: &Check) -> Option<Divergence> {
-    let divergences: Vec<Divergence> = (0..seeds)
-        .into_par_iter()
-        .map(|seed| check(&(lane.gen)(seed)).err())
-        .collect::<Vec<Option<Divergence>>, _>()
+    let divergences: Vec<Divergence> = par_map(0..seeds, |seed| check(&(lane.gen)(seed)).err())
         .into_iter()
         .flatten()
         .collect();
@@ -207,15 +204,14 @@ fn main() -> ExitCode {
     // lanes (skipped under --config, which scopes the run to one lane).
     let mut curve_div = 0usize;
     if args.config.is_none() {
-        let divergences: Vec<CurveDivergence> = (0..args.seeds)
-            .into_par_iter()
-            .map(|seed| check_curve_case(seed, &gen_curve_case(seed, args.ops)).err())
-            .collect::<Vec<Option<CurveDivergence>>, _>()
-            .into_iter()
-            // Plus the one case wider than a table page and a slot window.
-            .chain([check_wide_curve_case(args.seeds).err()])
-            .flatten()
-            .collect();
+        let divergences: Vec<CurveDivergence> = par_map(0..args.seeds, |seed| {
+            check_curve_case(seed, &gen_curve_case(seed, args.ops)).err()
+        })
+        .into_iter()
+        // Plus the one case wider than a table page and a slot window.
+        .chain([check_wide_curve_case(args.seeds).err()])
+        .flatten()
+        .collect();
         println!(
             "{:<20} {} seeds, {} divergence(s)",
             "curve-lockstep",

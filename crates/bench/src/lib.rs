@@ -270,8 +270,8 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: String) 
 ///
 /// Priority: an explicit `--jobs` value, then the `AMEM_JOBS` environment
 /// variable, then the default of half the available cores capped at 4
-/// (each child saturates its own rayon pool, so more children than that
-/// oversubscribe the machine). Whatever the source, the result is clamped
+/// (each child's `amem_core::par_map` fan-outs use every core, so more
+/// children than that oversubscribe the machine). Whatever the source, the result is clamped
 /// to `1..=available_parallelism` — asking for 64 jobs on a 4-core box
 /// gets 4, and malformed or zero values fall back to the default.
 pub fn resolve_jobs(cli: Option<usize>) -> usize {

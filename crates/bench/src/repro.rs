@@ -7,13 +7,14 @@
 //! comparison report.
 //!
 //! `all` runs `--jobs <n>` children at a time (or `$AMEM_JOBS`; default:
-//! half the cores, capped at 4 — each child saturates its own rayon pool,
-//! and the value is always clamped to the available cores). At one job
-//! each child streams its output live; otherwise outputs are replayed in
-//! table order. The children share one on-disk measurement cache, so the
-//! many points the figures have in common — baselines above all — are
-//! simulated once across the whole suite, and a second back-to-back
-//! invocation is served almost entirely from cache. Sweep progress
+//! half the cores, capped at 4 — each child fans its grids out over every
+//! core with `amem_core::par_map`, and the value is always clamped to the
+//! available cores). At one job each child streams its output live;
+//! otherwise outputs are replayed in table order. The children share one
+//! on-disk measurement cache, so the many points the figures have in
+//! common — baselines above all — are simulated once across the whole
+//! suite, and a second back-to-back invocation is served almost entirely
+//! from cache. Sweep progress
 //! logging is on for the children (set `AMEM_PROGRESS=0` to silence it).
 
 use std::fmt;

@@ -19,8 +19,8 @@ use crate::Harness;
 const TOL_PCT: f64 = 3.0;
 
 /// One executor batch of sweeps, one per `(workload, ranks per processor,
-/// interference kind, max count)`. The batch shares a rayon pool, and the
-/// sweeps of one workload and mapping share their baseline run.
+/// interference kind, max count)`. The batch's points share one fan-out,
+/// and the sweeps of one workload and mapping share their baseline run.
 fn sweep_batch<'a>(
     h: &Harness,
     grid: impl IntoIterator<Item = (&'a dyn Workload, usize, InterferenceKind, usize)>,

@@ -7,7 +7,7 @@ use amem_core::figures::{fig1_probe, fig1_table, FIG1_MAX_COUNT, FIG1_PER_PROCES
 use amem_core::platform::ProbeWorkload;
 use amem_core::report::Table;
 use amem_core::sweep::run_sweep;
-use amem_core::CapacityMap;
+use amem_core::{par_map, CapacityMap};
 use amem_interfere::{
     BwThread, BwThreadCfg, CsThread, CsThreadCfg, InterferenceKind, InterferenceSpec,
 };
@@ -15,7 +15,6 @@ use amem_probes::dist::{table2, AccessDist};
 use amem_probes::ehr;
 use amem_probes::probe::{run_probe, ProbeCfg};
 use amem_sim::prelude::*;
-use rayon::prelude::*;
 
 use crate::Harness;
 
@@ -66,16 +65,13 @@ pub fn fig5(h: &mut Harness) {
     let grid: Vec<(usize, usize)> = (0..ratios.len())
         .flat_map(|r| (0..dists.len()).map(move |d| (r, d)))
         .collect();
-    let errs: Vec<(usize, f64)> = grid
-        .par_iter()
-        .map(|&(ri, di)| {
-            let p = ProbeCfg::for_machine(&m, dists[di].dist, ratios[ri], 1);
-            let r = run_probe(&m, &p, |_| Vec::new());
-            let ssq = ehr::sum_sq_line_mass(&dists[di].dist, p.buffer_bytes, 4, 64);
-            let predicted = ehr::expected_miss_rate(m.l3.lines(), ssq);
-            (ri, (r.l3_miss_rate - predicted).abs() * 100.0)
-        })
-        .collect();
+    let errs: Vec<(usize, f64)> = par_map(&grid, |&(ri, di)| {
+        let p = ProbeCfg::for_machine(&m, dists[di].dist, ratios[ri], 1);
+        let r = run_probe(&m, &p, |_| Vec::new());
+        let ssq = ehr::sum_sq_line_mass(&dists[di].dist, p.buffer_bytes, 4, 64);
+        let predicted = ehr::expected_miss_rate(m.l3.lines(), ssq);
+        (ri, (r.l3_miss_rate - predicted).abs() * 100.0)
+    });
     let mut t = Table::new(
         "Fig. 5 — |measured - predicted| L3 miss rate, averaged over the 10 distributions",
         &[
@@ -207,15 +203,10 @@ fn orthogonality(
     interference: fn(usize) -> InterferenceSpec,
     cells: impl Fn(&CoreCounters) -> [String; 3],
 ) {
+    let m = h.machine();
     let mut t = Table::new(title, headers);
     for k in 0..=5usize {
-        let mut machine = Machine::new(h.machine());
-        let mut jobs = vec![Job::primary(subject(&mut machine), CoreId::new(0, 0))];
-        if k > 0 {
-            let free: Vec<CoreId> = (1..=k as u32).map(|c| CoreId::new(0, c)).collect();
-            jobs.extend(interference(k).build_jobs(&mut machine, &free));
-        }
-        let c = machine.run(jobs, RunLimit::default()).jobs[0].counters;
+        let c = interference(k).co_run(&m, &subject);
         t.row([k.to_string()].into_iter().chain(cells(&c)).collect());
     }
     h.emit(name, &t);

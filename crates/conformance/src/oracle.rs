@@ -28,9 +28,7 @@ use amem_interfere::{BwThread, BwThreadCfg, CsThread, CsThreadCfg, InterferenceS
 use amem_probes::dist::{table2, NamedDist};
 use amem_probes::ehr::{expected_hit_rate, sum_sq_line_mass};
 use amem_sim::cache::{Cache, InsertPolicy, Replacement};
-use amem_sim::config::{CacheConfig, CoreId, MachineConfig};
-use amem_sim::engine::{Job, RunLimit};
-use amem_sim::machine::Machine;
+use amem_sim::config::{CacheConfig, MachineConfig};
 use amem_sim::rng::Xoshiro256;
 
 /// One Eq. 4 cross-check: closed form vs simulated, with the evidence
@@ -205,22 +203,12 @@ fn ortho_machine() -> MachineConfig {
 /// Measured bandwidth (GB/s) of a finite BWThr run against `k` CSThrs.
 fn bw_metric(k: usize) -> f64 {
     let cfg = ortho_machine();
-    let mut m = Machine::new(cfg.clone());
-    let t = BwThread::new(
-        &mut m,
-        &BwThreadCfg {
-            iterations: Some(3_000),
-            ..BwThreadCfg::for_machine(&cfg)
-        },
-    );
-    let mut jobs = vec![Job::primary(Box::new(t), CoreId::new(0, 0))];
-    if k > 0 {
-        let free: Vec<CoreId> = (1..=k as u32).map(|c| CoreId::new(0, c)).collect();
-        jobs.extend(InterferenceSpec::storage(k).build_jobs(&mut m, &free));
-    }
-    let r = m.run(jobs, RunLimit::default());
-    r.jobs[0]
-        .counters
+    let bw = BwThreadCfg {
+        iterations: Some(3_000),
+        ..BwThreadCfg::for_machine(&cfg)
+    };
+    InterferenceSpec::storage(k)
+        .co_run(&cfg, |m| Box::new(BwThread::new(m, &bw)))
         .bandwidth_gbs(cfg.l3.line_bytes, cfg.freq_ghz)
 }
 
@@ -229,21 +217,12 @@ fn bw_metric(k: usize) -> f64 {
 fn cs_metric(k: usize) -> f64 {
     let cfg = ortho_machine();
     let rounds = 200_000u64;
-    let mut m = Machine::new(cfg.clone());
-    let t = CsThread::new(
-        &mut m,
-        &CsThreadCfg {
-            rounds: Some(rounds),
-            ..CsThreadCfg::for_machine(&cfg)
-        },
-    );
-    let mut jobs = vec![Job::primary(Box::new(t), CoreId::new(0, 0))];
-    if k > 0 {
-        let free: Vec<CoreId> = (1..=k as u32).map(|c| CoreId::new(0, c)).collect();
-        jobs.extend(InterferenceSpec::bandwidth(k).build_jobs(&mut m, &free));
-    }
-    let r = m.run(jobs, RunLimit::default());
-    cfg.seconds(r.jobs[0].counters.cycles) * 1e9 / rounds as f64
+    let cs = CsThreadCfg {
+        rounds: Some(rounds),
+        ..CsThreadCfg::for_machine(&cfg)
+    };
+    let c = InterferenceSpec::bandwidth(k).co_run(&cfg, |m| Box::new(CsThread::new(m, &cs)));
+    cfg.seconds(c.cycles) * 1e9 / rounds as f64
 }
 
 fn ortho_check(

@@ -14,12 +14,12 @@ use amem_probes::dist::{table2, AccessDist};
 use amem_probes::ehr;
 use amem_probes::probe::ProbeCfg;
 use amem_sim::config::MachineConfig;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::curve::{CurveMode, CurveOpts, CurveRequest};
 use crate::error::AmemError;
 use crate::executor::Executor;
+use crate::par_map;
 
 /// Calibration options. Since the single-pass curve engine the grid
 /// knobs and the curve-mode knobs are one builder: [`CurveOpts`].
@@ -180,36 +180,32 @@ pub fn capacity_grid(
     } else {
         1
     };
-    let batches: Vec<&[ProbeCfg]> = probes.chunks(per_batch).collect();
-    let cells: Vec<Result<Vec<GridCell>, AmemError>> = batches
-        .par_iter()
-        .map(|batch| {
-            let _batch = amem_metrics::phase("grid/capacity batch");
-            let reqs: Vec<CurveRequest> = batch
-                .iter()
-                .map(|p| CurveRequest::from_probe(p, line_bytes, ladder.to_vec(), mode))
-                .collect();
-            exec.run_curves(&reqs)
-                .into_iter()
-                .zip(*batch)
-                .map(|(curve, p)| {
-                    let curve = curve?;
-                    let ssq = exec.sum_sq_line_mass(&p.dist, p.buffer_bytes, line_bytes);
-                    let caps = ladder
-                        .iter()
-                        .map(|&c| {
-                            let mr = curve.miss_rate_at((c * line_bytes) as f64);
-                            ehr::effective_cache_bytes(mr, ssq, line_bytes)
-                        })
-                        .collect();
-                    Ok(GridCell {
-                        caps,
-                        max_ci95: curve.quality.map_or(0.0, |q| q.max_ci95),
+    let cells: Vec<Result<Vec<GridCell>, AmemError>> = par_map(probes.chunks(per_batch), |batch| {
+        let _batch = amem_metrics::phase("grid/capacity batch");
+        let reqs: Vec<CurveRequest> = batch
+            .iter()
+            .map(|p| CurveRequest::from_probe(p, line_bytes, ladder.to_vec(), mode))
+            .collect();
+        exec.run_curves(&reqs)
+            .into_iter()
+            .zip(batch)
+            .map(|(curve, p)| {
+                let curve = curve?;
+                let ssq = exec.sum_sq_line_mass(&p.dist, p.buffer_bytes, line_bytes);
+                let caps = ladder
+                    .iter()
+                    .map(|&c| {
+                        let mr = curve.miss_rate_at((c * line_bytes) as f64);
+                        ehr::effective_cache_bytes(mr, ssq, line_bytes)
                     })
+                    .collect();
+                Ok(GridCell {
+                    caps,
+                    max_ci95: curve.quality.map_or(0.0, |q| q.max_ci95),
                 })
-                .collect()
-        })
-        .collect();
+            })
+            .collect()
+    });
     let mut grid = Vec::with_capacity(probes.len());
     for batch in cells {
         grid.extend(batch?);
@@ -365,24 +361,17 @@ mod tests {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            let caps: Vec<(usize, Result<f64, AmemError>)> = grid
-                .par_iter()
-                .map(|&(k, di, ri)| {
-                    let dist = dists[di].dist;
-                    let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
-                    let cap = exec
-                        .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
-                        .map(|m| {
-                            let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, 64);
-                            ehr::effective_cache_bytes(
-                                m.l3_miss_rate,
-                                ssq,
-                                cfg.l3.line_bytes as u64,
-                            )
-                        });
-                    (k, cap)
-                })
-                .collect();
+            let caps: Vec<(usize, Result<f64, AmemError>)> = par_map(&grid, |&(k, di, ri)| {
+                let dist = dists[di].dist;
+                let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
+                let cap = exec
+                    .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
+                    .map(|m| {
+                        let ssq = ehr::sum_sq_line_mass(&dist, p.buffer_bytes, 4, 64);
+                        ehr::effective_cache_bytes(m.l3_miss_rate, ssq, cfg.l3.line_bytes as u64)
+                    });
+                (k, cap)
+            });
             let caps: Vec<(usize, f64)> = caps
                 .into_iter()
                 .map(|(k, c)| c.map(|c| (k, c)))

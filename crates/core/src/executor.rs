@@ -211,8 +211,8 @@ enum CacheMode {
 }
 
 /// The measurement executor. Cheap to share (`Arc<Executor>`) and safe to
-/// call from many threads — sweeps fan their points out over rayon and
-/// every point goes through [`Executor::run`].
+/// call from many threads — sweeps fan their points out with
+/// [`crate::par_map`] and every point goes through [`Executor::run`].
 pub struct Executor {
     platform: Box<dyn Platform>,
     /// `false` under `--no-cache`: no request gets a key.
@@ -482,6 +482,7 @@ impl Executor {
             return ssq;
         }
         // Computed outside the lock: cells of one grid run in parallel.
+        let _walk = amem_metrics::phase("eq4_line_mass");
         let ssq = ehr::sum_sq_line_mass(dist, buffer_bytes, 4, line_bytes);
         memo().insert(key, ssq);
         ssq
@@ -689,7 +690,7 @@ impl Executor {
 
     /// Run the platform with panics converted into typed
     /// [`AmemError::Flaky`] errors, so a panicking platform can neither
-    /// tear down a sweep's rayon pool nor wedge deduplicated waiters.
+    /// tear down a sweep's fan-out nor wedge deduplicated waiters.
     fn run_platform_caught(
         &self,
         workload: &dyn Workload,

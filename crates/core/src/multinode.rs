@@ -18,8 +18,9 @@
 use amem_sim::config::MachineConfig;
 use amem_sim::engine::{Job, RunLimit, RunReport};
 use amem_sim::machine::Machine;
-use rayon::prelude::*;
 use serde::Serialize;
+
+use crate::par_map;
 
 /// Per-node outcome plus the combined estimate.
 #[derive(Debug, Clone, Serialize)]
@@ -41,14 +42,11 @@ where
     F: Fn(usize, &mut Machine) -> Vec<Job> + Sync,
 {
     assert!(nodes >= 1);
-    let reports: Vec<RunReport> = (0..nodes)
-        .into_par_iter()
-        .map(|n| {
-            let mut m = Machine::new(cfg.clone());
-            let jobs = build(n, &mut m);
-            m.run(jobs, RunLimit::default())
-        })
-        .collect();
+    let reports: Vec<RunReport> = par_map(0..nodes, |n| {
+        let mut m = Machine::new(cfg.clone());
+        let jobs = build(n, &mut m);
+        m.run(jobs, RunLimit::default())
+    });
     let node_seconds: Vec<f64> = reports.iter().map(|r| r.primary_seconds(cfg)).collect();
     let job_seconds = node_seconds.iter().cloned().fold(0.0, f64::max);
     let mean = node_seconds.iter().sum::<f64>() / nodes as f64;

@@ -3,22 +3,22 @@
 //! A sweep runs a workload at interference levels `0..=max` (skipping
 //! physically impossible combinations) and records time, miss rate and
 //! bandwidth at each level. All points — across *all* sweeps of a batch
-//! ([`run_sweeps`]) — are flattened into one bounded-concurrency rayon
-//! pool, and each point goes through the [`Executor`], so shared points
-//! (most obviously the zero-interference baselines) are simulated once
-//! and served from cache everywhere else. Points the executor already
-//! holds in memory skip the pool and are answered on the calling thread:
+//! ([`run_sweeps`]) — are flattened into one [`par_map`] fan-out, and
+//! each point goes through the [`Executor`], so shared points (most
+//! obviously the zero-interference baselines) are simulated once and
+//! served from cache everywhere else. Points the executor already holds
+//! in memory skip the fan-out and are answered on the calling thread:
 //! re-running a warm sweep spawns nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amem_interfere::{InterferenceKind, InterferenceMix};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::error::AmemError;
 use crate::executor::Executor;
+use crate::par_map;
 use crate::platform::Workload;
 use crate::trial::TrialQuality;
 
@@ -237,8 +237,8 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
         (ri, k, res)
     };
     // Points already in the executor's memory tier need no worker: they
-    // are answered here, on the calling thread, and only the rest go to
-    // the pool. A fully cached batch spawns no thread at all.
+    // are answered here, on the calling thread, and only the rest fan
+    // out. A fully cached batch spawns no thread at all.
     let (resident, cold): (Vec<_>, Vec<_>) = tasks.into_iter().partition(|&(ri, k)| {
         let req = &requests[ri];
         let mix = InterferenceMix::of_kind(req.kind, k);
@@ -246,8 +246,7 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
     });
     let mut results: Vec<(usize, usize, Result<_, AmemError>)> =
         resident.into_iter().map(&point).collect();
-    let computed: Vec<_> = cold.into_par_iter().map(&point).collect();
-    results.extend(computed);
+    results.extend(par_map(cold, point));
     if metrics_on {
         amem_metrics::global()
             .counter("amem_sweep_batch_ns_total", &[])

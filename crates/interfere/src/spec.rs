@@ -6,9 +6,10 @@
 //! the shared resources (L3 storage, memory channel) and not for the
 //! application's own cores.
 
-use amem_sim::config::CoreId;
-use amem_sim::engine::Job;
+use amem_sim::config::{CoreId, MachineConfig};
+use amem_sim::engine::{Job, RunLimit};
 use amem_sim::machine::Machine;
+use amem_sim::{AccessStream, CoreCounters};
 use serde::{Deserialize, Serialize};
 
 use crate::bw::{BwThread, BwThreadCfg};
@@ -101,6 +102,23 @@ impl InterferenceSpec {
             }
         }
         jobs
+    }
+
+    /// The orthogonality co-run of §III-D (Figs. 7 and 8): on a fresh
+    /// machine, `subject` runs on core 0 of socket 0 against this spec's
+    /// threads on the socket's cores `1..=count`, to completion. The
+    /// subject is allocated before the interference. Returns the
+    /// subject's counters.
+    pub fn co_run(
+        &self,
+        cfg: &MachineConfig,
+        subject: impl FnOnce(&mut Machine) -> Box<dyn AccessStream>,
+    ) -> CoreCounters {
+        let mut machine = Machine::new(cfg.clone());
+        let mut jobs = vec![Job::primary(subject(&mut machine), CoreId::new(0, 0))];
+        let free: Vec<CoreId> = (1..=self.count as u32).map(|c| CoreId::new(0, c)).collect();
+        jobs.extend(self.build_jobs(&mut machine, &free));
+        machine.run(jobs, RunLimit::default()).jobs[0].counters
     }
 
     /// Human-readable level, e.g. `"3 CSThr"`.
@@ -225,7 +243,6 @@ impl From<InterferenceSpec> for InterferenceMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amem_sim::prelude::*;
 
     #[test]
     fn zero_count_builds_nothing() {

@@ -2,7 +2,6 @@
 //! (paper Figs. 7 and 8) on the simulated Xeon20MB.
 
 use active_mem::interfere::{BwThread, BwThreadCfg, CsThread, CsThreadCfg, InterferenceSpec};
-use active_mem::sim::engine::RunLimit;
 use active_mem::sim::prelude::*;
 
 fn machine_cfg() -> MachineConfig {
@@ -12,21 +11,11 @@ fn machine_cfg() -> MachineConfig {
 /// Time a finite BWThr against k CSThrs.
 fn bwthr_vs_cs(k: usize) -> (f64, f64) {
     let cfg = machine_cfg();
-    let mut m = Machine::new(cfg.clone());
-    let t = BwThread::new(
-        &mut m,
-        &BwThreadCfg {
-            iterations: Some(3_000),
-            ..BwThreadCfg::for_machine(&cfg)
-        },
-    );
-    let mut jobs = vec![Job::primary(Box::new(t), CoreId::new(0, 0))];
-    if k > 0 {
-        let free: Vec<CoreId> = (1..=k as u32).map(|c| CoreId::new(0, c)).collect();
-        jobs.extend(InterferenceSpec::storage(k).build_jobs(&mut m, &free));
-    }
-    let r = m.run(jobs, RunLimit::default());
-    let c = &r.jobs[0].counters;
+    let bw = BwThreadCfg {
+        iterations: Some(3_000),
+        ..BwThreadCfg::for_machine(&cfg)
+    };
+    let c = InterferenceSpec::storage(k).co_run(&cfg, |m| Box::new(BwThread::new(m, &bw)));
     (cfg.seconds(c.cycles), c.l3_miss_rate())
 }
 
@@ -34,21 +23,11 @@ fn bwthr_vs_cs(k: usize) -> (f64, f64) {
 fn csthr_vs_bw(k: usize) -> (f64, f64) {
     let cfg = machine_cfg();
     let rounds = 200_000u64;
-    let mut m = Machine::new(cfg.clone());
-    let t = CsThread::new(
-        &mut m,
-        &CsThreadCfg {
-            rounds: Some(rounds),
-            ..CsThreadCfg::for_machine(&cfg)
-        },
-    );
-    let mut jobs = vec![Job::primary(Box::new(t), CoreId::new(0, 0))];
-    if k > 0 {
-        let free: Vec<CoreId> = (1..=k as u32).map(|c| CoreId::new(0, c)).collect();
-        jobs.extend(InterferenceSpec::bandwidth(k).build_jobs(&mut m, &free));
-    }
-    let r = m.run(jobs, RunLimit::default());
-    let c = &r.jobs[0].counters;
+    let cs = CsThreadCfg {
+        rounds: Some(rounds),
+        ..CsThreadCfg::for_machine(&cfg)
+    };
+    let c = InterferenceSpec::bandwidth(k).co_run(&cfg, |m| Box::new(CsThread::new(m, &cs)));
     (
         cfg.seconds(c.cycles) * 1e9 / rounds as f64,
         c.l3_miss_rate(),
@@ -94,21 +73,12 @@ fn csthr_uses_negligible_bandwidth() {
     // The basis-vector property: CSThr's own traffic stays tiny compared
     // to one BWThr's ~2.8 GB/s.
     let cfg = machine_cfg();
-    let rounds = 200_000u64;
-    let mut m = Machine::new(cfg.clone());
-    let t = CsThread::new(
-        &mut m,
-        &CsThreadCfg {
-            rounds: Some(rounds),
-            ..CsThreadCfg::for_machine(&cfg)
-        },
-    );
-    let r = m.run(
-        vec![Job::primary(Box::new(t), CoreId::new(0, 0))],
-        RunLimit::default(),
-    );
-    let gbs = r.jobs[0]
-        .counters
+    let cs = CsThreadCfg {
+        rounds: Some(200_000),
+        ..CsThreadCfg::for_machine(&cfg)
+    };
+    let gbs = InterferenceSpec::none()
+        .co_run(&cfg, |m| Box::new(CsThread::new(m, &cs)))
         .bandwidth_gbs(cfg.l3.line_bytes, cfg.freq_ghz);
     assert!(
         gbs < 0.8,
