@@ -9,12 +9,11 @@
 //!   simulation, aggregation, curve passes, Eq. 4 line-mass walks) that
 //!   partition the run, and the `grid/...` phases that split the same
 //!   time by probe-grid level — the evidence for which CSThr levels
-//!   dominate the cold fig6 wall. It exits non-zero when the leaf phases cover less
-//!   than 95% or more than 100.5% of the wall. Use `--parallel` to keep
-//!   the default worker count (phases then overlap, leaf coverage is
-//!   reported per worker-second and not checked).
+//!   dominate the cold fig6 wall. It exits non-zero when the leaf phases
+//!   cover less than 95% or more than 100.5% of the wall.
 //! * `--overhead <fig>` times a figure with the metrics gate off and on
-//!   (both cold) and prints the relative cost of instrumentation.
+//!   (both cold, on one `par_map` worker) and prints the relative
+//!   cost of instrumentation.
 //!
 //! Flags: `--scale <f>` (default 0.0625), `--out <dir>` for the child's
 //! CSV/manifest output (default a temp dir), `--report <file>` to mirror
@@ -39,7 +38,6 @@ struct Cli {
     attribution: Option<String>,
     overhead: Option<String>,
     scale: f64,
-    parallel: bool,
     out: Option<PathBuf>,
     report: Option<PathBuf>,
 }
@@ -49,7 +47,6 @@ fn parse_cli() -> Cli {
         attribution: None,
         overhead: None,
         scale: 0.0625,
-        parallel: false,
         out: None,
         report: None,
     };
@@ -63,12 +60,11 @@ fn parse_cli() -> Cli {
                 cli.scale = value().parse().expect("--scale must be a float");
                 assert!(cli.scale > 0.0 && cli.scale <= 1.0, "scale in (0,1]");
             }
-            "--parallel" => cli.parallel = true,
             "--out" => cli.out = Some(PathBuf::from(value())),
             "--report" => cli.report = Some(PathBuf::from(value())),
             other => panic!(
                 "unknown argument: {other} (expected --attribution/--overhead/\
-                 --scale/--parallel/--out/--report)"
+                 --scale/--out/--report)"
             ),
         }
     }
@@ -95,14 +91,12 @@ fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> RunManif
         .args(["--scale", &cli.scale.to_string(), "--no-cache", "--out"])
         .arg(out_dir)
         .env("AMEM_PROGRESS", "0")
+        // One `par_map` worker: leaf phase time then sums to wall time,
+        // so the coverage check below is meaningful.
+        .env("RAYON_NUM_THREADS", "1")
         .stdout(std::process::Stdio::null());
     if metrics {
         cmd.arg("--metrics");
-    }
-    if !cli.parallel {
-        // One `par_map` worker: leaf phase time then sums to wall time,
-        // so the coverage check below is meaningful.
-        cmd.env("RAYON_NUM_THREADS", "1");
     }
     let status = cmd
         .status()
@@ -148,12 +142,8 @@ fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) -> f64 {
     let coverage = 100.0 * leaf_total / wall.max(1e-9);
     writeln!(
         doc,
-        "[attribution] leaf phases cover {coverage:.1}% of the {wall:.2}s wall{}",
-        if cli.parallel {
-            " (per worker-second: --parallel overlaps phases)"
-        } else {
-            " (target 95-100.5%)"
-        }
+        "[attribution] leaf phases cover {coverage:.1}% of the {wall:.2}s wall \
+         (target 95-100.5%)"
     )
     .unwrap();
 
@@ -231,7 +221,7 @@ fn main() -> ExitCode {
     let mut ok = true;
     if let Some(fig) = &cli.attribution {
         let coverage = attribution_report(fig, &cli, &mut doc);
-        ok = cli.parallel || COVERAGE_PCT.contains(&coverage);
+        ok = COVERAGE_PCT.contains(&coverage);
     }
     if let Some(fig) = &cli.overhead {
         overhead_report(fig, &cli, &mut doc);

@@ -18,11 +18,12 @@
 //! `noninclusive-l3` lane (up-links going stale under live L2 copies) and
 //! the two-socket ping-pong/barrier lane — for `--seeds` seeds each
 //! (parallel over seeds), holding the production engine to the reference
-//! machine event for event. Then lockstep the single-pass curve engine against
-//! the per-point reference-cache sweep over the same seed budget, and
-//! evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
-//! `--minimize`d first) to `target/conformance/` and the process exits
-//! non-zero.
+//! machine event for event. Then lockstep the single-pass curve engine
+//! against the per-point reference-cache sweep over the same seed budget,
+//! run the QoS controller-determinism lane (`qos-determinism`) over it
+//! too, and evaluate the Eq. 4 oracle pack. Any divergence is written
+//! (optionally `--minimize`d first) to `target/conformance/` and the
+//! process exits non-zero.
 //!
 //! `--sabotage` is the harness's self-test: it runs the lanes once per
 //! planted fault — every [`RefFault`] in the reference machine, then an
@@ -44,12 +45,14 @@ use amem_conformance::fuzz::{
     check_case, check_case_with, lanes, minimize, reproducer_dir, sabotage, write_reproducer,
     Divergence, FuzzLane, TraceCase,
 };
-use amem_conformance::{ehr_oracle_pack, replay_file, RefFault};
+use amem_conformance::{ehr_oracle_pack, qos_seed_sweep, replay_file, RefFault};
 use amem_core::par_map;
+
+/// Ops per generated fuzz trace.
+const OPS: usize = 1500;
 
 struct Args {
     seeds: u64,
-    ops: usize,
     config: Option<String>,
     minimize: bool,
     sabotage: bool,
@@ -60,7 +63,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut a = Args {
         seeds: 200,
-        ops: 1500,
         config: None,
         minimize: false,
         sabotage: false,
@@ -71,7 +73,6 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seeds" => a.seeds = it.next().expect("--seeds N").parse().expect("seed count"),
-            "--ops" => a.ops = it.next().expect("--ops N").parse().expect("ops per lane"),
             "--config" => a.config = Some(it.next().expect("--config NAME")),
             "--minimize" => a.minimize = true,
             "--sabotage" => a.sabotage = true,
@@ -177,7 +178,7 @@ fn main() -> ExitCode {
     }
 
     let wanted = |name: &str| args.config.as_deref().is_none_or(|only| only == name);
-    let mut lanes = lanes(args.ops);
+    let mut lanes = lanes(OPS);
     lanes.retain(|l| wanted(l.name));
 
     if args.sabotage {
@@ -200,12 +201,14 @@ fn main() -> ExitCode {
     }
 
     // Curve lockstep: the single-pass stack-distance engine vs a naive
-    // per-point reference-cache sweep, over the same seed budget as the
-    // lanes (skipped under --config, which scopes the run to one lane).
-    let mut curve_div = 0usize;
+    // per-point reference-cache sweep, and QoS controller determinism:
+    // each case run twice must give byte-identical decision logs and
+    // equal event signatures. Both over the same seed budget as the lanes
+    // (skipped under --config, which scopes the run to one lane).
+    let (mut curve_div, mut qos_div) = (0usize, 0usize);
     if args.config.is_none() {
         let divergences: Vec<CurveDivergence> = par_map(0..args.seeds, |seed| {
-            check_curve_case(seed, &gen_curve_case(seed, args.ops)).err()
+            check_curve_case(seed, &gen_curve_case(seed, OPS)).err()
         })
         .into_iter()
         // Plus the one case wider than a table page and a slot window.
@@ -222,6 +225,18 @@ fn main() -> ExitCode {
         if let Some(d) = divergences.first() {
             println!("  first: {}", d.describe());
         }
+
+        let divergences = qos_seed_sweep(0..args.seeds);
+        println!(
+            "{:<20} {} seeds, {} divergence(s)",
+            "qos-determinism",
+            args.seeds,
+            divergences.len()
+        );
+        qos_div = divergences.len();
+        if let Some(d) = divergences.first() {
+            println!("  first: seed {} ({})", d.seed, d.field);
+        }
     }
 
     let mut oracle_fail = false;
@@ -233,7 +248,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if total_div > 0 || curve_div > 0 || oracle_fail {
+    if total_div > 0 || curve_div > 0 || qos_div > 0 || oracle_fail {
         ExitCode::FAILURE
     } else {
         println!("\nengine and reference machine agree; oracles hold");

@@ -6,9 +6,8 @@
 //! only list of them. Run one with
 //! `cargo run --release -p amem-bench --bin repro -- <name>`, or all of
 //! them with `repro all`; a bare `repro` prints the table. The crate's
-//! other binaries are tools: `conformance` (the differential fuzzer),
-//! `qos` (the enforcement experiment) and `amem-stats` (cost
-//! attribution of a `repro` run).
+//! other binaries are tools: `conformance` (the differential fuzzer)
+//! and `amem-stats` (cost attribution of a `repro` run).
 //!
 //! Every experiment accepts `--scale <f>` (default 0.125): the machine's
 //! caches and every working set shrink together, preserving the figures'
@@ -24,15 +23,17 @@
 //! reuse entirely, and every manifest records the run's hit/miss
 //! counters.
 //!
-//! Robustness knobs (all off by default, leaving output byte-identical
+//! Robustness flags (all off by default, leaving output byte-identical
 //! to a plain run): `--trials <n>` repeats every measurement n times and
-//! reports the MAD-screened representative, `--retries <n>` retransmits
+//! reports the MAD-screened representative, `--retries <n>` retries
 //! transient failures, `--timeout <secs>` bounds each platform run,
 //! `--ci` appends per-point trial/CI columns to the degradation tables
-//! of Figs. 9 and 11, and `--fault <spec>` (or `$AMEM_FAULT_INJECT`)
-//! wraps the platform in a deterministic fault injector for robustness
-//! drills. Runs that used any of this print a `[quality]` summary line
-//! and record the counters in the manifest.
+//! of Figs. 9 and 11, and `--fault <spec>` wraps the platform in a
+//! deterministic fault injector for robustness drills. `--metrics`
+//! turns the metrics registry on. Runs whose trial loop counted
+//! anything (trials, retries, timeouts, faults, non-finite results)
+//! print a `[quality]` summary line and record the counters in the
+//! manifest.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -79,11 +80,10 @@ pub struct Args {
     /// Append per-point trial-count/CI columns to the degradation tables
     /// of Figs. 9 and 11 (`--ci`).
     pub ci: bool,
-    /// Fault-injection spec (`--fault <spec>`; falls back to
-    /// `$AMEM_FAULT_INJECT`). See [`amem_core::FaultSpec::parse`].
+    /// Fault-injection spec (`--fault <spec>`). See
+    /// [`amem_core::FaultSpec::parse`].
     pub fault: Option<String>,
-    /// Enable the metrics registry (`--metrics`; `$AMEM_METRICS` also
-    /// turns it on, so CI can instrument unmodified invocations).
+    /// Enable the metrics registry (`--metrics`).
     pub metrics: bool,
     /// Explicit path for the Prometheus export (`--metrics-out`);
     /// defaults to `<out>/<name>.metrics.prom`.
@@ -120,8 +120,9 @@ impl Args {
     /// Parse `--scale <f>`, `--full`, `--out <dir>`, `--sample <cycles>`,
     /// `--trace <events>`, `--no-cache`, `--cache-dir <dir>`,
     /// `--jobs <n>`, `--profile`, `--trials <n>`, `--retries <n>`,
-    /// `--timeout <secs>`, `--ci`, `--fault <spec>` and
-    /// `--curve-mode <mode>` from the process args.
+    /// `--timeout <secs>`, `--ci`, `--fault <spec>`, `--metrics`,
+    /// `--metrics-out <path>` and `--curve-mode <mode>` from the process
+    /// args.
     pub fn parse() -> Self {
         Self::parse_from(std::env::args().skip(1))
     }
@@ -200,29 +201,19 @@ impl Args {
 
     /// The trial/retry/timeout policy this invocation asked for. The
     /// default flags give the pass-through policy (one trial, no retry,
-    /// no timeout) whose output is byte-identical to the pre-robustness
-    /// run path.
+    /// no timeout), whose output is that of a plain platform run.
     pub fn trial_policy(&self) -> TrialPolicy {
-        let mut p = TrialPolicy::fixed(self.trials);
-        if self.retries > 0 {
-            p = p.with_retries(self.retries);
-        }
+        let mut p = TrialPolicy::fixed(self.trials).with_retries(self.retries);
         if let Some(secs) = self.timeout_secs {
             p = p.with_timeout_ms((secs * 1e3).ceil() as u64);
         }
         p
     }
 
-    /// The fault-injection spec in force: `--fault` wins, otherwise the
-    /// `$AMEM_FAULT_INJECT` environment variable (so CI can inject faults
-    /// into unmodified invocations). `None` when neither is set.
+    /// The fault-injection spec of `--fault`, `None` without the flag.
     pub fn fault_spec(&self) -> Option<FaultSpec> {
-        let raw = self.fault.clone().or_else(|| {
-            std::env::var("AMEM_FAULT_INJECT")
-                .ok()
-                .filter(|s| !s.is_empty())
-        })?;
-        Some(FaultSpec::parse(&raw).expect("invalid fault-injection spec"))
+        let raw = self.fault.as_deref()?;
+        Some(FaultSpec::parse(raw).expect("invalid --fault spec"))
     }
 
     /// An executor over [`Args::platform`] honouring `--no-cache` and
@@ -266,27 +257,17 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: String) 
     n
 }
 
-/// Resolve the child-process parallelism of `repro all`.
-///
-/// Priority: an explicit `--jobs` value, then the `AMEM_JOBS` environment
-/// variable, then the default of half the available cores capped at 4
-/// (each child's `amem_core::par_map` fan-outs use every core, so more
-/// children than that oversubscribe the machine). Whatever the source, the result is clamped
-/// to `1..=available_parallelism` — asking for 64 jobs on a 4-core box
-/// gets 4, and malformed or zero values fall back to the default.
+/// Resolve the child-process parallelism of `repro all`: the `--jobs`
+/// value, or by default half the available cores capped at 4 (each
+/// child's `amem_core::par_map` fan-outs use every core, so more children
+/// than that oversubscribe the machine). Either way the result is
+/// clamped to `1..=available_parallelism` — asking for 64 jobs on a
+/// 4-core box gets 4.
 pub fn resolve_jobs(cli: Option<usize>) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let requested = cli
-        .or_else(|| {
-            std::env::var("AMEM_JOBS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n > 0)
-        })
-        .unwrap_or_else(|| (avail / 2).clamp(1, 4));
-    requested.clamp(1, avail)
+    cli.unwrap_or((avail / 2).clamp(1, 4)).clamp(1, avail)
 }
 
 /// The shared experiment harness: wraps [`Args`], times the run, records
@@ -319,13 +300,10 @@ impl Harness {
 
     /// Like [`Harness::new`] with explicit arguments (`repro`, tests).
     pub fn with_args(name: &str, args: Args) -> Self {
+        // Without `--metrics` the gate stays off and every
+        // instrumentation site stays a single relaxed load.
         if args.metrics {
             amem_metrics::set_enabled(true);
-        } else {
-            // `$AMEM_METRICS` can still turn the gate on; with neither
-            // the flag nor the variable set this is a no-op and every
-            // instrumentation site stays a single relaxed load.
-            amem_metrics::init_from_env();
         }
         let mut manifest = RunManifest::new(name, args.machine());
         manifest.scale = args.scale;
@@ -687,29 +665,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One test fn (not several) because it mutates `AMEM_JOBS`: splitting
-    /// it would race within this test binary.
     #[test]
     fn resolve_jobs_priority_and_clamping() {
         let avail = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let default = (avail / 2).clamp(1, 4).min(avail);
-        // An explicit CLI value wins over the environment...
-        std::env::set_var("AMEM_JOBS", "3");
+        // An explicit value wins over the default...
         assert_eq!(resolve_jobs(Some(2)), 2.min(avail));
+        assert_eq!(resolve_jobs(Some(1)), 1);
         // ...but is still clamped to the machine.
         assert_eq!(resolve_jobs(Some(1000)), avail);
-        // No CLI value: AMEM_JOBS applies (clamped).
-        assert_eq!(resolve_jobs(None), 3.min(avail));
-        assert_eq!(resolve_jobs(Some(1)), 1);
-        // Malformed or zero AMEM_JOBS falls back to the default.
-        std::env::set_var("AMEM_JOBS", "not-a-number");
-        assert_eq!(resolve_jobs(None), default);
-        std::env::set_var("AMEM_JOBS", "0");
-        assert_eq!(resolve_jobs(None), default);
-        std::env::remove_var("AMEM_JOBS");
-        assert_eq!(resolve_jobs(None), default);
+        // No value: half the cores, capped at 4.
+        assert_eq!(resolve_jobs(None), (avail / 2).clamp(1, 4).min(avail));
     }
 
     #[test]
@@ -733,28 +700,21 @@ mod tests {
             ..Default::default()
         };
         let p = a.trial_policy();
-        assert_eq!(p.min_trials, 5);
-        assert_eq!(p.max_trials, 5);
-        assert_eq!(p.max_retries, 2);
+        assert_eq!(p.trials, 5);
+        assert_eq!(p.retries, 2);
         assert_eq!(p.timeout_ms, Some(1500));
         assert!(!p.is_passthrough());
     }
 
-    /// One test fn because it mutates `AMEM_FAULT_INJECT` (see
-    /// `resolve_jobs_priority_and_clamping` for the same pattern).
     #[test]
     fn fault_spec_prefers_flag_over_env() {
-        let a = Args::default();
-        assert!(a.fault_spec().is_none(), "no flag, no env, no injection");
+        // The flag is the only source: the environment injects nothing.
         std::env::set_var("AMEM_FAULT_INJECT", "seed=7,noise=0.01");
-        assert_eq!(a.fault_spec().unwrap().seed, 7);
-        let flagged = Args {
-            fault: Some("seed=9,error=0.5".into()),
-            ..Default::default()
-        };
-        assert_eq!(flagged.fault_spec().unwrap().seed, 9);
+        let a = Args::default();
+        assert!(a.fault_spec().is_none(), "no flag, no injection");
         std::env::remove_var("AMEM_FAULT_INJECT");
-        assert!(a.fault_spec().is_none());
+        let flagged = Args::parse_from(["--fault".to_string(), "seed=9,error=0.5".to_string()]);
+        assert_eq!(flagged.fault_spec().unwrap().seed, 9);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! then aggregates every run's manifest into a cross-experiment
 //! comparison report.
 //!
-//! `all` runs `--jobs <n>` children at a time (or `$AMEM_JOBS`; default:
-//! half the cores, capped at 4 — each child fans its grids out over every
-//! core with `amem_core::par_map`, and the value is always clamped to the
+//! `all` runs `--jobs <n>` children at a time (default: half the cores,
+//! capped at 4 — each child fans its grids out over every core with
+//! `amem_core::par_map`, and the value is always clamped to the
 //! available cores). At one job each child streams its output live;
 //! otherwise outputs are replayed in table order. The children share one
 //! on-disk measurement cache, so the many points the figures have in
@@ -63,6 +63,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     ("combined", "ext: combined interference vs multiplicative composition", extensions::combined),
     ("cat", "ext: CAT way partitioning removes the degradation knee", extensions::cat),
     ("energy", "ext: energy cost of interference (MCB)", extensions::energy),
+    ("qos", "ext: QoS enforcement — Fig. 9 with a slowdown target held", extensions::qos),
     ("serve", "ext: daemon vs library byte identity and cross-client dedup", serve::serve),
 ];
 
@@ -239,9 +240,9 @@ fn report_suite(out: &Path) {
         m.quality.iter().for_each(|q| quality.merge(q));
     }
     crate::print_counters("suite total: ", &cache, &quality);
-    // Metrics snapshots (present when children ran with `--metrics` or
-    // `$AMEM_METRICS`) merge into one suite-wide view: counters and
-    // histograms add saturating, gauges keep their maximum.
+    // Metrics snapshots (present when children ran with `--metrics`)
+    // merge into one suite-wide view: counters and histograms add
+    // saturating, gauges keep their maximum.
     let merged = manifests.iter().filter_map(|m| m.metrics.clone());
     let merged = merged.reduce(|mut acc, s| {
         acc.merge(&s);
@@ -321,6 +322,69 @@ mod tests {
             names.len() - 1,
             "the rest ran"
         );
+    }
+
+    /// Run the `fig6` entry with `flags` at scale 1/16 into `out`: its
+    /// `fig6.csv` and its executor's counters.
+    fn fig6(out: &Path, flags: &[&str]) -> (String, CacheStats) {
+        let Ok(Selection::One(&(name, _, run))) = select(Some("fig6")) else {
+            panic!("fig6 is an entry");
+        };
+        let common = ["--out", out.to_str().unwrap(), "--scale", "0.0625"];
+        let args = Args::parse_from(common.iter().chain(flags).map(|s| s.to_string()));
+        let mut h = Harness::with_args(name, args);
+        run(&mut h);
+        let stats = h.executor().stats();
+        h.finish();
+        (
+            std::fs::read_to_string(out.join("fig6.csv")).unwrap(),
+            stats,
+        )
+    }
+
+    /// The committed fig6 CSV of `variant` at scale 1/16.
+    fn golden(variant: &str) -> String {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+        std::fs::read_to_string(dir.join(format!("fig6_{variant}_s0625.csv"))).unwrap()
+    }
+
+    #[test]
+    fn fig6_matches_its_goldens() {
+        let root = std::env::temp_dir().join(format!("amem_fig6_goldens_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // Cold: each variant prints its golden byte for byte, runs one
+        // curve pass per (distribution, buffer size) cell and simulates
+        // nothing.
+        let variants: [(&str, &[&str], u64); 3] = [
+            ("exact", &[], 12),
+            ("full", &["--full"], 220),
+            ("sampled", &["--curve-mode", "sampled"], 12),
+        ];
+        for (variant, flags, cells) in variants {
+            let flags = [flags, &["--no-cache"]].concat();
+            let (csv, stats) = fig6(&root.join(variant), &flags);
+            assert!(
+                csv == golden(variant),
+                "fig6 {variant} differs from its golden:\n{csv}"
+            );
+            let c = stats.curves();
+            assert_eq!((c.hits(), c.runs), (0, cells), "{variant}: {c:?}");
+            assert_eq!(stats.lookups(), 0, "{variant}: fig6 simulates nothing");
+        }
+        // Twice over one cache directory: the second run serves every
+        // curve from disk, runs no pass, and still prints the golden.
+        let cache = root.join("cache");
+        let flags = ["--cache-dir", cache.to_str().unwrap()];
+        let (cold, _) = fig6(&root.join("cold"), &flags);
+        let (warm, stats) = fig6(&root.join("warm"), &flags);
+        assert!(
+            cold == golden("exact") && warm == cold,
+            "cached fig6:\n{warm}"
+        );
+        let c = stats.curves();
+        assert_eq!((c.disk_hits, c.runs), (12, 0), "{c:?}");
+        assert_eq!(c.lookups(), 12);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

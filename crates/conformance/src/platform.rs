@@ -35,12 +35,6 @@ impl ReferencePlatform {
         }
     }
 
-    /// Wrap an already-configured simulator platform (run limits,
-    /// sampling and tracing settings carry over).
-    pub fn from_sim(inner: SimPlatform) -> Self {
-        Self { inner }
-    }
-
     pub fn with_limit(mut self, limit: RunLimit) -> Self {
         self.inner = self.inner.with_limit(limit);
         self

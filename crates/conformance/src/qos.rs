@@ -23,7 +23,8 @@
 //!
 //! Case generation is seeded and deterministic: victim kind, aggressor
 //! count and kinds, and the policy target all derive from the seed. The
-//! CI `qos-smoke` job sweeps 200 seeds (`AMEM_QOS_SEEDS`).
+//! `conformance` binary sweeps `--seeds` seeds as its `qos-determinism`
+//! lane.
 
 use amem_qos::scenario::App;
 use amem_qos::{QosController, QosCtlCfg, QosPolicy, Scenario};

@@ -344,8 +344,13 @@ mod tests {
         /// The pre-curve calibration path, kept as the oracle for the curve
         /// engine: run the full probe grid of (level × distribution × ratio)
         /// co-running simulations through the executor, one simulation per
-        /// grid point.
-        fn calibrate_probe_grid(exec: &Executor, opts: &CalibrateOpts) -> Result<Self, AmemError> {
+        /// grid point. Unlike a curve, the simulation depends on the
+        /// probe's `adds_per_load`.
+        fn calibrate_probe_grid(
+            exec: &Executor,
+            opts: &CalibrateOpts,
+            adds_per_load: u32,
+        ) -> Result<Self, AmemError> {
             let cfg = exec.platform().cfg().clone();
             let dists: Vec<_> = table2()
                 .into_iter()
@@ -363,7 +368,7 @@ mod tests {
                 .collect();
             let caps: Vec<(usize, Result<f64, AmemError>)> = par_map(&grid, |&(k, di, ri)| {
                 let dist = dists[di].dist;
-                let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], opts.adds_per_load);
+                let p = ProbeCfg::for_machine(&cfg, dist, opts.ratios[ri], adds_per_load);
                 let cap = exec
                     .run(&ProbeWorkload(p), 1, InterferenceMix::storage(k))
                     .map(|m| {
@@ -408,7 +413,7 @@ mod tests {
             .with_max_cs(0);
         let exec = Executor::memory_only(SimPlatform::new(cfg()));
         let curve = CapacityMap::calibrate(&exec, &opts).expect("curve calibrate");
-        let grid = CapacityMap::calibrate_probe_grid(&exec, &opts).expect("grid calibrate");
+        let grid = CapacityMap::calibrate_probe_grid(&exec, &opts, 1).expect("grid calibrate");
         let (a, b) = (curve.points[0].mean_bytes, grid.points[0].mean_bytes);
         assert!(
             (a / b - 1.0).abs() < 0.2,

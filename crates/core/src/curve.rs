@@ -296,9 +296,6 @@ pub struct CurveOpts {
     pub dist_step: usize,
     /// Probe buffer sizes as ratios of the L3.
     pub ratios: Vec<f64>,
-    /// Integer adds per load. Curves are invariant to it (see
-    /// [`CurveRequest`]); the test-only probe-grid oracle is not.
-    pub adds_per_load: u32,
     /// Calibrate 0..=max_cs CSThr levels.
     pub max_cs: usize,
     /// Exact or sampled traversal.
@@ -310,7 +307,6 @@ impl Default for CurveOpts {
         Self {
             dist_step: 3,
             ratios: vec![2.0, 3.0],
-            adds_per_load: 1,
             max_cs: 5,
             mode: CurveMode::Exact,
         }

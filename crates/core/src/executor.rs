@@ -36,17 +36,17 @@
 //! [`Platform::deterministic`] is `false`
 //! (a [`crate::fault::FaultyPlatform`]) always simulates fresh.
 //!
-//! Every fresh measurement runs under the executor's
+//! Every fresh measurement runs the executor's one trial loop under its
 //! [`TrialPolicy`]. The default policy is a pass-through — one trial,
 //! no retries, no timeout — whose outputs are byte-identical to a plain
 //! `platform.run` (apart from screening NaN headline statistics into
 //! typed [`AmemError::NonFinite`] errors, which healthy platforms never
 //! produce). Non-default policies repeat each measurement, reject MAD
-//! outliers, retry transient failures with exponential backoff, enforce
-//! a wall-clock budget, and attach a [`TrialQuality`] record to the
-//! returned measurement. The policy is deliberately *not* part of the
-//! cache key: only deterministic platforms are cached, repeated trials
-//! there are bit-identical, so entries measured under any policy are
+//! outliers, retry transient failures, enforce a wall-clock budget, and
+//! attach a [`TrialQuality`] record to the returned measurement. The
+//! policy is deliberately *not* part of the cache key: only
+//! deterministic platforms are cached, repeated trials there are
+//! bit-identical, so entries measured under any policy are
 //! quality-equivalent (see DESIGN.md §10).
 
 use std::collections::HashMap;
@@ -65,6 +65,11 @@ use crate::error::AmemError;
 use crate::mrc::MissRatioCurve;
 use crate::platform::{Measurement, Platform, Workload};
 use crate::trial::{robust_summary, QualityStats, TrialPolicy, TrialQuality};
+
+/// MAD outlier rejection threshold of the trial aggregation: a sample is
+/// rejected when `|x - median| > MAD_K * MAD`, which only rejects grossly
+/// implausible samples.
+const MAD_K: f64 = 3.5;
 
 /// Version of the cache entry format *and* of the measurement semantics.
 /// Bump whenever the simulator, the aggregation in `Platform::run`, or
@@ -488,25 +493,17 @@ impl Executor {
         ssq
     }
 
-    /// One fresh measurement under the executor's [`TrialPolicy`]:
-    /// pass-through policies call the platform once (screening NaN
-    /// headline stats into typed errors); everything else runs the trial
-    /// loop with retries, timeout classification, MAD outlier rejection
-    /// and adaptive stopping.
+    /// One fresh measurement under the executor's [`TrialPolicy`]: run
+    /// its trials with retries and timeout classification, then return
+    /// the inlier trial nearest the robust median. The pass-through
+    /// policy is the same loop at one trial; only a non-pass-through
+    /// result carries a [`TrialQuality`] record and counts its trials.
     fn measure(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
         mix: InterferenceMix,
     ) -> Result<Measurement, AmemError> {
-        if self.policy.is_passthrough() {
-            let m = self.run_platform_caught(workload, per_processor, mix)?;
-            return screen_finite(m).inspect_err(|_| {
-                self.non_finite.fetch_add(1, Ordering::Relaxed);
-                self.metric_add("amem_executor_non_finite_total", 1);
-            });
-        }
-
         let p = &self.policy;
         let mut samples: Vec<Measurement> = Vec::new();
         let mut retries = 0usize;
@@ -516,7 +513,7 @@ impl Executor {
         let mut lost_trials = 0usize;
         let mut last_typed: Option<AmemError> = None;
 
-        for _trial in 0..p.max_trials {
+        for _trial in 0..p.trials {
             match self.one_trial(
                 workload,
                 per_processor,
@@ -537,16 +534,6 @@ impl Executor {
                     last_typed = Some(e);
                 }
             }
-            if samples.len() >= p.min_trials {
-                if let Some(target) = p.rel_ci_target {
-                    let times: Vec<f64> = samples.iter().map(|m| m.seconds).collect();
-                    if let Some(s) = robust_summary(&times, p.mad_k) {
-                        if s.rel_ci() <= target {
-                            break;
-                        }
-                    }
-                }
-            }
         }
 
         self.retries.fetch_add(retries as u64, Ordering::Relaxed);
@@ -558,7 +545,7 @@ impl Executor {
         self.metric_add("amem_executor_non_finite_total", non_finite as u64);
 
         if samples.is_empty() {
-            let last = last_typed.expect("max_trials >= 1, so at least one trial ran");
+            let last = last_typed.expect("trials >= 1, so at least one trial ran");
             // A single failed attempt keeps its precise type (Timeout,
             // Injected, ...); only genuinely repeated failure is Flaky.
             if attempts_total <= 1 {
@@ -575,13 +562,16 @@ impl Executor {
                 last: cause,
             });
         }
-        self.trials
-            .fetch_add(samples.len() as u64, Ordering::Relaxed);
-        self.metric_add("amem_executor_trials_total", samples.len() as u64);
+        let passthrough = p.is_passthrough();
+        if !passthrough {
+            self.trials
+                .fetch_add(samples.len() as u64, Ordering::Relaxed);
+            self.metric_add("amem_executor_trials_total", samples.len() as u64);
+        }
 
         let times: Vec<f64> = samples.iter().map(|m| m.seconds).collect();
         let _p = amem_metrics::phase("aggregation");
-        let summary = robust_summary(&times, p.mad_k).expect("trial samples are screened finite");
+        let summary = robust_summary(&times, MAD_K).expect("trial samples are screened finite");
         self.outliers_rejected
             .fetch_add(summary.rejected as u64, Ordering::Relaxed);
         self.metric_add(
@@ -604,24 +594,26 @@ impl Executor {
             .map(|(i, _)| i)
             .expect("samples is non-empty");
         let mut rep = samples.swap_remove(rep_idx);
-        rep.quality = Some(TrialQuality {
-            trials: summary.n,
-            rejected_outliers: summary.rejected,
-            retries,
-            timeouts,
-            non_finite,
-            mean_seconds: summary.mean,
-            std_seconds: summary.std,
-            ci95_rel: summary.rel_ci(),
-            degraded: lost_trials > 0,
-        });
+        if !passthrough {
+            rep.quality = Some(TrialQuality {
+                trials: summary.n,
+                rejected_outliers: summary.rejected,
+                retries,
+                timeouts,
+                non_finite,
+                mean_seconds: summary.mean,
+                std_seconds: summary.std,
+                ci95_rel: summary.rel_ci(),
+                degraded: lost_trials > 0,
+            });
+        }
         Ok(rep)
     }
 
     /// One trial: run the platform, classify over-budget completions as
     /// [`AmemError::Timeout`] and NaN results as
     /// [`AmemError::NonFinite`], and retry transient failures up to the
-    /// policy's budget with exponential backoff.
+    /// policy's budget.
     #[allow(clippy::too_many_arguments)]
     fn one_trial(
         &self,
@@ -664,17 +656,16 @@ impl Executor {
             match &e {
                 AmemError::Timeout { .. } => *timeouts += 1,
                 AmemError::NonFinite { .. } => *non_finite += 1,
-                _ => {
+                // A structural error (an impossible mapping) is the
+                // request's fault, not the platform's.
+                e if e.is_degradable() => {
                     self.faults.fetch_add(1, Ordering::Relaxed);
                     self.metric_add("amem_executor_faults_total", 1);
                 }
+                _ => {}
             }
-            if e.is_transient() && attempt <= p.max_retries {
+            if e.is_transient() && attempt <= p.retries {
                 *retries += 1;
-                let backoff = p.backoff_before(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
                 continue;
             }
             return Err(if attempt > 1 {
@@ -943,13 +934,33 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_stops_early_on_tight_ci() {
-        // Deterministic platform: after min_trials=2 identical samples the
-        // CI is exactly 0, so the loop must stop well short of max_trials.
-        let exec = Executor::uncached(plat()).with_policy(TrialPolicy::adaptive(2, 50, 0.05));
-        let m = exec.run(&tiny_mcb(), 2, InterferenceMix::none()).unwrap();
-        assert_eq!(m.quality.clone().unwrap().trials, 2);
-        assert_eq!(exec.robust_stats().trials, 2);
+    fn a_structural_error_is_not_a_fault() {
+        // 99 ranks on one socket is an impossible mapping: the request is
+        // wrong, the platform is fine, so no trial counter moves.
+        let exec = Executor::uncached(plat()).with_policy(TrialPolicy::fixed(3));
+        let err = exec
+            .run(&tiny_mcb(), 99, InterferenceMix::none())
+            .unwrap_err();
+        assert!(matches!(err, AmemError::InvalidMapping { .. }), "{err}");
+        assert!(exec.robust_stats().is_empty(), "{:?}", exec.robust_stats());
+    }
+
+    #[test]
+    fn passthrough_counts_faults() {
+        let faulty =
+            FaultyPlatform::new(plat(), FaultSpec::parse("seed=1,error=1.0,sticky").unwrap());
+        let exec = Executor::uncached(faulty);
+        assert!(exec.policy().is_passthrough());
+        let err = exec
+            .run(&tiny_mcb(), 2, InterferenceMix::none())
+            .unwrap_err();
+        assert!(
+            matches!(err, AmemError::Injected(_)),
+            "one attempt keeps its type: {err}"
+        );
+        let rs = exec.robust_stats();
+        assert_eq!(rs.faults, 1);
+        assert_eq!(rs.trials, 0, "pass-through counts no trials");
     }
 
     #[test]

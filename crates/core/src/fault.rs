@@ -6,7 +6,7 @@
 //! statistics, and multiplicative timing noise. `tests/robustness.rs`
 //! and the CI robustness-smoke job use it to prove the executor, sweeps,
 //! knee detection, and figure binaries degrade gracefully instead of
-//! panicking; the harness wires it up from `--fault` / `$AMEM_FAULT_INJECT`.
+//! panicking; the harness wires it up from `--fault`.
 //!
 //! Determinism contract: the injected outcome is a pure function of
 //! `(seed, request identity, attempt number)`. The same request always

@@ -28,8 +28,7 @@
 //! trait ([`platform::SimPlatform`], the simulator). Failures come
 //! back as typed [`error::AmemError`]s. A robustness layer wraps every
 //! run: [`trial::TrialPolicy`] governs repeated trials (MAD outlier
-//! rejection, CI-driven adaptive stopping), retries with backoff, and
-//! wall-clock budgets; [`fault::FaultyPlatform`] deterministically
+//! rejection), retries and wall-clock budgets; [`fault::FaultyPlatform`] deterministically
 //! injects timeouts/NaNs/noise/errors to prove the pipeline degrades
 //! gracefully instead of panicking.
 //!

@@ -13,7 +13,7 @@
 //! Readers accept any version `<= SCHEMA_VERSION` (unknown old fields
 //! simply deserialize into their defaults) and refuse newer ones.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use amem_sim::config::MachineConfig;
 use amem_sim::CoreCounters;
@@ -56,8 +56,8 @@ pub struct RunManifest {
     /// rejected outliers, degraded sweep points — when the run used the
     /// trial/retry machinery (additive in schema v1; absent before).
     pub quality: Option<crate::trial::QualityStats>,
-    /// Full metrics snapshot when the run collected metrics (`--metrics`
-    /// or `$AMEM_METRICS`). Additive in schema v1: absent both in older
+    /// Full metrics snapshot when the run collected metrics
+    /// (`--metrics`). Additive in schema v1: absent both in older
     /// manifests and in default runs with the gate off.
     pub metrics: Option<amem_metrics::Snapshot>,
 }
@@ -83,11 +83,6 @@ impl RunManifest {
         }
     }
 
-    /// Canonical on-disk location: `target/repro/<name>.manifest.json`.
-    pub fn default_path(&self) -> PathBuf {
-        Path::new("target/repro").join(format!("{}.manifest.json", self.name))
-    }
-
     /// Pretty-JSON encoding.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("manifests are serializable")
@@ -100,13 +95,6 @@ impl RunManifest {
             std::fs::create_dir_all(dir)?;
         }
         std::fs::write(path, self.to_json())
-    }
-
-    /// Write to the canonical `target/repro/` location, returning the path.
-    pub fn write_default(&self) -> std::io::Result<PathBuf> {
-        let path = self.default_path();
-        self.write(&path)?;
-        Ok(path)
     }
 
     /// Parse a manifest, refusing versions newer than this reader.
@@ -319,15 +307,6 @@ mod tests {
         m.schema_version = SCHEMA_VERSION + 1;
         let err = RunManifest::from_json(&m.to_json()).unwrap_err();
         assert!(err.contains("schema"), "{err}");
-    }
-
-    #[test]
-    fn default_path_is_under_target_repro() {
-        let m = sample();
-        assert_eq!(
-            m.default_path(),
-            Path::new("target/repro/demo_experiment.manifest.json")
-        );
     }
 
     #[test]

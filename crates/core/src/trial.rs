@@ -8,9 +8,8 @@
 //! run:
 //!
 //! * [`TrialPolicy`] — how many repeated trials to run per measurement,
-//!   when to stop early (confidence-interval-driven adaptive stopping),
-//!   how aggressively to reject outliers (MAD-based), how many times to
-//!   retry a transiently failing run, and the per-run wall-clock budget.
+//!   how many times to retry a transiently failing run, and the per-run
+//!   wall-clock budget.
 //! * [`robust_summary`] — the aggregation itself: sort (total order, NaN
 //!   screened), median, MAD outlier rejection, mean/std/CI of the
 //!   surviving samples. Deterministic and permutation-invariant — the
@@ -23,8 +22,9 @@
 //!   summary line and the manifest.
 //!
 //! The default policy is a strict pass-through (one trial, no retries,
-//! no timeout): the run path, its outputs, and the cache keys are
-//! byte-identical to a build without this module.
+//! no timeout): the executor's trial loop then runs the platform once and
+//! attaches no quality record, so outputs and cache keys are those of a
+//! plain platform run.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,32 +32,19 @@ use serde::{Deserialize, Serialize};
 ///
 /// `Default` is pass-through: 1 trial, 0 retries, no timeout — the
 /// executor then calls the platform exactly once and attaches no quality
-/// record, so default outputs are byte-identical to pre-robustness
-/// builds. The policy deliberately never enters the measurement cache
-/// key: on a deterministic platform repeated trials are bit-identical,
-/// so entries recorded under any policy are quality-equivalent, and
+/// record, so default outputs are those of a plain platform run. The
+/// policy deliberately never enters the measurement cache key: on a
+/// deterministic platform repeated trials are bit-identical, so entries
+/// recorded under any policy are quality-equivalent, and
 /// nondeterministic platforms are never cached at all.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TrialPolicy {
-    /// Trials to run before adaptive stopping may end the measurement.
-    pub min_trials: usize,
-    /// Hard upper bound on trials per measurement.
-    pub max_trials: usize,
-    /// Adaptive stop: once `min_trials` samples exist, stop as soon as
-    /// the 95% CI half-width divided by the mean drops to this target.
-    /// `None` always runs `max_trials`.
-    pub rel_ci_target: Option<f64>,
-    /// MAD outlier rejection: a sample is rejected when
-    /// `|x - median| > mad_k * MAD`. The paper-adjacent default of 3.5
-    /// only rejects grossly implausible samples.
-    pub mad_k: f64,
+    /// Trials per measurement (at least 1).
+    pub trials: usize,
     /// Retries per trial on a *transient* error
     /// ([`crate::AmemError::is_transient`]); structural errors are never
     /// retried.
-    pub max_retries: usize,
-    /// Base backoff between retries, doubling per attempt. 0 never
-    /// sleeps (the right setting for simulated platforms and tests).
-    pub backoff_ms: u64,
+    pub retries: usize,
     /// Post-hoc wall-clock budget per platform run, in milliseconds. A
     /// run that comes back after the budget is classified
     /// [`crate::AmemError::Timeout`] and its sample discarded. (The run
@@ -68,44 +55,24 @@ pub struct TrialPolicy {
 
 impl Default for TrialPolicy {
     fn default() -> Self {
-        Self {
-            min_trials: 1,
-            max_trials: 1,
-            rel_ci_target: None,
-            mad_k: 3.5,
-            max_retries: 0,
-            backoff_ms: 0,
-            timeout_ms: None,
-        }
+        Self::fixed(1)
     }
 }
 
 impl TrialPolicy {
-    /// A fixed-count policy: exactly `n` trials, defaults otherwise.
+    /// A fixed-count policy: exactly `n` trials (at least 1), no retries,
+    /// no timeout.
     pub fn fixed(n: usize) -> Self {
-        let n = n.max(1);
         Self {
-            min_trials: n,
-            max_trials: n,
-            ..Self::default()
-        }
-    }
-
-    /// An adaptive policy: between `min` and `max` trials, stopping once
-    /// the relative 95% CI half-width reaches `rel_ci`.
-    pub fn adaptive(min: usize, max: usize, rel_ci: f64) -> Self {
-        let min = min.max(1);
-        Self {
-            min_trials: min,
-            max_trials: max.max(min),
-            rel_ci_target: Some(rel_ci),
-            ..Self::default()
+            trials: n.max(1),
+            retries: 0,
+            timeout_ms: None,
         }
     }
 
     /// Set the per-trial transient-error retry budget.
     pub fn with_retries(mut self, retries: usize) -> Self {
-        self.max_retries = retries;
+        self.retries = retries;
         self
     }
 
@@ -116,18 +83,10 @@ impl TrialPolicy {
     }
 
     /// Whether this policy is the do-nothing default: one trial, no
-    /// retries, no timeout. The executor takes the exact pre-robustness
-    /// code path in that case (still screening NaN results, which never
-    /// occur on healthy platforms).
+    /// retries, no timeout. A measurement under it carries no
+    /// [`TrialQuality`] and counts no trials.
     pub fn is_passthrough(&self) -> bool {
-        self.max_trials <= 1 && self.max_retries == 0 && self.timeout_ms.is_none()
-    }
-
-    /// Backoff before retry number `attempt` (1-based), doubling per
-    /// attempt and capped at 64x the base.
-    pub fn backoff_before(&self, attempt: usize) -> std::time::Duration {
-        let factor = 1u64 << attempt.saturating_sub(1).min(6);
-        std::time::Duration::from_millis(self.backoff_ms.saturating_mul(factor))
+        self.trials <= 1 && self.retries == 0 && self.timeout_ms.is_none()
     }
 }
 
@@ -252,7 +211,9 @@ pub struct QualityStats {
     pub retries: u64,
     /// Attempts that exceeded the wall-clock budget.
     pub timeouts: u64,
-    /// Transient typed errors observed (injected faults, cache I/O).
+    /// Degradable typed errors observed other than timeouts and
+    /// non-finite results: injected faults, cache I/O, platform panics.
+    /// Structural errors (an impossible mapping) are not faults.
     pub faults: u64,
     /// Samples discarded for non-finite headline statistics.
     pub non_finite: u64,
@@ -293,28 +254,6 @@ mod tests {
         assert!(!TrialPolicy::default().with_retries(2).is_passthrough());
         assert!(!TrialPolicy::default().with_timeout_ms(100).is_passthrough());
         assert!(TrialPolicy::fixed(0).is_passthrough(), "clamped to 1");
-    }
-
-    #[test]
-    fn adaptive_policy_orders_bounds() {
-        let p = TrialPolicy::adaptive(5, 2, 0.05);
-        assert_eq!(p.min_trials, 5);
-        assert_eq!(p.max_trials, 5, "max is raised to min");
-        assert_eq!(p.rel_ci_target, Some(0.05));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = TrialPolicy::default().with_retries(3);
-        assert_eq!(p.backoff_before(1).as_millis(), 0, "base 0 never sleeps");
-        let p = TrialPolicy {
-            backoff_ms: 10,
-            ..p
-        };
-        assert_eq!(p.backoff_before(1).as_millis(), 10);
-        assert_eq!(p.backoff_before(2).as_millis(), 20);
-        assert_eq!(p.backoff_before(3).as_millis(), 40);
-        assert_eq!(p.backoff_before(100).as_millis(), 640, "capped at 64x");
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl BwThread {
         }
     }
 
-    /// Byte-address ranges of the buffers (for L3 occupancy watching).
-    pub fn line_ranges(&self, buffer_bytes: u64) -> Vec<(u64, u64)> {
-        self.bases
-            .iter()
-            .map(|&b| (b >> 6, (b + buffer_bytes) >> 6))
-            .collect()
-    }
-
     #[inline]
     fn addr(&self) -> u64 {
         self.bases[self.buf] + self.offset * 64

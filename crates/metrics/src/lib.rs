@@ -75,22 +75,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-/// Enable collection if `$AMEM_METRICS` is set to anything other than
-/// empty/`0`/`false`/`off`. Returns the resulting gate state.
-pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var("AMEM_METRICS") {
-        let v = v.trim();
-        let truthy = !(v.is_empty()
-            || v == "0"
-            || v.eq_ignore_ascii_case("false")
-            || v.eq_ignore_ascii_case("off"));
-        if truthy {
-            set_enabled(true);
-        }
-    }
-    enabled()
-}
-
 /// The process-wide registry all workspace instrumentation records into.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();

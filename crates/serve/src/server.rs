@@ -476,8 +476,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         if cfg.metrics {
             amem_metrics::set_enabled(true);
-        } else {
-            amem_metrics::init_from_env();
         }
         let store = cfg
             .cache_dir

@@ -261,13 +261,6 @@ impl MachineConfig {
     pub fn raw_dram_gbs(&self) -> f64 {
         self.dram_bytes_per_cycle * self.freq_ghz
     }
-
-    /// All core ids on a socket.
-    pub fn cores_on(&self, socket: u32) -> Vec<CoreId> {
-        (0..self.cores_per_socket)
-            .map(|c| CoreId::new(socket, c))
-            .collect()
-    }
 }
 
 #[cfg(test)]

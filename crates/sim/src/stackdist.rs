@@ -447,14 +447,6 @@ impl StackDistHistogram {
         (self.cold + far) as f64 / self.measured as f64
     }
 
-    /// The whole curve in one call.
-    pub fn miss_curve(&self, capacities_lines: &[u64]) -> Vec<f64> {
-        capacities_lines
-            .iter()
-            .map(|&c| self.miss_rate_at_lines(c))
-            .collect()
-    }
-
     /// Distribution-free 95% half-width of the sampling error on any
     /// point of the curve: `1.96·√(p(1−p)/n) ≤ 1.96·√(0.25/n)` over the
     /// `n` sampled measured accesses. Zero in exact mode — the pass is

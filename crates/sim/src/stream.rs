@@ -154,16 +154,6 @@ impl OpQueue {
         }
     }
 
-    /// Emit stores covering `bytes` starting at `base` (a streaming write).
-    pub fn stream_write(&mut self, base: u64, bytes: u64, line: u32) {
-        let mut a = base;
-        let end = base + bytes;
-        while a < end {
-            self.q.push_back(Op::Store(a));
-            a += line as u64;
-        }
-    }
-
     /// Emit a memcpy: per line, a load from `src` and a store to `dst`.
     /// This is how same-socket MPI communication appears to the memory
     /// system (the message body moves through the shared L3).
