@@ -324,11 +324,11 @@ mod tests {
         );
     }
 
-    /// Run the `fig6` entry with `flags` at scale 1/16 into `out`: its
-    /// `fig6.csv` and its executor's counters.
-    fn fig6(out: &Path, flags: &[&str]) -> (String, CacheStats) {
-        let Ok(Selection::One(&(name, _, run))) = select(Some("fig6")) else {
-            panic!("fig6 is an entry");
+    /// Run the entry `name` with `flags` at scale 1/16 into `out`: its
+    /// `<name>.csv` and its executor's counters.
+    fn repro(name: &str, out: &Path, flags: &[&str]) -> (String, CacheStats) {
+        let Ok(Selection::One(&(name, _, run))) = select(Some(name)) else {
+            panic!("{name} is an entry");
         };
         let common = ["--out", out.to_str().unwrap(), "--scale", "0.0625"];
         let args = Args::parse_from(common.iter().chain(flags).map(|s| s.to_string()));
@@ -337,7 +337,7 @@ mod tests {
         let stats = h.executor().stats();
         h.finish();
         (
-            std::fs::read_to_string(out.join("fig6.csv")).unwrap(),
+            std::fs::read_to_string(out.join(format!("{name}.csv"))).unwrap(),
             stats,
         )
     }
@@ -362,7 +362,7 @@ mod tests {
         ];
         for (variant, flags, cells) in variants {
             let flags = [flags, &["--no-cache"]].concat();
-            let (csv, stats) = fig6(&root.join(variant), &flags);
+            let (csv, stats) = repro("fig6", &root.join(variant), &flags);
             assert!(
                 csv == golden(variant),
                 "fig6 {variant} differs from its golden:\n{csv}"
@@ -375,8 +375,8 @@ mod tests {
         // curve from disk, runs no pass, and still prints the golden.
         let cache = root.join("cache");
         let flags = ["--cache-dir", cache.to_str().unwrap()];
-        let (cold, _) = fig6(&root.join("cold"), &flags);
-        let (warm, stats) = fig6(&root.join("warm"), &flags);
+        let (cold, _) = repro("fig6", &root.join("cold"), &flags);
+        let (warm, stats) = repro("fig6", &root.join("warm"), &flags);
         assert!(
             cold == golden("exact") && warm == cold,
             "cached fig6:\n{warm}"
@@ -385,6 +385,54 @@ mod tests {
         assert_eq!((c.disk_hits, c.runs), (12, 0), "{c:?}");
         assert_eq!(c.lookups(), 12);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Twice over one cache directory: the second fig1 run reads its six
+    /// points from disk, simulates nothing and prints the same CSV. (A
+    /// key that dropped a field the points differ in would answer five of
+    /// them from the sixth's entry.) The second run is a child process
+    /// that, like a plain `repro fig1`, finds the directory through
+    /// `$AMEM_CACHE_DIR`; what it prints is the run's `[cache]` line.
+    #[test]
+    fn a_second_fig1_run_reads_every_point_from_disk() {
+        let root = std::env::temp_dir().join(format!("amem_fig1_cache_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = root.join("cache");
+        let flags = ["--cache-dir", cache.to_str().unwrap()];
+        let (cold, stats) = repro("fig1", &root.join("cold"), &flags);
+        assert_eq!(
+            (stats.sim_runs, stats.stores, stats.lookups()),
+            (6, 6, 6),
+            "{stats:?}"
+        );
+        let child = Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--exact", "--nocapture"])
+            .arg("repro::tests::warm_fig1_from_the_cache_dir_variable")
+            .env("AMEM_CACHE_DIR", &cache)
+            .output()
+            .unwrap();
+        let printed = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{printed}");
+        assert!(
+            printed
+                .lines()
+                .any(|l| l == "[cache] 6/6 from cache (0 sim, 0 mem, 6 disk, 0 dedup)"),
+            "{printed}"
+        );
+        let warm = std::fs::read_to_string(root.join("warm/fig1.csv")).unwrap();
+        assert!(warm == cold, "cached fig1:\n{warm}\ncold:\n{cold}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The second run of [`a_second_fig1_run_reads_every_point_from_disk`]:
+    /// `repro fig1` without `--cache-dir`, writing beside its cache.
+    #[test]
+    #[ignore = "run by a_second_fig1_run_reads_every_point_from_disk"]
+    fn warm_fig1_from_the_cache_dir_variable() {
+        let Some(cache) = std::env::var_os("AMEM_CACHE_DIR") else {
+            return;
+        };
+        repro("fig1", &Path::new(&cache).with_file_name("warm"), &[]);
     }
 
     #[test]

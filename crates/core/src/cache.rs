@@ -143,6 +143,26 @@ impl<T: Payload> Drop for Claim<'_, T> {
     }
 }
 
+/// Values found in a cache's memory tier ([`TieredCache::resident`]),
+/// not yet counted. [`Resident::take`] counts one memory hit per value,
+/// as a request for each would; dropping it counts nothing.
+pub struct Resident<'a, T> {
+    values: Vec<Arc<T>>,
+    mem_hits: &'a AtomicU64,
+    outcome: &'static str,
+}
+
+impl<T> Resident<'_, T> {
+    /// The values, in the order of the keys asked for, each counted as a
+    /// memory hit.
+    pub fn take(self) -> Vec<Arc<T>> {
+        for _ in &self.values {
+            count(self.mem_hits, self.outcome);
+        }
+        self.values
+    }
+}
+
 impl<T: Payload> TieredCache<T> {
     /// A cache persisting under `dir`, or memory-only when `None`.
     pub fn new(dir: Option<PathBuf>) -> Self {
@@ -179,12 +199,22 @@ impl<T: Payload> TieredCache<T> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Whether `key` is in the memory map right now. A peek, not a
-    /// request: it moves no counter and joins nothing in flight. The map
-    /// never evicts, so a `true` here is a memory hit whenever the
-    /// request follows.
-    pub fn in_memory(&self, key: &str) -> bool {
-        self.lock_state().mem.contains_key(key)
+    /// The values of `keys` when every one is in the memory map right
+    /// now, fetched under one lock; `None` when any is not. Nothing is
+    /// counted and nothing in flight is joined until the caller takes
+    /// them ([`Resident::take`]): a caller that decides not to use them
+    /// drops the fetch, and it was never a request.
+    pub fn resident(&self, keys: &[String]) -> Option<Resident<'_, T>> {
+        let state = self.lock_state();
+        let values = keys
+            .iter()
+            .map(|key| state.mem.get(key).map(Arc::clone))
+            .collect::<Option<Vec<_>>>()?;
+        Some(Resident {
+            values,
+            mem_hits: &self.mem_hits,
+            outcome: T::OUTCOMES.mem_hit,
+        })
     }
 
     /// The value for `key`: from memory, from the thread already

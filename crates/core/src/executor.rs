@@ -59,7 +59,7 @@ use amem_probes::dist::AccessDist;
 use amem_probes::ehr;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{sweep_stale_tmp, Outcomes, Payload, TieredCache, STALE_TMP_AGE};
+use crate::cache::{sweep_stale_tmp, Outcomes, Payload, Resident, TieredCache, STALE_TMP_AGE};
 use crate::curve::{CurveRequest, CURVE_SCHEMA_VERSION};
 use crate::error::AmemError;
 use crate::mrc::MissRatioCurve;
@@ -404,25 +404,33 @@ impl Executor {
             })
     }
 
-    /// Whether [`Executor::run`] on this request would be a memory hit:
-    /// the measurement is already in this executor's memory tier. A peek
-    /// — [`Executor::stats`] does not move — for callers that decide
-    /// *where* to run a request by whether it needs any work (sweeps, the
-    /// serve daemon's frontends). Uncacheable requests are never resident.
-    pub fn in_memory(
+    /// The measurements [`Executor::run`] would return for `workload` at
+    /// `per_processor` under each of `mixes`, when every one is already in
+    /// this executor's memory tier: one key and one map probe a point,
+    /// all under one lock; `None` when any point is missing or
+    /// uncacheable. Nothing is counted until the caller takes them
+    /// ([`Resident::take`]: one memory hit a point), so a caller that
+    /// decides *where* to run a request by whether it needs any work —
+    /// sweeps, the serve daemon's frontends — may still decline it, and
+    /// [`Executor::stats`] never moved.
+    pub fn resident(
         &self,
         workload: &dyn Workload,
         per_processor: usize,
-        mix: InterferenceMix,
-    ) -> bool {
-        self.request_key(workload, per_processor, mix)
-            .is_some_and(|key| self.measurements.in_memory(&key))
+        mixes: &[InterferenceMix],
+    ) -> Option<Resident<'_, Measurement>> {
+        let prefix = self.key_prefix.as_ref()?;
+        let workload_key = workload.cache_key()?;
+        let keys: Vec<String> = mixes
+            .iter()
+            .map(|&mix| self.point_key(prefix, &workload_key, per_processor, mix))
+            .collect();
+        self.measurements.resident(&keys)
     }
 
-    /// [`Executor::in_memory`] for [`Executor::run_curve`].
-    pub fn curve_in_memory(&self, req: &CurveRequest) -> bool {
-        self.curve_request_key(req)
-            .is_some_and(|key| self.curves.in_memory(&key))
+    /// [`Executor::resident`] for [`Executor::run_curve`].
+    pub fn curve_resident(&self, req: &CurveRequest) -> Option<Resident<'_, MissRatioCurve>> {
+        self.curves.resident(&[self.curve_request_key(req)?])
     }
 
     /// Compute (or fetch) a whole miss-ratio curve: the single-pass
@@ -714,10 +722,22 @@ impl Executor {
     ) -> Option<String> {
         let prefix = self.key_prefix.as_ref()?;
         let workload_key = workload.cache_key()?;
+        Some(self.point_key(prefix, &workload_key, per_processor, mix))
+    }
+
+    /// [`Executor::request_key`] from its parts: the constant prefix, the
+    /// workload's own key, and the two fields that vary per point.
+    fn point_key(
+        &self,
+        prefix: &str,
+        workload_key: &str,
+        per_processor: usize,
+        mix: InterferenceMix,
+    ) -> String {
         let mut key = String::with_capacity(prefix.len() + workload_key.len() + 128);
         key.push_str(prefix);
         key.push_str(",\"workload\":");
-        serde_json::append(&mut key, &workload_key);
+        serde_json::append(&mut key, workload_key);
         key.push_str(",\"per_processor\":");
         serde_json::append(&mut key, &per_processor);
         key.push_str(",\"mix\":");
@@ -730,7 +750,7 @@ impl Executor {
             key.push_str("#salt=");
             key.push_str(&salt);
         }
-        Some(key)
+        key
     }
 }
 
@@ -1157,35 +1177,48 @@ mod tests {
     }
 
     #[test]
-    fn peeks_see_the_memory_tier_and_count_nothing() {
-        let dir = std::env::temp_dir().join(format!("amem_peek_{}", std::process::id()));
+    fn resident_fetches_count_only_when_taken() {
+        let dir = std::env::temp_dir().join(format!("amem_resident_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let exec = Executor::with_cache_dir(plat(), dir.clone());
         let (w, mix) = (tiny_mcb(), InterferenceMix::storage(1));
-        assert!(!exec.in_memory(&w, 2, mix));
-        assert!(!exec.curve_in_memory(&tiny_curve_req()));
-        exec.run(&w, 2, mix).unwrap();
-        exec.run_curve(&tiny_curve_req()).unwrap();
+        assert!(exec.resident(&w, 2, &[mix]).is_none());
+        assert!(exec.curve_resident(&tiny_curve_req()).is_none());
+        let m = exec.run(&w, 2, mix).unwrap();
+        let c = exec.run_curve(&tiny_curve_req()).unwrap();
         let before = exec.stats();
         for _ in 0..100 {
-            assert!(exec.in_memory(&w, 2, mix));
-            assert!(exec.curve_in_memory(&tiny_curve_req()));
-            assert!(!exec.in_memory(&w, 2, InterferenceMix::storage(2)));
+            assert!(exec.resident(&w, 2, &[mix]).is_some());
+            assert!(exec.curve_resident(&tiny_curve_req()).is_some());
+            // All or nothing: one missing point and none is fetched.
+            let other = InterferenceMix::storage(2);
+            assert!(exec.resident(&w, 2, &[mix, other]).is_none());
         }
-        assert_eq!(exec.stats(), before, "a peek is not a request");
+        assert_eq!(exec.stats(), before, "a fetch dropped is not a request");
+
+        // Taken, each value is one memory hit and the executor's own Arc.
+        let taken = exec.resident(&w, 2, &[mix, mix]).unwrap().take();
+        assert!(taken.iter().all(|t| Arc::ptr_eq(t, &m)));
+        let curve = exec.curve_resident(&tiny_curve_req()).unwrap().take();
+        assert!(Arc::ptr_eq(&curve[0], &c));
+        let after = exec.stats();
+        assert_eq!(after.mem_hits, before.mem_hits + 2);
+        assert_eq!(after.curves().mem_hits, before.curves().mem_hits + 1);
+        assert_eq!(after.lookups(), before.lookups() + 2);
 
         // On disk is not in memory: a fresh executor over the same
-        // directory peeks `false` until its first (disk-hit) request.
+        // directory fetches nothing until its first (disk-hit) request.
         let reopened = Executor::with_cache_dir(plat(), dir.clone());
-        assert!(!reopened.in_memory(&w, 2, mix));
+        assert!(reopened.resident(&w, 2, &[mix]).is_none());
         reopened.run(&w, 2, mix).unwrap();
         assert_eq!(reopened.stats().disk_hits, 1);
-        assert!(reopened.in_memory(&w, 2, mix));
+        assert!(reopened.resident(&w, 2, &[mix]).is_some());
 
         // Nothing is resident where nothing is cached.
         let uncached = Executor::uncached(plat());
         uncached.run(&w, 2, mix).unwrap();
-        assert!(!uncached.in_memory(&w, 2, mix));
+        assert!(uncached.resident(&w, 2, &[mix]).is_none());
+        assert!(uncached.curve_resident(&tiny_curve_req()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

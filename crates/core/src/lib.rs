@@ -59,7 +59,7 @@ pub mod sweep;
 pub mod trial;
 
 pub use bandwidth::BandwidthMap;
-pub use cache::{sweep_stale_tmp, write_atomic, STALE_TMP_AGE};
+pub use cache::{sweep_stale_tmp, write_atomic, Resident, STALE_TMP_AGE};
 pub use capacity::CapacityMap;
 pub use curve::{CurveMode, CurveOpts, CurveQuality, CurveRequest, CURVE_SCHEMA_VERSION};
 pub use error::AmemError;

@@ -16,10 +16,11 @@ use std::sync::Arc;
 use amem_interfere::{InterferenceKind, InterferenceMix};
 use serde::{Deserialize, Serialize};
 
+use crate::cache::Resident;
 use crate::error::AmemError;
 use crate::executor::Executor;
 use crate::par_map;
-use crate::platform::Workload;
+use crate::platform::{Measurement, Workload};
 use crate::trial::TrialQuality;
 
 /// Whether sweep progress lines should be printed to stderr. Off by
@@ -152,51 +153,153 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
     // Flatten all feasible points of all sweeps into one task list.
     let mut tasks: Vec<(usize, usize)> = Vec::new(); // (request index, level)
     for (ri, req) in requests.iter().enumerate() {
-        let feasible: Vec<usize> = (0..=req.max_count)
-            .filter(|&k| exec.feasible(req.workload, req.per_processor, k))
-            .collect();
-        if feasible.is_empty() {
-            // Even k=0 was rejected: the mapping itself is invalid.
-            return Err(AmemError::EmptySweep {
-                workload: req.workload.name(),
-            });
-        }
-        tasks.extend(feasible.into_iter().map(|k| (ri, k)));
+        tasks.extend(feasible_levels(exec, req)?.into_iter().map(|k| (ri, k)));
     }
-    let total = tasks.len();
-    let progress = progress_enabled();
-    let done = AtomicUsize::new(0);
-    let metrics_on = amem_metrics::enabled();
-    if metrics_on {
-        let reg = amem_metrics::global();
-        reg.counter("amem_sweep_batches_total", &[]).inc();
-        reg.gauge("amem_sweep_queue_depth", &[]).set(total as i64);
-    }
-    let batch_started = std::time::Instant::now();
-    let point = |(ri, k): (usize, usize)| {
+    let batch = Batch::start(requests, tasks.len());
+    // A point already in the executor's memory tier needs no worker: it
+    // is taken here, on the calling thread, from the lookup that found
+    // it, and only the rest fan out. A fully cached batch spawns no
+    // thread at all.
+    let mut results = Vec::with_capacity(tasks.len());
+    let mut cold = Vec::new();
+    for (ri, k) in tasks {
         let req = &requests[ri];
         let mix = InterferenceMix::of_kind(req.kind, k);
+        match exec.resident(req.workload, req.per_processor, &[mix]) {
+            Some(hit) => results.push(batch.point(ri, k, || Ok(hit.take().remove(0)))),
+            None => cold.push((ri, k)),
+        }
+    }
+    results.extend(par_map(cold, |(ri, k)| {
+        let req = &requests[ri];
+        let mix = InterferenceMix::of_kind(req.kind, k);
+        batch.point(ri, k, || exec.run(req.workload, req.per_processor, mix))
+    }));
+    batch.finish();
+    requests
+        .iter()
+        .enumerate()
+        .map(|(ri, req)| assemble(exec, req, results.iter().filter(|(i, ..)| *i == ri)))
+        .collect()
+}
+
+/// A sweep whose every feasible level is in the executor's memory tier,
+/// fetched by [`resident_sweep`] and not yet counted.
+pub struct ResidentSweep<'a> {
+    exec: &'a Executor,
+    req: &'a SweepRequest<'a>,
+    levels: Vec<usize>,
+    points: Resident<'a, Measurement>,
+}
+
+/// `req` answered from the executor's memory tier alone: every feasible
+/// level's measurement, fetched in one lookup of one key a level, or
+/// `None` when any level is missing (or the mapping has none). Nothing is
+/// counted until [`ResidentSweep::take`], so a caller may still decline
+/// it — the serve daemon's frontends do when the tenant's quota refuses.
+pub fn resident_sweep<'a>(
+    exec: &'a Executor,
+    req: &'a SweepRequest<'a>,
+) -> Option<ResidentSweep<'a>> {
+    let levels = feasible_levels(exec, req).ok()?;
+    let mixes: Vec<InterferenceMix> = levels
+        .iter()
+        .map(|&k| InterferenceMix::of_kind(req.kind, k))
+        .collect();
+    let points = exec.resident(req.workload, req.per_processor, &mixes)?;
+    Some(ResidentSweep {
+        exec,
+        req,
+        levels,
+        points,
+    })
+}
+
+impl ResidentSweep<'_> {
+    /// The sweep [`run_sweep`] returns for the same request, built by the
+    /// same per-point bookkeeping and assembly: one memory hit a level.
+    pub fn take(self) -> Sweep {
+        let batch = Batch::start(std::slice::from_ref(self.req), self.levels.len());
+        let results: Vec<_> = self
+            .levels
+            .into_iter()
+            .zip(self.points.take())
+            .map(|(k, m)| batch.point(0, k, || Ok(m)))
+            .collect();
+        batch.finish();
+        assemble(self.exec, self.req, results.iter()).expect("every level is a measurement")
+    }
+}
+
+/// The placeable interference levels of one sweep; a sweep whose k=0 is
+/// already rejected has an invalid mapping and is refused.
+fn feasible_levels(exec: &Executor, req: &SweepRequest) -> Result<Vec<usize>, AmemError> {
+    let feasible: Vec<usize> = (0..=req.max_count)
+        .filter(|&k| exec.feasible(req.workload, req.per_processor, k))
+        .collect();
+    if feasible.is_empty() {
+        return Err(AmemError::EmptySweep {
+            workload: req.workload.name(),
+        });
+    }
+    Ok(feasible)
+}
+
+type PointResult = (usize, usize, Result<Arc<Measurement>, AmemError>);
+
+/// The per-point bookkeeping of one batch — metrics and progress lines —
+/// wherever its points come from.
+struct Batch<'a> {
+    requests: &'a [SweepRequest<'a>],
+    total: usize,
+    done: AtomicUsize,
+    progress: bool,
+    metrics_on: bool,
+    started: std::time::Instant,
+}
+
+impl<'a> Batch<'a> {
+    fn start(requests: &'a [SweepRequest<'a>], total: usize) -> Self {
+        let metrics_on = amem_metrics::enabled();
+        if metrics_on {
+            let reg = amem_metrics::global();
+            reg.counter("amem_sweep_batches_total", &[]).inc();
+            reg.gauge("amem_sweep_queue_depth", &[]).set(total as i64);
+        }
+        Self {
+            requests,
+            total,
+            done: AtomicUsize::new(0),
+            progress: progress_enabled(),
+            metrics_on,
+            started: std::time::Instant::now(),
+        }
+    }
+
+    /// Measure level `k` of request `ri` with `measure`, recording it.
+    fn point(
+        &self,
+        ri: usize,
+        k: usize,
+        measure: impl FnOnce() -> Result<Arc<Measurement>, AmemError>,
+    ) -> PointResult {
+        let req = &self.requests[ri];
         let point_started = std::time::Instant::now();
-        let res = {
+        let res = if self.metrics_on {
             // Grid-namespace phase: which sweep level this wall time
             // belongs to (overlaps the leaf phases inside the run).
             let _cell = amem_metrics::phase(&format!("grid/sweep/{:?} k={}", req.kind, k));
-            if metrics_on {
-                amem_metrics::global()
-                    .gauge("amem_sweep_points_inflight", &[])
-                    .inc();
-            }
-            let res = exec.run(req.workload, req.per_processor, mix);
-            if metrics_on {
-                amem_metrics::global()
-                    .gauge("amem_sweep_points_inflight", &[])
-                    .dec();
-            }
+            let inflight = amem_metrics::global().gauge("amem_sweep_points_inflight", &[]);
+            inflight.inc();
+            let res = measure();
+            inflight.dec();
             res
+        } else {
+            measure()
         };
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        let remaining = total - n;
-        if metrics_on {
+        let n = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        let remaining = self.total - n;
+        if self.metrics_on {
             let reg = amem_metrics::global();
             reg.gauge("amem_sweep_queue_depth", &[])
                 .set(remaining as i64);
@@ -206,15 +309,15 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
             reg.counter("amem_sweep_points_total", &[("result", outcome)])
                 .inc();
         }
-        if progress {
+        if self.progress {
             // Points-remaining and a rolling-throughput ETA ride on
             // every line, so a 120 s Fig. 6-style wait is legible.
-            let eta = eta_secs(batch_started.elapsed().as_secs_f64(), n, remaining);
+            let eta = eta_secs(self.started.elapsed().as_secs_f64(), n, remaining);
             match &res {
                 Ok(m) => eprintln!(
                     "[sweep {}/{}] {} {:?} k={} -> {:.4}s ({} left, ETA {:.1}s)",
                     n,
-                    total,
+                    self.total,
                     req.workload.name(),
                     req.kind,
                     k,
@@ -225,7 +328,7 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
                 Err(e) => eprintln!(
                     "[sweep {}/{}] {} {:?} k={} -> error: {e} ({} left, ETA {:.1}s)",
                     n,
-                    total,
+                    self.total,
                     req.workload.name(),
                     req.kind,
                     k,
@@ -235,70 +338,63 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
             }
         }
         (ri, k, res)
-    };
-    // Points already in the executor's memory tier need no worker: they
-    // are answered here, on the calling thread, and only the rest fan
-    // out. A fully cached batch spawns no thread at all.
-    let (resident, cold): (Vec<_>, Vec<_>) = tasks.into_iter().partition(|&(ri, k)| {
-        let req = &requests[ri];
-        let mix = InterferenceMix::of_kind(req.kind, k);
-        exec.in_memory(req.workload, req.per_processor, mix)
-    });
-    let mut results: Vec<(usize, usize, Result<_, AmemError>)> =
-        resident.into_iter().map(&point).collect();
-    results.extend(par_map(cold, point));
-    if metrics_on {
-        amem_metrics::global()
-            .counter("amem_sweep_batch_ns_total", &[])
-            .add(u64::try_from(batch_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
-    // Regroup per request and turn measurements into degradation points.
-    // A level whose error is *degradable* (transient, or flaky past its
-    // retry budget) is recorded as a degraded point and the sweep carries
-    // on; structural errors still abort the batch.
-    let mut sweeps = Vec::with_capacity(requests.len());
-    for (ri, req) in requests.iter().enumerate() {
-        let mut measured: Vec<(usize, _)> = Vec::new();
-        let mut degraded: Vec<DegradedPoint> = Vec::new();
-        for (i, k, res) in results.iter().filter(|(i, _, _)| *i == ri) {
-            debug_assert_eq!(*i, ri);
-            match res {
-                Ok(m) => measured.push((*k, Arc::clone(m))),
-                Err(e) if e.is_degradable() => degraded.push(DegradedPoint {
-                    count: *k,
-                    error: e.to_string(),
-                }),
-                Err(e) => return Err(e.clone()),
-            }
+    fn finish(self) {
+        if self.metrics_on {
+            amem_metrics::global()
+                .counter("amem_sweep_batch_ns_total", &[])
+                .add(u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
-        exec.count_degraded(degraded.len() as u64);
-        measured.sort_by_key(|(k, _)| *k);
-        degraded.sort_by_key(|d| d.count);
-        // Baseline = the smallest *measured* level. When every level was
-        // lost the sweep comes back complete-but-empty: callers decide
-        // whether an empty degraded sweep is fatal for their figure.
-        let baseline = measured.first().map(|(_, m)| m.seconds).unwrap_or(f64::NAN);
-        let points = measured
-            .into_iter()
-            .map(|(k, m)| SweepPoint {
-                count: k,
-                seconds: m.seconds,
-                degradation_pct: (m.seconds / baseline - 1.0) * 100.0,
-                l3_miss_rate: m.l3_miss_rate,
-                app_bandwidth_gbs: m.app_bandwidth_gbs,
-                quality: m.quality.clone(),
-            })
-            .collect();
-        sweeps.push(Sweep {
-            workload: req.workload.name(),
-            kind: req.kind,
-            per_processor: req.per_processor,
-            points,
-            degraded,
-        });
     }
-    Ok(sweeps)
+}
+
+/// One request's sweep from its points' results, turning measurements
+/// into degradation points. A level whose error is *degradable*
+/// (transient, or flaky past its retry budget) is recorded as a degraded
+/// point and the sweep carries on; a structural error is returned.
+fn assemble<'r>(
+    exec: &Executor,
+    req: &SweepRequest,
+    results: impl Iterator<Item = &'r PointResult>,
+) -> Result<Sweep, AmemError> {
+    let mut measured: Vec<(usize, &Arc<Measurement>)> = Vec::new();
+    let mut degraded: Vec<DegradedPoint> = Vec::new();
+    for (_, k, res) in results {
+        match res {
+            Ok(m) => measured.push((*k, m)),
+            Err(e) if e.is_degradable() => degraded.push(DegradedPoint {
+                count: *k,
+                error: e.to_string(),
+            }),
+            Err(e) => return Err(e.clone()),
+        }
+    }
+    exec.count_degraded(degraded.len() as u64);
+    measured.sort_by_key(|(k, _)| *k);
+    degraded.sort_by_key(|d| d.count);
+    // Baseline = the smallest *measured* level. When every level was
+    // lost the sweep comes back complete-but-empty: callers decide
+    // whether an empty degraded sweep is fatal for their figure.
+    let baseline = measured.first().map(|(_, m)| m.seconds).unwrap_or(f64::NAN);
+    let points = measured
+        .into_iter()
+        .map(|(k, m)| SweepPoint {
+            count: k,
+            seconds: m.seconds,
+            degradation_pct: (m.seconds / baseline - 1.0) * 100.0,
+            l3_miss_rate: m.l3_miss_rate,
+            app_bandwidth_gbs: m.app_bandwidth_gbs,
+            quality: m.quality.clone(),
+        })
+        .collect();
+    Ok(Sweep {
+        workload: req.workload.name(),
+        kind: req.kind,
+        per_processor: req.per_processor,
+        points,
+        degraded,
+    })
 }
 
 #[cfg(test)]
@@ -432,6 +528,42 @@ mod tests {
         let again = exec.stats();
         assert_eq!(again.mem_hits, 8, "{again:?}");
         assert_eq!(again.lookups(), s.lookups() + 5);
+    }
+
+    /// A sweep fetched whole from memory is the sweep `run_sweep`
+    /// returns, byte for byte. Taking it counts one memory hit a level,
+    /// dropping it counts nothing, and one missing level means no fetch.
+    #[test]
+    fn a_resident_sweep_is_what_run_sweep_returns() {
+        let exec = exec();
+        let workload = w();
+        let req = SweepRequest {
+            workload: &workload,
+            per_processor: 2,
+            kind: InterferenceKind::Storage,
+            max_count: 4,
+        };
+        assert!(resident_sweep(&exec, &req).is_none());
+        exec.run(&workload, 2, InterferenceMix::storage(1)).unwrap();
+        assert!(resident_sweep(&exec, &req).is_none(), "partly resident");
+        let invalid = SweepRequest {
+            per_processor: 99,
+            ..req
+        };
+        assert!(resident_sweep(&exec, &invalid).is_none());
+
+        let cold = run_sweep(&exec, &workload, 2, InterferenceKind::Storage, 4).unwrap();
+        let before = exec.stats();
+        drop(resident_sweep(&exec, &req).expect("every level resident"));
+        assert_eq!(exec.stats(), before, "dropped: nothing counted");
+        let hit = resident_sweep(&exec, &req).unwrap().take();
+        assert_eq!(
+            serde_json::to_string(&hit).unwrap(),
+            serde_json::to_string(&cold).unwrap()
+        );
+        let after = exec.stats();
+        assert_eq!(after.mem_hits, before.mem_hits + 5, "{after:?}");
+        assert_eq!(after.lookups(), before.lookups() + 5);
     }
 
     #[test]

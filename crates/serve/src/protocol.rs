@@ -131,15 +131,11 @@ impl JobSpec {
     /// `Executor` and its in-flight dedup. A measure point and the sweep
     /// that contains it share a key on purpose — interference level and
     /// sweep extent are deliberately excluded so overlapping work
-    /// converges on one executor.
+    /// converges on one executor. Nothing here is printed as JSON but the
+    /// workload's own cache key: the machine is left out (the shard keys
+    /// its executors by machine, compared by value), and a curve routes
+    /// by the numbers that set its trace.
     pub fn route_key(&self) -> String {
-        let machine_json = self.machine().map(amem_sim::canonical_json);
-        self.route_key_with(machine_json.as_deref().unwrap_or(""))
-    }
-
-    /// [`JobSpec::route_key`] for a caller that already holds the
-    /// canonical JSON of [`JobSpec::machine`] (unused by curve jobs).
-    pub(crate) fn route_key_with(&self, machine_json: &str) -> String {
         match self {
             JobSpec::Measure {
                 workload,
@@ -153,12 +149,15 @@ impl JobSpec {
             } => {
                 let w = workload.build();
                 format!(
-                    "{machine_json}|{}|pp={per_processor}",
+                    "{}|pp={per_processor}",
                     w.cache_key().unwrap_or_else(|| w.name()),
                 )
             }
-            JobSpec::Calibrate { .. } => machine_json.to_string(),
-            JobSpec::Curve { request } => format!("curve|{}", amem_sim::canonical_json(request)),
+            JobSpec::Calibrate { .. } => "calibrate".into(),
+            JobSpec::Curve { request } => format!(
+                "curve|{}|{}|{}|{}",
+                request.buffer_bytes, request.seed, request.warm_accesses, request.measure_accesses
+            ),
         }
     }
 }

@@ -26,9 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use amem_core::capacity::CalibrateOpts;
-use amem_core::sweep::run_sweep;
+use amem_core::sweep::{resident_sweep, run_sweep, SweepRequest};
 use amem_core::{AmemError, Executor};
-use amem_interfere::InterferenceMix;
 
 use crate::job::{JobRecord, JobStatus, JobStore, JOB_SCHEMA_VERSION};
 use crate::protocol::{
@@ -91,9 +90,12 @@ struct Inner {
     /// Jobs a connection thread executed itself (memory hits).
     frontend_jobs: AtomicU64,
     /// Jobs executed, on any thread, counted toward the next
-    /// `store.evict()`: every 32nd runs it.
+    /// `store.evict()` of a bounded store: every 32nd runs it.
     since_evict: AtomicU64,
     shutting_down: AtomicBool,
+    /// Frontends between registering a job and counting it (or handing
+    /// it to the queue); `Shutdown` waits for zero.
+    inline_jobs: AtomicUsize,
     workers_alive: AtomicUsize,
     drained: Mutex<bool>,
     drained_cv: Condvar,
@@ -132,22 +134,30 @@ impl Inner {
         stats
     }
 
-    /// The job's executor, when every result the job needs is already in
-    /// its memory tier — running it is then lookups only, and a frontend
-    /// may do that itself. Measure: the point; Sweep: every feasible
-    /// level; Curve: the curve; Calibrate: never (it searches, and what
-    /// it asks for depends on what it finds). The memory tier never
-    /// evicts, so `Some` here is followed by memory hits. A peek: no
-    /// executor counter moves.
-    fn in_memory(&self, spec: &JobSpec) -> Option<Arc<Executor>> {
-        let exec = self.shards.executor(spec, None).ok()?;
-        let resident = match spec {
+    /// The job's output, when every result it needs is already in its
+    /// executor's memory tier and `admit` lets the caller have it —
+    /// running the job is then lookups only, and a frontend may do that
+    /// itself. Measure: the point; Sweep: every feasible level; Curve:
+    /// the curve; Calibrate: never (it searches, and what it asks for
+    /// depends on what it finds). Each result is found by one key build
+    /// and lookup, and counted as a memory hit only once `admit` (called
+    /// only for a job that is resident) says yes: a refusal spends no
+    /// token and moves no counter. The output is what [`Inner::run_job`]
+    /// would return — the executor's own `Arc`s, and a sweep assembled by
+    /// the code `run_sweep` assembles it with.
+    fn resolve(&self, spec: &JobSpec, admit: impl FnOnce() -> bool) -> Option<JobOutput> {
+        let executor = || self.shards.executor(spec, None).ok();
+        match spec {
             JobSpec::Measure {
                 workload,
                 per_processor,
                 mix,
                 ..
-            } => exec.in_memory(workload.build().as_ref(), *per_processor, *mix),
+            } => {
+                let exec = executor()?;
+                let hit = exec.resident(workload.build().as_ref(), *per_processor, &[*mix])?;
+                admit().then(|| JobOutput::Measurement(hit.take().remove(0)))
+            }
             JobSpec::Sweep {
                 workload,
                 per_processor,
@@ -155,20 +165,24 @@ impl Inner {
                 max_count,
                 ..
             } => {
+                let exec = executor()?;
                 let w = workload.build();
-                let mut levels = (0..=*max_count)
-                    .filter(|&k| exec.feasible(w.as_ref(), *per_processor, k))
-                    .peekable();
-                levels.peek().is_some()
-                    && levels.all(|k| {
-                        let mix = InterferenceMix::of_kind(*kind, k);
-                        exec.in_memory(w.as_ref(), *per_processor, mix)
-                    })
+                let req = SweepRequest {
+                    workload: w.as_ref(),
+                    per_processor: *per_processor,
+                    kind: *kind,
+                    max_count: *max_count,
+                };
+                let hit = resident_sweep(&exec, &req)?;
+                admit().then(|| JobOutput::Sweep(hit.take()))
             }
-            JobSpec::Calibrate { .. } => false,
-            JobSpec::Curve { request } => exec.curve_in_memory(request),
-        };
-        resident.then_some(exec)
+            JobSpec::Curve { request } => {
+                let exec = executor()?;
+                let hit = exec.curve_resident(request)?;
+                admit().then(|| JobOutput::Curve(hit.take().remove(0)))
+            }
+            JobSpec::Calibrate { .. } => None,
+        }
     }
 
     /// Execute one job spec against its shard-owned executor. The result
@@ -244,11 +258,10 @@ impl Inner {
 
     /// Run one job to its resolved result cell: journal, panic
     /// containment, counters, store maintenance. The one execution path —
-    /// a worker calls it for each job it pops, a frontend for a job
-    /// [`Inner::in_memory`] found resident, passing the executor that
-    /// peek already routed to (`None`: route here, where a bad fault
-    /// spec fails the job).
-    fn execute(&self, job: &QueuedJob, resident: Option<Arc<Executor>>) {
+    /// a worker calls it for each job it pops, and a frontend for a job
+    /// [`Inner::resolve`] answered, passing that output (`None`: route
+    /// and run the job here, where a bad fault spec fails it).
+    fn execute(&self, job: &QueuedJob, resolved: Option<JobOutput>) {
         let wait = job.enqueued.elapsed();
         let kind = job.spec.kind();
         self.write_record(job, JobStatus::Running, None);
@@ -256,10 +269,10 @@ impl Inner {
         // between here and resolve), the guard still unblocks the waiter.
         let guard = ResolveOnDrop::new(Arc::clone(&job.cell));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let exec = match resident {
-                Some(exec) => exec,
-                None => self.shards.executor(&job.spec, job.fault.as_deref())?,
-            };
+            if let Some(output) = resolved {
+                return Ok(output);
+            }
+            let exec = self.shards.executor(&job.spec, job.fault.as_deref())?;
             Self::run_job(&exec, &job.spec)
         }));
         let result: Result<JobOutput, String> = match outcome {
@@ -283,11 +296,37 @@ impl Inner {
         drop(guard); // already resolved; the guard's write is a no-op
 
         // Periodic store maintenance, amortized across every thread that
-        // executes jobs.
-        if self.since_evict.fetch_add(1, Ordering::Relaxed) % 32 == 31 {
-            if let Some(store) = &self.store {
+        // executes jobs — when the policy has a bound to enforce. An
+        // unbounded store would be read and stat'ed whole to evict nothing.
+        if let Some(store) = self.store.as_ref().filter(|s| s.is_bounded()) {
+            if self.since_evict.fetch_add(1, Ordering::Relaxed) % 32 == 31 {
                 store.evict();
             }
+        }
+    }
+}
+
+/// A frontend's registration in `Inner::inline_jobs`, held from before
+/// it reads the drain flag until its job is counted or queued. Dropping
+/// it — unwinding included — deregisters, and the last one out wakes a
+/// drain that is waiting.
+struct InlineJob<'a>(&'a Inner);
+
+impl<'a> InlineJob<'a> {
+    fn register(inner: &'a Inner) -> Self {
+        inner.inline_jobs.fetch_add(1, Ordering::SeqCst);
+        Self(inner)
+    }
+}
+
+impl Drop for InlineJob<'_> {
+    fn drop(&mut self) {
+        let inner = self.0;
+        if inner.inline_jobs.fetch_sub(1, Ordering::SeqCst) == 1
+            && inner.shutting_down.load(Ordering::SeqCst)
+        {
+            let _drained = inner.drained.lock().unwrap_or_else(|p| p.into_inner());
+            inner.drained_cv.notify_all();
         }
     }
 }
@@ -378,8 +417,11 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Reply {
         Command::Shutdown => {
             inner.shutting_down.store(true, Ordering::SeqCst);
             inner.queue.close();
+            // Every queued job is done once the last worker leaves; every
+            // hit a frontend let through before the flag is done once
+            // `inline_jobs` falls to zero.
             let mut drained = inner.drained.lock().unwrap_or_else(|p| p.into_inner());
-            while !*drained {
+            while !*drained || inner.inline_jobs.load(Ordering::SeqCst) > 0 {
                 drained = inner
                     .drained_cv
                     .wait(drained)
@@ -419,22 +461,25 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> Reply {
             inner.write_record(&job, JobStatus::Queued, None);
             // A memory hit is lookups only: run it here and skip the two
             // hand-offs through the queue. Quota is charged as a worker's
-            // pop would charge it, last, so a refusal spends no token.
-            let resident = if job.fault.is_none() && !inner.shutting_down.load(Ordering::SeqCst) {
-                inner
-                    .in_memory(&job.spec)
-                    .filter(|_| inner.queue.admit(&job.tenant))
+            // pop would charge it, last, so a refusal spends no token. The
+            // job is registered before the drain flag is read and
+            // deregistered once it is counted, so a `Shutdown` that sets
+            // the flag either keeps it off this path or waits for it.
+            let inline = InlineJob::register(inner);
+            let resolved = if job.fault.is_none() && !inner.shutting_down.load(Ordering::SeqCst) {
+                inner.resolve(&job.spec, || inner.queue.admit(&job.tenant))
             } else {
                 None
             };
-            let queued = match resident {
-                Some(exec) => {
+            let queued = match resolved {
+                Some(output) => {
                     inner.frontend_jobs.fetch_add(1, Ordering::Relaxed);
-                    inner.execute(&job, Some(exec));
+                    inner.execute(&job, Some(output));
                     Ok(())
                 }
                 None => inner.queue.push(job),
             };
+            drop(inline);
             let outcome = match queued {
                 Ok(()) => {
                     inner.jobs_submitted.fetch_add(1, Ordering::Relaxed);
@@ -500,6 +545,7 @@ impl Server {
             frontend_jobs: AtomicU64::new(0),
             since_evict: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
+            inline_jobs: AtomicUsize::new(0),
             workers_alive: AtomicUsize::new(workers_n),
             drained: Mutex::new(false),
             drained_cv: Condvar::new(),
@@ -588,6 +634,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::{read_line, WorkloadSpec};
+    use amem_interfere::InterferenceMix;
     use amem_sim::config::MachineConfig;
     use std::io::Write;
 
@@ -637,6 +684,42 @@ mod tests {
         assert_eq!(stats.frontend_jobs, 1, "the second hit was a worker's");
         assert!(stats.quota_deferrals > 0, "{stats:?}");
         assert_eq!((stats.jobs_submitted, stats.jobs_completed), (3, 3));
+        // One hit each for the frontend and the worker: the refused
+        // fetch in between counted nothing.
+        assert_eq!((stats.cache.mem_hits, stats.cache.sim_runs), (2, 1));
+
+        c.shutdown().expect("drain");
+        server.wait();
+    }
+
+    /// `resolve` asks for a token only for a job that is resident, and
+    /// counts the job's memory hits only when the token is granted: a
+    /// refusal leaves every executor counter where it was.
+    #[test]
+    fn resolve_counts_only_what_it_hands_over() {
+        let server = Server::start(ServeConfig::default()).expect("start");
+        let mut c = client(&server, "t");
+        let cold = c.submit(point(1)).expect("cold: a worker simulates it");
+        let inner = &server.inner;
+        let counters = || inner.shards.aggregate_stats().0;
+        let before = counters();
+
+        let no_token = || panic!("a job that is not resident asks for no token");
+        assert!(inner.resolve(&point(2), no_token).is_none());
+        for _ in 0..3 {
+            assert!(inner.resolve(&point(1), || false).is_none());
+        }
+        assert_eq!(counters(), before, "refused: nothing counted");
+
+        let hit = inner.resolve(&point(1), || true).expect("resident");
+        assert!(matches!(hit, JobOutput::Measurement(_)));
+        assert_eq!(
+            serde_json::to_string(&hit).unwrap(),
+            serde_json::to_string(&cold).unwrap()
+        );
+        let after = counters();
+        assert_eq!(after.mem_hits, before.mem_hits + 1);
+        assert_eq!(after.lookups(), before.lookups() + 1);
 
         c.shutdown().expect("drain");
         server.wait();

@@ -9,13 +9,13 @@
 //! second joins the first's in-flight simulation instead of repeating it.
 //!
 //! Within a shard, executors are keyed by platform identity (machine
-//! config + fault spec): the executor's own cache keys already encode
-//! machine and workload, so sharing one executor across workloads is
-//! safe, but a fault-injected platform must never serve clean requests.
+//! config, compared by value, + fault spec): the executor's own cache
+//! keys already encode machine and workload, so sharing one executor
+//! across workloads is safe, but a fault-injected platform must never
+//! serve clean requests.
 //! All executors share the daemon's one cache directory, making every
 //! disk entry visible fleet-wide.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -27,12 +27,16 @@ use amem_sim::fingerprint::fnv1a;
 
 use crate::protocol::JobSpec;
 
+/// One executor per platform identity: the machine, compared by value,
+/// and the fault spec as the request wrote it.
+type Identity = (MachineConfig, Option<String>, Arc<Executor>);
+
 struct Shard {
-    executors: Mutex<HashMap<String, Arc<Executor>>>,
+    executors: Mutex<Vec<Identity>>,
 }
 
 impl Shard {
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<Executor>>> {
+    fn lock(&self) -> MutexGuard<'_, Vec<Identity>> {
         // Poison-tolerant, like every lock in the daemon: a job that
         // panicked while touching this map must not take the shard down.
         self.executors.lock().unwrap_or_else(|p| p.into_inner())
@@ -43,6 +47,8 @@ impl Shard {
 pub struct ShardPool {
     shards: Vec<Shard>,
     cache_dir: Option<PathBuf>,
+    /// The platform identity of curve jobs, which carry no machine.
+    curve_machine: MachineConfig,
 }
 
 impl ShardPool {
@@ -53,10 +59,11 @@ impl ShardPool {
         Self {
             shards: (0..n)
                 .map(|_| Shard {
-                    executors: Mutex::new(HashMap::new()),
+                    executors: Mutex::new(Vec::new()),
                 })
                 .collect(),
             cache_dir,
+            curve_machine: MachineConfig::xeon20mb(),
         }
     }
 
@@ -66,11 +73,7 @@ impl ShardPool {
 
     /// Which shard a job's request key routes to.
     pub fn route(&self, spec: &JobSpec) -> usize {
-        self.shard_of(&spec.route_key())
-    }
-
-    fn shard_of(&self, route_key: &str) -> usize {
-        (fnv1a(route_key.as_bytes()) % self.shards.len() as u64) as usize
+        (fnv1a(spec.route_key().as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// The shard-owned executor for this job, created on first use.
@@ -84,21 +87,11 @@ impl ShardPool {
         // Curve jobs carry no machine: the traversal is a pure function
         // of the request. Any platform identity works; keep them all on
         // one so curve dedup spans connections too.
-        let curve_machine;
-        let machine = match spec.machine() {
-            Some(machine) => machine,
-            None => {
-                curve_machine = MachineConfig::xeon20mb();
-                &curve_machine
-            }
-        };
+        let machine = spec.machine().unwrap_or(&self.curve_machine);
         let fault_spec = fault.map(FaultSpec::parse).transpose()?;
-        // The machine's JSON is most of both keys: print it once.
-        let machine_json = amem_sim::canonical_json(machine);
-        let shard = &self.shards[self.shard_of(&spec.route_key_with(&machine_json))];
-        let identity = format!("{machine_json}|fault={}", fault.unwrap_or("-"));
-        let mut executors = shard.lock();
-        if let Some(exec) = executors.get(&identity) {
+        let mut executors = self.shards[self.route(spec)].lock();
+        let same = |(m, f, _): &&Identity| m == machine && f.as_deref() == fault;
+        if let Some((.., exec)) = executors.iter().find(same) {
             return Ok(Arc::clone(exec));
         }
         let platform = SimPlatform::new(machine.clone());
@@ -109,7 +102,7 @@ impl ShardPool {
             None => self.build(platform),
         };
         let exec = Arc::new(exec);
-        executors.insert(identity, Arc::clone(&exec));
+        executors.push((machine.clone(), fault.map(str::to_owned), Arc::clone(&exec)));
         Ok(exec)
     }
 
@@ -127,7 +120,7 @@ impl ShardPool {
         let mut total = CacheStats::default();
         let mut count = 0usize;
         for shard in &self.shards {
-            for exec in shard.lock().values() {
+            for (.., exec) in shard.lock().iter() {
                 total.merge(&exec.stats());
                 count += 1;
             }
@@ -198,6 +191,29 @@ mod tests {
         let a = pool.executor(&point, None).unwrap();
         let b = pool.executor(&sweep_spec(5), None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// The route leaves the machine out, so jobs for two machines can
+    /// share a shard; the shard still keeps one executor per machine,
+    /// compared by value.
+    #[test]
+    fn a_shard_keeps_one_executor_per_machine() {
+        let pool = ShardPool::new(4, None);
+        let calibrate = |machine| JobSpec::Calibrate { machine, max_cs: 2 };
+        let small = calibrate(cfg());
+        let large = calibrate(MachineConfig::xeon20mb().scaled(0.125));
+        assert_eq!(pool.route(&small), pool.route(&large));
+        let a = pool.executor(&small, None).unwrap();
+        let b = pool.executor(&large, None).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.platform().cfg(), &cfg());
+        assert_eq!(b.platform().cfg(), &MachineConfig::xeon20mb().scaled(0.125));
+        let again = pool.executor(&calibrate(cfg()), None).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &again),
+            "an equal machine, the same executor"
+        );
+        assert_eq!(pool.aggregate_stats().1, 2);
     }
 
     #[test]

@@ -86,14 +86,21 @@ impl CacheStore {
         )
     }
 
-    /// Scan current footprint (entries and bytes of `*.json` entries).
+    /// Whether the policy bounds the store at all: an unbounded one has
+    /// nothing for [`CacheStore::evict`] to do but count.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.policy.max_bytes.is_some() || self.policy.max_age_secs.is_some()
+    }
+
+    /// Scan current footprint (entries and bytes of `*.json` entries),
+    /// mirrored into the footprint gauges.
     pub fn usage(&self) -> StoreUsage {
         let mut usage = StoreUsage::default();
         for (_, _, len) in self.entries() {
             usage.entries += 1;
             usage.bytes += len;
         }
-        usage
+        publish(usage)
     }
 
     /// `(path, mtime, len)` of every cache entry.
@@ -115,7 +122,7 @@ impl CacheStore {
     }
 
     /// Apply the policy: age pass first, then oldest-first size pass.
-    /// Returns the post-eviction usage and mirrors it into metrics.
+    /// Returns the post-eviction usage and mirrors it into the gauges.
     pub fn evict(&self) -> StoreUsage {
         let now = SystemTime::now();
         let mut entries = self.entries();
@@ -150,17 +157,10 @@ impl CacheStore {
             entries.drain(..idx);
         }
 
-        let usage = StoreUsage {
+        publish(StoreUsage {
             entries: entries.len() as u64,
             bytes: entries.iter().map(|(_, _, len)| len).sum(),
-        };
-        if amem_metrics::enabled() {
-            let reg = amem_metrics::global();
-            reg.gauge("amem_store_entries", &[])
-                .set(usage.entries as i64);
-            reg.gauge("amem_store_bytes", &[]).set(usage.bytes as i64);
-        }
-        usage
+        })
     }
 
     fn metric_eviction(&self, reason: &'static str) {
@@ -170,6 +170,17 @@ impl CacheStore {
                 .inc();
         }
     }
+}
+
+/// Mirror a footprint into the `amem_store_{entries,bytes}` gauges.
+fn publish(usage: StoreUsage) -> StoreUsage {
+    if amem_metrics::enabled() {
+        let reg = amem_metrics::global();
+        reg.gauge("amem_store_entries", &[])
+            .set(usage.entries as i64);
+        reg.gauge("amem_store_bytes", &[]).set(usage.bytes as i64);
+    }
+    usage
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use active_mem::core::sweep::run_sweep;
 use active_mem::core::{CacheStats, CapacityMap, Executor};
 use active_mem::interfere::{InterferenceKind, InterferenceMix};
 use active_mem::serve::protocol::{JobSpec, WorkloadSpec};
+use active_mem::serve::quota::QuotaConfig;
 use active_mem::serve::server::{ServeConfig, Server};
 use active_mem::serve::store::StorePolicy;
 use active_mem::serve::{Client, JobRecord, JobStatus};
@@ -308,6 +309,144 @@ fn a_resident_hit_does_not_wait_for_busy_workers() {
     assert_eq!((stats.jobs_completed, stats.frontend_jobs), (4, 1));
     c.shutdown().unwrap();
     server.wait();
+}
+
+/// A sweep with some levels in memory is not the frontend's: it is
+/// queued, and the worker's `run_sweeps` counts its resident levels as
+/// memory hits and simulates the rest. Once every level is resident the
+/// frontend answers it: one memory hit a level, one frontend job, and
+/// the bytes the worker's sweep had.
+#[test]
+fn a_sweep_is_the_frontends_only_when_every_level_is_resident() {
+    let m = machine();
+    let server = start(ServeConfig::default());
+    let mut c = Client::connect(server.addr()).unwrap();
+    for k in [1, 2, 3] {
+        c.measure(measure_spec(&m, InterferenceMix::storage(k)))
+            .unwrap();
+    }
+    let levels = (FIG1_MAX_COUNT + 1) as u64;
+
+    let partly = c.sweep(sweep_spec(&m)).unwrap();
+    let s = server.stats();
+    assert_eq!(s.frontend_jobs, 0, "queued: {s:?}");
+    assert_eq!(s.cache.mem_hits, 3, "the worker's resident levels: {s:?}");
+    assert_eq!(s.cache.sim_runs, levels, "and the rest simulated: {s:?}");
+
+    let resident = c.sweep(sweep_spec(&m)).unwrap();
+    let t = server.stats();
+    assert_eq!(t.frontend_jobs, 1, "{t:?}");
+    assert_eq!(t.cache.mem_hits, 3 + levels, "one a level: {t:?}");
+    assert_eq!(t.cache.lookups(), s.cache.lookups() + levels);
+    assert_eq!((t.jobs_completed, t.cache.sim_runs), (5, levels));
+    assert_eq!(
+        serde_json::to_string(&resident).unwrap(),
+        serde_json::to_string(&partly).unwrap()
+    );
+    c.shutdown().unwrap();
+    server.wait();
+}
+
+/// A store with a size bound is held to it while the daemon serves, not
+/// only at open and at `Shutdown`: every 32nd job runs an eviction pass.
+#[test]
+fn a_bounded_store_stays_within_its_bound_while_serving() {
+    const BOUND: u64 = 6_000;
+    let m = machine();
+    let dir = temp_dir("bounded_store");
+    let server = start(ServeConfig {
+        cache_dir: Some(dir.clone()),
+        store: StorePolicy {
+            max_bytes: Some(BOUND),
+            ..StorePolicy::default()
+        },
+        quota: QuotaConfig::unlimited(),
+        ..ServeConfig::default()
+    });
+    let bytes = || -> Vec<u64> {
+        entry_files(&dir)
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .collect()
+    };
+    let mut c = Client::connect(server.addr()).unwrap();
+    for k in [1, 2, 3] {
+        c.measure(measure_spec(&m, InterferenceMix::storage(k)))
+            .unwrap();
+    }
+    let stored = bytes();
+    assert_eq!(stored.len(), 3);
+    assert!(stored.iter().sum::<u64>() > BOUND, "{stored:?}");
+    assert!(stored.iter().all(|&b| b <= BOUND), "{stored:?}");
+
+    // 29 hits make 32 jobs, and the 32nd job executed runs the pass. A
+    // worker counts its job after it replies, so the 32nd to be counted
+    // may come a little later: allow up to a second period of hits.
+    let mut jobs = 3;
+    while bytes().iter().sum::<u64>() > BOUND {
+        assert!(jobs < 64, "no eviction pass in {jobs} jobs: {:?}", bytes());
+        c.measure(measure_spec(&m, InterferenceMix::storage(1)))
+            .unwrap();
+        jobs += 1;
+    }
+    assert!(jobs >= 32, "evicted after only {jobs} jobs");
+    let left = bytes();
+    let stats = server.stats();
+    assert_eq!(stats.evictions_size, 3 - left.len() as u64, "{stats:?}");
+    assert!(stats.store_bytes <= BOUND, "{stats:?}");
+
+    c.shutdown().unwrap();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Drained` counts every job that got an `Ok` reply: a resident hit a
+/// frontend let through before the drain is counted before the drain
+/// acknowledges, and one it did not is refused. Two clients hammer a
+/// resident point while a third connection sends `Shutdown`, twenty
+/// times over.
+#[test]
+fn drained_counts_every_hit_answered_before_the_drain() {
+    let m = machine();
+    let dir = temp_dir("drain_race");
+    let spec = || measure_spec(&m, InterferenceMix::storage(1));
+    for round in 0..20 {
+        let server = start(ServeConfig {
+            cache_dir: Some(dir.clone()),
+            quota: QuotaConfig::unlimited(),
+            ..ServeConfig::default()
+        });
+        let addr = server.addr();
+        // Set-up: the first round simulates the point, later rounds read
+        // it from disk; either way it is resident afterwards.
+        Client::connect(addr).unwrap().measure(spec()).unwrap();
+        const SETUP: u64 = 1;
+
+        let (ok, drained) = std::thread::scope(|s| {
+            let hammers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut c = Client::connect(addr).unwrap();
+                        let mut ok = 0u64;
+                        while c.measure(spec()).is_ok() {
+                            ok += 1;
+                        }
+                        ok
+                    })
+                })
+                .collect();
+            let mut control = Client::connect(addr).unwrap();
+            while server.stats().jobs_completed < SETUP + 10 * (round % 4 + 1) {
+                std::thread::yield_now();
+            }
+            let drained = control.shutdown().unwrap();
+            let ok: u64 = hammers.into_iter().map(|h| h.join().unwrap()).sum();
+            (ok, drained)
+        });
+        assert_eq!(ok, drained - SETUP, "round {round}");
+        server.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A job the frontend ran is a job: it has an id, a record that ends
