@@ -435,6 +435,44 @@ mod tests {
         repro("fig1", &Path::new(&cache).with_file_name("warm"), &[]);
     }
 
+    /// `repro table1` with `--out` a regular file: nothing can be written
+    /// under it, so the run names each file it could not write and exits
+    /// 1. The run is a child process, because the exit is the point.
+    #[test]
+    fn a_run_that_cannot_write_its_outputs_exits_1() {
+        let out = unwritable_out(std::process::id());
+        std::fs::write(&out, b"").unwrap();
+        let child = Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--exact", "--nocapture"])
+            .arg("repro::tests::table1_into_a_regular_file")
+            .output()
+            .unwrap();
+        let _ = std::fs::remove_file(&out);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert_eq!(child.status.code(), Some(1), "{stderr}");
+        for file in ["table1.csv", "table1.manifest.json"] {
+            let named = format!("could not write {}", out.join(file).display());
+            assert!(stderr.contains(&named), "{stderr}");
+        }
+    }
+
+    /// Where [`a_run_that_cannot_write_its_outputs_exits_1`], running as
+    /// process `pid`, puts the file it passes as `--out`.
+    fn unwritable_out(pid: u32) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("amem_out_is_a_file_{pid}"))
+    }
+
+    /// The child of [`a_run_that_cannot_write_its_outputs_exits_1`]; run
+    /// any other way, it finds no such file and does nothing.
+    #[test]
+    #[ignore = "run by a_run_that_cannot_write_its_outputs_exits_1"]
+    fn table1_into_a_regular_file() {
+        let out = unwritable_out(std::os::unix::process::parent_id());
+        if out.is_file() {
+            repro("table1", &out, &[]);
+        }
+    }
+
     #[test]
     fn an_unknown_or_missing_name_is_refused_with_the_table() {
         assert_eq!(select(None).unwrap_err(), Unknown(None));

@@ -143,7 +143,7 @@ impl<T: Payload> Drop for Claim<'_, T> {
     }
 }
 
-/// Values found in a cache's memory tier ([`TieredCache::resident`]),
+/// Values found in a cache's memory tier (`TieredCache::resident`),
 /// not yet counted. [`Resident::take`] counts one memory hit per value,
 /// as a request for each would; dropping it counts nothing.
 pub struct Resident<'a, T> {

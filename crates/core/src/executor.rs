@@ -404,9 +404,10 @@ impl Executor {
             })
     }
 
-    /// The measurements [`Executor::run`] would return for `workload` at
-    /// `per_processor` under each of `mixes`, when every one is already in
-    /// this executor's memory tier: one key and one map probe a point,
+    /// The measurements [`Executor::run`] would return for the workload
+    /// whose [`Workload::cache_key`] is `workload_key`, at `per_processor`
+    /// under each of `mixes`, when every one is already in this
+    /// executor's memory tier: one key and one map probe a point,
     /// all under one lock; `None` when any point is missing or
     /// uncacheable. Nothing is counted until the caller takes them
     /// ([`Resident::take`]: one memory hit a point), so a caller that
@@ -415,15 +416,14 @@ impl Executor {
     /// [`Executor::stats`] never moved.
     pub fn resident(
         &self,
-        workload: &dyn Workload,
+        workload_key: &str,
         per_processor: usize,
         mixes: &[InterferenceMix],
     ) -> Option<Resident<'_, Measurement>> {
         let prefix = self.key_prefix.as_ref()?;
-        let workload_key = workload.cache_key()?;
         let keys: Vec<String> = mixes
             .iter()
-            .map(|&mix| self.point_key(prefix, &workload_key, per_processor, mix))
+            .map(|&mix| self.point_key(prefix, workload_key, per_processor, mix))
             .collect();
         self.measurements.resident(&keys)
     }
@@ -1182,22 +1182,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let exec = Executor::with_cache_dir(plat(), dir.clone());
         let (w, mix) = (tiny_mcb(), InterferenceMix::storage(1));
-        assert!(exec.resident(&w, 2, &[mix]).is_none());
+        let key = w.cache_key().unwrap();
+        assert!(exec.resident(&key, 2, &[mix]).is_none());
         assert!(exec.curve_resident(&tiny_curve_req()).is_none());
         let m = exec.run(&w, 2, mix).unwrap();
         let c = exec.run_curve(&tiny_curve_req()).unwrap();
         let before = exec.stats();
         for _ in 0..100 {
-            assert!(exec.resident(&w, 2, &[mix]).is_some());
+            assert!(exec.resident(&key, 2, &[mix]).is_some());
             assert!(exec.curve_resident(&tiny_curve_req()).is_some());
             // All or nothing: one missing point and none is fetched.
             let other = InterferenceMix::storage(2);
-            assert!(exec.resident(&w, 2, &[mix, other]).is_none());
+            assert!(exec.resident(&key, 2, &[mix, other]).is_none());
         }
         assert_eq!(exec.stats(), before, "a fetch dropped is not a request");
 
         // Taken, each value is one memory hit and the executor's own Arc.
-        let taken = exec.resident(&w, 2, &[mix, mix]).unwrap().take();
+        let taken = exec.resident(&key, 2, &[mix, mix]).unwrap().take();
         assert!(taken.iter().all(|t| Arc::ptr_eq(t, &m)));
         let curve = exec.curve_resident(&tiny_curve_req()).unwrap().take();
         assert!(Arc::ptr_eq(&curve[0], &c));
@@ -1209,15 +1210,15 @@ mod tests {
         // On disk is not in memory: a fresh executor over the same
         // directory fetches nothing until its first (disk-hit) request.
         let reopened = Executor::with_cache_dir(plat(), dir.clone());
-        assert!(reopened.resident(&w, 2, &[mix]).is_none());
+        assert!(reopened.resident(&key, 2, &[mix]).is_none());
         reopened.run(&w, 2, mix).unwrap();
         assert_eq!(reopened.stats().disk_hits, 1);
-        assert!(reopened.resident(&w, 2, &[mix]).is_some());
+        assert!(reopened.resident(&key, 2, &[mix]).is_some());
 
         // Nothing is resident where nothing is cached.
         let uncached = Executor::uncached(plat());
         uncached.run(&w, 2, mix).unwrap();
-        assert!(uncached.resident(&w, 2, &[mix]).is_none());
+        assert!(uncached.resident(&key, 2, &[mix]).is_none());
         assert!(uncached.curve_resident(&tiny_curve_req()).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -162,10 +162,12 @@ pub fn run_sweeps(exec: &Executor, requests: &[SweepRequest]) -> Result<Vec<Swee
     // thread at all.
     let mut results = Vec::with_capacity(tasks.len());
     let mut cold = Vec::new();
+    let keys: Vec<Option<String>> = requests.iter().map(|r| r.workload.cache_key()).collect();
     for (ri, k) in tasks {
         let req = &requests[ri];
         let mix = InterferenceMix::of_kind(req.kind, k);
-        match exec.resident(req.workload, req.per_processor, &[mix]) {
+        let key = keys[ri].as_deref();
+        match key.and_then(|key| exec.resident(key, req.per_processor, &[mix])) {
             Some(hit) => results.push(batch.point(ri, k, || Ok(hit.take().remove(0)))),
             None => cold.push((ri, k)),
         }
@@ -192,21 +194,23 @@ pub struct ResidentSweep<'a> {
     points: Resident<'a, Measurement>,
 }
 
-/// `req` answered from the executor's memory tier alone: every feasible
-/// level's measurement, fetched in one lookup of one key a level, or
+/// `req` answered from the executor's memory tier alone, its workload's
+/// cache key given as `workload_key`: every feasible level's
+/// measurement, fetched in one lookup of one key a level, or
 /// `None` when any level is missing (or the mapping has none). Nothing is
 /// counted until [`ResidentSweep::take`], so a caller may still decline
 /// it — the serve daemon's frontends do when the tenant's quota refuses.
 pub fn resident_sweep<'a>(
     exec: &'a Executor,
     req: &'a SweepRequest<'a>,
+    workload_key: &str,
 ) -> Option<ResidentSweep<'a>> {
     let levels = feasible_levels(exec, req).ok()?;
     let mixes: Vec<InterferenceMix> = levels
         .iter()
         .map(|&k| InterferenceMix::of_kind(req.kind, k))
         .collect();
-    let points = exec.resident(req.workload, req.per_processor, &mixes)?;
+    let points = exec.resident(workload_key, req.per_processor, &mixes)?;
     Some(ResidentSweep {
         exec,
         req,
@@ -543,20 +547,24 @@ mod tests {
             kind: InterferenceKind::Storage,
             max_count: 4,
         };
-        assert!(resident_sweep(&exec, &req).is_none());
+        let key = workload.cache_key().unwrap();
+        assert!(resident_sweep(&exec, &req, &key).is_none());
         exec.run(&workload, 2, InterferenceMix::storage(1)).unwrap();
-        assert!(resident_sweep(&exec, &req).is_none(), "partly resident");
+        assert!(
+            resident_sweep(&exec, &req, &key).is_none(),
+            "partly resident"
+        );
         let invalid = SweepRequest {
             per_processor: 99,
             ..req
         };
-        assert!(resident_sweep(&exec, &invalid).is_none());
+        assert!(resident_sweep(&exec, &invalid, &key).is_none());
 
         let cold = run_sweep(&exec, &workload, 2, InterferenceKind::Storage, 4).unwrap();
         let before = exec.stats();
-        drop(resident_sweep(&exec, &req).expect("every level resident"));
+        drop(resident_sweep(&exec, &req, &key).expect("every level resident"));
         assert_eq!(exec.stats(), before, "dropped: nothing counted");
-        let hit = resident_sweep(&exec, &req).unwrap().take();
+        let hit = resident_sweep(&exec, &req, &key).unwrap().take();
         assert_eq!(
             serde_json::to_string(&hit).unwrap(),
             serde_json::to_string(&cold).unwrap()

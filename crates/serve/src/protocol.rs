@@ -148,10 +148,7 @@ impl JobSpec {
                 ..
             } => {
                 let w = workload.build();
-                format!(
-                    "{}|pp={per_processor}",
-                    w.cache_key().unwrap_or_else(|| w.name()),
-                )
+                point_route_key(&w.cache_key().unwrap_or_else(|| w.name()), *per_processor)
             }
             JobSpec::Calibrate { .. } => "calibrate".into(),
             JobSpec::Curve { request } => format!(
@@ -160,6 +157,14 @@ impl JobSpec {
             ),
         }
     }
+}
+
+/// The route key of a measure or sweep whose workload prints
+/// `workload_key` (its cache key, or its name when it has none): what
+/// [`JobSpec::route_key`] returns, for a caller that already holds the
+/// key.
+pub(crate) fn point_route_key(workload_key: &str, per_processor: usize) -> String {
+    format!("{workload_key}|pp={per_processor}")
 }
 
 /// What the client wants done on this line.
@@ -457,6 +462,22 @@ mod tests {
             sweep.route_key(),
             "a point and the sweep containing it must share an executor"
         );
+    }
+
+    /// A frontend that holds the workload's cache key routes a point by
+    /// it, to the shard the job's own route key names.
+    #[test]
+    fn a_point_routes_by_its_workload_key() {
+        let cfg = MachineConfig::xeon20mb().scaled(0.0625);
+        let w = WorkloadSpec::Probe(amem_core::figures::fig1_probe(&cfg));
+        let measure = JobSpec::Measure {
+            machine: cfg,
+            workload: w.clone(),
+            per_processor: 2,
+            mix: InterferenceMix::storage(1),
+        };
+        let key = w.build().cache_key().expect("a probe has a cache key");
+        assert_eq!(measure.route_key(), point_route_key(&key, 2));
     }
 
     #[test]

@@ -31,8 +31,8 @@ use amem_core::{AmemError, Executor};
 
 use crate::job::{JobRecord, JobStatus, JobStore, JOB_SCHEMA_VERSION};
 use crate::protocol::{
-    read_line_within, write_line_via, Command, JobOutput, JobReply, JobResult, JobSpec, Request,
-    Response, ServeStats, MAX_REQUEST_LINE, PROTOCOL_VERSION,
+    point_route_key, read_line_within, write_line_via, Command, JobOutput, JobReply, JobResult,
+    JobSpec, Request, Response, ServeStats, MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 use crate::quota::QuotaConfig;
 use crate::scheduler::{JobQueue, QueuedJob, ResolveOnDrop, ResultCell};
@@ -139,14 +139,15 @@ impl Inner {
     /// running the job is then lookups only, and a frontend may do that
     /// itself. Measure: the point; Sweep: every feasible level; Curve:
     /// the curve; Calibrate: never (it searches, and what it asks for
-    /// depends on what it finds). Each result is found by one key build
-    /// and lookup, and counted as a memory hit only once `admit` (called
-    /// only for a job that is resident) says yes: a refusal spends no
-    /// token and moves no counter. The output is what [`Inner::run_job`]
+    /// depends on what it finds). A measure or sweep prints its
+    /// workload's cache key once, and routes and looks up with it. Each
+    /// result is found by one lookup, and counted as a memory hit only
+    /// once `admit` (called only for a job that is resident) says yes: a
+    /// refusal spends no token and moves no counter. The output is what [`Inner::run_job`]
     /// would return — the executor's own `Arc`s, and a sweep assembled by
     /// the code `run_sweep` assembles it with.
     fn resolve(&self, spec: &JobSpec, admit: impl FnOnce() -> bool) -> Option<JobOutput> {
-        let executor = || self.shards.executor(spec, None).ok();
+        let executor = |route_key: &str| self.shards.executor(spec, route_key, None).ok();
         match spec {
             JobSpec::Measure {
                 workload,
@@ -154,8 +155,9 @@ impl Inner {
                 mix,
                 ..
             } => {
-                let exec = executor()?;
-                let hit = exec.resident(workload.build().as_ref(), *per_processor, &[*mix])?;
+                let key = workload.build().cache_key()?;
+                let exec = executor(&point_route_key(&key, *per_processor))?;
+                let hit = exec.resident(&key, *per_processor, &[*mix])?;
                 admit().then(|| JobOutput::Measurement(hit.take().remove(0)))
             }
             JobSpec::Sweep {
@@ -165,19 +167,20 @@ impl Inner {
                 max_count,
                 ..
             } => {
-                let exec = executor()?;
                 let w = workload.build();
+                let key = w.cache_key()?;
+                let exec = executor(&point_route_key(&key, *per_processor))?;
                 let req = SweepRequest {
                     workload: w.as_ref(),
                     per_processor: *per_processor,
                     kind: *kind,
                     max_count: *max_count,
                 };
-                let hit = resident_sweep(&exec, &req)?;
+                let hit = resident_sweep(&exec, &req, &key)?;
                 admit().then(|| JobOutput::Sweep(hit.take()))
             }
             JobSpec::Curve { request } => {
-                let exec = executor()?;
+                let exec = executor(&spec.route_key())?;
                 let hit = exec.curve_resident(request)?;
                 admit().then(|| JobOutput::Curve(hit.take().remove(0)))
             }
@@ -272,7 +275,10 @@ impl Inner {
             if let Some(output) = resolved {
                 return Ok(output);
             }
-            let exec = self.shards.executor(&job.spec, job.fault.as_deref())?;
+            let route_key = job.spec.route_key();
+            let exec = self
+                .shards
+                .executor(&job.spec, &route_key, job.fault.as_deref())?;
             Self::run_job(&exec, &job.spec)
         }));
         let result: Result<JobOutput, String> = match outcome {

@@ -73,15 +73,23 @@ impl ShardPool {
 
     /// Which shard a job's request key routes to.
     pub fn route(&self, spec: &JobSpec) -> usize {
-        (fnv1a(spec.route_key().as_bytes()) % self.shards.len() as u64) as usize
+        self.shard_of(&spec.route_key())
     }
 
-    /// The shard-owned executor for this job, created on first use.
-    /// Identical (machine, fault) requests on one shard always get the
-    /// same instance — that identity is the cross-connection dedup.
+    fn shard_of(&self, route_key: &str) -> usize {
+        (fnv1a(route_key.as_bytes()) % self.shards.len() as u64) as usize
+    }
+
+    /// The shard-owned executor for this job, created on first use, on
+    /// the shard `route_key` — `spec.route_key()`, passed in so a caller
+    /// that built it from a workload key it holds prints nothing twice —
+    /// routes to. Identical (machine, fault) requests on one shard always
+    /// get the same instance — that identity is the cross-connection
+    /// dedup.
     pub fn executor(
         &self,
         spec: &JobSpec,
+        route_key: &str,
         fault: Option<&str>,
     ) -> Result<Arc<Executor>, AmemError> {
         // Curve jobs carry no machine: the traversal is a pure function
@@ -89,7 +97,7 @@ impl ShardPool {
         // one so curve dedup spans connections too.
         let machine = spec.machine().unwrap_or(&self.curve_machine);
         let fault_spec = fault.map(FaultSpec::parse).transpose()?;
-        let mut executors = self.shards[self.route(spec)].lock();
+        let mut executors = self.shards[self.shard_of(route_key)].lock();
         let same = |(m, f, _): &&Identity| m == machine && f.as_deref() == fault;
         if let Some((.., exec)) = executors.iter().find(same) {
             return Ok(Arc::clone(exec));
@@ -139,6 +147,15 @@ mod tests {
         MachineConfig::xeon20mb().scaled(0.0625)
     }
 
+    /// The executor `spec` routes to, as the daemon's run path finds it.
+    fn executor(
+        pool: &ShardPool,
+        spec: &JobSpec,
+        fault: Option<&str>,
+    ) -> Result<Arc<Executor>, AmemError> {
+        pool.executor(spec, &spec.route_key(), fault)
+    }
+
     fn sweep_spec(max_count: usize) -> JobSpec {
         JobSpec::Sweep {
             machine: cfg(),
@@ -152,30 +169,28 @@ mod tests {
     #[test]
     fn identical_requests_share_one_executor_instance() {
         let pool = ShardPool::new(4, None);
-        let a = pool.executor(&sweep_spec(5), None).unwrap();
-        let b = pool.executor(&sweep_spec(5), None).unwrap();
+        let a = executor(&pool, &sweep_spec(5), None).unwrap();
+        let b = executor(&pool, &sweep_spec(5), None).unwrap();
         assert!(
             Arc::ptr_eq(&a, &b),
             "same request key, same shard, same executor — that IS the dedup"
         );
         // A sweep over the same workload at a different extent still
         // routes to the same executor (extent is not in the route key).
-        let c = pool.executor(&sweep_spec(3), None).unwrap();
+        let c = executor(&pool, &sweep_spec(3), None).unwrap();
         assert!(Arc::ptr_eq(&a, &c));
     }
 
     #[test]
     fn fault_injected_requests_get_a_separate_executor() {
         let pool = ShardPool::new(4, None);
-        let clean = pool.executor(&sweep_spec(5), None).unwrap();
-        let faulty = pool
-            .executor(&sweep_spec(5), Some("seed=1,error=1.0"))
-            .unwrap();
+        let clean = executor(&pool, &sweep_spec(5), None).unwrap();
+        let faulty = executor(&pool, &sweep_spec(5), Some("seed=1,error=1.0")).unwrap();
         assert!(
             !Arc::ptr_eq(&clean, &faulty),
             "a fault-injected platform must never serve clean requests"
         );
-        assert!(pool.executor(&sweep_spec(5), Some("bogus=1")).is_err());
+        assert!(executor(&pool, &sweep_spec(5), Some("bogus=1")).is_err());
     }
 
     #[test]
@@ -188,8 +203,8 @@ mod tests {
             mix: InterferenceMix::storage(2),
         };
         assert_eq!(pool.route(&point), pool.route(&sweep_spec(5)));
-        let a = pool.executor(&point, None).unwrap();
-        let b = pool.executor(&sweep_spec(5), None).unwrap();
+        let a = executor(&pool, &point, None).unwrap();
+        let b = executor(&pool, &sweep_spec(5), None).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
     }
 
@@ -203,12 +218,12 @@ mod tests {
         let small = calibrate(cfg());
         let large = calibrate(MachineConfig::xeon20mb().scaled(0.125));
         assert_eq!(pool.route(&small), pool.route(&large));
-        let a = pool.executor(&small, None).unwrap();
-        let b = pool.executor(&large, None).unwrap();
+        let a = executor(&pool, &small, None).unwrap();
+        let b = executor(&pool, &large, None).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(a.platform().cfg(), &cfg());
         assert_eq!(b.platform().cfg(), &MachineConfig::xeon20mb().scaled(0.125));
-        let again = pool.executor(&calibrate(cfg()), None).unwrap();
+        let again = executor(&pool, &calibrate(cfg()), None).unwrap();
         assert!(
             Arc::ptr_eq(&a, &again),
             "an equal machine, the same executor"
@@ -221,7 +236,7 @@ mod tests {
         let pool = ShardPool::new(2, None);
         // No executor yet: all zeros and — on the wire — `"curves":null`.
         assert_eq!(pool.aggregate_stats(), (CacheStats::default(), 0));
-        let exec = pool.executor(&sweep_spec(2), None).unwrap();
+        let exec = executor(&pool, &sweep_spec(2), None).unwrap();
         let w = WorkloadSpec::Probe(amem_core::figures::fig1_probe(&cfg())).build();
         exec.run(w.as_ref(), 1, InterferenceMix::none()).unwrap();
         exec.run(w.as_ref(), 1, InterferenceMix::none()).unwrap();
