@@ -473,6 +473,51 @@ mod tests {
         }
     }
 
+    /// `repro serve`: four clients of one daemon get the library's bytes
+    /// and share six simulations, and a daemon over a library-written
+    /// cache simulates nothing. The entry asserts each before it prints
+    /// its line; the run is a child process, so the lines are read as a
+    /// user reads them.
+    #[test]
+    fn repro_serve_prints_identity_dedup_and_key_parity() {
+        let out = serve_out(std::process::id());
+        let _ = std::fs::remove_dir_all(&out);
+        std::fs::create_dir_all(&out).unwrap();
+        let child = Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--exact", "--nocapture"])
+            .arg("repro::tests::serve_into_the_parents_dir")
+            .output()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&out);
+        let printed = String::from_utf8_lossy(&child.stdout);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(child.status.success(), "{printed}\n{stderr}");
+        for line in [
+            "[serve] byte-identity: OK",
+            "[serve] dedup: 6 unique sims across 24 lookups",
+            "[serve] key-parity: 6 disk hits, 0 sims",
+        ] {
+            assert!(printed.lines().any(|l| l.starts_with(line)), "{printed}");
+        }
+    }
+
+    /// Where [`repro_serve_prints_identity_dedup_and_key_parity`], running
+    /// as process `pid`, has its child write.
+    fn serve_out(pid: u32) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("amem_repro_serve_{pid}"))
+    }
+
+    /// The child of [`repro_serve_prints_identity_dedup_and_key_parity`];
+    /// run any other way, it finds no such directory and does nothing.
+    #[test]
+    #[ignore = "run by repro_serve_prints_identity_dedup_and_key_parity"]
+    fn serve_into_the_parents_dir() {
+        let out = serve_out(std::os::unix::process::parent_id());
+        if out.is_dir() {
+            repro("serve", &out, &[]);
+        }
+    }
+
     #[test]
     fn an_unknown_or_missing_name_is_refused_with_the_table() {
         assert_eq!(select(None).unwrap_err(), Unknown(None));

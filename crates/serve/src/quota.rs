@@ -61,6 +61,15 @@ impl TokenBucket {
         }
     }
 
+    /// When the bucket next holds a whole token, on the quota clock:
+    /// `None` if it never will (a burst below one token).
+    fn ready_at(&self, cfg: &QuotaConfig) -> Option<f64> {
+        if cfg.burst < 1.0 {
+            return None;
+        }
+        Some(self.last_secs + (1.0 - self.tokens).max(0.0) / cfg.rate_per_sec)
+    }
+
     /// Refill for elapsed time, then try to spend one token.
     fn try_take(&mut self, cfg: &QuotaConfig, now_secs: f64) -> bool {
         let dt = (now_secs - self.last_secs).max(0.0);
@@ -108,10 +117,30 @@ impl TenantQuotas {
             return true;
         }
         let mut buckets = self.buckets.lock().unwrap_or_else(|p| p.into_inner());
-        buckets
-            .entry(tenant.to_string())
-            .or_insert_with(|| TokenBucket::new(&self.cfg, now_secs))
-            .try_take(&self.cfg, now_secs)
+        if let Some(bucket) = buckets.get_mut(tenant) {
+            return bucket.try_take(&self.cfg, now_secs);
+        }
+        let mut bucket = TokenBucket::new(&self.cfg, now_secs);
+        let admitted = bucket.try_take(&self.cfg, now_secs);
+        buckets.insert(tenant.to_string(), bucket);
+        admitted
+    }
+
+    /// The instant, on the [`now_secs`] clock, from which `tenant` can be
+    /// admitted again, if no one spends its tokens first. `None`: never
+    /// (quotas are off, so it is never refused, or the burst is below
+    /// one token). A tenant without a bucket yet is admissible now.
+    ///
+    /// [`now_secs`]: TenantQuotas::now_secs
+    pub(crate) fn ready_at(&self, tenant: &str) -> Option<f64> {
+        if !self.cfg.enabled() {
+            return None;
+        }
+        let buckets = self.buckets.lock().unwrap_or_else(|p| p.into_inner());
+        match buckets.get(tenant) {
+            Some(bucket) => bucket.ready_at(&self.cfg),
+            None => (self.cfg.burst >= 1.0).then_some(0.0),
+        }
     }
 }
 
@@ -158,6 +187,30 @@ mod tests {
             assert!(q.admit_at("a", 1000.0));
         }
         assert!(!q.admit_at("a", 1000.0));
+    }
+
+    #[test]
+    fn ready_at_is_when_the_refill_makes_a_whole_token() {
+        let q = quotas(4.0, 2.0);
+        assert_eq!(q.ready_at("a"), Some(0.0), "no bucket yet: admissible now");
+        assert!(q.admit_at("a", 10.0));
+        assert!(q.admit_at("a", 10.0));
+        // Empty at t = 10; 4 tokens/s make one by t = 10.25.
+        assert_eq!(q.ready_at("a"), Some(10.25));
+        assert!(!q.admit_at("a", 10.125), "half a token");
+        assert_eq!(q.ready_at("a"), Some(10.25), "the failed try moves nothing");
+        assert!(q.admit_at("a", 10.25));
+        // Refilled to its burst of 2 by t = 11, it spends one and keeps
+        // one: ready from its last use.
+        assert!(!q.admit_at("a", 10.25));
+        assert!(q.admit_at("a", 11.0));
+        assert_eq!(q.ready_at("a"), Some(11.0), "a token left over");
+
+        assert_eq!(quotas(4.0, 0.5).ready_at("a"), None, "never a whole token");
+        assert_eq!(
+            TenantQuotas::new(QuotaConfig::unlimited()).ready_at("a"),
+            None
+        );
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! highest-first and takes the first job whose tenant passes the
 //! token-bucket quota; throttled tenants' jobs are *skipped in place*
 //! (never reordered), preserving FIFO within both priority and tenant.
-//! When nothing is admissible the worker parks on a condvar with a short
-//! timeout so bucket refills are re-checked promptly.
+//! When nothing is admissible the worker parks on a condvar: with no job
+//! queued until a push or close wakes it, and with every queued tenant
+//! throttled until the first of their buckets refills to a whole token.
 //!
 //! That order holds among *queued* jobs. A frontend runs a job that is
 //! memory hits only without queueing it (`server.rs`), charging the same
@@ -174,25 +175,21 @@ impl JobQueue {
         let mut state = self.lock();
         loop {
             let now = self.quotas.now_secs();
+            // The earliest instant a tenant skipped below is admissible.
+            let mut ready: Option<f64> = None;
             for lane in 0..state.lanes.len() {
-                for i in 0..state.lanes[lane].len() {
-                    let tenant = state.lanes[lane][i].tenant.clone();
+                let jobs = &state.lanes[lane];
+                let mut admitted = None;
+                for (i, job) in jobs.iter().enumerate() {
                     // Skip jobs whose tenant already had a job skipped
                     // this scan: taking a later job of the same tenant
                     // would reorder its FIFO.
-                    if state.lanes[lane].iter().take(i).any(|j| j.tenant == tenant) {
+                    if jobs.iter().take(i).any(|j| j.tenant == job.tenant) {
                         continue;
                     }
-                    if self.quotas.admit_at(&tenant, now) {
-                        let job = state.lanes[lane].remove(i).expect("index in bounds");
-                        let depth = state.depth();
-                        drop(state);
-                        if amem_metrics::enabled() {
-                            amem_metrics::global()
-                                .gauge("amem_serve_queue_depth", &[])
-                                .set(depth as i64);
-                        }
-                        return Some(job);
+                    if self.quotas.admit_at(&job.tenant, now) {
+                        admitted = Some(i);
+                        break;
                     }
                     // Counted at skip time: a scan that admits a later
                     // job returns early and would miss batched counting.
@@ -202,18 +199,43 @@ impl JobQueue {
                             .counter("amem_serve_quota_deferrals_total", &[])
                             .inc();
                     }
+                    if let Some(t) = self.quotas.ready_at(&job.tenant) {
+                        ready = Some(ready.map_or(t, |r| r.min(t)));
+                    }
+                }
+                if let Some(i) = admitted {
+                    let job = state.lanes[lane].remove(i).expect("index in bounds");
+                    let depth = state.depth();
+                    drop(state);
+                    if amem_metrics::enabled() {
+                        amem_metrics::global()
+                            .gauge("amem_serve_queue_depth", &[])
+                            .set(depth as i64);
+                    }
+                    return Some(job);
                 }
             }
             if state.closed && state.depth() == 0 {
                 return None;
             }
-            // Park; the timeout bounds how stale a quota-refill check can
-            // get when no push/close wakes us.
-            let (guard, _timeout) = self
-                .cv
-                .wait_timeout(state, Duration::from_millis(10))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
+            // Park until a push or close, or until the first skipped
+            // tenant's refill; a refill too far off to time is waited
+            // for like a push.
+            let refill = ready.and_then(|t| {
+                Duration::try_from_secs_f64((t - self.quotas.now_secs()).max(0.0)).ok()
+            });
+            state = match refill {
+                Some(timeout) => {
+                    self.cv
+                        .wait_timeout(state, timeout)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .0
+                }
+                None => self
+                    .cv
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
+            };
         }
     }
 

@@ -13,13 +13,18 @@
 //! error), workers finish everything queued, and only then is the
 //! shutdown acknowledged.
 //!
+//! Nothing polls. The accept loop blocks in `accept` and hands each
+//! connection its frontend thread at once. The frontend that writes the
+//! `Drained` reply then connects to the listener itself, and that wake
+//! is what returns the loop and closes the listener.
+//!
 //! Every mutex in the daemon follows the executor's poison-tolerance
 //! discipline, and workers run jobs under `catch_unwind`, so one
 //! panicking job (see `FaultSpec` `panic=`) costs exactly its own
 //! submitter a typed error — never the queue.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -100,6 +105,12 @@ struct Inner {
     drained: Mutex<bool>,
     drained_cv: Condvar,
     started: Instant,
+    /// Set once a `Drained` reply is written; the accept loop returns
+    /// at the next connection, the wake that follows it.
+    drain_acked: AtomicBool,
+    /// Where that wake connects: the bound address, with loopback
+    /// standing in for an unspecified IP.
+    wake_addr: SocketAddr,
 }
 
 impl Inner {
@@ -228,6 +239,14 @@ impl Inner {
             }
             JobSpec::Curve { request } => Ok(JobOutput::Curve(exec.run_curve(request)?)),
         }
+    }
+
+    /// Return the accept loop from its blocking `accept` once the drain
+    /// is acknowledged, so it closes the listener. A failed connect means
+    /// the listener is already gone.
+    fn wake_accept_loop(&self) {
+        self.drain_acked.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.wake_addr);
     }
 
     fn write_record(&self, job: &QueuedJob, status: JobStatus, error: Option<String>) {
@@ -389,6 +408,11 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
             ),
             Reply::Job(reply) => (write_line_via(&mut writer, &reply, &mut line_out), false),
         };
+        // Woken only once the reply is written: a daemon process exits
+        // as soon as `Server::wait` returns, and must not cut it off.
+        if shutdown_acked {
+            inner.wake_accept_loop();
+        }
         if written.is_err() || shutdown_acked {
             return;
         }
@@ -535,7 +559,13 @@ impl Server {
         let jobs = JobStore::open(cfg.state_dir.as_ref().map(|d| d.join("jobs")));
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = addr;
+        if addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let workers_n = cfg.workers.max(1);
         let inner = Arc::new(Inner {
@@ -556,6 +586,8 @@ impl Server {
             drained: Mutex::new(false),
             drained_cv: Condvar::new(),
             started: Instant::now(),
+            drain_acked: AtomicBool::new(false),
+            wake_addr,
             cfg,
         });
 
@@ -572,28 +604,19 @@ impl Server {
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::Builder::new()
             .name("amem-serve-accept".into())
-            .spawn(move || loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let inner = Arc::clone(&accept_inner);
-                        let _ = std::thread::Builder::new()
-                            .name("amem-serve-conn".into())
-                            .spawn(move || handle_conn(&inner, stream));
+            .spawn(move || {
+                for stream in listener.incoming() {
+                    // A connection after the acknowledged drain is the
+                    // wake, or a client too late to be served: drop it
+                    // and the listener.
+                    if accept_inner.drain_acked.load(Ordering::SeqCst) {
+                        return;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // Poll the drain flag so the loop exits after a
-                        // shutdown even with no further connections.
-                        if accept_inner.shutting_down.load(Ordering::SeqCst)
-                            && *accept_inner
-                                .drained
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                        {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => return,
+                    let Ok(stream) = stream else { return };
+                    let inner = Arc::clone(&accept_inner);
+                    let _ = std::thread::Builder::new()
+                        .name("amem-serve-conn".into())
+                        .spawn(move || handle_conn(&inner, stream));
                 }
             })
             .expect("spawn accept loop");
@@ -758,6 +781,33 @@ mod tests {
 
         clean.shutdown().expect("drain");
         server.wait();
+    }
+
+    /// The accept loop blocks in `accept`, so a new connection's first
+    /// request is read as it arrives, not after a polling sleep; and the
+    /// drain's wake closes the listener as soon as the drain is done.
+    #[test]
+    fn a_fresh_connection_is_answered_at_once() {
+        let server = Server::start(ServeConfig::default()).expect("start");
+        let mut pings: Vec<Duration> = (0..8)
+            .map(|_| {
+                let mut c = client(&server, "t");
+                let t0 = Instant::now();
+                c.ping().expect("pong");
+                t0.elapsed()
+            })
+            .collect();
+        pings.sort();
+        let median = pings[pings.len() / 2];
+        assert!(median < Duration::from_millis(10), "{pings:?}");
+
+        let addr = server.addr();
+        client(&server, "t").shutdown().expect("drain");
+        server.wait();
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "the listener closes with the drain"
+        );
     }
 
     #[test]
