@@ -1,28 +1,21 @@
 #![forbid(unsafe_code)]
 //! `amem-stats` — cost attribution for the reproduction harness itself.
 //!
-//! * `--attribution <fig1|fig6>` runs the named experiment cold through
-//!   the sibling `repro` binary (`--no-cache --metrics`, progress
-//!   silenced, `RAYON_NUM_THREADS=1` so every `par_map` fan-out runs
-//!   inline and phase time sums to wall time), then renders where the
-//!   wall clock went: the leaf phases (op generation, cache lookup,
-//!   simulation, aggregation, curve passes, Eq. 4 line-mass walks) that
-//!   partition the run, and the `grid/...` phases that split the same
-//!   time by probe-grid level — the evidence for which CSThr levels
-//!   dominate the cold fig6 wall. It exits non-zero when the leaf phases
-//!   cover less than 95% or more than 100.5% of the wall.
-//! * `--overhead <fig>` times a figure with the metrics gate off and on
-//!   (both cold, on one `par_map` worker) and prints the relative
-//!   cost of instrumentation.
-//!
-//! Flags: `--scale <f>` (default 0.0625), `--out <dir>` for the child's
-//! CSV/manifest output (default a temp dir), `--report <file>` to mirror
-//! the rendered report (CI uploads it as an artifact).
+//! Flags: `USAGE`. `--attribution <fig>` runs the experiment cold through
+//! the sibling `repro` binary (`--no-cache --metrics`,
+//! `RAYON_NUM_THREADS=1` so every `par_map` fan-out runs inline and phase
+//! time sums to wall time), then renders the leaf phases that partition
+//! the run and the `grid/...` phases that split the same time by
+//! probe-grid level. It exits 1 when the leaf phases cover less than 95%
+//! or more than 100.5% of the wall. `--overhead <fig>` times the figure
+//! cold with the metrics gate off and on.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use amem_bench::repro::EXPERIMENTS;
+use amem_core::cli::{self, CliError, FlagReader};
 use amem_core::manifest::RunManifest;
 use amem_core::report::Table;
 use amem_metrics::Snapshot;
@@ -34,44 +27,48 @@ fn is_leaf(name: &str) -> bool {
     !name.starts_with("grid/")
 }
 
+const USAGE: &str = "\
+usage: amem-stats (--attribution FIG | --overhead FIG) [--scale F in (0,1], default 0.0625]
+                  [--out DIR] [--report FILE]";
+
+#[derive(Debug, Default)]
 struct Cli {
-    attribution: Option<String>,
-    overhead: Option<String>,
+    attribution: Option<&'static str>,
+    overhead: Option<&'static str>,
     scale: f64,
     out: Option<PathBuf>,
     report: Option<PathBuf>,
 }
 
-fn parse_cli() -> Cli {
+fn parse_cli(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
     let mut cli = Cli {
-        attribution: None,
-        overhead: None,
         scale: 0.0625,
-        out: None,
-        report: None,
+        ..Cli::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
+    let fig = |v: &str| {
+        EXPERIMENTS
+            .iter()
+            .find(|e| e.0 == v)
+            .map(|e| e.0)
+            .ok_or("no such experiment")
+    };
+    let mut r = FlagReader::new(args);
+    while let Some(a) = r.next_arg() {
         match a.as_str() {
-            "--attribution" => cli.attribution = Some(value()),
-            "--overhead" => cli.overhead = Some(value()),
-            "--scale" => {
-                cli.scale = value().parse().expect("--scale must be a float");
-                assert!(cli.scale > 0.0 && cli.scale <= 1.0, "scale in (0,1]");
-            }
-            "--out" => cli.out = Some(PathBuf::from(value())),
-            "--report" => cli.report = Some(PathBuf::from(value())),
-            other => panic!(
-                "unknown argument: {other} (expected --attribution/--overhead/\
-                 --scale/--out/--report)"
-            ),
+            "--attribution" => cli.attribution = Some(r.value_with(fig)?),
+            "--overhead" => cli.overhead = Some(r.value_with(fig)?),
+            "--scale" => cli.scale = r.parse_in(cli::SCALE)?,
+            "--out" => cli.out = Some(r.value()?.into()),
+            "--report" => cli.report = Some(r.value()?.into()),
+            _ => return Err(r.unknown()),
         }
     }
-    if cli.attribution.is_none() && cli.overhead.is_none() {
-        panic!("nothing to do: pass --attribution <fig> or --overhead <fig>");
+    match (cli.attribution, cli.overhead) {
+        (None, None) => Err(CliError(
+            "nothing to do: pass --attribution <fig> or --overhead <fig>".into(),
+        )),
+        _ => Ok(cli),
     }
-    cli
 }
 
 /// Leaf-phase coverage of the wall, in percent, that a single-worker run
@@ -216,7 +213,7 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
 }
 
 fn main() -> ExitCode {
-    let cli = parse_cli();
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
     let mut doc = String::new();
     let mut ok = true;
     if let Some(fig) = &cli.attribution {
@@ -245,5 +242,35 @@ fn main() -> ExitCode {
             COVERAGE_PCT.end()
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Cli, CliError> {
+        parse_cli(line.split_whitespace().map(String::from))
+    }
+
+    /// The command lines of CI and the README read to the values they name.
+    #[test]
+    fn ci_and_readme_command_lines_read_their_values() {
+        let c = parse("--attribution fig6 --report /tmp/r.txt --scale 0.125 --out /tmp/o").unwrap();
+        assert_eq!(c.attribution, Some("fig6"));
+        assert_eq!(c.report, Some(PathBuf::from("/tmp/r.txt")));
+        assert_eq!((c.scale, c.out), (0.125, Some(PathBuf::from("/tmp/o"))));
+        let c = parse("--overhead fig1").unwrap();
+        assert_eq!(
+            (c.overhead, c.attribution, c.scale),
+            (Some("fig1"), None, 0.0625)
+        );
+    }
+
+    #[test]
+    fn nothing_to_do_or_no_such_figure_is_refused() {
+        assert!(parse("").unwrap_err().0.starts_with("nothing to do"));
+        let err = parse("--attribution fig99").unwrap_err().0;
+        assert_eq!(err, "--attribution \"fig99\": no such experiment");
     }
 }

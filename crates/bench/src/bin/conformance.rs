@@ -1,36 +1,19 @@
 #![forbid(unsafe_code)]
 //! Conformance driver: differential fuzzing + analytic oracles from the
-//! command line.
+//! command line (flags: `USAGE`).
 //!
-//! ```text
-//! cargo run --release -p amem-bench --bin conformance                 # 200 seeds/config
-//! cargo run --release -p amem-bench --bin conformance -- --seeds 1000
-//! cargo run --release -p amem-bench --bin conformance -- --config nonpow2-bip
-//! cargo run --release -p amem-bench --bin conformance -- --config xeon-20way
-//! cargo run --release -p amem-bench --bin conformance -- --config noninclusive-l3
-//! cargo run --release -p amem-bench --bin conformance -- --sabotage --minimize
-//! cargo run --release -p amem-bench --bin conformance -- --replay target/conformance/x.json
-//! ```
-//!
-//! Default run: fuzz every lane of [`amem_conformance::fuzz::lanes`] —
-//! the geometries of [`amem_conformance::configs`], the 20-way
-//! `xeon-20way` lane (the shipped L3 shape, CAT-masked), the
-//! `noninclusive-l3` lane (up-links going stale under live L2 copies) and
-//! the two-socket ping-pong/barrier lane — for `--seeds` seeds each
-//! (parallel over seeds), holding the production engine to the reference
-//! machine event for event. Then lockstep the single-pass curve engine
-//! against the per-point reference-cache sweep over the same seed budget,
-//! run the QoS controller-determinism lane (`qos-determinism`) over it
-//! too, and evaluate the Eq. 4 oracle pack. Any divergence is written
-//! (optionally `--minimize`d first) to `target/conformance/` and the
-//! process exits non-zero.
+//! Default run: fuzz every lane of [`amem_conformance::fuzz::lanes`] for
+//! `--seeds` seeds each (parallel over seeds), holding the production
+//! engine to the reference machine event for event. Then lockstep the
+//! single-pass curve engine against the per-point reference-cache sweep,
+//! run the QoS controller-determinism lane over the same seeds, and
+//! evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
+//! `--minimize`d first) to `target/conformance/` and the run exits 1.
 //!
 //! `--sabotage` is the harness's self-test: it runs the lanes once per
-//! planted fault — every [`RefFault`] in the reference machine, then an
-//! engine whose dispatch overruns the quantum horizon by one cycle —
-//! and reports each fault's divergences per lane. It succeeds only if
-//! every fault diverges on some lane, so in that mode the exit code
-//! inverts.
+//! planted fault (every [`RefFault`], then an engine whose dispatch
+//! overruns the quantum horizon by one cycle) and succeeds only if every
+//! fault diverges on some lane.
 
 // A `Divergence` carries the whole failing case: it is the reproducer
 // payload (see `amem_conformance::fuzz`).
@@ -46,11 +29,17 @@ use amem_conformance::fuzz::{
     Divergence, FuzzLane, TraceCase,
 };
 use amem_conformance::{ehr_oracle_pack, qos_seed_sweep, replay_file, RefFault};
+use amem_core::cli::{self, CliError, FlagReader};
 use amem_core::par_map;
 
 /// Ops per generated fuzz trace.
 const OPS: usize = 1500;
 
+const USAGE: &str = "\
+usage: conformance [--seeds N > 0, default 200] [--config LANE] [--minimize]
+                   [--sabotage] [--replay FILE] [--no-oracles]";
+
+#[derive(Debug, Default)]
 struct Args {
     seeds: u64,
     config: Option<String>,
@@ -60,31 +49,32 @@ struct Args {
     oracles: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     let mut a = Args {
         seeds: 200,
-        config: None,
-        minimize: false,
-        sabotage: false,
-        replay: None,
         oracles: true,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut r = FlagReader::new(args);
+    while let Some(arg) = r.next_arg() {
         match arg.as_str() {
-            "--seeds" => a.seeds = it.next().expect("--seeds N").parse().expect("seed count"),
-            "--config" => a.config = Some(it.next().expect("--config NAME")),
+            "--seeds" => a.seeds = r.parse_in(1..)?,
+            "--config" => a.config = Some(r.value()?),
             "--minimize" => a.minimize = true,
             "--sabotage" => a.sabotage = true,
-            "--replay" => a.replay = Some(it.next().expect("--replay FILE")),
+            "--replay" => a.replay = Some(r.value()?),
             "--no-oracles" => a.oracles = false,
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            _ => return Err(r.unknown()),
         }
     }
-    a
+    let names: Vec<&str> = lanes(0).iter().map(|l| l.name).collect();
+    match a.config.as_deref() {
+        Some(c) if !names.contains(&c) => Err(CliError(format!(
+            "--config {c:?}: no such lane (lanes: {})",
+            names.join(", ")
+        ))),
+        _ => Ok(a),
+    }
 }
 
 type Check = dyn Fn(&TraceCase) -> Result<(), Divergence> + Sync;
@@ -158,7 +148,7 @@ fn sabotage(args: &Args, lanes: &[FuzzLane]) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
 
     if let Some(path) = &args.replay {
         return match replay_file(path) {
@@ -251,7 +241,63 @@ fn main() -> ExitCode {
     if total_div > 0 || curve_div > 0 || qos_div > 0 || oracle_fail {
         ExitCode::FAILURE
     } else {
-        println!("\nengine and reference machine agree; oracles hold");
+        let oracles = if args.oracles { "; oracles hold" } else { "" };
+        println!("\nengine and reference machine agree{oracles}");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, CliError> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    /// The command lines of CI and the README read to the values they name.
+    #[test]
+    fn ci_and_readme_command_lines_read_their_values() {
+        let a = parse("--seeds 200 --config noninclusive-l3 --no-oracles --minimize --sabotage")
+            .unwrap();
+        assert_eq!(
+            (
+                a.seeds,
+                a.config.as_deref(),
+                a.oracles,
+                a.minimize,
+                a.sabotage
+            ),
+            (200, Some("noninclusive-l3"), false, true, true)
+        );
+        let a = parse("--replay target/conformance/x.json").unwrap();
+        assert_eq!(
+            (a.seeds, a.replay.as_deref()),
+            (200, Some("target/conformance/x.json"))
+        );
+        assert!(a.config.is_none() && a.oracles && !a.minimize && !a.sabotage);
+        for lane in lanes(0) {
+            assert_eq!(
+                parse(&format!("--config {}", lane.name))
+                    .unwrap()
+                    .config
+                    .as_deref(),
+                Some(lane.name)
+            );
+        }
+    }
+
+    #[test]
+    fn a_name_that_is_no_lane_is_refused_with_the_lanes() {
+        let err = parse("--config pingpong").unwrap_err().0;
+        assert!(
+            err.starts_with("--config \"pingpong\": no such lane (lanes: "),
+            "{err}"
+        );
+        assert!(lanes(0).iter().all(|l| err.contains(l.name)), "{err}");
+        assert_eq!(
+            parse("--seeds 0").unwrap_err().0,
+            "--seeds \"0\": out of range"
+        );
     }
 }

@@ -9,36 +9,18 @@
 //! other binaries are tools: `conformance` (the differential fuzzer)
 //! and `amem-stats` (cost attribution of a `repro` run).
 //!
-//! Every experiment accepts `--scale <f>` (default 0.125): the machine's
-//! caches and every working set shrink together, preserving the figures'
-//! shapes while cutting simulation cost (use `--scale 1` for the
-//! full-size Xeon20MB). `--full` widens fig5/fig6 to the paper's complete
-//! grid. Tables print to stdout and are mirrored as CSV under
-//! `target/repro/`.
-//!
-//! Measurements flow through the [`amem_core::Executor`]: identical
-//! points (baselines above all) are simulated once and served from a
-//! content-addressed cache afterwards. `--cache-dir <dir>` (or
-//! `$AMEM_CACHE_DIR`) relocates the on-disk cache, `--no-cache` disables
-//! reuse entirely, and every manifest records the run's hit/miss
-//! counters.
-//!
-//! Robustness flags (all off by default, leaving output byte-identical
-//! to a plain run): `--trials <n>` repeats every measurement n times and
-//! reports the MAD-screened representative, `--retries <n>` retries
-//! transient failures, `--timeout <secs>` bounds each platform run,
-//! `--ci` appends per-point trial/CI columns to the degradation tables
-//! of Figs. 9 and 11, and `--fault <spec>` wraps the platform in a
-//! deterministic fault injector for robustness drills. `--metrics`
-//! turns the metrics registry on. Runs whose trial loop counted
-//! anything (trials, retries, timeouts, faults, non-finite results)
-//! print a `[quality]` summary line and record the counters in the
-//! manifest.
+//! Every experiment takes the flags of [`USAGE`] (`--scale` shrinks the
+//! machine and every working set together, keeping the figures' shapes).
+//! Tables print to stdout and are mirrored as CSV under `--out`.
+//! Measurements flow through the [`amem_core::Executor`], so identical
+//! points are simulated once; the robustness flags are off by default,
+//! leaving output byte-identical to a plain run.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use amem_core::cli::{self, CliError, FlagReader};
 use amem_core::manifest::RunManifest;
 use amem_core::platform::{Measurement, Platform, SimPlatform};
 use amem_core::{CacheStats, Executor, FaultSpec, FaultyPlatform, QualityStats, TrialPolicy};
@@ -48,7 +30,7 @@ use amem_sim::CoreCounters;
 
 pub mod repro;
 
-/// Parsed common CLI arguments.
+/// Parsed common CLI arguments (the flags of [`USAGE`]).
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Machine scale factor in (0, 1].
@@ -80,9 +62,8 @@ pub struct Args {
     /// Append per-point trial-count/CI columns to the degradation tables
     /// of Figs. 9 and 11 (`--ci`).
     pub ci: bool,
-    /// Fault-injection spec (`--fault <spec>`). See
-    /// [`amem_core::FaultSpec::parse`].
-    pub fault: Option<String>,
+    /// Fault injection (`--fault`, read by [`FaultSpec::parse`]).
+    pub fault: Option<FaultSpec>,
     /// Enable the metrics registry (`--metrics`).
     pub metrics: bool,
     /// Explicit path for the Prometheus export (`--metrics-out`);
@@ -116,65 +97,43 @@ impl Default for Args {
     }
 }
 
-impl Args {
-    /// Parse `--scale <f>`, `--full`, `--out <dir>`, `--sample <cycles>`,
-    /// `--trace <events>`, `--no-cache`, `--cache-dir <dir>`,
-    /// `--jobs <n>`, `--profile`, `--trials <n>`, `--retries <n>`,
-    /// `--timeout <secs>`, `--ci`, `--fault <spec>`, `--metrics`,
-    /// `--metrics-out <path>` and `--curve-mode <mode>` from the process
-    /// args.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
+/// The `repro` command line; every refusal of it prints this.
+pub const USAGE: &str = "\
+usage: repro <name|all> [--scale F in (0,1], default 0.125] [--full] [--out DIR]
+         [--sample CYCLES > 0] [--trace EVENTS > 0] [--no-cache] [--cache-dir DIR]
+         [--jobs N > 0] [--profile] [--trials N > 0] [--retries N] [--timeout SECS > 0]
+         [--ci] [--fault SPEC] [--metrics] [--metrics-out PATH]
+         [--curve-mode exact|sampled[:RATE]]
+(`repro` alone lists the experiments)";
 
-    /// [`Args::parse`] over explicit arguments (those after the
-    /// experiment name, for `repro`).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+impl Args {
+    /// The flags of [`USAGE`] (those after the experiment name).
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
         let mut out = Self::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            let mut value = || it.next().unwrap_or_else(|| panic!("{a} needs a value"));
+        let mut r = FlagReader::new(args);
+        while let Some(a) = r.next_arg() {
             match a.as_str() {
-                "--scale" => {
-                    out.scale = parsed(&a, value());
-                    assert!(out.scale > 0.0 && out.scale <= 1.0, "scale in (0,1]");
-                }
+                "--scale" => out.scale = r.parse_in(cli::SCALE)?,
                 "--full" => out.full = true,
-                "--out" => out.out = PathBuf::from(value()),
-                "--sample" => out.sample = Some(positive(&a, value())),
-                "--trace" => out.trace = Some(positive(&a, value())),
+                "--out" => out.out = r.value()?.into(),
+                "--sample" => out.sample = Some(r.parse_in(1..)?),
+                "--trace" => out.trace = Some(r.parse_in(1..)?),
                 "--no-cache" => out.no_cache = true,
-                "--cache-dir" => out.cache_dir = Some(PathBuf::from(value())),
-                "--jobs" => out.jobs = Some(positive(&a, value())),
+                "--cache-dir" => out.cache_dir = Some(r.value()?.into()),
+                "--jobs" => out.jobs = Some(r.parse_in(1..)?),
                 "--profile" => out.profile = true,
-                "--trials" => out.trials = positive(&a, value()),
-                "--retries" => out.retries = parsed(&a, value()),
-                "--timeout" => {
-                    let s: f64 = parsed(&a, value());
-                    assert!(s > 0.0 && s.is_finite(), "--timeout must be positive");
-                    out.timeout_secs = Some(s);
-                }
+                "--trials" => out.trials = r.parse_in(1..)?,
+                "--retries" => out.retries = r.parse()?,
+                "--timeout" => out.timeout_secs = Some(r.parse_in(cli::POSITIVE)?),
                 "--ci" => out.ci = true,
-                "--fault" => {
-                    let v = value();
-                    // Validate now so a typo fails before any simulation.
-                    FaultSpec::parse(&v).expect("invalid --fault spec");
-                    out.fault = Some(v);
-                }
+                "--fault" => out.fault = Some(r.value_with(FaultSpec::parse)?),
                 "--metrics" => out.metrics = true,
-                "--metrics-out" => out.metrics_out = Some(PathBuf::from(value())),
-                "--curve-mode" => {
-                    out.curve_mode =
-                        amem_core::CurveMode::parse(&value()).expect("invalid --curve-mode");
-                }
-                other => panic!(
-                    "unknown argument: {other} (expected --scale/--full/--out/--sample/--trace/\
-                     --no-cache/--cache-dir/--jobs/--profile/--trials/--retries/--timeout/--ci/\
-                     --fault/--metrics/--metrics-out/--curve-mode)"
-                ),
+                "--metrics-out" => out.metrics_out = Some(r.value()?.into()),
+                "--curve-mode" => out.curve_mode = r.value_with(amem_core::CurveMode::parse)?,
+                _ => return Err(r.unknown()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// The machine under test.
@@ -210,12 +169,6 @@ impl Args {
         p
     }
 
-    /// The fault-injection spec of `--fault`, `None` without the flag.
-    pub fn fault_spec(&self) -> Option<FaultSpec> {
-        let raw = self.fault.as_deref()?;
-        Some(FaultSpec::parse(raw).expect("invalid --fault spec"))
-    }
-
     /// An executor over [`Args::platform`] honouring `--no-cache` and
     /// `--cache-dir` (falling back to `$AMEM_CACHE_DIR`, then
     /// `target/amem-cache`), running under [`Args::trial_policy`]. With a
@@ -223,10 +176,10 @@ impl Args {
     /// [`FaultyPlatform`] — which reports itself nondeterministic, so
     /// injected results never reach the cache.
     pub fn executor(&self) -> Arc<Executor> {
-        let exec = match self.fault_spec() {
+        let exec = match &self.fault {
             Some(spec) => {
                 eprintln!("[fault] injecting: {spec:?}");
-                self.build_executor(FaultyPlatform::new(self.platform(), spec))
+                self.build_executor(FaultyPlatform::new(self.platform(), spec.clone()))
             }
             None => self.build_executor(self.platform()),
         };
@@ -242,19 +195,6 @@ impl Args {
             Executor::new(plat)
         }
     }
-}
-
-/// A flag's value parsed as `T`; a bad value panics naming the flag.
-fn parsed<T: std::str::FromStr>(flag: &str, v: String) -> T {
-    v.parse()
-        .unwrap_or_else(|_| panic!("{flag} must be a number, got {v:?}"))
-}
-
-/// [`parsed`], refusing zero.
-fn positive<T: std::str::FromStr + PartialOrd + Default>(flag: &str, v: String) -> T {
-    let n: T = parsed(flag, v);
-    assert!(n > T::default(), "{flag} must be positive");
-    n
 }
 
 /// Resolve the child-process parallelism of `repro all`: the `--jobs`
@@ -293,12 +233,7 @@ impl std::ops::Deref for Harness {
 }
 
 impl Harness {
-    /// Parse the CLI and open a manifest for experiment `name`.
-    pub fn new(name: &str) -> Self {
-        Self::with_args(name, Args::parse())
-    }
-
-    /// Like [`Harness::new`] with explicit arguments (`repro`, tests).
+    /// Open a manifest for experiment `name` run with `args`.
     pub fn with_args(name: &str, args: Args) -> Self {
         // Without `--metrics` the gate stays off and every
         // instrumentation site stays a single relaxed load.
@@ -711,10 +646,65 @@ mod tests {
         // The flag is the only source: the environment injects nothing.
         std::env::set_var("AMEM_FAULT_INJECT", "seed=7,noise=0.01");
         let a = Args::default();
-        assert!(a.fault_spec().is_none(), "no flag, no injection");
+        assert!(a.fault.is_none(), "no flag, no injection");
         std::env::remove_var("AMEM_FAULT_INJECT");
         let flagged = Args::parse_from(["--fault".to_string(), "seed=9,error=0.5".to_string()]);
-        assert_eq!(flagged.fault_spec().unwrap().seed, 9);
+        assert_eq!(flagged.unwrap().fault.unwrap().seed, 9);
+    }
+
+    /// Every flag at once, as CI and the README pass them, reads to the
+    /// values the command line names.
+    #[test]
+    fn a_full_command_line_reads_every_flag() {
+        let line = "--scale 0.0625 --full --out /tmp/o --sample 50000 --trace 4096 --no-cache \
+                    --cache-dir /tmp/c --jobs 2 --profile --trials 3 --retries 3 --timeout 30 \
+                    --ci --fault seed=42,timeout=0.1,error=0.1,nan=0.1,noise=0.03 --metrics \
+                    --metrics-out /tmp/m.prom --curve-mode sampled";
+        let a = Args::parse_from(line.split_whitespace().map(String::from)).unwrap();
+        let expected = Args {
+            scale: 0.0625,
+            full: true,
+            out: "/tmp/o".into(),
+            sample: Some(50_000),
+            trace: Some(4096),
+            no_cache: true,
+            cache_dir: Some("/tmp/c".into()),
+            jobs: Some(2),
+            profile: true,
+            trials: 3,
+            retries: 3,
+            timeout_secs: Some(30.0),
+            ci: true,
+            fault: FaultSpec::parse("seed=42,timeout=0.1,error=0.1,nan=0.1,noise=0.03").ok(),
+            metrics: true,
+            metrics_out: Some("/tmp/m.prom".into()),
+            curve_mode: amem_core::CurveMode::parse("sampled").unwrap(),
+        };
+        assert_eq!(format!("{a:?}"), format!("{expected:?}"));
+        let none: [String; 0] = [];
+        assert_eq!(
+            format!("{:?}", Args::parse_from(none).unwrap()),
+            format!("{:?}", Args::default())
+        );
+    }
+
+    #[test]
+    fn a_bad_flag_is_refused_naming_it() {
+        for (line, named) in [
+            ("--scale 0", "--scale \"0\""),
+            ("--scale 5", "--scale \"5\""),
+            ("--jobs 0", "--jobs \"0\""),
+            ("--trials 0", "--trials \"0\""),
+            ("--timeout inf", "--timeout \"inf\""),
+            ("--sample x", "--sample \"x\""),
+            ("--fault bogus=1", "--fault \"bogus=1\""),
+            ("--curve-mode fast", "--curve-mode \"fast\""),
+            ("--out", "--out needs a value"),
+            ("--bogus", "unknown argument: --bogus"),
+        ] {
+            let err = Args::parse_from(line.split(' ').map(String::from)).unwrap_err();
+            assert!(err.0.starts_with(named), "{line}: {}", err.0);
+        }
     }
 
     #[test]

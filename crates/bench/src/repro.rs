@@ -17,17 +17,17 @@
 //! from cache. Sweep progress
 //! logging is on for the children (set `AMEM_PROGRESS=0` to silence it).
 
-use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
 use std::process::{Command, ExitCode, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
+use amem_core::cli::{exit_usage, CliError};
 use amem_core::manifest;
 use amem_core::{CacheStats, QualityStats};
 
-use crate::{resolve_jobs, Args, Harness};
+use crate::{resolve_jobs, Args, Harness, USAGE};
 
 mod apps;
 mod extensions;
@@ -76,36 +76,25 @@ pub(crate) enum Selection {
     One(&'static Experiment),
 }
 
-/// The refusal of a missing (`None`) or unknown experiment name. Its
-/// display is the usage message, naming every entry of the table.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Unknown(pub(crate) Option<String>);
-
-impl fmt::Display for Unknown {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Some(name) => writeln!(f, "unknown experiment `{name}`")?,
-            None => writeln!(f, "no experiment named")?,
-        }
-        write!(f, "usage: repro <name|all> [flags]")?;
-        let all = ("all", "every experiment above, each in its own process");
-        for (name, about) in EXPERIMENTS.iter().map(|e| (e.0, e.1)).chain([all]) {
-            write!(f, "\n  {name:<14}{about}")?;
-        }
-        Ok(())
-    }
+/// [`USAGE`] and every entry of the table: what a refused name prints.
+pub(crate) fn usage() -> String {
+    let all = ("all", "every experiment above, each in its own process");
+    let entries = EXPERIMENTS.iter().map(|e| (e.0, e.1)).chain([all]);
+    entries.fold(format!("{USAGE}\nexperiments:"), |u, (name, about)| {
+        u + &format!("\n  {name:<14}{about}")
+    })
 }
 
 /// Resolve the experiment name `repro` was given.
-pub(crate) fn select(name: Option<&str>) -> Result<Selection, Unknown> {
+pub(crate) fn select(name: Option<&str>) -> Result<Selection, CliError> {
     match name {
         Some("all") => Ok(Selection::All),
         Some(name) => EXPERIMENTS
             .iter()
             .find(|e| e.0 == name)
             .map(Selection::One)
-            .ok_or_else(|| Unknown(Some(name.to_string()))),
-        None => Err(Unknown(None)),
+            .ok_or_else(|| CliError(format!("unknown experiment `{name}`"))),
+        None => Err(CliError("no experiment named".into())),
     }
 }
 
@@ -114,17 +103,15 @@ pub fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let name = argv.next();
     let flags: Vec<String> = argv.collect();
-    match select(name.as_deref()) {
-        Ok(Selection::All) => all(&flags),
-        Ok(Selection::One(&(name, _, run))) => {
-            let mut h = Harness::with_args(name, Args::parse_from(flags));
+    let selection = select(name.as_deref()).unwrap_or_else(|e| exit_usage(&e, &usage()));
+    let args = Args::parse_from(flags.iter().cloned()).unwrap_or_else(|e| exit_usage(&e, USAGE));
+    match selection {
+        Selection::All => all(&args, &flags),
+        Selection::One(&(name, _, run)) => {
+            let mut h = Harness::with_args(name, args);
             run(&mut h);
             h.finish();
             ExitCode::SUCCESS
-        }
-        Err(unknown) => {
-            eprintln!("{unknown}");
-            ExitCode::from(2)
         }
     }
 }
@@ -132,8 +119,7 @@ pub fn main() -> ExitCode {
 /// `repro all`: every experiment in a child process of this executable,
 /// then the suite report over their manifests. A failed child does not
 /// stop the others; the exit status names each one that failed.
-fn all(flags: &[String]) -> ExitCode {
-    let args = Args::parse_from(flags.iter().cloned());
+fn all(args: &Args, flags: &[String]) -> ExitCode {
     let exe = std::env::current_exe().expect("current_exe");
     let progress = std::env::var("AMEM_PROGRESS").unwrap_or_else(|_| "1".into());
     let jobs = resolve_jobs(args.jobs);
@@ -331,7 +317,7 @@ mod tests {
             panic!("{name} is an entry");
         };
         let common = ["--out", out.to_str().unwrap(), "--scale", "0.0625"];
-        let args = Args::parse_from(common.iter().chain(flags).map(|s| s.to_string()));
+        let args = Args::parse_from(common.iter().chain(flags).map(|s| s.to_string())).unwrap();
         let mut h = Harness::with_args(name, args);
         run(&mut h);
         let stats = h.executor().stats();
@@ -354,7 +340,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         // Cold: each variant prints its golden byte for byte, runs one
         // curve pass per (distribution, buffer size) cell and simulates
-        // nothing.
+        // nothing; only the sampled one notes its (nonzero) error bound
+        // in its manifest.
         let variants: [(&str, &[&str], u64); 3] = [
             ("exact", &[], 12),
             ("full", &["--full"], 220),
@@ -362,7 +349,8 @@ mod tests {
         ];
         for (variant, flags, cells) in variants {
             let flags = [flags, &["--no-cache"]].concat();
-            let (csv, stats) = repro("fig6", &root.join(variant), &flags);
+            let out = root.join(variant);
+            let (csv, stats) = repro("fig6", &out, &flags);
             assert!(
                 csv == golden(variant),
                 "fig6 {variant} differs from its golden:\n{csv}"
@@ -370,6 +358,21 @@ mod tests {
             let c = stats.curves();
             assert_eq!((c.hits(), c.runs), (0, cells), "{variant}: {c:?}");
             assert_eq!(stats.lookups(), 0, "{variant}: fig6 simulates nothing");
+            let notes = manifest::RunManifest::load(out.join("fig6.manifest.json"))
+                .unwrap()
+                .notes;
+            let ci95: Vec<f64> = notes
+                .iter()
+                .filter_map(|n| {
+                    n.strip_prefix("sampled curve mode, worst CI95 ")?
+                        .parse()
+                        .ok()
+                })
+                .collect();
+            match variant {
+                "sampled" => assert!(matches!(ci95[..], [x] if x > 0.0), "{notes:?}"),
+                _ => assert!(ci95.is_empty(), "{variant}: {notes:?}"),
+            }
         }
         // Twice over one cache directory: the second run serves every
         // curve from disk, runs no pass, and still prints the golden.
@@ -520,11 +523,11 @@ mod tests {
 
     #[test]
     fn an_unknown_or_missing_name_is_refused_with_the_table() {
-        assert_eq!(select(None).unwrap_err(), Unknown(None));
+        assert_eq!(select(None).unwrap_err().0, "no experiment named");
         let unknown = select(Some("nope")).unwrap_err();
-        assert_eq!(unknown, Unknown(Some("nope".into())));
-        let usage = unknown.to_string();
-        assert!(usage.starts_with("unknown experiment `nope`"), "{usage}");
+        assert_eq!(unknown.0, "unknown experiment `nope`");
+        let usage = usage();
+        assert!(usage.starts_with(USAGE), "{usage}");
         for (name, about, _) in EXPERIMENTS {
             assert!(
                 usage.contains(&format!("\n  {name:<14}{about}\n")),

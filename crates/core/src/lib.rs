@@ -41,6 +41,7 @@ pub mod advisor;
 pub mod bandwidth;
 mod cache;
 pub mod capacity;
+pub mod cli;
 pub mod curve;
 pub mod error;
 pub mod estimate;

@@ -321,9 +321,9 @@ mod tests {
         );
         let c = &r.jobs[0].counters;
         // Alone, BWThr's 1.15×L3 footprint misses on roughly half its
-        // accesses under the L3's adaptive insertion (its own lines are
-        // its only competition); under any co-runner the rate rises
-        // sharply (see calibrate::bwthrs_saturate_the_channel).
+        // accesses (the L3 inserts its fills at MRU, and its own lines
+        // are their only competition); under any co-runner the rate
+        // rises sharply (see calibrate::bwthrs_saturate_the_channel).
         assert!(
             c.l3_miss_rate() > 0.45,
             "BWThr L3 miss rate {:.3} too low",

@@ -1,28 +1,14 @@
 #![forbid(unsafe_code)]
-//! CLI client for the measurement daemon.
-//!
-//! ```text
-//! amem-client [--addr H:P] [--tenant T] [--priority high|normal|low]
-//!             [--fault SPEC] <command> [command flags]
-//!
-//! commands:
-//!   ping                         liveness check
-//!   stats [--assert-dedup]      service counters; optionally require
-//!                                unique simulations < jobs completed
-//!   metrics                      dump the daemon's Prometheus text
-//!   shutdown                     drain the daemon and report jobs done
-//!   sweep [--scale F] [--csv P] [--local]
-//!                                run the fig1-shaped sweep and render
-//!                                the paper's table (byte-identical to
-//!                                `repro fig1`)
-//!   measure [--scale F]          one fig1 probe point, no interference
-//! ```
+//! CLI client for the measurement daemon (commands and flags: `USAGE`).
 //!
 //! `sweep --local` runs the library path in-process instead of talking
-//! to a daemon — CI diffs the two CSVs to prove byte identity.
+//! to a daemon, so the two CSVs can be diffed for byte identity.
 
 use std::io::Write as _;
+use std::path::PathBuf;
+use std::process::ExitCode;
 
+use amem_core::cli::{self, CliError, FlagReader};
 use amem_core::figures::{fig1_probe, fig1_table, FIG1_MAX_COUNT, FIG1_PER_PROCESSOR};
 use amem_core::platform::{ProbeWorkload, SimPlatform};
 use amem_core::sweep::run_sweep;
@@ -32,78 +18,93 @@ use amem_serve::protocol::{JobSpec, Priority, WorkloadSpec};
 use amem_serve::Client;
 use amem_sim::config::MachineConfig;
 
-fn die(msg: &str) -> ! {
-    eprintln!("amem-client: {msg}");
-    std::process::exit(2);
+const USAGE: &str = "\
+usage: amem-client [--addr H:P] [--tenant T] [--priority high|normal|low]
+                   [--fault SPEC] <command> [command flags]
+commands: ping | stats [--assert-dedup] | metrics | shutdown
+        | sweep [--scale F in (0,1]] [--csv PATH] [--local]
+        | measure [--scale F in (0,1]] [--local]";
+
+const COMMANDS: [&str; 6] = ["ping", "stats", "metrics", "shutdown", "sweep", "measure"];
+
+#[derive(Debug, Default)]
+struct Cli {
+    addr: String,
+    tenant: String,
+    priority: Priority,
+    fault: Option<String>,
+    scale: f64,
+    csv: Option<PathBuf>,
+    local: bool,
+    assert_dedup: bool,
+    command: String,
 }
 
-fn main() {
-    let mut addr = std::env::var("AMEM_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:4774".into());
-    let mut tenant = "default".to_string();
-    let mut priority = Priority::Normal;
-    let mut fault: Option<String> = None;
-    let mut scale = 0.125f64;
-    let mut csv: Option<std::path::PathBuf> = None;
-    let mut local = false;
-    let mut assert_dedup = false;
-    let mut command: Option<String> = None;
-
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{a} needs {what}")))
-        };
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
+    let mut c = Cli {
+        addr: "127.0.0.1:4774".into(),
+        tenant: "default".into(),
+        scale: 0.125,
+        ..Cli::default()
+    };
+    let mut r = FlagReader::new(args);
+    while let Some(a) = r.next_arg() {
         match a.as_str() {
-            "--addr" => addr = val("host:port"),
-            "--tenant" => tenant = val("a name"),
-            "--priority" => {
-                priority = Priority::parse(&val("high|normal|low")).unwrap_or_else(|e| die(&e));
-            }
-            "--fault" => fault = Some(val("a FaultSpec")),
-            "--scale" => {
-                scale = val("a float")
-                    .parse()
-                    .unwrap_or_else(|_| die("--scale must be a float"));
-            }
-            "--csv" => csv = Some(std::path::PathBuf::from(val("a path"))),
-            "--local" => local = true,
-            "--assert-dedup" => assert_dedup = true,
-            cmd if command.is_none() && !cmd.starts_with("--") => command = Some(cmd.to_string()),
-            other => die(&format!("unknown argument: {other}")),
+            "--addr" => c.addr = r.value()?,
+            "--tenant" => c.tenant = r.value()?,
+            "--priority" => c.priority = r.value_with(Priority::parse)?,
+            "--fault" => c.fault = Some(r.value()?),
+            "--scale" => c.scale = r.parse_in(cli::SCALE)?,
+            "--csv" => c.csv = Some(r.value()?.into()),
+            "--local" => c.local = true,
+            "--assert-dedup" => c.assert_dedup = true,
+            cmd if c.command.is_empty() && COMMANDS.contains(&cmd) => c.command = a,
+            _ => return Err(r.unknown()),
         }
     }
-    let command = command
-        .unwrap_or_else(|| die("no command (want ping/stats/metrics/shutdown/sweep/measure)"));
+    match c.command.as_str() {
+        "" => Err(CliError("no command".into())),
+        _ => Ok(c),
+    }
+}
 
-    let machine = MachineConfig::xeon20mb().scaled(scale);
-    let connect = |tenant: &str, priority, fault: &Option<String>| -> Client {
-        let mut c = Client::connect(&addr)
-            .unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
-        c.tenant = tenant.into();
-        c.priority = priority;
-        c.fault = fault.clone();
-        c
+fn main() -> ExitCode {
+    let c = parse(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
+    if let Err(e) = run(&c) {
+        eprintln!("amem-client: {e}");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Run the command `c` names.
+fn run(c: &Cli) -> Result<(), String> {
+    let machine = MachineConfig::xeon20mb().scaled(c.scale);
+    let connect = || -> Result<Client, String> {
+        let mut client =
+            Client::connect(&c.addr).map_err(|e| format!("cannot connect to {}: {e}", c.addr))?;
+        client.tenant = c.tenant.clone();
+        client.priority = c.priority;
+        client.fault = c.fault.clone();
+        Ok(client)
     };
 
-    match command.as_str() {
+    match c.command.as_str() {
         "ping" => {
-            connect(&tenant, priority, &fault)
-                .ping()
-                .unwrap_or_else(|e| die(&format!("ping failed: {e}")));
+            connect()?.ping().map_err(|e| format!("ping failed: {e}"))?;
             println!("pong");
         }
         "stats" => {
-            let stats = connect(&tenant, priority, &fault)
+            let stats = connect()?
                 .stats()
-                .unwrap_or_else(|e| die(&format!("stats failed: {e}")));
+                .map_err(|e| format!("stats failed: {e}"))?;
             let json = serde_json::to_string_pretty(&stats).expect("stats serialize");
             println!("{json}");
-            if assert_dedup {
+            if c.assert_dedup {
                 let sims = stats.cache.sim_runs;
                 let done = stats.jobs_completed;
                 if stats.cache.dedup_hits + stats.cache.mem_hits + stats.cache.disk_hits == 0 {
-                    die(&format!(
+                    return Err(format!(
                         "dedup assertion failed: no cache/dedup hits at all \
                          ({sims} sims for {done} jobs)"
                     ));
@@ -112,20 +113,20 @@ fn main() {
             }
         }
         "metrics" => {
-            let text = connect(&tenant, priority, &fault)
+            let text = connect()?
                 .metrics()
-                .unwrap_or_else(|e| die(&format!("metrics failed: {e}")));
+                .map_err(|e| format!("metrics failed: {e}"))?;
             print!("{text}");
             let _ = std::io::stdout().flush();
         }
         "shutdown" => {
-            let done = connect(&tenant, priority, &fault)
+            let done = connect()?
                 .shutdown()
-                .unwrap_or_else(|e| die(&format!("shutdown failed: {e}")));
+                .map_err(|e| format!("shutdown failed: {e}"))?;
             println!("[shutdown] drained; {done} jobs completed over the daemon's lifetime");
         }
         "sweep" => {
-            let sweep = if local {
+            let sweep = if c.local {
                 // The library path, for parity diffs: same executor code,
                 // same cache-dir convention ($AMEM_CACHE_DIR), no daemon.
                 let exec = Executor::new(SimPlatform::new(machine.clone()));
@@ -136,9 +137,9 @@ fn main() {
                     InterferenceKind::Storage,
                     FIG1_MAX_COUNT,
                 )
-                .unwrap_or_else(|e| die(&format!("local sweep failed: {e}")))
+                .map_err(|e| format!("local sweep failed: {e}"))?
             } else {
-                connect(&tenant, priority, &fault)
+                connect()?
                     .sweep(JobSpec::Sweep {
                         machine: machine.clone(),
                         workload: WorkloadSpec::Probe(fig1_probe(&machine)),
@@ -146,19 +147,20 @@ fn main() {
                         kind: InterferenceKind::Storage,
                         max_count: FIG1_MAX_COUNT,
                     })
-                    .unwrap_or_else(|e| die(&format!("sweep failed: {e}")))
+                    .map_err(|e| format!("sweep failed: {e}"))?
             };
             let table = fig1_table(&machine, &sweep);
             println!("{}", table.render());
-            if let Some(path) = csv {
+            if let Some(path) = &c.csv {
                 table
-                    .write_csv(&path)
-                    .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
+                    .write_csv(path)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 println!("[csv] {}", path.display());
             }
         }
-        "measure" => {
-            let m = if local {
+        // `measure`, the last of `COMMANDS`: `parse` lets no other name by.
+        _ => {
+            let m = if c.local {
                 let exec = Executor::new(SimPlatform::new(machine.clone()));
                 let m = exec
                     .run(
@@ -166,25 +168,82 @@ fn main() {
                         FIG1_PER_PROCESSOR,
                         InterferenceMix::none(),
                     )
-                    .unwrap_or_else(|e| die(&format!("local measure failed: {e}")));
+                    .map_err(|e| format!("local measure failed: {e}"))?;
                 (*m).clone()
             } else {
-                connect(&tenant, priority, &fault)
+                connect()?
                     .measure(JobSpec::Measure {
                         machine: machine.clone(),
                         workload: WorkloadSpec::Probe(fig1_probe(&machine)),
                         per_processor: FIG1_PER_PROCESSOR,
                         mix: InterferenceMix::none(),
                     })
-                    .unwrap_or_else(|e| die(&format!("measure failed: {e}")))
+                    .map_err(|e| format!("measure failed: {e}"))?
             };
             println!(
                 "{}",
                 serde_json::to_string(&m).expect("measurement serialize")
             );
         }
-        other => die(&format!(
-            "unknown command '{other}' (want ping/stats/metrics/shutdown/sweep/measure)"
-        )),
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Cli, CliError> {
+        parse(line.split_whitespace().map(String::from))
+    }
+
+    /// The command lines of CI and the README read to the values they name.
+    #[test]
+    fn ci_and_readme_command_lines_read_their_values() {
+        let c = parse_line(
+            "--addr 127.0.0.1:9 --tenant ci-1 --priority high --fault seed=1 sweep \
+             --scale 0.0625 --csv /tmp/s.csv --local",
+        )
+        .unwrap();
+        assert_eq!(
+            (c.addr.as_str(), c.tenant.as_str()),
+            ("127.0.0.1:9", "ci-1")
+        );
+        assert_eq!(
+            (c.priority, c.fault.as_deref()),
+            (Priority::High, Some("seed=1"))
+        );
+        assert_eq!(
+            (c.command.as_str(), c.scale, c.local),
+            ("sweep", 0.0625, true)
+        );
+        assert_eq!(c.csv, Some(PathBuf::from("/tmp/s.csv")));
+        let c = parse_line("stats --assert-dedup").unwrap();
+        assert_eq!((c.command.as_str(), c.assert_dedup), ("stats", true));
+        assert_eq!(
+            (c.addr.as_str(), c.tenant.as_str(), c.scale),
+            ("127.0.0.1:4774", "default", 0.125)
+        );
+        assert_eq!(
+            (c.priority, c.fault, c.csv, c.local),
+            (Priority::Normal, None, None, false)
+        );
+        for cmd in COMMANDS {
+            assert_eq!(parse_line(cmd).unwrap().command, cmd);
+        }
+    }
+
+    #[test]
+    fn a_bad_or_missing_command_is_refused() {
+        assert_eq!(parse_line("--addr x").unwrap_err().0, "no command");
+        assert_eq!(parse_line("frob").unwrap_err().0, "unknown argument: frob");
+        assert_eq!(
+            parse_line("ping ping").unwrap_err().0,
+            "unknown argument: ping"
+        );
+        assert!(parse_line("--scale 0 sweep --local")
+            .unwrap_err()
+            .0
+            .starts_with("--scale \"0\""));
     }
 }

@@ -151,15 +151,15 @@ impl MachineConfig {
                 ways: 20,
                 latency: 38,
                 replacement: Replacement::Lru,
-                // Classic LRU insertion. Two paper-critical behaviours
-                // emerge from it: (a) BWThr's cyclic walk over a footprint
+                // Classic LRU, every fill at MRU (no shipped stream hints
+                // otherwise). (a) BWThr's cyclic walk over a footprint
                 // slightly exceeding the L3 thrashes completely (LRU's
                 // cyclic pathology), so it consumes bandwidth at a constant
-                // rate regardless of co-runners (Fig. 7); (b) a hot,
-                // frequently re-touched working set (CSThr, an
-                // application's resident data) stays above a moderate
-                // streamer in the recency stack, which is why one or two
-                // BWThrs do not displace storage (Fig. 8).
+                // rate regardless of co-runners (Fig. 7); (b) a CSThr's
+                // hot, re-touched set stays above a moderate streamer in
+                // the recency stack, so one or two BWThrs do not displace
+                // its storage (Fig. 8). Data re-touched less often is
+                // displaced: one BWThr makes MCB and Lulesh miss in the L3.
                 insert: InsertPolicy::Mru,
                 hash_sets: true,
             },

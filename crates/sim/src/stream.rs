@@ -86,11 +86,11 @@ pub trait AccessStream: Send {
     }
 
     /// Insertion-policy hint for lines this stream fills into the shared
-    /// LLC. `None` uses the cache's configured policy. Streaming threads
-    /// that never re-reference their fills (BWThr, STREAM) return
-    /// `Some(InsertPolicy::Lru)`, modelling the streaming detection of
-    /// real LLCs (DIP/BIP): their lines flow through without displacing
-    /// reused working sets.
+    /// LLC. `None` uses the cache's configured policy. No shipped stream
+    /// returns anything else: BWThr and STREAM fill the Xeon20MB L3 at
+    /// its configured MRU position like every other stream, so their
+    /// fills do displace reused working sets. Only the conformance
+    /// fuzzer's probation lanes return `Some(InsertPolicy::Lru)`.
     fn llc_insert_hint(&self) -> Option<crate::cache::InsertPolicy> {
         None
     }
