@@ -1,14 +1,16 @@
 #![forbid(unsafe_code)]
 //! `amem-stats` — cost attribution for the reproduction harness itself.
 //!
-//! Flags: `USAGE`. `--attribution <fig>` runs the experiment cold through
-//! the sibling `repro` binary (`--no-cache --metrics`,
+//! Synopsis: `USAGE`. `--attribution <fig>` runs the experiment cold
+//! through the sibling `repro` binary (`--no-cache --metrics`,
 //! `RAYON_NUM_THREADS=1` so every `par_map` fan-out runs inline and phase
 //! time sums to wall time), then renders the leaf phases that partition
 //! the run and the `grid/...` phases that split the same time by
 //! probe-grid level. It exits 1 when the leaf phases cover less than 95%
 //! or more than 100.5% of the wall. `--overhead <fig>` times the figure
-//! cold with the metrics gate off and on.
+//! cold with the metrics gate off and on. `--out` holds the child's
+//! CSV and manifest (default a temp dir); `--report` mirrors the
+//! rendered report to a file. A `repro` child that fails exits 1 too.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -18,7 +20,7 @@ use amem_bench::repro::EXPERIMENTS;
 use amem_core::cli::{self, CliError, FlagReader};
 use amem_core::manifest::RunManifest;
 use amem_core::report::Table;
-use amem_metrics::Snapshot;
+use amem_metrics::{PhaseCost, Snapshot};
 
 /// Leaf phases partition a run's wall time; everything else (the
 /// `grid/...` namespace) is an overlapping by-level view of the same time
@@ -78,9 +80,14 @@ const COVERAGE_PCT: std::ops::RangeInclusive<f64> = 95.0..=100.5;
 
 /// Run `repro <fig>` cold and return its manifest. `metrics` turns the
 /// child's gate on.
-fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> RunManifest {
+fn run_child(
+    fig: &str,
+    cli: &Cli,
+    out_dir: &PathBuf,
+    metrics: bool,
+) -> Result<RunManifest, String> {
     let repro = std::env::current_exe()
-        .expect("current_exe")
+        .map_err(|e| format!("current_exe: {e}"))?
         .with_file_name(format!("repro{}", std::env::consts::EXE_SUFFIX));
     let _ = std::fs::create_dir_all(out_dir);
     let mut cmd = std::process::Command::new(&repro);
@@ -97,78 +104,65 @@ fn run_child(fig: &str, cli: &Cli, out_dir: &PathBuf, metrics: bool) -> RunManif
     }
     let status = cmd
         .status()
-        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", repro.display()));
-    assert!(status.success(), "{fig} failed with {status}");
+        .map_err(|e| format!("failed to spawn {}: {e}", repro.display()))?;
+    if !status.success() {
+        return Err(format!("repro {fig} failed with {status}"));
+    }
     RunManifest::load(out_dir.join(format!("{fig}.manifest.json")))
-        .unwrap_or_else(|e| panic!("cannot load {fig} manifest: {e}"))
+        .map_err(|e| format!("cannot load {fig} manifest: {e}"))
 }
 
 /// Render the attribution report into `doc`; returns the leaf phases'
 /// coverage of the wall in percent.
-fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) -> f64 {
+fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) -> Result<f64, String> {
     let out_dir = cli
         .out
         .clone()
         .unwrap_or_else(|| std::env::temp_dir().join(format!("amem_stats_{fig}")));
-    let manifest = run_child(fig, cli, &out_dir, true);
-    let snap = manifest
-        .metrics
-        .as_ref()
-        .expect("child ran with --metrics, manifest must carry a snapshot");
+    let manifest = run_child(fig, cli, &out_dir, true)?;
+    let snap = manifest.metrics.as_ref().ok_or(format!(
+        "{fig} ran with --metrics, but its manifest has no snapshot"
+    ))?;
     let wall = manifest.wall_seconds;
-    let phases = snap.phase_report();
-    let leaf_total: f64 = phases
-        .iter()
-        .filter(|p| is_leaf(&p.name))
-        .map(|p| p.seconds)
-        .sum();
+    let pct = |seconds: f64| 100.0 * seconds / wall.max(1e-9);
+    let (leaf, grid): (Vec<_>, Vec<_>) = snap
+        .phase_report()
+        .into_iter()
+        .partition(|p| is_leaf(&p.name));
+    let table = |title: String, name: &str, calls: &str, phases: &[PhaseCost]| {
+        let mut t = Table::new(title, &[name, calls, "Seconds", "% of wall"]);
+        for p in phases {
+            t.row(vec![
+                p.name.clone(),
+                p.calls.to_string(),
+                format!("{:.3}", p.seconds),
+                format!("{:.1}%", pct(p.seconds)),
+            ]);
+        }
+        t.render()
+    };
 
-    let mut t = Table::new(
-        format!("amem-stats — {fig} leaf-phase cost (wall {wall:.2}s)"),
-        &["Phase", "Calls", "Seconds", "% of wall"],
-    );
-    for p in phases.iter().filter(|p| is_leaf(&p.name)) {
-        t.row(vec![
-            p.name.clone(),
-            p.calls.to_string(),
-            format!("{:.3}", p.seconds),
-            format!("{:.1}%", 100.0 * p.seconds / wall.max(1e-9)),
-        ]);
-    }
-    writeln!(doc, "{}", t.render()).unwrap();
-    let coverage = 100.0 * leaf_total / wall.max(1e-9);
+    let title = format!("amem-stats — {fig} leaf-phase cost (wall {wall:.2}s)");
+    writeln!(doc, "{}", table(title, "Phase", "Calls", &leaf)).unwrap();
+    let coverage = pct(leaf.iter().map(|p| p.seconds).sum());
     writeln!(
         doc,
         "[attribution] leaf phases cover {coverage:.1}% of the {wall:.2}s wall \
          (target 95-100.5%)"
     )
     .unwrap();
-
-    let grid: Vec<_> = phases.iter().filter(|p| !is_leaf(&p.name)).collect();
-    if !grid.is_empty() {
-        let mut g = Table::new(
-            format!("amem-stats — {fig} probe-grid levels (overlapping view of the same wall)"),
-            &["Grid cell", "Points", "Seconds", "% of wall"],
-        );
-        for p in &grid {
-            g.row(vec![
-                p.name.clone(),
-                p.calls.to_string(),
-                format!("{:.3}", p.seconds),
-                format!("{:.1}%", 100.0 * p.seconds / wall.max(1e-9)),
-            ]);
-        }
-        writeln!(doc, "{}", g.render()).unwrap();
-        if let Some(top) = grid.first() {
-            writeln!(
-                doc,
-                "[attribution] dominant grid cell: {} ({:.3}s, {:.1}% of wall)",
-                top.name,
-                top.seconds,
-                100.0 * top.seconds / wall.max(1e-9)
-            )
-            .unwrap();
-        }
+    if let Some(top) = grid.first() {
+        let title =
+            format!("amem-stats — {fig} probe-grid levels (overlapping view of the same wall)");
+        writeln!(doc, "{}", table(title, "Grid cell", "Points", &grid)).unwrap();
+        writeln!(
+            doc,
+            "[attribution] dominant grid cell: {} ({:.3}s, {:.1}% of wall)",
+            top.name,
+            top.seconds,
+            pct(top.seconds)
+        )
+        .unwrap();
     }
     writeln!(
         doc,
@@ -177,7 +171,7 @@ fn attribution_report(fig: &str, cli: &Cli, doc: &mut String) -> f64 {
         requests_with(snap, "sim") + requests_with(snap, "uncached_sim"),
     )
     .unwrap();
-    coverage
+    Ok(coverage)
 }
 
 fn requests_with(snap: &Snapshot, outcome: &str) -> u64 {
@@ -185,7 +179,7 @@ fn requests_with(snap: &Snapshot, outcome: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
+fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) -> Result<(), String> {
     // Best-of-N on each side: a single cold run's wall clock is noisier
     // than the effect being measured, while minima converge to the
     // machine's actual best case. The children's own wall clocks
@@ -198,8 +192,8 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
     // host drift lands on both sides instead of masquerading as overhead.
     let (mut off, mut on) = (f64::MAX, f64::MAX);
     for _ in 0..REPS {
-        off = off.min(run_child(fig, cli, &base_dir, false).wall_seconds);
-        on = on.min(run_child(fig, cli, &inst_dir, true).wall_seconds);
+        off = off.min(run_child(fig, cli, &base_dir, false)?.wall_seconds);
+        on = on.min(run_child(fig, cli, &inst_dir, true)?.wall_seconds);
     }
     let pct = 100.0 * (on - off) / off.max(1e-9);
     writeln!(
@@ -210,18 +204,25 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) {
     .unwrap();
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&inst_dir);
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_usage(&e, USAGE));
     let mut doc = String::new();
     let mut ok = true;
-    if let Some(fig) = &cli.attribution {
-        let coverage = attribution_report(fig, &cli, &mut doc);
-        ok = COVERAGE_PCT.contains(&coverage);
-    }
-    if let Some(fig) = &cli.overhead {
-        overhead_report(fig, &cli, &mut doc);
+    let mut run = || -> Result<(), String> {
+        if let Some(fig) = &cli.attribution {
+            ok = COVERAGE_PCT.contains(&attribution_report(fig, &cli, &mut doc)?);
+        }
+        if let Some(fig) = &cli.overhead {
+            overhead_report(fig, &cli, &mut doc)?;
+        }
+        Ok(())
+    };
+    if let Err(e) = run() {
+        eprintln!("amem-stats: {e}");
+        return ExitCode::FAILURE;
     }
     print!("{doc}");
     if let Some(path) = &cli.report {

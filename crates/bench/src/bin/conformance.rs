@@ -1,19 +1,23 @@
 #![forbid(unsafe_code)]
 //! Conformance driver: differential fuzzing + analytic oracles from the
-//! command line (flags: `USAGE`).
+//! command line (synopsis: `USAGE`).
 //!
-//! Default run: fuzz every lane of [`amem_conformance::fuzz::lanes`] for
-//! `--seeds` seeds each (parallel over seeds), holding the production
-//! engine to the reference machine event for event. Then lockstep the
-//! single-pass curve engine against the per-point reference-cache sweep,
-//! run the QoS controller-determinism lane over the same seeds, and
-//! evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
+//! Default run: fuzz every lane of [`amem_conformance::fuzz::lanes`] —
+//! the geometries of [`amem_conformance::configs`], the 20-way
+//! `xeon-20way` lane (the shipped L3 shape, CAT-masked), the
+//! `noninclusive-l3` lane (up-links going stale under live L2 copies) and
+//! the two-socket ping-pong/barrier lane — for `--seeds` seeds each
+//! (parallel over seeds), holding the production engine to the reference
+//! machine event for event. Then, unless `--config` names one lane to
+//! run alone, lockstep the single-pass curve engine against the
+//! per-point reference-cache sweep and run the QoS controller-determinism
+//! lane over the same seeds. Last, evaluate the Eq. 4 oracle pack. Any divergence is written (optionally
 //! `--minimize`d first) to `target/conformance/` and the run exits 1.
 //!
 //! `--sabotage` is the harness's self-test: it runs the lanes once per
 //! planted fault (every [`RefFault`], then an engine whose dispatch
 //! overruns the quantum horizon by one cycle) and succeeds only if every
-//! fault diverges on some lane.
+//! fault diverges on some lane, so in that mode the exit code inverts.
 
 // A `Divergence` carries the whole failing case: it is the reproducer
 // payload (see `amem_conformance::fuzz`).
@@ -55,11 +59,16 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
         oracles: true,
         ..Args::default()
     };
+    let names: Vec<&str> = lanes(0).iter().map(|l| l.name).collect();
+    let lane = |v: &str| match names.contains(&v) {
+        true => Ok(v.to_string()),
+        false => Err(format!("no such lane (lanes: {})", names.join(", "))),
+    };
     let mut r = FlagReader::new(args);
     while let Some(arg) = r.next_arg() {
         match arg.as_str() {
             "--seeds" => a.seeds = r.parse_in(1..)?,
-            "--config" => a.config = Some(r.value()?),
+            "--config" => a.config = Some(r.value_with(lane)?),
             "--minimize" => a.minimize = true,
             "--sabotage" => a.sabotage = true,
             "--replay" => a.replay = Some(r.value()?),
@@ -67,14 +76,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> 
             _ => return Err(r.unknown()),
         }
     }
-    let names: Vec<&str> = lanes(0).iter().map(|l| l.name).collect();
-    match a.config.as_deref() {
-        Some(c) if !names.contains(&c) => Err(CliError(format!(
-            "--config {c:?}: no such lane (lanes: {})",
-            names.join(", ")
-        ))),
-        _ => Ok(a),
-    }
+    Ok(a)
 }
 
 type Check = dyn Fn(&TraceCase) -> Result<(), Divergence> + Sync;
@@ -167,9 +169,8 @@ fn main() -> ExitCode {
         };
     }
 
-    let wanted = |name: &str| args.config.as_deref().is_none_or(|only| only == name);
     let mut lanes = lanes(OPS);
-    lanes.retain(|l| wanted(l.name));
+    lanes.retain(|l| args.config.as_deref().is_none_or(|only| only == l.name));
 
     if args.sabotage {
         return if sabotage(&args, &lanes) {

@@ -9,12 +9,23 @@
 //! other binaries are tools: `conformance` (the differential fuzzer)
 //! and `amem-stats` (cost attribution of a `repro` run).
 //!
-//! Every experiment takes the flags of [`USAGE`] (`--scale` shrinks the
-//! machine and every working set together, keeping the figures' shapes).
-//! Tables print to stdout and are mirrored as CSV under `--out`.
-//! Measurements flow through the [`amem_core::Executor`], so identical
-//! points are simulated once; the robustness flags are off by default,
-//! leaving output byte-identical to a plain run.
+//! Every experiment takes the flags of [`USAGE`]. `--scale` shrinks the
+//! machine and every working set together, keeping the figures' shapes;
+//! `--full` widens fig5/fig6 to the paper's complete grid. Tables print
+//! to stdout and are mirrored as CSV under `--out`.
+//!
+//! Measurements flow through the [`amem_core::Executor`]: identical
+//! points are simulated once and served from a content-addressed cache
+//! afterwards. `--cache-dir` (else `$AMEM_CACHE_DIR`) relocates the
+//! on-disk cache and `--no-cache` disables reuse.
+//!
+//! The robustness flags are off by default, leaving output
+//! byte-identical to a plain run: `--trials` repeats each measurement
+//! and reports the MAD-screened representative, `--retries` retries
+//! transient failures, `--timeout` bounds each platform run, `--ci`
+//! adds trial/CI columns to Figs. 9 and 11, and `--fault` wraps the
+//! platform in a deterministic fault injector. `--metrics` turns the
+//! metrics registry on.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -123,7 +134,7 @@ impl Args {
                 "--jobs" => out.jobs = Some(r.parse_in(1..)?),
                 "--profile" => out.profile = true,
                 "--trials" => out.trials = r.parse_in(1..)?,
-                "--retries" => out.retries = r.parse()?,
+                "--retries" => out.retries = r.parse_in(..)?,
                 "--timeout" => out.timeout_secs = Some(r.parse_in(cli::POSITIVE)?),
                 "--ci" => out.ci = true,
                 "--fault" => out.fault = Some(r.value_with(FaultSpec::parse)?),

@@ -2,37 +2,8 @@
 //! the binaries: each exits 2 at once with the flag it refused and the
 //! usage text on stderr, and nothing panics.
 
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// Run `exe` with each `(args, named)` of `table`: it must exit 2 within
-/// seconds, print `named` and `usage` on stderr, and print no panic.
-fn refuses(exe: &str, usage: &str, table: &[(&str, &str)]) {
-    for &(args, named) in table {
-        let mut child = Command::new(exe)
-            .args(args.split_whitespace())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap();
-        // A refusal is immediate; a run that starts work is killed.
-        let start = Instant::now();
-        while child.try_wait().unwrap().is_none() && start.elapsed() < Duration::from_secs(20) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let _ = child.kill();
-        let out = child.wait_with_output().unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "`{args}`: {stderr}");
-        assert!(
-            stderr.contains(named),
-            "`{args}` does not name {named}: {stderr}"
-        );
-        assert!(stderr.contains(usage), "`{args}` prints no usage: {stderr}");
-        assert!(!stderr.contains("panicked"), "`{args}`: {stderr}");
-    }
-}
+mod common;
+use common::refuses;
 
 #[test]
 fn repro_refuses_bad_command_lines() {
@@ -88,4 +59,22 @@ fn amem_stats_refuses_bad_command_lines() {
             ("--overhead fig1 --bogus", "--bogus"),
         ],
     );
+}
+
+/// A `repro` child that fails (here it cannot write under `--out`, a
+/// plain file) makes `amem-stats` name it and exit 1, not panic.
+#[test]
+fn amem_stats_exits_1_when_its_repro_child_fails() {
+    let out = std::env::temp_dir().join(format!("amem_stats_out_{}", std::process::id()));
+    std::fs::write(&out, b"").unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_amem-stats"))
+        .args(["--attribution", "table1", "--out"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&out);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("repro table1 failed"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

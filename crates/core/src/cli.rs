@@ -52,13 +52,8 @@ impl FlagReader {
         read(&v).map_err(|e| CliError(format!("{} {v:?}: {e}", self.flag)))
     }
 
-    /// The current flag's value parsed as `T`.
-    pub fn parse<T: FromStr<Err: Display> + PartialOrd>(&mut self) -> Result<T, CliError> {
-        self.parse_in(..)
-    }
-
-    /// [`FlagReader::parse`], refusing a value outside `range` (a NaN is
-    /// outside every range with a bound).
+    /// The current flag's value parsed as `T`, refusing a value outside
+    /// `range` (`..` takes any; a NaN is outside every range with a bound).
     pub fn parse_in<T: FromStr<Err: Display> + PartialOrd>(
         &mut self,
         range: impl RangeBounds<T>,
@@ -116,10 +111,10 @@ mod tests {
             "--f \"inf\": out of range"
         );
         assert_eq!(
-            err(reader(&["--f", "abc"]).parse()),
+            err(reader(&["--f", "abc"]).parse_in(..)),
             "--f \"abc\": invalid float literal"
         );
-        assert_eq!(err(reader(&["--f"]).parse()), "--f needs a value");
+        assert_eq!(err(reader(&["--f"]).parse_in(..)), "--f needs a value");
         assert_eq!(reader(&["--g"]).unknown().0, "unknown argument: --g");
     }
 

@@ -1,7 +1,13 @@
 #![forbid(unsafe_code)]
-//! CLI client for the measurement daemon (commands and flags: `USAGE`).
+//! CLI client for the measurement daemon (synopsis: `USAGE`).
 //!
-//! `sweep --local` runs the library path in-process instead of talking
+//! `ping` checks liveness; `stats` prints the service counters, and
+//! with `--assert-dedup` fails unless some job was a cache or dedup
+//! hit; `metrics` dumps the daemon's Prometheus text; `shutdown` drains
+//! the daemon and reports the jobs done. `sweep` runs the fig1-shaped
+//! sweep and renders the paper's table, byte-identical to `repro fig1`;
+//! `measure` runs one fig1 probe point without interference. With
+//! `--local` either runs the library path in-process instead of talking
 //! to a daemon, so the two CSVs can be diffed for byte identity.
 
 use std::io::Write as _;
@@ -24,8 +30,6 @@ usage: amem-client [--addr H:P] [--tenant T] [--priority high|normal|low]
 commands: ping | stats [--assert-dedup] | metrics | shutdown
         | sweep [--scale F in (0,1]] [--csv PATH] [--local]
         | measure [--scale F in (0,1]] [--local]";
-
-const COMMANDS: [&str; 6] = ["ping", "stats", "metrics", "shutdown", "sweep", "measure"];
 
 #[derive(Debug, Default)]
 struct Cli {
@@ -58,7 +62,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
             "--csv" => c.csv = Some(r.value()?.into()),
             "--local" => c.local = true,
             "--assert-dedup" => c.assert_dedup = true,
-            cmd if c.command.is_empty() && COMMANDS.contains(&cmd) => c.command = a,
+            // The command; `run` refuses a name it does not know.
+            _ if c.command.is_empty() && !a.starts_with("--") => c.command = a,
             _ => return Err(r.unknown()),
         }
     }
@@ -158,8 +163,7 @@ fn run(c: &Cli) -> Result<(), String> {
                 println!("[csv] {}", path.display());
             }
         }
-        // `measure`, the last of `COMMANDS`: `parse` lets no other name by.
-        _ => {
+        "measure" => {
             let m = if c.local {
                 let exec = Executor::new(SimPlatform::new(machine.clone()));
                 let m = exec
@@ -185,6 +189,7 @@ fn run(c: &Cli) -> Result<(), String> {
                 serde_json::to_string(&m).expect("measurement serialize")
             );
         }
+        cmd => cli::exit_usage(&CliError(format!("unknown command: {cmd}")), USAGE),
     }
     Ok(())
 }
@@ -228,15 +233,11 @@ mod tests {
             (c.priority, c.fault, c.csv, c.local),
             (Priority::Normal, None, None, false)
         );
-        for cmd in COMMANDS {
-            assert_eq!(parse_line(cmd).unwrap().command, cmd);
-        }
     }
 
     #[test]
     fn a_bad_or_missing_command_is_refused() {
         assert_eq!(parse_line("--addr x").unwrap_err().0, "no command");
-        assert_eq!(parse_line("frob").unwrap_err().0, "unknown argument: frob");
         assert_eq!(
             parse_line("ping ping").unwrap_err().0,
             "unknown argument: ping"

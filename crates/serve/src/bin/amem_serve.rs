@@ -1,10 +1,13 @@
 #![forbid(unsafe_code)]
-//! The measurement daemon (flags: `USAGE`).
+//! The measurement daemon (synopsis: `USAGE`).
 //!
 //! Binds, prints `[serve] listening on <addr>` (and optionally writes the
 //! resolved address to `--port-file`, for scripts binding port 0), then
 //! serves until a client sends `Shutdown` — which drains every queued job
-//! before the acknowledgment goes out.
+//! before the acknowledgment goes out. Without `--cache-dir` the shared
+//! store is `$AMEM_CACHE_DIR`, if set; `--max-cache-mb` and
+//! `--max-cache-age-secs` bound it, and `--quota-rate`/`--quota-burst`
+//! set each tenant's token bucket for queued jobs.
 
 use std::path::PathBuf;
 
@@ -29,12 +32,12 @@ fn parse(
         match a.as_str() {
             "--addr" => cfg.addr = r.value()?,
             "--port-file" => port_file = Some(r.value()?.into()),
-            "--workers" => cfg.workers = r.parse()?,
-            "--shards" => cfg.shards = r.parse()?,
+            "--workers" => cfg.workers = r.parse_in(..)?,
+            "--shards" => cfg.shards = r.parse_in(..)?,
             "--cache-dir" => cfg.cache_dir = Some(r.value()?.into()),
             "--state-dir" => cfg.state_dir = Some(r.value()?.into()),
             "--max-cache-mb" => cfg.store.max_bytes = Some(r.value_with(mib_to_bytes)?),
-            "--max-cache-age-secs" => cfg.store.max_age_secs = Some(r.parse()?),
+            "--max-cache-age-secs" => cfg.store.max_age_secs = Some(r.parse_in(..)?),
             "--quota-rate" => cfg.quota.rate_per_sec = r.parse_in(f64::MIN..=f64::MAX)?,
             "--quota-burst" => cfg.quota.burst = r.parse_in(f64::MIN..=f64::MAX)?,
             "--metrics" => cfg.metrics = true,
@@ -86,7 +89,10 @@ fn main() {
         );
     }
     if let Some(path) = port_file {
-        std::fs::write(&path, addr.to_string()).expect("write --port-file");
+        if let Err(e) = std::fs::write(&path, addr.to_string()) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1)
+        }
     }
     let stats = server.wait();
     println!(

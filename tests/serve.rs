@@ -423,14 +423,13 @@ fn drained_counts_every_hit_answered_before_the_drain() {
         const SETUP: u64 = 1;
 
         let (ok, drained) = std::thread::scope(|s| {
-            let hammers: Vec<_> = (0..2)
-                .map(|_| {
-                    s.spawn(|| {
-                        // A hammer first scheduled after the drain finds the
-                        // listener closed: it got no reply to count.
-                        let Ok(mut c) = Client::connect(addr) else {
-                            return 0;
-                        };
+            // Both hammers connect here, before the drain closes the
+            // listener, however late their threads are first scheduled.
+            let clients: Vec<_> = (0..2).map(|_| Client::connect(addr).unwrap()).collect();
+            let hammers: Vec<_> = clients
+                .into_iter()
+                .map(|mut c| {
+                    s.spawn(move || {
                         let mut ok = 0u64;
                         while c.measure(spec()).is_ok() {
                             ok += 1;
