@@ -8,9 +8,10 @@
 //! the run and the `grid/...` phases that split the same time by
 //! probe-grid level. It exits 1 when the leaf phases cover less than 95%
 //! or more than 100.5% of the wall. `--overhead <fig>` times the figure
-//! cold with the metrics gate off and on. `--out` holds the child's
-//! CSV and manifest (default a temp dir); `--report` mirrors the
-//! rendered report to a file. A `repro` child that fails exits 1 too.
+//! cold with the metrics gate off and on, in alternating-order pairs.
+//! `--out` holds the child's CSV and manifest (default a temp dir);
+//! `--report` mirrors the rendered report to a file. A `repro` child that
+//! fails exits 1 too.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -179,32 +180,61 @@ fn requests_with(snap: &Snapshot, outcome: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Cold runs per side of `--overhead`, one plain and one with
+/// `--metrics` per pair.
+const PAIRS: usize = 8;
+
 fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) -> Result<(), String> {
-    // Best-of-N on each side: a single cold run's wall clock is noisier
-    // than the effect being measured, while minima converge to the
-    // machine's actual best case. The children's own wall clocks
-    // (manifest-stamped) exclude process start-up, so the ratio isolates
-    // the instrumentation itself.
-    const REPS: usize = 3;
     let base_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_plain"));
     let inst_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_metrics"));
-    // Interleaved (off, on, off, on, ...) rather than batched, so slow
-    // host drift lands on both sides instead of masquerading as overhead.
-    let (mut off, mut on) = (f64::MAX, f64::MAX);
-    for _ in 0..REPS {
-        off = off.min(run_child(fig, cli, &base_dir, false)?.wall_seconds);
-        on = on.min(run_child(fig, cli, &inst_dir, true)?.wall_seconds);
+    // The children's own wall clocks (manifest-stamped) exclude process
+    // start-up. The pairs run in ABBA order (plain first, then metrics
+    // first, ...): a run's wall depends on its place in the pair and on
+    // host drift, and alternating puts both on each side equally.
+    let wall = |metrics: bool| {
+        let dir = if metrics { &inst_dir } else { &base_dir };
+        run_child(fig, cli, dir, metrics).map(|m| m.wall_seconds)
+    };
+    let mut pairs = Vec::with_capacity(PAIRS);
+    for i in 0..PAIRS {
+        pairs.push(if i % 2 == 0 {
+            let off = wall(false)?;
+            (off, wall(true)?)
+        } else {
+            let on = wall(true)?;
+            (wall(false)?, on)
+        });
     }
-    let pct = 100.0 * (on - off) / off.max(1e-9);
-    writeln!(
-        doc,
-        "[overhead] {fig} cold: {off:.2}s plain, {on:.2}s with --metrics \
-         ({pct:+.1}%, best of {REPS}, budget <3%)"
-    )
-    .unwrap();
+    writeln!(doc, "{}", overhead_line(fig, &pairs)).unwrap();
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&inst_dir);
     Ok(())
+}
+
+/// The `--overhead` verdict from `(plain, metrics)` wall pairs: the median
+/// of the per-pair ratios and their range. A ratio within a pair cancels
+/// the drift between pairs, which minima taken per side do not.
+fn overhead_line(fig: &str, pairs: &[(f64, f64)]) -> String {
+    fn median(mut xs: Vec<f64>) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+    }
+    let pcts: Vec<f64> = pairs
+        .iter()
+        .map(|&(off, on)| 100.0 * (on - off) / off.max(1e-9))
+        .collect();
+    let (lo, hi) = pcts
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+    format!(
+        "[overhead] {fig} cold: {:.2}s plain, {:.2}s with --metrics (median {:+.1}% \
+         over {} ABBA pairs, pairs {lo:+.1}% to {hi:+.1}%, budget <3%)",
+        median(pairs.iter().map(|p| p.0).collect()),
+        median(pairs.iter().map(|p| p.1).collect()),
+        median(pcts),
+        pairs.len(),
+    )
 }
 
 fn main() -> ExitCode {
@@ -265,6 +295,19 @@ mod tests {
         assert_eq!(
             (c.overhead, c.attribution, c.scale),
             (Some("fig1"), None, 0.0625)
+        );
+    }
+
+    #[test]
+    fn overhead_reads_the_median_pair_ratio_not_the_minima() {
+        // Each ratio is taken within its pair; the line reports their
+        // median and range, and each side's median wall.
+        let pairs = [(2.0, 2.02), (3.0, 2.97), (2.6, 2.6), (2.2, 2.24)];
+        let line = overhead_line("fig1", &pairs);
+        assert_eq!(
+            line,
+            "[overhead] fig1 cold: 2.40s plain, 2.42s with --metrics (median +0.5% \
+             over 4 ABBA pairs, pairs -1.0% to +1.8%, budget <3%)"
         );
     }
 

@@ -370,7 +370,11 @@ pub fn gen_case(cfg: &FuzzCfg, seed: u64, ops_per_lane: usize) -> TraceCase {
         for c in 0..m.cores_per_socket {
             let flat = (s * m.cores_per_socket + c) as usize;
             let mut rng = Xoshiro256::seed_from_u64(seed ^ ((flat as u64 + 1) << 48) ^ 0xC0F0_0000);
-            let mask = if rng.below(4) == 0 { 0x0F } else { u32::MAX };
+            // A partial CAT mask names ways below 32 only; the engine
+            // refuses one on a wider L3, so those geometries draw and
+            // discard (every lane's ops stay the same) and run unmasked.
+            let partial = rng.below(4) == 0 && m.l3.ways <= 32;
+            let mask = if partial { 0x0F } else { u32::MAX };
             lanes.push(Lane {
                 socket: s,
                 core: c,

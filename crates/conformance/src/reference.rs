@@ -9,13 +9,12 @@
 //! [`amem_sim::cache::Cache`]: the same tick renormalization (by rank), the same
 //! probation-bit stamp encoding, the same insertion-policy stamps, the
 //! same RNG draw order (Random-victim draw before the BIP ε draw), the
-//! same first-minimum tie-breaks, and the same CAT way-mask edge cases —
-//! including the production quirk that a partial way mask wraps at way 32
-//! for victim selection on any geometry, while free-way eligibility under
-//! a partial mask cuts off at way 32 on ≤64-way sets. Matching quirks is
-//! the point: the fuzzer asserts *event-for-event equality*, so the
-//! reference must be a second implementation of the same specification,
-//! not a different specification.
+//! same first-minimum tie-breaks, and the same CAT way masks (a partial
+//! mask only ever meets an L3 of at most 32 ways; the engine refuses it
+//! on a wider one). Matching the contract is the point: the fuzzer
+//! asserts *event-for-event equality*, so the reference must be a second
+//! implementation of the same specification, not a different
+//! specification.
 //!
 //! The `stamp` encoding is shared with the SoA cache: real recency ticks
 //! live below bit 31 and the probation bit (bit 31) marks BIP-probation
@@ -37,6 +36,12 @@ const BIP_EPSILON_INV: u64 = 16;
 const LINES_PER_PAGE_SHIFT: u32 = 6;
 /// Stride-detector table entries, matching the production prefetcher.
 const PF_TABLE: usize = 16;
+
+/// Whether CAT mask `way_mask` lets a fill allocate into way `w`. A
+/// partial mask only meets an L3 of at most 32 ways, so `w < 32` there.
+fn way_allowed(way_mask: u32, w: usize) -> bool {
+    way_mask == u32::MAX || way_mask & (1 << w) != 0
+}
 
 /// One cache way: everything the model tracks about a resident line.
 #[derive(Debug, Clone, Copy)]
@@ -245,21 +250,6 @@ impl RefCache {
         let ways = self.ways as usize;
         let base = self.base(self.set_of(line));
 
-        // Free-way eligibility under a partial CAT mask mirrors the
-        // production code paths exactly: the ≤64-way movemask path
-        // AND-masks the empty-way bitmap with the zero-extended u32 mask
-        // (so ways 32..64 are never free-eligible), while the >64-way
-        // scalar path tests the mask bit modulo 32 (so it wraps).
-        let free_allowed = |w: usize| -> bool {
-            if way_mask == u32::MAX {
-                true
-            } else if ways <= 64 {
-                w < 32 && way_mask & (1u32 << w) != 0
-            } else {
-                way_mask & (1u32 << (w as u32 & 31)) != 0
-            }
-        };
-
         let mut hit = None;
         let mut free = None;
         for w in 0..ways {
@@ -268,7 +258,7 @@ impl RefCache {
                 hit = Some(w);
                 break;
             }
-            if tag == EMPTY && free.is_none() && free_allowed(w) {
+            if tag == EMPTY && free.is_none() && way_allowed(way_mask, w) {
                 free = Some(w);
             }
         }
@@ -346,9 +336,7 @@ impl RefCache {
 
     fn pick_victim_masked(&mut self, base: usize, way_mask: u32) -> usize {
         let ways = self.ways as usize;
-        // Victim-side mask semantics (production contract): the allowed
-        // test always wraps the way index at 32.
-        let allowed = |w: usize| way_mask & (1u32 << (w as u32 & 31)) != 0;
+        let allowed = |w: usize| way_allowed(way_mask, w);
         match self.replacement {
             Replacement::Lru => {
                 // First strict minimum of `stamp ^ PROB_BIT`: oldest

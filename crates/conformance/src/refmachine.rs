@@ -202,6 +202,10 @@ impl<'a> RefMachine<'a> {
                 l3_way_mask & (u32::MAX >> 32u32.saturating_sub(ways)) != 0,
                 "core {ci}: L3 way mask {l3_way_mask:#x} allows none of the {ways} ways"
             );
+            assert!(
+                ways <= 32 || l3_way_mask == u32::MAX,
+                "core {ci}: L3 way mask {l3_way_mask:#x} is partial on {ways} ways; a partial mask needs at most 32"
+            );
             placed.push((stream.label().to_string(), core, primary));
             let c = &mut cores[ci];
             c.mlp = (stream.mlp() as usize).clamp(1, 32);

@@ -351,9 +351,10 @@ impl<T: Payload> TieredCache<T> {
             Ok((_, stored, _)) if stored != key => "key",
             Ok((.., value)) => return Some(value),
         };
-        metric_inc(
+        amem_metrics::add(
             "amem_executor_cache_verify_failures_total",
             &[("reason", reason)],
+            1,
         );
         None
     }
@@ -378,11 +379,12 @@ impl<T: Payload> TieredCache<T> {
         match written {
             Ok(()) => {
                 self.stores.fetch_add(1, Ordering::Relaxed);
-                metric_inc("amem_executor_disk_stores_total", &[]);
+                amem_metrics::add("amem_executor_disk_stores_total", &[], 1);
             }
-            Err(reason) => metric_inc(
+            Err(reason) => amem_metrics::add(
                 "amem_executor_disk_store_failures_total",
                 &[("reason", reason)],
+                1,
             ),
         }
     }
@@ -403,23 +405,18 @@ fn wait_timed<T>(cell: &Inflight<T>) -> Shared<T> {
     // Time spent blocked on the owner.
     let waited = Instant::now();
     let result = cell.wait();
-    amem_metrics::global()
-        .histogram("amem_executor_dedup_wait_ns", &[])
-        .record(u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    amem_metrics::record(
+        "amem_executor_dedup_wait_ns",
+        &[],
+        u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX),
+    );
     result
 }
 
 /// Count one request outcome, mirrored into the metrics registry.
 fn count(counter: &AtomicU64, outcome: &'static str) {
     counter.fetch_add(1, Ordering::Relaxed);
-    metric_inc("amem_executor_requests_total", &[("outcome", outcome)]);
-}
-
-/// One relaxed load unless the metrics gate is on.
-fn metric_inc(name: &'static str, labels: &[(&'static str, &'static str)]) {
-    if amem_metrics::enabled() {
-        amem_metrics::global().counter(name, labels).inc();
-    }
+    amem_metrics::add("amem_executor_requests_total", &[("outcome", outcome)], 1);
 }
 
 /// Read `{"schema_version":…,"key":…,"<T::FIELD>":…}` with the derive's

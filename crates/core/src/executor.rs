@@ -326,13 +326,6 @@ impl Executor {
         self.measurements.dir()
     }
 
-    /// Mirror a robustness/cache counter delta into the metrics registry.
-    fn metric_add(&self, name: &'static str, v: u64) {
-        if v > 0 && amem_metrics::enabled() {
-            amem_metrics::global().counter(name, &[]).add(v);
-        }
-    }
-
     /// Snapshot of the hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
         let (m, c) = (self.measurements.counters(), self.curves.counters());
@@ -373,7 +366,7 @@ impl Executor {
     /// aborting).
     pub(crate) fn count_degraded(&self, n: u64) {
         self.degraded_points.fetch_add(n, Ordering::Relaxed);
-        self.metric_add("amem_executor_degraded_points_total", n);
+        amem_metrics::add("amem_executor_degraded_points_total", &[], n);
     }
 
     /// Whether an interference level is placeable (delegates to the
@@ -548,9 +541,9 @@ impl Executor {
         self.timeouts.fetch_add(timeouts as u64, Ordering::Relaxed);
         self.non_finite
             .fetch_add(non_finite as u64, Ordering::Relaxed);
-        self.metric_add("amem_executor_retries_total", retries as u64);
-        self.metric_add("amem_executor_timeouts_total", timeouts as u64);
-        self.metric_add("amem_executor_non_finite_total", non_finite as u64);
+        amem_metrics::add("amem_executor_retries_total", &[], retries as u64);
+        amem_metrics::add("amem_executor_timeouts_total", &[], timeouts as u64);
+        amem_metrics::add("amem_executor_non_finite_total", &[], non_finite as u64);
 
         if samples.is_empty() {
             let last = last_typed.expect("trials >= 1, so at least one trial ran");
@@ -574,7 +567,7 @@ impl Executor {
         if !passthrough {
             self.trials
                 .fetch_add(samples.len() as u64, Ordering::Relaxed);
-            self.metric_add("amem_executor_trials_total", samples.len() as u64);
+            amem_metrics::add("amem_executor_trials_total", &[], samples.len() as u64);
         }
 
         let times: Vec<f64> = samples.iter().map(|m| m.seconds).collect();
@@ -582,8 +575,9 @@ impl Executor {
         let summary = robust_summary(&times, MAD_K).expect("trial samples are screened finite");
         self.outliers_rejected
             .fetch_add(summary.rejected as u64, Ordering::Relaxed);
-        self.metric_add(
+        amem_metrics::add(
             "amem_executor_outliers_rejected_total",
+            &[],
             summary.rejected as u64,
         );
 
@@ -668,7 +662,7 @@ impl Executor {
                 // request's fault, not the platform's.
                 e if e.is_degradable() => {
                     self.faults.fetch_add(1, Ordering::Relaxed);
-                    self.metric_add("amem_executor_faults_total", 1);
+                    amem_metrics::add("amem_executor_faults_total", &[], 1);
                 }
                 _ => {}
             }

@@ -258,24 +258,18 @@ struct Batch<'a> {
     total: usize,
     done: AtomicUsize,
     progress: bool,
-    metrics_on: bool,
     started: std::time::Instant,
 }
 
 impl<'a> Batch<'a> {
     fn start(requests: &'a [SweepRequest<'a>], total: usize) -> Self {
-        let metrics_on = amem_metrics::enabled();
-        if metrics_on {
-            let reg = amem_metrics::global();
-            reg.counter("amem_sweep_batches_total", &[]).inc();
-            reg.gauge("amem_sweep_queue_depth", &[]).set(total as i64);
-        }
+        amem_metrics::add("amem_sweep_batches_total", &[], 1);
+        amem_metrics::set("amem_sweep_queue_depth", &[], total as i64);
         Self {
             requests,
             total,
             done: AtomicUsize::new(0),
             progress: progress_enabled(),
-            metrics_on,
             started: std::time::Instant::now(),
         }
     }
@@ -288,8 +282,9 @@ impl<'a> Batch<'a> {
         measure: impl FnOnce() -> Result<Arc<Measurement>, AmemError>,
     ) -> PointResult {
         let req = &self.requests[ri];
-        let point_started = std::time::Instant::now();
-        let res = if self.metrics_on {
+        // Timed only with the gate on, so a gate-off run reads no clock.
+        let timed = amem_metrics::enabled().then(std::time::Instant::now);
+        let res = if timed.is_some() {
             // Grid-namespace phase: which sweep level this wall time
             // belongs to (overlaps the leaf phases inside the run).
             let _cell = amem_metrics::phase(&format!("grid/sweep/{:?} k={}", req.kind, k));
@@ -303,52 +298,41 @@ impl<'a> Batch<'a> {
         };
         let n = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let remaining = self.total - n;
-        if self.metrics_on {
-            let reg = amem_metrics::global();
-            reg.gauge("amem_sweep_queue_depth", &[])
-                .set(remaining as i64);
-            reg.histogram("amem_sweep_point_ns", &[])
-                .record(u64::try_from(point_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            let outcome = if res.is_ok() { "ok" } else { "error" };
-            reg.counter("amem_sweep_points_total", &[("result", outcome)])
-                .inc();
+        amem_metrics::set("amem_sweep_queue_depth", &[], remaining as i64);
+        if let Some(t) = timed {
+            amem_metrics::record(
+                "amem_sweep_point_ns",
+                &[],
+                u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
         }
+        let outcome = if res.is_ok() { "ok" } else { "error" };
+        amem_metrics::add("amem_sweep_points_total", &[("result", outcome)], 1);
         if self.progress {
             // Points-remaining and a rolling-throughput ETA ride on
             // every line, so a 120 s Fig. 6-style wait is legible.
             let eta = eta_secs(self.started.elapsed().as_secs_f64(), n, remaining);
-            match &res {
-                Ok(m) => eprintln!(
-                    "[sweep {}/{}] {} {:?} k={} -> {:.4}s ({} left, ETA {:.1}s)",
-                    n,
-                    self.total,
-                    req.workload.name(),
-                    req.kind,
-                    k,
-                    m.seconds,
-                    remaining,
-                    eta
-                ),
-                Err(e) => eprintln!(
-                    "[sweep {}/{}] {} {:?} k={} -> error: {e} ({} left, ETA {:.1}s)",
-                    n,
-                    self.total,
-                    req.workload.name(),
-                    req.kind,
-                    k,
-                    remaining,
-                    eta
-                ),
-            }
+            let result = match &res {
+                Ok(m) => format!("{:.4}s", m.seconds),
+                Err(e) => format!("error: {e}"),
+            };
+            eprintln!(
+                "[sweep {n}/{}] {} {:?} k={k} -> {result} ({remaining} left, ETA {eta:.1}s)",
+                self.total,
+                req.workload.name(),
+                req.kind,
+            );
         }
         (ri, k, res)
     }
 
     fn finish(self) {
-        if self.metrics_on {
-            amem_metrics::global()
-                .counter("amem_sweep_batch_ns_total", &[])
-                .add(u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        if amem_metrics::enabled() {
+            amem_metrics::add(
+                "amem_sweep_batch_ns_total",
+                &[],
+                u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            );
         }
     }
 }

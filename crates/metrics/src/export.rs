@@ -1,5 +1,5 @@
-//! Snapshot exporters: Prometheus text exposition format and JSONL, plus a
-//! deliberately small Prometheus parser so CI can assert an export is
+//! The snapshot exporter, Prometheus text exposition format, plus a
+//! deliberately small Prometheus parser so tests can assert an export is
 //! well-formed without a network scraper.
 
 use crate::registry::{bucket_upper_bound, HistogramSnapshot, SeriesSnapshot, Snapshot};
@@ -33,29 +33,18 @@ fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> St
 }
 
 fn push_histogram(out: &mut String, s: &SeriesSnapshot, h: &HistogramSnapshot) {
+    let name = &s.name;
+    let bucket = |le: &str| render_labels(&s.labels, Some(("le", le)));
     let mut cumulative = 0u64;
-    for (i, &c) in h.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
+    for (i, &c) in h.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
         cumulative = cumulative.saturating_add(c);
-        let le = bucket_upper_bound(i).to_string();
-        out.push_str(&format!(
-            "{}_bucket{} {}\n",
-            s.name,
-            render_labels(&s.labels, Some(("le", &le))),
-            cumulative
-        ));
+        let le = bucket(&bucket_upper_bound(i).to_string());
+        out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
     }
-    out.push_str(&format!(
-        "{}_bucket{} {}\n",
-        s.name,
-        render_labels(&s.labels, Some(("le", "+Inf"))),
-        h.count
-    ));
+    out.push_str(&format!("{name}_bucket{} {}\n", bucket("+Inf"), h.count));
     let plain = render_labels(&s.labels, None);
-    out.push_str(&format!("{}_sum{} {}\n", s.name, plain, h.sum));
-    out.push_str(&format!("{}_count{} {}\n", s.name, plain, h.count));
+    out.push_str(&format!("{name}_sum{plain} {}\n", h.sum));
+    out.push_str(&format!("{name}_count{plain} {}\n", h.count));
 }
 
 /// Render a snapshot in the Prometheus text exposition format (v0.0.4):
@@ -70,37 +59,13 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
             out.push_str(&format!("# TYPE {} {}\n", s.name, s.kind));
             last_name = Some(s.name.as_str());
         }
-        match (&s.counter, &s.gauge, &s.histogram) {
-            (Some(v), _, _) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
-                    v
-                ));
-            }
-            (_, Some(v), _) => {
-                out.push_str(&format!(
-                    "{}{} {}\n",
-                    s.name,
-                    render_labels(&s.labels, None),
-                    v
-                ));
-            }
+        let labels = render_labels(&s.labels, None);
+        match (s.counter, s.gauge, &s.histogram) {
+            (Some(v), _, _) => out.push_str(&format!("{}{labels} {v}\n", s.name)),
+            (_, Some(v), _) => out.push_str(&format!("{}{labels} {v}\n", s.name)),
             (_, _, Some(h)) => push_histogram(&mut out, s, h),
             _ => {}
         }
-    }
-    out
-}
-
-/// One JSON object per series per line — trivially ingestible with jq or
-/// pandas, and the shape `repro all` aggregates.
-pub fn to_jsonl(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for s in &snap.series {
-        out.push_str(&serde_json::to_string(s).expect("series serializes"));
-        out.push('\n');
     }
     out
 }
@@ -329,17 +294,5 @@ mod tests {
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].name, "c");
         assert_eq!(samples[0].value, 4.0);
-    }
-
-    #[test]
-    fn jsonl_one_line_per_series() {
-        let snap = sample_snapshot();
-        let jsonl = to_jsonl(&snap);
-        assert_eq!(jsonl.lines().count(), snap.series.len());
-        for line in jsonl.lines() {
-            let v: serde_json::Value = serde_json::from_str(line).unwrap();
-            assert!(v.get("name").is_some());
-            assert!(v.get("kind").is_some());
-        }
     }
 }

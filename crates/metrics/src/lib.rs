@@ -11,16 +11,18 @@
 //!
 //! Three properties drive the design:
 //!
-//! * **Zero cost when disabled.** Every instrumentation site in the
-//!   workspace is guarded by [`enabled()`] — a single relaxed atomic load.
-//!   With the gate off (the default) no allocation, no lock, and no atomic
-//!   RMW happens, so figure CSVs and executor cache keys stay byte-identical
-//!   (asserted by the workspace's zero-perturbation test).
-//! * **Lock-free hot path.** Mutating a resolved series is plain atomics:
-//!   counters shard across cache-line-padded per-thread slots so concurrent
-//!   increments never bounce one line, and totals are still exact. Series
-//!   *resolution* takes a short `RwLock` (read-locked after first use);
-//!   hot loops should resolve once and reuse the `Arc` handle.
+//! * **Zero cost when disabled.** An instrumentation site is one call to
+//!   [`add`], [`set`] or [`record`], which checks [`enabled()`] — a single
+//!   relaxed atomic load — before anything else; a site that reads a clock
+//!   checks the gate itself first. With the gate off (the default) no
+//!   allocation, no lock, no clock read and no atomic RMW happens, so
+//!   figure CSVs and executor cache keys stay byte-identical (asserted by
+//!   the workspace's zero-perturbation test).
+//! * **Lock-free updates.** Mutating a resolved series is plain atomics:
+//!   one saturating cell per counter, four cells plus the buckets per
+//!   histogram. Series *resolution* takes a short `RwLock` (read-locked
+//!   after first use); a loop should resolve once and reuse the `Arc`
+//!   handle.
 //! * **Bounded cardinality.** Each metric name caps its label sets
 //!   (default [`DEFAULT_SERIES_CAP`]); past the cap, new label sets collapse
 //!   into a single `overflow="true"` series so totals remain correct while
@@ -29,8 +31,8 @@
 //! Snapshots ([`snapshot`]) are plain serde values: they attach to run
 //! manifests as an additive schema field, merge across runs
 //! ([`Snapshot::merge`]), and export as Prometheus text
-//! ([`export::prometheus_text`]) or JSONL ([`export::to_jsonl`]). A tiny
-//! parser ([`export::parse_prometheus_text`]) lets CI assert the export is
+//! ([`export::prometheus_text`]). A tiny parser
+//! ([`export::parse_prometheus_text`]) lets a test assert the export is
 //! well-formed without any network or external scraper.
 //!
 //! ```
@@ -79,6 +81,32 @@ pub fn set_enabled(on: bool) {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
+}
+
+/// Add `v` to the global counter `name{labels}` when the gate is on. A
+/// zero add resolves nothing, so a counter's series appears with its first
+/// count.
+#[inline]
+pub fn add(name: &str, labels: &[(&str, &str)], v: u64) {
+    if enabled() && v > 0 {
+        global().counter(name, labels).add(v);
+    }
+}
+
+/// Set the global gauge `name{labels}` to `v` when the gate is on.
+#[inline]
+pub fn set(name: &str, labels: &[(&str, &str)], v: i64) {
+    if enabled() {
+        global().gauge(name, labels).set(v);
+    }
+}
+
+/// Record `v` into the global histogram `name{labels}` when the gate is on.
+#[inline]
+pub fn record(name: &str, labels: &[(&str, &str)], v: u64) {
+    if enabled() {
+        global().histogram(name, labels).record(v);
+    }
 }
 
 /// Snapshot the global registry (deterministically ordered by name, then

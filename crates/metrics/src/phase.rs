@@ -31,13 +31,6 @@ pub struct PhaseGuard {
     active: Option<(String, Instant)>,
 }
 
-impl PhaseGuard {
-    /// A guard that records nothing (the disabled-gate fast path).
-    pub fn noop() -> Self {
-        Self { active: None }
-    }
-}
-
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some((name, start)) = self.active.take() {
@@ -53,7 +46,7 @@ impl Drop for PhaseGuard {
 /// when the returned guard drops. Free when the gate is off.
 pub fn phase(name: &str) -> PhaseGuard {
     if !crate::enabled() {
-        return PhaseGuard::noop();
+        return PhaseGuard { active: None };
     }
     PhaseGuard {
         active: Some((name.to_string(), Instant::now())),

@@ -2,15 +2,14 @@
 //!
 //! Three metric kinds, all mutated with plain atomics once resolved:
 //!
-//! * [`Counter`] — monotonic `u64`, sharded across cache-line-padded slots
-//!   indexed by a per-thread id so concurrent increments from different
-//!   threads never contend on one line. `get()` sums the shards, so totals
-//!   are exact (each increment lands in exactly one shard).
-//! * [`Gauge`] — a point-in-time `i64` (set semantics cannot shard).
-//! * [`Histogram`] — the same power-of-two bucketing as
-//!   `amem_sim::telemetry::CycleHistogram`: bucket 0 holds zeros, bucket
-//!   `i >= 1` holds `[2^(i-1), 2^i)`, 65 buckets cover all of `u64`. The
-//!   running `sum` saturates instead of wrapping.
+//! * [`Counter`] — monotonic `u64` in one atomic cell. `add` saturates
+//!   at `u64::MAX` instead of wrapping.
+//! * [`Gauge`] — a point-in-time `i64`.
+//! * [`Histogram`] — power-of-two buckets ([`bucket_index`]): bucket 0
+//!   holds zeros, bucket `i >= 1` holds `[2^(i-1), 2^i)`, 65 buckets cover
+//!   all of `u64`. The running `sum` saturates instead of wrapping. Its
+//!   plain-value twin [`HistogramSnapshot`] is also what the simulator
+//!   records into during a run, so there is one bucket law.
 //!
 //! Series are keyed by metric name plus *sorted* `(key, value)` label pairs,
 //! so `[("a","1"),("b","2")]` and `[("b","2"),("a","1")]` resolve to the
@@ -20,13 +19,12 @@
 //! while per-name totals stay correct.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use serde::{Deserialize, Serialize};
 
-/// Bucket count shared with `CycleHistogram`: zeros + one bucket per
-/// power-of-two up to `2^64`.
+/// Bucket count: zeros + one bucket per power-of-two up to `2^64`.
 pub const HIST_BUCKETS: usize = 65;
 
 /// Default per-name cap on distinct label sets.
@@ -34,20 +32,6 @@ pub const DEFAULT_SERIES_CAP: usize = 256;
 
 /// Label key/value marking the collapsed past-the-cap series.
 pub const OVERFLOW_LABEL: (&str, &str) = ("overflow", "true");
-
-const COUNTER_SHARDS: usize = 16;
-
-/// One shard on its own cache line so concurrent writers don't false-share.
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-static NEXT_THREAD_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Round-robin shard assignment; stable for a thread's lifetime.
-    static THREAD_SHARD: usize =
-        NEXT_THREAD_SHARD.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-}
 
 /// CAS loop because `fetch_add` wraps: a saturated sum must stay pinned at
 /// `u64::MAX`, not roll over.
@@ -62,22 +46,17 @@ fn saturating_fetch_add(cell: &AtomicU64, v: u64) {
     }
 }
 
-/// Monotonic counter with per-thread sharding. Exact under concurrency:
-/// every `add` lands in exactly one shard and `get` sums all shards.
-pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
+/// Monotonic counter: one atomic cell, saturating at `u64::MAX`.
+pub struct Counter(AtomicU64);
 
 impl Counter {
     fn new() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| PaddedU64(AtomicU64::new(0))),
-        }
+        Self(AtomicU64::new(0))
     }
 
     #[inline]
     pub fn add(&self, v: u64) {
-        THREAD_SHARD.with(|&s| self.shards[s].0.fetch_add(v, Ordering::Relaxed));
+        saturating_fetch_add(&self.0, v);
     }
 
     #[inline]
@@ -86,13 +65,11 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
-        self.shards.iter().fold(0u64, |acc, s| {
-            acc.saturating_add(s.0.load(Ordering::Relaxed))
-        })
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// Point-in-time value. Unsharded: `set` semantics need a single slot.
+/// Point-in-time value.
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
@@ -125,24 +102,16 @@ impl Gauge {
     }
 }
 
-/// Which power-of-two bucket holds `v` (same law as `CycleHistogram`).
+/// Which power-of-two bucket holds `v`: the one bucket law (0 for zero,
+/// the bit length of `v` otherwise).
 #[inline]
 pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
-    }
+    (64 - v.leading_zeros()) as usize
 }
 
-/// Upper inclusive bound of bucket `i` (`0` for the zeros bucket,
-/// `2^i - 1` otherwise).
+/// Upper inclusive bound of bucket `i`: `2^i - 1` (0 for the zeros bucket).
 pub fn bucket_upper_bound(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        (((1u128) << i) - 1) as u64
-    }
+    ((1u128 << i) - 1) as u64
 }
 
 /// Exponential-bucket histogram of `u64` samples (cycle counts,
@@ -172,31 +141,22 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Fold in a histogram that was already bucketed under the same
-    /// power-of-two law (e.g. `amem_sim::telemetry::CycleHistogram`):
-    /// per-bucket counts add, `sum` saturates, `max` takes the max.
-    /// Buckets past [`HIST_BUCKETS`] are ignored (none exist under the law).
-    pub fn merge_counts(&self, counts: &[u64], sum: u64, max: u64) {
+    /// Fold in a histogram recorded off-registry (the simulator's
+    /// per-socket histograms): per-bucket counts and `sum` add, saturating,
+    /// and `max` takes the max.
+    pub fn merge(&self, h: &HistogramSnapshot) {
         let mut total = 0u64;
-        for (i, &c) in counts.iter().enumerate().take(HIST_BUCKETS) {
+        for (bucket, &c) in self.buckets.iter().zip(&h.buckets) {
             if c > 0 {
-                self.buckets[i].fetch_add(c, Ordering::Relaxed);
+                saturating_fetch_add(bucket, c);
                 total = total.saturating_add(c);
             }
         }
         if total > 0 {
-            self.count.fetch_add(total, Ordering::Relaxed);
-            saturating_fetch_add(&self.sum, sum);
-            self.max.fetch_max(max, Ordering::Relaxed);
+            saturating_fetch_add(&self.count, total);
+            saturating_fetch_add(&self.sum, h.sum);
+            self.max.fetch_max(h.max, Ordering::Relaxed);
         }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -404,8 +364,9 @@ impl Registry {
     }
 }
 
-/// Point-in-time copy of one histogram. `buckets[i]` follows the
-/// `CycleHistogram` law (trailing zero buckets trimmed).
+/// A histogram as plain values: a point-in-time copy of a registry
+/// [`Histogram`], or one recorded directly with [`HistogramSnapshot::record`].
+/// `buckets[i]` follows [`bucket_index`]; trailing zero buckets are absent.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     pub count: u64,
@@ -415,12 +376,18 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+    /// Record one sample. Every field saturates, so a run that records
+    /// `u64`-scale values degrades its stats instead of wrapping.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        let b = bucket_index(v);
+        if self.buckets.len() <= b {
+            self.buckets.resize(b + 1, 0);
         }
+        self.buckets[b] = self.buckets[b].saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
     }
 
     fn merge(&mut self, o: &HistogramSnapshot) {
@@ -524,7 +491,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_sums_shards_exactly() {
+    fn counter_sums_exactly() {
         let r = Registry::new();
         let c = r.counter("c_total", &[]);
         for _ in 0..1000 {
@@ -533,6 +500,17 @@ mod tests {
         c.add(24);
         assert_eq!(c.get(), 1024);
         assert_eq!(r.snapshot().counter("c_total", &[]), Some(1024));
+    }
+
+    #[test]
+    fn counter_add_saturates_instead_of_wrapping() {
+        let r = Registry::new();
+        let c = r.counter("c_total", &[]);
+        c.add(u64::MAX);
+        c.add(1);
+        assert_eq!(c.get(), u64::MAX);
+        c.inc();
+        assert_eq!(r.snapshot().counter("c_total", &[]), Some(u64::MAX));
     }
 
     #[test]
@@ -559,8 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_law_matches_cycle_histogram() {
-        // Same boundary cases as telemetry::CycleHistogram's unit test.
+    fn histogram_bucket_law_boundaries() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 1);
         assert_eq!(bucket_index(2), 2);

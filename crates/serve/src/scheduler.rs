@@ -150,11 +150,7 @@ impl JobQueue {
         state.lanes[job.priority.lane()].push_back(job);
         let depth = state.depth();
         drop(state);
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .gauge("amem_serve_queue_depth", &[])
-                .set(depth as i64);
-        }
+        amem_metrics::set("amem_serve_queue_depth", &[], depth as i64);
         self.cv.notify_one();
         Ok(())
     }
@@ -194,11 +190,7 @@ impl JobQueue {
                     // Counted at skip time: a scan that admits a later
                     // job returns early and would miss batched counting.
                     self.deferrals.fetch_add(1, Ordering::Relaxed);
-                    if amem_metrics::enabled() {
-                        amem_metrics::global()
-                            .counter("amem_serve_quota_deferrals_total", &[])
-                            .inc();
-                    }
+                    amem_metrics::add("amem_serve_quota_deferrals_total", &[], 1);
                     if let Some(t) = self.quotas.ready_at(&job.tenant) {
                         ready = Some(ready.map_or(t, |r| r.min(t)));
                     }
@@ -207,11 +199,7 @@ impl JobQueue {
                     let job = state.lanes[lane].remove(i).expect("index in bounds");
                     let depth = state.depth();
                     drop(state);
-                    if amem_metrics::enabled() {
-                        amem_metrics::global()
-                            .gauge("amem_serve_queue_depth", &[])
-                            .set(depth as i64);
-                    }
+                    amem_metrics::set("amem_serve_queue_depth", &[], depth as i64);
                     return Some(job);
                 }
             }

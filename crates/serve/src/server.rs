@@ -28,7 +28,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use amem_core::capacity::CalibrateOpts;
 use amem_core::sweep::{resident_sweep, run_sweep, SweepRequest};
@@ -137,11 +137,11 @@ impl Inner {
             tmp_reclaimed: self.store.as_ref().map(|s| s.tmp_reclaimed()).unwrap_or(0),
             uptime_secs: self.started.elapsed().as_secs_f64(),
         };
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .gauge("amem_serve_cache_hit_rate_percent", &[])
-                .set(stats.hit_rate_percent() as i64);
-        }
+        amem_metrics::set(
+            "amem_serve_cache_hit_rate_percent",
+            &[],
+            stats.hit_rate_percent() as i64,
+        );
         stats
     }
 
@@ -264,20 +264,6 @@ impl Inner {
         });
     }
 
-    fn metric_job(&self, outcome: &'static str, kind: &'static str, wait: Duration) {
-        if !amem_metrics::enabled() {
-            return;
-        }
-        let reg = amem_metrics::global();
-        reg.counter(
-            "amem_serve_jobs_total",
-            &[("outcome", outcome), ("kind", kind)],
-        )
-        .inc();
-        reg.histogram("amem_serve_job_wait_ns", &[])
-            .record(wait.as_nanos() as u64);
-    }
-
     /// Run one job to its resolved result cell: journal, panic
     /// containment, counters, store maintenance. The one execution path —
     /// a worker calls it for each job it pops, and a frontend for a job
@@ -305,18 +291,24 @@ impl Inner {
             Ok(Err(e)) => Err(e.to_string()),
             Err(payload) => Err(format!("job panicked: {}", panic_message(&*payload))),
         };
-        match &result {
+        let outcome = match &result {
             Ok(_) => {
                 self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                self.metric_job("completed", kind, wait);
                 self.write_record(job, JobStatus::Done, None);
+                "completed"
             }
             Err(e) => {
                 self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                self.metric_job("failed", kind, wait);
                 self.write_record(job, JobStatus::Failed, Some(e.clone()));
+                "failed"
             }
-        }
+        };
+        amem_metrics::add(
+            "amem_serve_jobs_total",
+            &[("outcome", outcome), ("kind", kind)],
+            1,
+        );
+        amem_metrics::record("amem_serve_job_wait_ns", &[], wait.as_nanos() as u64);
         job.cell.resolve(result);
         drop(guard); // already resolved; the guard's write is a no-op
 
@@ -396,11 +388,7 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
             }
         };
         inner.requests.fetch_add(1, Ordering::Relaxed);
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .counter("amem_serve_requests_total", &[])
-                .inc();
-        }
+        amem_metrics::add("amem_serve_requests_total", &[], 1);
         let (written, shutdown_acked) = match handle_request(inner, req) {
             Reply::Control(resp) => (
                 write_line_via(&mut writer, &resp, &mut line_out),
@@ -666,6 +654,7 @@ mod tests {
     use amem_interfere::InterferenceMix;
     use amem_sim::config::MachineConfig;
     use std::io::Write;
+    use std::time::Duration;
 
     /// One fig1 probe point: a fraction of a second cold, a lookup warm.
     fn point(k: usize) -> JobSpec {

@@ -132,7 +132,7 @@ impl CacheStore {
                 let expired = now.duration_since(*mtime).is_ok_and(|age| age >= max_age);
                 if expired && std::fs::remove_file(path).is_ok() {
                     self.evicted_age.fetch_add(1, Ordering::Relaxed);
-                    self.metric_eviction("age");
+                    amem_metrics::add("amem_store_evictions_total", &[("reason", "age")], 1);
                     return false;
                 }
                 true
@@ -150,7 +150,7 @@ impl CacheStore {
                 if std::fs::remove_file(path).is_ok() {
                     total -= len;
                     self.evicted_size.fetch_add(1, Ordering::Relaxed);
-                    self.metric_eviction("size");
+                    amem_metrics::add("amem_store_evictions_total", &[("reason", "size")], 1);
                 }
                 idx += 1;
             }
@@ -162,24 +162,12 @@ impl CacheStore {
             bytes: entries.iter().map(|(_, _, len)| len).sum(),
         })
     }
-
-    fn metric_eviction(&self, reason: &'static str) {
-        if amem_metrics::enabled() {
-            amem_metrics::global()
-                .counter("amem_store_evictions_total", &[("reason", reason)])
-                .inc();
-        }
-    }
 }
 
 /// Mirror a footprint into the `amem_store_{entries,bytes}` gauges.
 fn publish(usage: StoreUsage) -> StoreUsage {
-    if amem_metrics::enabled() {
-        let reg = amem_metrics::global();
-        reg.gauge("amem_store_entries", &[])
-            .set(usage.entries as i64);
-        reg.gauge("amem_store_bytes", &[]).set(usage.bytes as i64);
-    }
+    amem_metrics::set("amem_store_entries", &[], usage.entries as i64);
+    amem_metrics::set("amem_store_bytes", &[], usage.bytes as i64);
     usage
 }
 

@@ -237,6 +237,8 @@ fn scan_set(tags: &[u64], line: u64, way_mask: u32) -> (usize, usize) {
             if t == line {
                 return (w, free);
             }
+            // Past 32 ways the mask is always full (see `fill_masked`),
+            // so the `& 31` never wraps a partial mask.
             if t == EMPTY && free == usize::MAX && way_mask & (1u32 << (w as u32 & 31)) != 0 {
                 free = w;
             }
@@ -456,7 +458,11 @@ impl Cache {
     /// Like [`Cache::fill_with`], but the fill may only allocate into ways
     /// whose bit is set in `way_mask` — Intel CAT-style way partitioning.
     /// Lookups still hit in any way (CAT restricts allocation, not
-    /// presence). At least one way must be allowed.
+    /// presence). At least one way must be allowed, and a mask that is not
+    /// the full `u32::MAX` needs a cache of at most 32 ways: a `u32` names
+    /// ways 0..32 only (`Engine` refuses such a mask on a wider L3). Way
+    /// tests below take the way index `& 31`, which past way 31 only ever
+    /// meets the full mask.
     #[inline(always)]
     pub fn fill_masked(
         &mut self,
@@ -469,6 +475,10 @@ impl Cache {
         debug_assert!(
             (0..ways).any(|w| way_mask & (1u32 << (w as u32 & 31)) != 0),
             "way mask allows no way"
+        );
+        debug_assert!(
+            ways <= 32 || way_mask == u32::MAX,
+            "a partial way mask needs at most 32 ways"
         );
         let mut hit = usize::MAX;
         let mut free = usize::MAX;
@@ -643,7 +653,8 @@ impl Cache {
         }
     }
 
-    /// Choose a victim among the ways allowed by `way_mask` in a full set.
+    /// Choose a victim among the ways allowed by `way_mask` in a full set
+    /// (partial masks only on ≤32 ways; see [`Cache::fill_masked`]).
     #[inline(always)]
     fn pick_victim_masked(&mut self, base: usize, way_mask: u32) -> usize {
         let ways = self.ways as usize;

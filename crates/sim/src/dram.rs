@@ -8,9 +8,8 @@
 //! its Eq. 1 measures. Nothing else in the simulator throttles bandwidth,
 //! so measured GB/s emerges purely from this serialization.
 
+use amem_metrics::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
-
-use crate::telemetry::CycleHistogram;
 
 /// Per-channel transfer statistics (the "uncore counters").
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
@@ -48,7 +47,7 @@ pub struct DramChannel {
     stats: DramStats,
     /// Histogram of per-demand queue+transfer delay; `None` (the default)
     /// costs one branch per demand and records nothing.
-    queue_hist: Option<CycleHistogram>,
+    queue_hist: Option<HistogramSnapshot>,
 }
 
 impl DramChannel {
@@ -65,13 +64,13 @@ impl DramChannel {
     }
 
     /// Start recording the queue+transfer delay of every demand read into
-    /// a [`CycleHistogram`]. Observation-only: timing is unaffected.
+    /// a [`HistogramSnapshot`]. Observation-only: timing is unaffected.
     pub fn enable_queue_histogram(&mut self) {
-        self.queue_hist = Some(CycleHistogram::new());
+        self.queue_hist = Some(HistogramSnapshot::default());
     }
 
     /// The demand queue-delay histogram, if enabled.
-    pub fn queue_histogram(&self) -> Option<&CycleHistogram> {
+    pub fn queue_histogram(&self) -> Option<&HistogramSnapshot> {
         self.queue_hist.as_ref()
     }
 
@@ -322,7 +321,7 @@ mod tests {
         ch.demand(1000); // idle: 8 cycles
         ch.demand(1000); // queued: 16 cycles
         let h = ch.queue_histogram().unwrap();
-        assert_eq!(h.total, 2);
+        assert_eq!(h.count, 2);
         assert_eq!(h.sum, 24);
         assert_eq!(h.max, 16);
     }

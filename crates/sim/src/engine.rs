@@ -39,6 +39,8 @@
 //! written back. L1 ⊆ L2 is maintained the same way. Dirty evictions charge
 //! write-back occupancy on the channel.
 
+use amem_metrics::HistogramSnapshot;
+
 use crate::cache::{Cache, Eviction, NO_LINK};
 use crate::config::{CoreId, MachineConfig};
 use crate::control::{Actuation, CoreView, EpochController, Knob};
@@ -46,7 +48,7 @@ use crate::counters::CoreCounters;
 use crate::dram::{DramChannel, DramStats, LineThrottle};
 use crate::prefetch::Prefetcher;
 use crate::stream::{AccessStream, Op, OP_BATCH};
-use crate::telemetry::{CycleHistogram, EventRing, Sampler, SpanEvent, Telemetry};
+use crate::telemetry::{EventRing, Sampler, SpanEvent, Telemetry};
 use crate::tlb::Tlb;
 
 /// One core's buffered window of upcoming ops.
@@ -431,17 +433,22 @@ pub struct Engine<'a> {
     sampler: Option<Sampler>,
     ring: Option<EventRing>,
     /// Per-socket demand-miss latency histograms (with sampling enabled).
-    demand_hist: Vec<CycleHistogram>,
+    demand_hist: Vec<HistogramSnapshot>,
 }
 
 /// Reject a CAT mask that selects none of the L3's ways where it first
 /// meets the machine config — a full set would otherwise have no victim
-/// to offer, many cycles into the run.
+/// to offer, many cycles into the run. A `u32` mask names ways 0..32 only,
+/// so on a wider L3 the one mask accepted is the full `u32::MAX`.
 fn check_l3_way_mask(cfg: &MachineConfig, core: usize, mask: u32) {
     let ways = cfg.l3.ways;
     assert!(
         mask & (u32::MAX >> 32u32.saturating_sub(ways)) != 0,
         "core {core}: L3 way mask {mask:#x} allows none of the {ways} ways"
+    );
+    assert!(
+        ways <= 32 || mask == u32::MAX,
+        "core {core}: L3 way mask {mask:#x} is partial on {ways} ways; a partial mask needs at most 32"
     );
 }
 
@@ -594,7 +601,7 @@ impl<'a> Engine<'a> {
             for s in &mut self.sockets {
                 s.dram.enable_queue_histogram();
             }
-            self.demand_hist = vec![CycleHistogram::new(); self.sockets.len()];
+            self.demand_hist = vec![HistogramSnapshot::default(); self.sockets.len()];
         }
         if limit.trace_capacity > 0 {
             self.ring = Some(EventRing::new(limit.trace_capacity));
@@ -1774,6 +1781,33 @@ mod tests {
         let _ = Engine::new(&m, vec![job]);
     }
 
+    /// The test machine with a 48-way L3 (same set count).
+    fn wide_l3() -> MachineConfig {
+        let mut m = cfg();
+        m.l3.size_bytes = m.l3.size_bytes / u64::from(m.l3.ways) * 48;
+        m.l3.ways = 48;
+        m
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "core 1: L3 way mask 0xf is partial on 48 ways; a partial mask needs at most 32"
+    )]
+    fn partial_way_mask_on_a_wide_l3_is_rejected_at_construction() {
+        let m = wide_l3();
+        let job =
+            Job::primary(Box::new(ScriptStream::new(vec![])), CoreId::new(0, 1)).with_l3_ways(0x0F);
+        let _ = Engine::new(&m, vec![job]);
+    }
+
+    #[test]
+    fn full_way_mask_on_a_wide_l3_is_accepted() {
+        let m = wide_l3();
+        let job = Job::primary(Box::new(ScriptStream::new(vec![])), CoreId::new(0, 1))
+            .with_l3_ways(u32::MAX);
+        let _ = Engine::new(&m, vec![job]);
+    }
+
     #[test]
     #[should_panic(expected = "L3: 128-byte lines; the engine simulates 64-byte lines only")]
     fn non_64_byte_lines_are_rejected_at_construction() {
@@ -1819,6 +1853,34 @@ mod tests {
             CoreId::new(0, 0),
         );
         let mut ctl = BadMask;
+        let _ = Engine::new(&m, vec![job])
+            .with_controller(&mut ctl)
+            .run(&RunLimit::default());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "core 0: L3 way mask 0xffff is partial on 48 ways; a partial mask needs at most 32"
+    )]
+    fn actuated_partial_way_mask_on_a_wide_l3_is_rejected_when_it_fires() {
+        struct HalfMask;
+        impl EpochController for HalfMask {
+            fn epoch_cycles(&self) -> u64 {
+                50
+            }
+            fn on_epoch(&mut self, _: u64, _: u64, _: &[CoreView]) -> Vec<Actuation> {
+                vec![Actuation {
+                    core: 0,
+                    knob: Knob::L3WayMask(0xFFFF),
+                }]
+            }
+        }
+        let m = wide_l3();
+        let job = Job::primary(
+            Box::new(ScriptStream::new(vec![Op::Compute(500)])),
+            CoreId::new(0, 0),
+        );
+        let mut ctl = HalfMask;
         let _ = Engine::new(&m, vec![job])
             .with_controller(&mut ctl)
             .run(&RunLimit::default());

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::machine::Machine;
     pub use crate::rng::Xoshiro256;
     pub use crate::stream::{AccessStream, Op, OpQueue};
-    pub use crate::telemetry::{CycleHistogram, Sample, SpanEvent, Telemetry};
+    pub use crate::telemetry::{Sample, SpanEvent, Telemetry};
 }
 
 pub use config::{CacheConfig, CoreId, MachineConfig};
@@ -91,4 +91,4 @@ pub use engine::{EventSignature, Job, JobReport, RunLimit, RunReport, SocketRepo
 pub use fingerprint::{canonical_json, fingerprint, fingerprint_hex};
 pub use machine::Machine;
 pub use stream::{AccessStream, Op, OpQueue};
-pub use telemetry::{CycleHistogram, Sample, SpanEvent, Telemetry};
+pub use telemetry::{Sample, SpanEvent, Telemetry};

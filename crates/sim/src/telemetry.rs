@@ -3,8 +3,9 @@
 //! The paper's methodology reads PMU counters *once per run* (Eq. 1 needs
 //! only end-to-end misses and time). This module adds the infrastructure a
 //! production measurement system layers on top: periodic counter sampling
-//! (time-sliced [`Sample`]s per core), cycle-bucketed latency histograms
-//! ([`CycleHistogram`]) for DRAM queue delay and demand-miss latency, and
+//! (time-sliced [`Sample`]s per core), power-of-two latency histograms
+//! (`amem_metrics::HistogramSnapshot`) for DRAM queue delay and
+//! demand-miss latency, and
 //! span/instant events ([`SpanEvent`]) for BSP phases, barrier waits and
 //! user marks, held in a bounded [`EventRing`].
 //!
@@ -19,92 +20,11 @@
 
 use std::collections::VecDeque;
 
+use amem_metrics::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::counters::CoreCounters;
-
-/// Power-of-two-bucketed histogram of cycle counts.
-///
-/// Bucket 0 holds zeros; bucket `i >= 1` holds values in `[2^(i-1), 2^i)`.
-/// 65 buckets cover the full `u64` range. Recording is O(1) and the
-/// histogram keeps enough moments (`sum`, `max`) for a mean and an
-/// upper-bound percentile without storing samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CycleHistogram {
-    /// `counts[0]` = zeros; `counts[i]` = values in `[2^(i-1), 2^i)`.
-    pub counts: Vec<u64>,
-    pub total: u64,
-    pub sum: u64,
-    pub max: u64,
-}
-
-impl CycleHistogram {
-    pub fn new() -> Self {
-        Self {
-            counts: vec![0; 65],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        let b = if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros()) as usize
-        };
-        // Saturate everywhere: a multi-billion-cycle run recording
-        // u64-scale latencies must degrade the stats, not overflow-panic
-        // in debug builds (or silently wrap in release).
-        self.counts[b] = self.counts[b].saturating_add(1);
-        self.total = self.total.saturating_add(1);
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    pub fn merge(&mut self, o: &CycleHistogram) {
-        if self.counts.is_empty() {
-            *self = CycleHistogram::new();
-        }
-        // Merging per-slice histograms accumulated over a long run must
-        // saturate, not wrap: totals near u64::MAX pin there.
-        for (a, b) in self.counts.iter_mut().zip(o.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.total = self.total.saturating_add(o.total);
-        self.sum = self.sum.saturating_add(o.sum);
-        self.max = self.max.max(o.max);
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (0 < q <= 1).
-    /// Exact to within a factor of two, which is all a log-bucketed
-    /// histogram can promise.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (b, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return if b == 0 { 0 } else { ((1u128 << b) - 1) as u64 };
-            }
-        }
-        self.max
-    }
-}
 
 /// One time slice of one core's counters.
 ///
@@ -283,9 +203,9 @@ pub struct Telemetry {
     /// Events dropped by the ring buffer (oldest first).
     pub dropped_events: u64,
     /// Per-socket histogram of DRAM channel queue+transfer delay, cycles.
-    pub dram_queue_delay: Vec<CycleHistogram>,
+    pub dram_queue_delay: Vec<HistogramSnapshot>,
     /// Per-socket histogram of total demand-miss latency, cycles.
-    pub demand_latency: Vec<CycleHistogram>,
+    pub demand_latency: Vec<HistogramSnapshot>,
 }
 
 impl Telemetry {
@@ -368,83 +288,63 @@ impl Telemetry {
 /// eviction and prefetch outcomes, per-kind DRAM line traffic, DRAM
 /// busy-vs-wall cycles (their ratio is channel occupancy), and — when the
 /// run had telemetry enabled — the DRAM queue-delay and demand-latency
-/// histograms, folded bucket-for-bucket (the bucket laws are identical).
+/// histograms, folded bucket-for-bucket.
 pub fn publish_run_metrics(report: &crate::engine::RunReport) {
     if !amem_metrics::enabled() {
         return;
     }
     let reg = amem_metrics::global();
+    // Through the registry, not `amem_metrics::add`: a zero count still
+    // makes its series, so every run exports the same families.
+    let add = |name: &str, labels: &[(&str, &str)], v: u64| reg.counter(name, labels).add(v);
     let mut agg = CoreCounters::default();
     for j in &report.jobs {
         agg.merge(&j.counters);
     }
-    let levels: [(&str, u64, u64); 4] = [
-        (
-            "l1",
-            agg.l1_hits.saturating_add(agg.l1_misses),
-            agg.l1_misses,
-        ),
-        (
-            "l2",
-            agg.l2_hits.saturating_add(agg.l2_misses),
-            agg.l2_misses,
-        ),
-        (
-            "l3",
-            agg.l3_hits.saturating_add(agg.l3_misses),
-            agg.l3_misses,
-        ),
-        (
-            "tlb",
-            agg.tlb_hits.saturating_add(agg.tlb_misses),
-            agg.tlb_misses,
-        ),
-    ];
-    for (level, accesses, misses) in levels {
-        reg.counter("amem_sim_accesses_total", &[("level", level)])
-            .add(accesses);
-        reg.counter("amem_sim_misses_total", &[("level", level)])
-            .add(misses);
+    for (level, hits, misses) in [
+        ("l1", agg.l1_hits, agg.l1_misses),
+        ("l2", agg.l2_hits, agg.l2_misses),
+        ("l3", agg.l3_hits, agg.l3_misses),
+        ("tlb", agg.tlb_hits, agg.tlb_misses),
+    ] {
+        let (level, accesses) = ([("level", level)], hits.saturating_add(misses));
+        add("amem_sim_accesses_total", &level, accesses);
+        add("amem_sim_misses_total", &level, misses);
     }
-    reg.counter("amem_sim_ops_total", &[("kind", "load")])
-        .add(agg.loads);
-    reg.counter("amem_sim_ops_total", &[("kind", "store")])
-        .add(agg.stores);
-    reg.counter("amem_sim_evictions_total", &[("kind", "back_invalidation")])
-        .add(agg.back_invalidations);
-    reg.counter(
-        "amem_sim_evictions_total",
-        &[("kind", "coherence_invalidation")],
-    )
-    .add(agg.coherence_invalidations);
-    reg.counter("amem_sim_prefetches_total", &[("outcome", "issued")])
-        .add(agg.prefetches_issued);
-    reg.counter("amem_sim_prefetches_total", &[("outcome", "dropped")])
-        .add(agg.prefetches_dropped);
+    for (kind, v) in [("load", agg.loads), ("store", agg.stores)] {
+        add("amem_sim_ops_total", &[("kind", kind)], v);
+    }
+    for (kind, v) in [
+        ("back_invalidation", agg.back_invalidations),
+        ("coherence_invalidation", agg.coherence_invalidations),
+    ] {
+        add("amem_sim_evictions_total", &[("kind", kind)], v);
+    }
+    for (outcome, v) in [
+        ("issued", agg.prefetches_issued),
+        ("dropped", agg.prefetches_dropped),
+    ] {
+        add("amem_sim_prefetches_total", &[("outcome", outcome)], v);
+    }
     for s in &report.sockets {
-        reg.counter("amem_sim_dram_lines_total", &[("kind", "demand")])
-            .add(s.dram.demand_lines);
-        reg.counter("amem_sim_dram_lines_total", &[("kind", "prefetch")])
-            .add(s.dram.prefetch_lines);
-        reg.counter("amem_sim_dram_lines_total", &[("kind", "writeback")])
-            .add(s.dram.writeback_lines);
-        reg.counter("amem_sim_dram_dma_bytes_total", &[])
-            .add(s.dram.dma_bytes);
-        reg.counter("amem_sim_dram_busy_cycles_total", &[])
-            .add(s.dram.busy_cycles);
-        reg.counter("amem_sim_wall_cycles_total", &[])
-            .add(report.wall_cycles);
+        let d = &s.dram;
+        for (kind, v) in [
+            ("demand", d.demand_lines),
+            ("prefetch", d.prefetch_lines),
+            ("writeback", d.writeback_lines),
+        ] {
+            add("amem_sim_dram_lines_total", &[("kind", kind)], v);
+        }
+        add("amem_sim_dram_dma_bytes_total", &[], d.dma_bytes);
+        add("amem_sim_dram_busy_cycles_total", &[], d.busy_cycles);
+        add("amem_sim_wall_cycles_total", &[], report.wall_cycles);
     }
-    reg.counter("amem_sim_runs_total", &[]).inc();
+    add("amem_sim_runs_total", &[], 1);
     if let Some(t) = &report.telemetry {
         let qh = reg.histogram("amem_sim_dram_queue_delay_cycles", &[]);
-        for h in &t.dram_queue_delay {
-            qh.merge_counts(&h.counts, h.sum, h.max);
-        }
+        t.dram_queue_delay.iter().for_each(|h| qh.merge(h));
         let dh = reg.histogram("amem_sim_demand_latency_cycles", &[]);
-        for h in &t.demand_latency {
-            dh.merge_counts(&h.counts, h.sum, h.max);
-        }
+        t.demand_latency.iter().for_each(|h| dh.merge(h));
     }
 }
 
@@ -454,90 +354,103 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
-        let mut h = CycleHistogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.counts[0], 1); // the zero
-        assert_eq!(h.counts[1], 1); // [1,2)
-        assert_eq!(h.counts[2], 2); // [2,4)
-        assert_eq!(h.counts[11], 1); // [1024,2048)
-        assert_eq!(h.total, 5);
+        let mut h = HistogramSnapshot::default();
+        for v in [0, 1, 2, 3, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.buckets[0], 1); // the zero
+        assert_eq!(h.buckets[1], 1); // [1,2)
+        assert_eq!(h.buckets[2], 2); // [2,4)
+        assert_eq!(h.buckets[11], 1); // [1024,2048)
+        assert_eq!(h.buckets.len(), 12, "no bucket past the largest sample");
+        assert_eq!(h.count, 5);
+        assert_eq!(h.sum, 1030);
         assert_eq!(h.max, 1024);
-        assert!((h.mean() - 206.0).abs() < 1e-9);
+    }
+
+    /// Fold per-socket histograms into a registry histogram the way
+    /// [`publish_run_metrics`] does.
+    fn fold(hists: &[HistogramSnapshot]) -> HistogramSnapshot {
+        let reg = amem_metrics::Registry::new();
+        let h = reg.histogram("h", &[]);
+        hists.iter().for_each(|s| h.merge(s));
+        reg.snapshot().histogram("h", &[]).cloned().unwrap()
     }
 
     #[test]
     fn histogram_merge_adds() {
-        let mut a = CycleHistogram::new();
-        let mut b = CycleHistogram::new();
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
         a.record(5);
         b.record(7);
         b.record(100);
-        a.merge(&b);
-        assert_eq!(a.total, 3);
-        assert_eq!(a.sum, 112);
-        assert_eq!(a.max, 100);
+        let m = fold(&[a, b, HistogramSnapshot::default()]);
+        assert_eq!(m.count, 3);
+        assert_eq!(m.sum, 112);
+        assert_eq!(m.max, 100);
+        assert_eq!(m.buckets[3], 2, "5 and 7 share [4,8)");
     }
 
     #[test]
     fn histogram_sum_saturates_instead_of_overflowing() {
-        let mut a = CycleHistogram::new();
+        let mut a = HistogramSnapshot::default();
         a.record(u64::MAX);
         a.record(u64::MAX); // would overflow-panic with plain +=
         assert_eq!(a.sum, u64::MAX);
-        let mut b = CycleHistogram::new();
+        let mut b = HistogramSnapshot::default();
         b.record(u64::MAX);
-        a.merge(&b);
-        assert_eq!(a.sum, u64::MAX);
-        assert_eq!(a.total, 3);
-        assert!(a.mean().is_finite());
+        let m = fold(&[a, b]);
+        assert_eq!(m.sum, u64::MAX);
+        assert_eq!(m.count, 3);
     }
 
     #[test]
     fn histogram_merge_saturates_at_u64_max_boundaries() {
         // A histogram whose counts sit exactly at the u64::MAX boundary:
-        // merging more slices must pin at MAX, not wrap past it.
-        let mut a = CycleHistogram::new();
-        a.counts[3] = u64::MAX - 1;
-        a.total = u64::MAX - 1;
-        a.sum = u64::MAX - 1;
-        let mut b = CycleHistogram::new();
-        b.counts[3] = 2; // crosses the boundary: MAX-1 + 2 > MAX
-        b.total = 2;
-        b.sum = 2;
-        b.max = 9;
-        a.merge(&b);
-        assert_eq!(a.counts[3], u64::MAX);
-        assert_eq!(a.total, u64::MAX);
-        assert_eq!(a.sum, u64::MAX);
-        assert_eq!(a.max, 9);
-        // Already saturated + anything stays saturated.
-        a.merge(&b);
-        assert_eq!(a.counts[3], u64::MAX);
-        assert_eq!(a.total, u64::MAX);
+        // folding more must pin at MAX, not wrap past it.
+        let a = HistogramSnapshot {
+            count: u64::MAX - 1,
+            sum: u64::MAX - 1,
+            max: 0,
+            buckets: vec![0, 0, 0, u64::MAX - 1],
+        };
+        let b = HistogramSnapshot {
+            count: 2, // crosses the boundary: MAX-1 + 2 > MAX
+            sum: 2,
+            max: 9,
+            buckets: vec![0, 0, 0, 2],
+        };
+        let m = fold(&[a, b.clone(), b]);
+        assert_eq!(m.buckets[3], u64::MAX);
+        assert_eq!(m.count, u64::MAX);
+        assert_eq!(m.sum, u64::MAX);
+        assert_eq!(m.max, 9);
         // And record() at the boundary saturates count bookkeeping too.
-        let mut c = CycleHistogram::new();
-        c.counts[0] = u64::MAX;
-        c.total = u64::MAX;
+        let mut c = HistogramSnapshot {
+            count: u64::MAX,
+            buckets: vec![u64::MAX],
+            ..Default::default()
+        };
         c.record(0);
-        assert_eq!(c.counts[0], u64::MAX);
-        assert_eq!(c.total, u64::MAX);
-        assert!(c.mean().is_finite());
+        assert_eq!(c.buckets[0], u64::MAX);
+        assert_eq!(c.count, u64::MAX);
     }
 
     #[test]
-    fn histogram_quantile_bounds() {
-        let mut h = CycleHistogram::new();
-        for _ in 0..99 {
-            h.record(10); // bucket [8,16)
-        }
-        h.record(10_000); // bucket [8192,16384)
-        assert_eq!(h.quantile_upper_bound(0.5), 15);
-        assert!(h.quantile_upper_bound(1.0) >= 10_000);
-        assert_eq!(CycleHistogram::new().quantile_upper_bound(0.5), 0);
+    fn a_telemetry_entry_with_the_old_histogram_shape_fails_to_read() {
+        // `{counts, total, sum, max}` was the histogram shape before
+        // `HistogramSnapshot`; such an entry must fail to parse (and be
+        // recomputed), not read as empty histograms.
+        let old = r#"{"sample_interval":10,"samples":[],"events":[],"dropped_events":0,
+            "dram_queue_delay":[{"counts":[0,1],"total":1,"sum":1,"max":1}],
+            "demand_latency":[]}"#;
+        assert!(serde_json::from_str::<Telemetry>(old).is_err());
+        let new = old.replace(
+            r#""counts":[0,1],"total":1"#,
+            r#""count":1,"buckets":[0,1]"#,
+        );
+        let t: Telemetry = serde_json::from_str(&new).unwrap();
+        assert_eq!(t.dram_queue_delay[0].buckets, [0, 1]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn eight_threads_of_increments_sum_exactly() {
         for _ in 0..THREADS {
             let reg = Arc::clone(&reg);
             s.spawn(move || {
-                // Resolve once, hammer the handle: the sharded counter
+                // Resolve once, hammer the handle: the one-cell counter
                 // must still produce an exact total, not a sampled one.
                 let c = reg.counter("amem_test_contended_total", &[]);
                 let g = reg.gauge("amem_test_gauge", &[]);

@@ -480,6 +480,11 @@ mod demand_walk {
                 if mask & narrow == 0 {
                     mask |= 1;
                 }
+                // A partial mask names ways 0..32 only; a wider cache
+                // takes the full mask.
+                if ways > 32 {
+                    mask = u32::MAX;
+                }
                 let hint = match rng.below(3) {
                     0 => Some(InsertPolicy::Mid),
                     1 => Some(InsertPolicy::Lru),
