@@ -8,7 +8,9 @@
 //! the run and the `grid/...` phases that split the same time by
 //! probe-grid level. It exits 1 when the leaf phases cover less than 95%
 //! or more than 100.5% of the wall. `--overhead <fig>` times the figure
-//! cold with the metrics gate off and on, in alternating-order pairs.
+//! cold with the metrics gate off and on, in alternating-order pairs,
+//! and prints the per-pair change of the children's wall and of their
+//! CPU time (Linux only; the budget is read on the CPU line).
 //! `--out` holds the child's CSV and manifest (default a temp dir);
 //! `--report` mirrors the rendered report to a file. A `repro` child that
 //! fails exits 1 too.
@@ -188,38 +190,44 @@ fn overhead_report(fig: &str, cli: &Cli, doc: &mut String) -> Result<(), String>
     let base_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_plain"));
     let inst_dir = std::env::temp_dir().join(format!("amem_stats_{fig}_metrics"));
     // The children's own wall clocks (manifest-stamped) exclude process
-    // start-up. The pairs run in ABBA order (plain first, then metrics
-    // first, ...): a run's wall depends on its place in the pair and on
-    // host drift, and alternating puts both on each side equally.
-    let wall = |metrics: bool| {
+    // start-up; their CPU time is this process's change in reaped
+    // children's time across the wait. The pairs run in ABBA order
+    // (plain first, then metrics first, ...): a run's wall depends on its
+    // place in the pair and on host drift, and alternating puts both on
+    // each side equally.
+    let run = |metrics: bool| {
         let dir = if metrics { &inst_dir } else { &base_dir };
-        run_child(fig, cli, dir, metrics).map(|m| m.wall_seconds)
+        let before = children_cpu_ticks();
+        let wall = run_child(fig, cli, dir, metrics)?.wall_seconds;
+        let cpu = before
+            .zip(children_cpu_ticks())
+            .map(|(b, a)| (a - b) as f64);
+        Ok::<_, String>((wall, cpu))
     };
-    let mut pairs = Vec::with_capacity(PAIRS);
+    let (mut walls, mut cpus) = (Vec::with_capacity(PAIRS), Vec::with_capacity(PAIRS));
     for i in 0..PAIRS {
-        pairs.push(if i % 2 == 0 {
-            let off = wall(false)?;
-            (off, wall(true)?)
+        let ((off, off_cpu), (on, on_cpu)) = if i % 2 == 0 {
+            let off = run(false)?;
+            (off, run(true)?)
         } else {
-            let on = wall(true)?;
-            (wall(false)?, on)
-        });
+            let on = run(true)?;
+            (run(false)?, on)
+        };
+        walls.push((off, on));
+        cpus.push(off_cpu.zip(on_cpu));
     }
-    writeln!(doc, "{}", overhead_line(fig, &pairs)).unwrap();
+    writeln!(doc, "{}", overhead_line(fig, &walls)).unwrap();
+    let cpus: Option<Vec<_>> = cpus.into_iter().collect();
+    writeln!(doc, "{}", cpu_overhead_line(fig, cpus.as_deref())).unwrap();
     let _ = std::fs::remove_dir_all(&base_dir);
     let _ = std::fs::remove_dir_all(&inst_dir);
     Ok(())
 }
 
-/// The `--overhead` verdict from `(plain, metrics)` wall pairs: the median
-/// of the per-pair ratios and their range. A ratio within a pair cancels
-/// the drift between pairs, which minima taken per side do not.
-fn overhead_line(fig: &str, pairs: &[(f64, f64)]) -> String {
-    fn median(mut xs: Vec<f64>) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        let n = xs.len();
-        (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
-    }
+/// Median, lowest and highest per-pair change, in percent, of
+/// `(plain, metrics)` pairs. A ratio within a pair cancels the drift
+/// between pairs, which minima taken per side do not.
+fn pair_changes(pairs: &[(f64, f64)]) -> (f64, f64, f64) {
     let pcts: Vec<f64> = pairs
         .iter()
         .map(|&(off, on)| 100.0 * (on - off) / off.max(1e-9))
@@ -227,14 +235,64 @@ fn overhead_line(fig: &str, pairs: &[(f64, f64)]) -> String {
     let (lo, hi) = pcts
         .iter()
         .fold((f64::MAX, f64::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+    (median(pcts), lo, hi)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    (xs[(n - 1) / 2] + xs[n / 2]) / 2.0
+}
+
+/// The `--overhead` wall line from `(plain, metrics)` wall pairs: each
+/// side's median wall, the median of the per-pair ratios and their range.
+fn overhead_line(fig: &str, pairs: &[(f64, f64)]) -> String {
+    let (mid, lo, hi) = pair_changes(pairs);
     format!(
-        "[overhead] {fig} cold: {:.2}s plain, {:.2}s with --metrics (median {:+.1}% \
-         over {} ABBA pairs, pairs {lo:+.1}% to {hi:+.1}%, budget <3%)",
+        "[overhead] {fig} cold: {:.2}s plain, {:.2}s with --metrics (median {mid:+.1}% \
+         over {} ABBA pairs, pairs {lo:+.1}% to {hi:+.1}%)",
         median(pairs.iter().map(|p| p.0).collect()),
         median(pairs.iter().map(|p| p.1).collect()),
-        median(pcts),
         pairs.len(),
     )
+}
+
+/// The `--overhead` verdict line from `(plain, metrics)` pairs of the
+/// children's CPU time, or "n/a" where it cannot be read. The budget is
+/// read here: time a child waits for a CPU stretches its wall, not its
+/// user and system time.
+fn cpu_overhead_line(fig: &str, pairs: Option<&[(f64, f64)]>) -> String {
+    match pairs {
+        Some(pairs) => {
+            let (mid, lo, hi) = pair_changes(pairs);
+            format!(
+                "[overhead] {fig} children's CPU (user+system): median {mid:+.1}%, \
+                 pairs {lo:+.1}% to {hi:+.1}% (budget <3%)"
+            )
+        }
+        None => format!("[overhead] {fig} children's CPU (user+system): n/a"),
+    }
+}
+
+/// User plus system clock ticks of this process's reaped children, on
+/// Linux; `None` elsewhere.
+fn children_cpu_ticks() -> Option<u64> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    children_ticks(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// `cutime + cstime` (fields 16 and 17) of a `/proc/<pid>/stat` line.
+/// The fields are counted after the last `)`: the command name before it
+/// may hold spaces and parentheses.
+fn children_ticks(stat: &str) -> Option<u64> {
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    // The first field after the name is field 3 (the state).
+    let mut fields = after_comm.split_whitespace().skip(16 - 3);
+    let cutime: u64 = fields.next()?.parse().ok()?;
+    let cstime: u64 = fields.next()?.parse().ok()?;
+    Some(cutime + cstime)
 }
 
 fn main() -> ExitCode {
@@ -307,8 +365,32 @@ mod tests {
         assert_eq!(
             line,
             "[overhead] fig1 cold: 2.40s plain, 2.42s with --metrics (median +0.5% \
-             over 4 ABBA pairs, pairs -1.0% to +1.8%, budget <3%)"
+             over 4 ABBA pairs, pairs -1.0% to +1.8%)"
         );
+        let cpu = [(200.0, 204.0), (300.0, 303.0)];
+        assert_eq!(
+            cpu_overhead_line("fig1", Some(&cpu)),
+            "[overhead] fig1 children's CPU (user+system): median +1.5%, \
+             pairs +1.0% to +2.0% (budget <3%)"
+        );
+        assert_eq!(
+            cpu_overhead_line("fig1", None),
+            "[overhead] fig1 children's CPU (user+system): n/a"
+        );
+    }
+
+    #[test]
+    fn children_cpu_time_is_read_after_the_last_parenthesis() {
+        // A command name with spaces and parentheses; cutime 250 and
+        // cstime 17 are fields 16 and 17.
+        let stat = "4242 (amem (x) stats) S 1 4242 4242 0 -1 4194304 120 0 0 0 \
+                    31 5 250 17 20 0 1 0 123 4096 200 18446744073709551615";
+        assert_eq!(children_ticks(stat), Some(267));
+        assert_eq!(children_ticks("4242 (cut) S 1"), None);
+        assert_eq!(children_ticks("no name"), None);
+        if cfg!(target_os = "linux") {
+            assert!(children_cpu_ticks().is_some());
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 use std::process::ExitCode;
 
 use amem_conformance::curves::{
-    check_curve_case, check_wide_curve_case, gen_curve_case, CurveDivergence,
+    check_curve_case, check_long_warmup_curve_case, check_wide_curve_case, gen_curve_case,
+    CurveDivergence,
 };
 use amem_conformance::fuzz::{
     check_case, check_case_with, lanes, minimize, reproducer_dir, sabotage, write_reproducer,
@@ -202,8 +203,12 @@ fn main() -> ExitCode {
             check_curve_case(seed, &gen_curve_case(seed, OPS)).err()
         })
         .into_iter()
-        // Plus the one case wider than a table page and a slot window.
-        .chain([check_wide_curve_case(args.seeds).err()])
+        // Plus the one case wider than a table page and a slot window,
+        // and the one whose warm-up outgrows the window.
+        .chain([
+            check_wide_curve_case(args.seeds).err(),
+            check_long_warmup_curve_case(args.seeds).err(),
+        ])
         .flatten()
         .collect();
         println!(

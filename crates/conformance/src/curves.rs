@@ -143,6 +143,20 @@ pub fn check_wide_curve_case(seed: u64) -> Result<(), CurveDivergence> {
     check_capacities(seed, &trace, &hist, edges)
 }
 
+/// The one long-warm-up case: a warm-up more than twice the engine's
+/// table (one 4096-line page) and the mark at 90%, so the lazy warm-up
+/// grows its window, compacts it from the table and builds the recency
+/// only at the first measured access.
+pub fn check_long_warmup_curve_case(seed: u64) -> Result<(), CurveDivergence> {
+    let mut trace = gen_case_over(seed, 30_000, 2500);
+    trace.mark = trace.lines.len() * 9 / 10;
+    assert!(trace.mark > 2 * 4096, "the warm-up must outgrow the window");
+    let hist = StackDistHistogram::compute(&trace, 1.0);
+    let d = hist.distinct_lines;
+    let edges = [0, 1, 64, 512, 513, d / 2, d - 1, d, d + 1];
+    check_capacities(seed, &trace, &hist, edges)
+}
+
 fn check_capacities(
     seed: u64,
     trace: &LineTrace,
@@ -179,6 +193,11 @@ mod tests {
     #[test]
     fn wide_case_locksteps_past_one_page_and_one_window() {
         check_wide_curve_case(1).unwrap_or_else(|d| panic!("{}", d.describe()));
+    }
+
+    #[test]
+    fn long_warm_up_case_locksteps_the_reference_cache() {
+        check_long_warmup_curve_case(1).unwrap_or_else(|d| panic!("{}", d.describe()));
     }
 
     #[test]

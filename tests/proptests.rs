@@ -778,7 +778,7 @@ mod engine_invariants {
 /// for any trace.
 mod stack_distance {
     use active_mem::sim::rng::Xoshiro256;
-    use active_mem::sim::stackdist::{LineTrace, StackDistHistogram};
+    use active_mem::sim::stackdist::{LineTrace, StackDist, StackDistHistogram};
     use std::collections::VecDeque;
 
     const CASES: u64 = 48;
@@ -794,10 +794,20 @@ mod stack_distance {
     /// The oracle: an explicit LRU stack of `capacity` lines, counting
     /// measured-phase misses.
     fn deque_miss_rate(trace: &LineTrace, capacity: usize) -> f64 {
+        deque_miss_rate_flagged(&trace.lines, |i| i >= trace.mark, capacity)
+    }
+
+    /// [`deque_miss_rate`] counting the accesses `measured(i)` flags,
+    /// wherever they fall in the trace.
+    fn deque_miss_rate_flagged(
+        lines: &[u64],
+        measured: impl Fn(usize) -> bool,
+        capacity: usize,
+    ) -> f64 {
         let mut stack: VecDeque<u64> = VecDeque::new();
         let (mut misses, mut total) = (0u64, 0u64);
-        for (i, &l) in trace.lines.iter().enumerate() {
-            let measured = i >= trace.mark;
+        for (i, &l) in lines.iter().enumerate() {
+            let measured = measured(i);
             if measured {
                 total += 1;
             }
@@ -841,6 +851,68 @@ mod stack_distance {
             for cap in 0..=(h.distinct_lines + 3) {
                 let fast = h.miss_rate_at_lines(cap);
                 let slow = deque_miss_rate(&t, cap as usize);
+                assert!(
+                    (fast - slow).abs() < 1e-12,
+                    "case {case} cap {cap}: {fast} vs {slow}"
+                );
+            }
+        }
+    }
+
+    /// The warm-up at its edges: every access warm (no measured access,
+    /// so `finish` builds the recency) and none.
+    #[test]
+    fn histogram_matches_the_deque_simulator_with_all_or_no_warm_up() {
+        let mut rng = Xoshiro256::seed_from_u64(0x57D4);
+        for case in 0..CASES {
+            let arb = arb_trace(&mut rng);
+            let mut distinct = arb.lines.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            for mark in [0, arb.lines.len()] {
+                let t = LineTrace {
+                    mark,
+                    ..arb.clone()
+                };
+                let h = StackDistHistogram::compute(&t, 1.0);
+                assert_eq!(h.distinct_lines, distinct.len() as u64, "case {case}");
+                assert_eq!(h.measured, (t.lines.len() - mark) as u64, "case {case}");
+                for cap in 0..=(h.distinct_lines + 3) {
+                    let fast = h.miss_rate_at_lines(cap);
+                    let slow = deque_miss_rate(&t, cap as usize);
+                    assert!(
+                        (fast - slow).abs() < 1e-12,
+                        "case {case} mark {mark} cap {cap}: {fast} vs {slow}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Measured flags need not be a prefix: after a warm-up, warm and
+    /// measured accesses interleave, and only the flagged ones count.
+    #[test]
+    fn interleaved_warm_and_measured_accesses_match_the_deque_simulator() {
+        let mut rng = Xoshiro256::seed_from_u64(0x57D5);
+        for case in 0..CASES {
+            let t = arb_trace(&mut rng);
+            let flags: Vec<bool> = (0..t.lines.len())
+                .map(|i| i >= t.mark && rng.below(3) != 0)
+                .collect();
+            let first = flags.iter().position(|&f| f);
+            assert!(
+                first.is_some_and(|f| flags[f..].contains(&false)),
+                "case {case}: a warm access follows a measured one"
+            );
+            let mut pass = StackDist::new();
+            for (&line, &measured) in t.lines.iter().zip(&flags) {
+                pass.access(line, measured);
+            }
+            let h = pass.finish(1.0);
+            assert_eq!(h.measured, flags.iter().filter(|&&f| f).count() as u64);
+            for cap in 0..=(h.distinct_lines + 3) {
+                let fast = h.miss_rate_at_lines(cap);
+                let slow = deque_miss_rate_flagged(&t.lines, |i| flags[i], cap as usize);
                 assert!(
                     (fast - slow).abs() < 1e-12,
                     "case {case} cap {cap}: {fast} vs {slow}"
