@@ -198,7 +198,7 @@ fn pass(mut lines: impl Iterator<Item = u64>, warm: u64, rate: f64) -> StackDist
             return pass.finish(rate);
         }
         // Warm-up and measured accesses in loops of their own, so each
-        // runs its own path of `access` with no per-access test.
+        // inlines `access` with its `measured` flag a constant.
         let w = warm_left.min(n as u64) as usize;
         warm_left -= w as u64;
         for &line in &batch[..w] {
